@@ -6,7 +6,7 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 0.15
 FUZZTIME ?= 30s
 
-.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate v3-smoke grouped-smoke
+.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate grouped-smoke
 
 ci: vet build race
 
@@ -79,38 +79,20 @@ saturate:
 	WINRS_LOADTEST_BENCH=$(SATURATE_OUT) $(GO) test -tags loadtest -count 1 -timeout 600s -v ./internal/loadtest
 
 # grouped-smoke runs the grouped/depthwise differential suites under the
-# race detector across the dispatch × parallelism matrix: both group
-# dispatch modes (WINRS_GROUP_DISPATCH seq and interleaved) at GOMAXPROCS
-# 1 and 4. Every grouped path (FP32, FP16, strided, forward, data
-# gradient, serve round-trip, mid-interleave cancellation) is pinned
-# against the grouped float64 direct oracle and the sequential baseline,
-# plus the depthwise planned-path and workspace-shrinkage acceptance
-# checks. The in-test width-{1,4} pools cover pool shape; the GOMAXPROCS
-# legs cover the unforced default pool the serve tests run on.
+# race detector at GOMAXPROCS 1 and 4. Every grouped path (FP32, FP16,
+# strided, forward, data gradient, serve round-trip, mid-interleave
+# cancellation) is pinned against the grouped float64 direct oracle and
+# the sequential per-group reference, plus the depthwise planned-path and
+# workspace-shrinkage acceptance checks. The in-test width-{1,4} pools
+# cover pool shape; the GOMAXPROCS legs cover the unforced default pool
+# the serve tests run on.
 grouped-smoke:
-	@for disp in seq interleaved; do \
-		for procs in 1 4; do \
-			echo "grouped-smoke: WINRS_GROUP_DISPATCH=$$disp GOMAXPROCS=$$procs"; \
-			WINRS_GROUP_DISPATCH=$$disp GOMAXPROCS=$$procs \
-				$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
-				./internal/conv ./internal/core ./internal/serve || exit 1; \
-		done; \
+	@for procs in 1 4; do \
+		echo "grouped-smoke: GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs \
+			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
+			./internal/conv ./internal/core ./internal/serve || exit 1; \
 	done
-
-# v3-smoke builds the tree with GOAMD64=v3 — compiling in the arch-tuned
-# EWM panel variant behind the amd64.v3 build tag — and runs the
-# kernel-tier differential suites against the scalar oracle under it.
-# Skips gracefully on non-amd64 hosts, where the tag can never be set.
-v3-smoke:
-	@if [ "$$($(GO) env GOARCH)" != "amd64" ]; then \
-		echo "v3-smoke: GOARCH=$$($(GO) env GOARCH), skipping (amd64 only)"; \
-	else \
-		GOAMD64=v3 $(GO) build ./... && \
-		GOAMD64=v3 $(GO) test -count 1 \
-			-run 'TestEWM|TestMatTMulRow|TestExecuteHalfMatchesScalarCodecRef|TestStridedHalfMatchesScalarCodecRef' \
-			./internal/core && \
-		GOAMD64=v3 $(GO) test -count 1 ./internal/winograd ./internal/fp16; \
-	fi
 
 # fuzz-smoke runs every fuzz target from its seed corpus for FUZZTIME
 # each, plus the exhaustive codec equivalence sweeps (all 65536 decode

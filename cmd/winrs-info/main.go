@@ -110,12 +110,9 @@ func main() {
 	if p.G() > 1 {
 		fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
 			p.G(), p.ICG(), p.OCG(), p.G() == p.IC)
-		gd := cfg.Describe()
-		fmt.Printf("group dispatch     %s (ring of %d staging slots; WINRS_GROUP_DISPATCH)\n",
-			gd.GroupDispatch, gd.GroupRing)
 		fmt.Printf("workspace          %.3f MB (per-group arena x %d-slot ring)\n",
-			float64(cfg.WorkspaceBytes())/(1<<20), gd.GroupRing)
-		fmt.Printf("  per-group arena  %.3f MB ((Z-1) x per-group dW slab; the sequential dispatch)\n",
+			float64(cfg.WorkspaceBytes())/(1<<20), cfg.GroupRing())
+		fmt.Printf("  per-group arena  %.3f MB ((Z-1) x per-group dW slab; one ring slot)\n",
 			float64(cfg.WorkspaceSeqBytes())/(1<<20))
 		// The paper's headline quantity under grouping: the in-flight
 		// arenas are sized for single groups, so even with the ring the

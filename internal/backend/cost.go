@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"winrs/internal/conv"
-	"winrs/internal/core"
 	"winrs/internal/fftconv"
 	"winrs/internal/winnf"
 )
@@ -85,14 +84,10 @@ func (b *winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 		flops += direct / s.K.Accel() * 1.10
 		grains += s.Rows() * (s.Cols() / s.K.R) * p.N
 	}
-	if p.G() > 1 && core.InterleavedGroups() {
-		// The interleaved dispatch fuses all G groups into one sched batch,
-		// so every group's units are live in the same grain pool (up to the
-		// staging-ring pipelining limit, which host procs never reach).
-		// Under the sequential forcing grains stay per pass — the
-		// parallelism live at any instant between the G barriers.
-		grains *= p.G()
-	}
+	// The grouped dispatch fuses all G groups into one sched batch, so every
+	// group's units are live in the same grain pool (up to the staging-ring
+	// pipelining limit, which host procs never reach).
+	grains *= p.G()
 	// Z × the full ∇W: the per-group buckets are 1/G of it and are swept
 	// once per each of the G passes.
 	dwBytes := float64(p.DWShape().Elems()) * 4

@@ -9,15 +9,15 @@ import (
 	"winrs/internal/tensor"
 )
 
-// This file pins the table-driven binary16 codec's integration into the
-// execution pipeline: a serial reference executor that replicates the
-// pre-bulk-kernel FP16 path — one scalar fp16.ToFloat32/FromFloat32 call
-// per element, exactly the code the bulk kernels replaced — must produce
-// bit-identical gradients to ExecuteHalf on every differential-sweep
-// shape, inline and through the pool.
+// This file pins the binary16 codec's integration into the execution
+// pipeline: a serial reference executor that keeps a binary16 Ŵ cache and
+// calls the scalar fp16.ToFloat32/FromFloat32 once per element — the
+// codec-per-use FP16 path the bulk kernels and the decoded-operand cache
+// replaced — must produce bit-identical gradients to ExecuteHalf on every
+// differential-sweep shape, inline and through the pool.
 
-// fillRowHalfScalar is fillRowHalf with the per-element scalar codec (the
-// original implementation, kept verbatim as the oracle).
+// fillRowHalfScalar is the FP16 Ŵ-cache fill with the per-element scalar
+// codec: decode the ∇Y unit, filter-transform in FP32, encode to binary16.
 func fillRowHalfScalar(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 	s *tileScratch, what []fp16.Bits) {
 	tr := seg.K.Transform()
@@ -47,9 +47,9 @@ func fillRowHalfScalar(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 	}
 }
 
-// segmentTileHalfScalar is segmentTileHalf with the per-element scalar
+// segmentTileHalfScalar is the FP16 fused unit with the per-element scalar
 // codec: scalar Ŵ decode, scalar X gather decode, scalar encode→decode
-// pair for the SMEM rounding.
+// pair for the SMEM rounding, base 4×4 EWM.
 func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 	what []fp16.Bits, bucket []float32) {
 	k := seg.K
@@ -107,13 +107,13 @@ func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half
 }
 
 // executeHalfScalarRef runs the full FP16 plan serially with the scalar
-// codec everywhere: Ŵ-cache fill, fused units, Kahan reduction.
+// codec everywhere: binary16 Ŵ-cache fill, fused units, Kahan reduction.
 func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 	ws := NewWorkspace(cfg)
-	growHalf(&ws.what16, ws.whatOff[len(ws.whatOff)-1])
+	what16 := make([]fp16.Bits, ws.whatOff[len(ws.whatOff)-1])
 	s := getTileScratch()
 	for si, seg := range cfg.Segments {
-		what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := what16[ws.whatOff[si]:ws.whatOff[si+1]]
 		for oh := seg.Row0; oh < seg.Row1; oh++ {
 			fillRowHalfScalar(cfg.Params, seg, oh, dy, s, what)
 		}
@@ -122,7 +122,7 @@ func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 
 	fw := cfg.Params.FW
 	for si, seg := range cfg.Segments {
-		what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := what16[ws.whatOff[si]:ws.whatOff[si+1]]
 		jTiles := fw / seg.K.N
 		for fh := 0; fh < cfg.Params.FH; fh++ {
 			for jt := 0; jt < jTiles; jt++ {
@@ -190,10 +190,8 @@ func TestExecuteHalfMatchesScalarCodecRef(t *testing.T) {
 	}
 }
 
-// The strided FP16 path routes through the same fillRowHalf and
-// segmentTileHalf kernels per phase; its results must be unchanged by the
-// codec swap. The reference here is phase decomposition over the scalar
-// reference executor — mirroring BackwardFilterStridedHalf's structure.
+// The strided FP16 path routes through the same FP16 fill and unit
+// kernels per phase; its results must be identical inline and pooled.
 func TestStridedHalfMatchesScalarCodecRef(t *testing.T) {
 	cases := []conv.StridedParams{
 		{N: 1, IH: 13, IW: 13, FH: 3, FW: 3, IC: 3, OC: 4, PH: 1, PW: 1, SH: 2, SW: 2},

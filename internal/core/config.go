@@ -389,9 +389,9 @@ type Config struct {
 	// group is the per-group execution plan when Params.Groups > 1: the
 	// WinRS pipeline for one group's channel slice (I_C/G inputs, O_C/G
 	// outputs). Execution runs it G times over channel-sliced operands
-	// sharing one group-sized workspace; Pair/Segments/unitOff above
-	// mirror it so inspection of the outer config reports the plan that
-	// actually runs. Nil for ungrouped layers.
+	// staged through a small ring of group-sized arenas; Pair/Segments/
+	// unitOff above mirror it so inspection of the outer config reports
+	// the plan that actually runs. Nil for ungrouped layers.
 	group *Config
 }
 
@@ -415,31 +415,28 @@ func (c *Config) Z() int { return len(c.Segments) }
 // Ungrouped: (Z−1) × sizeof(∇W) — the final gradient itself is not
 // workspace (bucket 0 aliases it). Buckets are FP32 on both precision
 // paths: accumulators and the Kahan reduction run in FP32 (paper §5.2).
-// Grouped layers report GroupRing() × the per-group arena: the default
-// interleaved dispatch keeps a bounded ring of in-flight per-group bucket
-// sets (≤ groupRingSlots, i.e. at most 2× the sequential dispatch's single
-// shared arena, which WorkspaceSeqBytes reports) — still ~G²/ring below
-// the ungrouped layer of the same outer geometry (1/G from the sliced
-// C-reduction, 1/G from the sliced O_C), the paper's tiny-workspace regime
-// at its most favorable.
+// Grouped layers report GroupRing() × the per-group arena: the grouped
+// dispatch keeps a bounded ring of in-flight per-group bucket sets
+// (≤ groupRingSlots, i.e. at most 2× one slot's arena, which
+// WorkspaceSeqBytes reports) — still ~G²/ring below the ungrouped layer of
+// the same outer geometry (1/G from the sliced C-reduction, 1/G from the
+// sliced O_C), the paper's tiny-workspace regime at its most favorable.
 func (c *Config) WorkspaceBytes() int64 {
 	return c.WorkspaceSeqBytes() * int64(c.GroupRing())
 }
 
-// WorkspaceSeqBytes returns one per-group bucket arena, (Z−1) × the
-// per-group ∇W slab — the whole workspace of the sequential grouped
-// dispatch (and of ungrouped plans, where it equals WorkspaceBytes).
+// WorkspaceSeqBytes returns one ring slot's bucket arena, (Z−1) × the
+// per-group ∇W slab. For ungrouped plans it equals WorkspaceBytes.
 func (c *Config) WorkspaceSeqBytes() int64 {
 	e := c.exec()
 	return int64(e.Z()-1) * int64(e.Params.DWShape().Elems()) * 4
 }
 
 // GroupRing returns the staging-slot ring depth the plan's grouped
-// dispatch budgets: min(G, groupRingSlots) under the interleaved dispatch
-// (an upper bound — execution additionally clamps to the pool width), 1
-// for ungrouped plans or forced sequential dispatch.
+// dispatch budgets: min(G, groupRingSlots) (an upper bound — execution
+// additionally clamps to the pool width), 1 for ungrouped plans.
 func (c *Config) GroupRing() int {
-	if c.group == nil || !InterleavedGroups() {
+	if c.group == nil {
 		return 1
 	}
 	if g := c.Params.G(); g < groupRingSlots {
@@ -455,10 +452,9 @@ func (c *Config) GroupRing() int {
 //
 //	Σ_seg Rows(seg) · (Cols(seg)/r_seg) · N · α_seg · O_C  elements,
 //
-// at 4 bytes per element in FP32 and, for FP16, 2 on the legacy
-// codec-per-unit path or 4 in the default decoded-operand mode (the
-// kernel tier keeps the binary16-rounded panels stored as float32 so
-// units skip the per-use decode; see fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
+// at 4 bytes per element on both precisions (the FP16 path keeps its
+// binary16-rounded panels stored as float32 so units skip the per-use
+// decode; see fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
 // and Σ_seg Rows·Cols·N·O_C = |∇Y|, the cache is bounded by
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not
@@ -470,9 +466,6 @@ func (c *Config) WHatCacheBytes() int64 {
 	for _, seg := range e.Segments {
 		elems += int64(seg.Rows()) * int64(seg.Cols()/seg.K.R) *
 			int64(e.Params.N) * int64(seg.K.Alpha) * int64(e.Params.OC)
-	}
-	if c.FP16 && !fp16Resident {
-		return elems * 2
 	}
 	return elems * 4
 }
@@ -523,8 +516,8 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 	}
 	if p.G() > 1 {
 		// Grouped layer: adapt the pipeline for one group's channel slice
-		// and wrap it. Execution iterates the per-group plan G times over
-		// channel-sliced operands, reusing one group-sized workspace.
+		// and wrap it. Execution runs the per-group plan G times over
+		// channel-sliced operands through group-sized arenas.
 		pg := p
 		pg.IC, pg.OC, pg.Groups = p.ICG(), p.OCG(), 0
 		gcfg, err := Configure(pg, opts...)

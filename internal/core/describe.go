@@ -29,18 +29,16 @@ type Description struct {
 	Segments        int     `json:"segments"`
 	WorkspaceBytes  int64   `json:"workspaceBytes"`
 	WorkspaceRatio  float64 `json:"workspaceRatio"`
-	// Grouped-dispatch attribution (grouped plans only): the dispatch mode
-	// under the current process knobs, the budgeted staging-slot ring depth,
-	// and the single per-group arena of the sequential dispatch —
+	// Grouped-dispatch attribution (grouped plans only): the budgeted
+	// staging-slot ring depth and one slot's per-group arena —
 	// WorkspaceBytes is WorkspaceSeqBytes × GroupRing.
-	GroupDispatch     string `json:"groupDispatch,omitempty"`
-	GroupRing         int    `json:"groupRing,omitempty"`
-	WorkspaceSeqBytes int64  `json:"workspaceSeqBytes,omitempty"`
-	WHatCacheBytes  int64   `json:"wHatCacheBytes"`
-	WHatCacheRatio  float64 `json:"wHatCacheRatio"`
-	TotalBlocks     int     `json:"totalBlocks"`
+	GroupRing         int     `json:"groupRing,omitempty"`
+	WorkspaceSeqBytes int64   `json:"workspaceSeqBytes,omitempty"`
+	WHatCacheBytes    int64   `json:"wHatCacheBytes"`
+	WHatCacheRatio    float64 `json:"wHatCacheRatio"`
+	TotalBlocks       int     `json:"totalBlocks"`
 	// EWMKernel is the kernel-tier variant the fast kernel's units resolve
-	// to under the current process knobs (e.g. "fused8x4", "block8x8+v3").
+	// to (e.g. "fused8x4", "block8x8").
 	EWMKernel string `json:"ewmKernel"`
 }
 
@@ -55,11 +53,6 @@ func (c *Config) Describe() Description {
 	d.Layer.OH, d.Layer.OW = p.OH(), p.OW()
 	if p.G() > 1 {
 		d.Layer.Groups = p.G()
-		if InterleavedGroups() {
-			d.GroupDispatch = "interleaved"
-		} else {
-			d.GroupDispatch = "sequential"
-		}
 		d.GroupRing = c.GroupRing()
 		d.WorkspaceSeqBytes = c.WorkspaceSeqBytes()
 	}

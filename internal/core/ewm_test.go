@@ -11,26 +11,17 @@ import (
 )
 
 // Kernel-tier differential tests: every block-shape variant, the fused
-// transform+EWM mode and the FP16 decoded-operand mode must be
+// transform+EWM mode and the FP16 decoded-operand path must be
 // bit-identical to the base 4×4 unfused path (FP32) and to the serial
 // scalar-codec reference (FP16), inline and through a width-4 pool.
 
 // forceEWM overrides the kernel-tier forcing mode for the duration of the
-// test — the test-process form of the WINRS_EWM_KERNEL env knob.
+// test. Kernel forcing is a test-only hook; production always runs auto.
 func forceEWM(t testing.TB, mode ewmMode) {
 	t.Helper()
 	prev := ewmForce
 	ewmForce = mode
 	t.Cleanup(func() { ewmForce = prev })
-}
-
-// forceResident overrides the FP16 decoded-operand knob
-// (WINRS_FP16_RESIDENT) for the duration of the test.
-func forceResident(t testing.TB, on bool) {
-	t.Helper()
-	prev := fp16Resident
-	fp16Resident = on
-	t.Cleanup(func() { fp16Resident = prev })
 }
 
 // ewmVariantModes is the force matrix of the differential sweeps: every
@@ -75,7 +66,7 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 	}{
 		{"8x4", ewmPanel8x4},
 		{"8x8", ewmPanel8x8},
-		{"8x8arch", ewmPanel8x8Arch},
+		{"dw1", ewmPanelDW1},
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, alpha := range []int{2, 4, 8, 16} {
@@ -189,11 +180,13 @@ func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 	}
 }
 
-// The FP16 force matrix: every kernel-tier mode × resident/codec operand
-// mode must match the serial scalar-codec reference executor bit for bit.
-// This is the oracle pinning of the decoded-operand residency claim: the
-// float32-resident Ŵ cache and bulk-decoded operands hold exactly the
-// values the per-unit scalar codec round trips produce.
+// The FP16 force matrix: every kernel-tier mode must match the serial
+// scalar-codec reference executor bit for bit. This is the oracle pinning
+// of the decoded-operand residency claim: the float32-resident Ŵ cache and
+// bulk-decoded operands hold exactly the values the per-unit scalar codec
+// round trips produce. Each mode runs two operand mixes: "resident" on
+// unit-range operands, "codec" on halfLayer's codec-stress mix (exact
+// zeros, subnormal-scale and ±1024 magnitudes).
 func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 	for _, tc := range ewmSweepCases {
 		opts := []Option{WithFP16()}
@@ -204,21 +197,20 @@ func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		xh, dyh := halfLayer(t, 44, tc.p)
-		want := executeHalfScalarRef(cfg, xh, dyh)
-
-		for _, vm := range ewmVariantModes {
-			for _, res := range []struct {
-				name string
-				on   bool
-			}{{"resident", true}, {"codec", false}} {
-				t.Run(tc.name+"/"+vm.name+"/"+res.name, func(t *testing.T) {
+		x, dy := poolLayer(t, 44, tc.p)
+		xs, dys := halfLayer(t, 44, tc.p)
+		for _, mix := range []struct {
+			name  string
+			x, dy *tensor.Half
+		}{{"resident", x.ToHalf(), dy.ToHalf()}, {"codec", xs, dys}} {
+			want := executeHalfScalarRef(cfg, mix.x, mix.dy)
+			for _, vm := range ewmVariantModes {
+				t.Run(tc.name+"/"+vm.name+"/"+mix.name, func(t *testing.T) {
 					forceEWM(t, vm.mode)
-					forceResident(t, res.on)
-					got := ExecuteHalf(cfg, xh, dyh)
+					got := ExecuteHalf(cfg, mix.x, mix.dy)
 					equalBits(t, "inline", got.Data, want.Data)
 					withTestPool(t, 4, func() {
-						got := ExecuteHalf(cfg, xh, dyh)
+						got := ExecuteHalf(cfg, mix.x, mix.dy)
 						equalBits(t, "pool4", got.Data, want.Data)
 					})
 				})
@@ -256,7 +248,7 @@ func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 }
 
 // EWMKernel must report the selection the executing units actually
-// resolve, including force modes and the codec fallback tag.
+// resolve, including force modes and the depthwise panel.
 func TestEWMKernelReporting(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
 	cfg, err := Configure(p) // fast kernel Ω8(3,6): fp32 block (64, 32)
@@ -269,26 +261,32 @@ func TestEWMKernelReporting(t *testing.T) {
 	}
 
 	forceEWM(t, ewmAuto)
-	forceResident(t, true)
 	if got, want := cfg.EWMKernel(), "fused8x4"; got != want {
 		t.Errorf("fp32 auto: %q, want %q (B_M 32 keeps the 4-wide column block)", got, want)
 	}
-	if got, want := cfg16.EWMKernel(), "fused8x8"+ewmArchSuffix; got != want {
+	if got, want := cfg16.EWMKernel(), "fused8x8"; got != want {
 		t.Errorf("fp16 auto: %q, want %q (precision-aware B_M 64 widens the block)", got, want)
+	}
+	dw := p
+	dw.IC, dw.OC, dw.Groups = 16, 16, 16
+	cfgDW, err := Configure(dw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfgDW.EWMKernel(), "fuseddw1"; got != want {
+		t.Errorf("depthwise auto: %q, want %q", got, want)
 	}
 
 	forceEWM(t, ewmBlock4)
 	if got, want := cfg.EWMKernel(), "block4x4"; got != want {
 		t.Errorf("forced block4: %q, want %q", got, want)
 	}
-
-	forceResident(t, false)
-	forceEWM(t, ewmAuto)
-	if got, want := cfg16.EWMKernel(), "block4x4+codec"; got != want {
-		t.Errorf("fp16 codec fallback: %q, want %q", got, want)
+	if got, want := cfg16.EWMKernel(), "block4x4"; got != want {
+		t.Errorf("fp16 forced block4: %q, want %q", got, want)
 	}
 
-	if d := cfg.Describe(); d.EWMKernel == "" {
-		t.Error("Describe() leaves EWMKernel empty")
+	forceEWM(t, ewmAuto)
+	if d := cfg.Describe(); d.EWMKernel != cfg.EWMKernel() {
+		t.Errorf("Describe() EWMKernel %q, want %q", d.EWMKernel, cfg.EWMKernel())
 	}
 }

@@ -53,23 +53,23 @@ func EWMMicroCells() []EWMMicroCell {
 			}}
 		}
 		emit := func(u, w int) {
-			ewmPanel8x8Arch(v[u*oc*ic:(u+1)*oc*ic], wHat[u*oc:(u+1)*oc], xHat[u*ic:(u+1)*ic], oc, ic)
+			ewmPanel8x8(v[u*oc*ic:(u+1)*oc*ic], wHat[u*oc:(u+1)*oc], xHat[u*ic:(u+1)*ic], oc, ic)
 			if w >= 0 {
-				ewmPanel8x8Arch(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
+				ewmPanel8x8(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
 			}
 		}
 		cells = append(cells,
 			// Pure EWM: per block shape.
 			panelCell("block4x4", ewmPanel),
 			panelCell("block8x4", ewmPanel8x4),
-			panelCell("block8x8"+ewmArchSuffix, ewmPanel8x8Arch),
+			panelCell("block8x8", ewmPanel8x8),
 			// Transform+EWM, store/reload vs fused: same arithmetic, the
 			// delta is exactly the intermediate-panel round trip.
-			EWMMicroCell{Kernel: kn, Variant: "xform+block8x8" + ewmArchSuffix, Run: func() {
+			EWMMicroCell{Kernel: kn, Variant: "xform+block8x8", Run: func() {
 				dtPlan.MulPanel(xRaw, xHat, alpha, ic)
-				ewmPanelsSel(ewmPanel8x8Arch, v, wHat, xHat, alpha, oc, ic)
+				ewmPanelsSel(ewmPanel8x8, v, wHat, xHat, alpha, oc, ic)
 			}},
-			EWMMicroCell{Kernel: kn, Variant: "fused8x8" + ewmArchSuffix, Run: func() {
+			EWMMicroCell{Kernel: kn, Variant: "fused8x8", Run: func() {
 				dtPlan.MulPanelEmit(xRaw, xHat, alpha, ic, emit)
 			}},
 		)

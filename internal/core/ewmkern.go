@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"os"
-
-	"winrs/internal/winograd"
-)
+import "winrs/internal/winograd"
 
 // The EWM kernel tier: shape-specialized register-blocked panel kernels
 // selected per Ω kernel and precision, plus the fused transform+EWM
@@ -17,9 +12,9 @@ import (
 // matTMulRowF32). The differential suites force every mode through the
 // codecref/pool oracles to pin this.
 
-// ewmMode is the kernel-tier forcing knob: auto (per-kernel selection),
+// ewmMode is the kernel-tier forcing mode: auto (per-kernel selection),
 // or one of the force values the differential sweeps pin each variant
-// with. Settable via WINRS_EWM_KERNEL=auto|block4|block8|fused|dw1.
+// with.
 type ewmMode uint8
 
 const (
@@ -30,58 +25,9 @@ const (
 	ewmDW1            // force the depthwise I_C == 1 panel (no-op when I_C > 1)
 )
 
-// ewmForce is the process-wide forcing mode; tests swap it via forceEWM.
-var ewmForce = parseEWMMode(os.Getenv("WINRS_EWM_KERNEL"))
-
-// fp16Resident selects the decoded-operand FP16 mode: the Ŵ cache and the
-// gathered operands stay in float32 form across filter units instead of
-// round-tripping through the binary16 codec per use. Identical bits either
-// way (binary16→float32 decode is exact); WINRS_FP16_RESIDENT=0 forces the
-// legacy codec-per-unit path.
-var fp16Resident = parseFP16Resident(os.Getenv("WINRS_FP16_RESIDENT"))
-
-// envWarnf reports a malformed environment knob; tests swap it to capture
-// the diagnostics.
-var envWarnf = func(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
-
-// parseEWMMode maps WINRS_EWM_KERNEL to a forcing mode. An unrecognized
-// value warns and falls back to auto — silently treating a typoed forcing
-// as auto would make a differential run that believes it pinned a variant
-// test nothing.
-func parseEWMMode(s string) ewmMode {
-	switch s {
-	case "", "auto":
-		return ewmAuto
-	case "block4":
-		return ewmBlock4
-	case "block8":
-		return ewmBlock8
-	case "fused":
-		return ewmFused
-	case "dw1":
-		return ewmDW1
-	default:
-		envWarnf("winrs: unrecognized WINRS_EWM_KERNEL=%q; valid values are auto, block4, block8, fused, dw1 — using auto", s)
-		return ewmAuto
-	}
-}
-
-// parseFP16Resident maps WINRS_FP16_RESIDENT to the decoded-operand flag:
-// unset/"1" selects the resident mode, "0" the legacy codec-per-unit path.
-// Anything else warns and keeps the default.
-func parseFP16Resident(s string) bool {
-	switch s {
-	case "", "1":
-		return true
-	case "0":
-		return false
-	default:
-		envWarnf("winrs: unrecognized WINRS_FP16_RESIDENT=%q; valid values are 0, 1 — using 1", s)
-		return true
-	}
-}
+// ewmForce is the process-wide forcing mode: always auto in production,
+// a test-only hook the differential sweeps set through forceEWM.
+var ewmForce ewmMode
 
 // ewmPanelFunc is one register-blocked EWM panel kernel:
 // ve[a][b] += we[a]·xe[b].
@@ -105,11 +51,10 @@ type ewmSel struct {
 // whole chain in L1.
 // ewmNames holds the pre-concatenated attribution strings ([fused][shape])
 // so selectEWM never builds a string at runtime — it runs on the per-unit
-// zero-allocation hot path. The expressions are compile-time constants
-// (ewmArchSuffix is a build-tagged const).
+// zero-allocation hot path.
 var ewmNames = [2][4]string{
-	{"block4x4", "block8x4", "block8x8" + ewmArchSuffix, "dw1"},
-	{"fused4x4", "fused8x4", "fused8x8" + ewmArchSuffix, "fuseddw1"},
+	{"block4x4", "block8x4", "block8x8", "dw1"},
+	{"fused4x4", "fused8x4", "fused8x8", "fuseddw1"},
 }
 
 func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
@@ -122,13 +67,13 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 		// Depthwise regime (I_C/G == 1): the accumulator panel is a single
 		// column, so the register blocks above degenerate into their scalar
 		// tails. The dedicated panel drops the channel-reduction loop; auto
-		// selects it, WINRS_EWM_KERNEL=dw1 pins it for differential sweeps,
-		// and the explicit block forcings still win for oracle comparisons.
+		// selects it, the dw1 force pins it for differential sweeps, and
+		// the explicit block forcings still win for oracle comparisons.
 		sel.panel, shape = ewmPanelDW1, 3
 	case mode == ewmBlock4 || oc < 8 || bn < 64:
 		sel.panel = ewmPanel
 	case ic >= 8 && bm >= 64:
-		sel.panel, shape = ewmPanel8x8Arch, 2
+		sel.panel, shape = ewmPanel8x8, 2
 	default:
 		sel.panel, shape = ewmPanel8x4, 1
 	}
@@ -149,14 +94,9 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 }
 
 // EWMKernel reports the kernel-tier selection the plan's fast kernel
-// resolves to under the current process knobs — the per-plan attribution
-// recorded by winrs-info and the bench JSON's ewm_kernel field.
+// resolves to — the per-plan attribution recorded by winrs-info and the
+// bench JSON's ewm_kernel field.
 func (c *Config) EWMKernel() string {
-	if c.FP16 && !fp16Resident {
-		// The legacy codec-per-unit FP16 path stays on the unfused base
-		// kernel — it is the knob-off compatibility tier.
-		return "block4x4+codec"
-	}
 	e := c.exec() // grouped plans attribute the per-group operand shape
 	sel := selectEWM(e.Pair.Fast, c.FP16, e.Params.OC, e.Params.IC)
 	return sel.name

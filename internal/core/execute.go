@@ -100,7 +100,6 @@ type execJob struct {
 	x32, dy32 *tensor.Float32
 	x16, dy16 *tensor.Half
 	half      bool
-	resident  bool // FP16 decoded-operand mode (see fp16Resident)
 	traceOn   bool
 }
 
@@ -118,15 +117,10 @@ func (j *execJob) Run(lo, hi int) {
 		jTiles := fw / seg.K.N
 		local := i - off[si]
 		fh, jt := local/jTiles, local%jTiles
-		switch {
-		case j.half && j.resident:
-			what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		if j.half {
 			tileHalfResUnit(cfg.Params, seg, fh, jt, j.x16, ws.xDec, what, ws.buckets[si], j.traceOn)
-		case j.half:
-			what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
-			tileHalfUnit(cfg.Params, seg, fh, jt, j.x16, what, ws.buckets[si], j.traceOn)
-		default:
-			what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		} else {
 			tile32Unit(cfg.Params, seg, fh, jt, j.x32, what, ws.buckets[si], j.traceOn)
 		}
 	}
@@ -137,12 +131,11 @@ func (j *execJob) Run(lo, hi int) {
 // every (width-tile, batch) ∇Y unit of that row into the cache. Like
 // execJob it is embedded in the Workspace and reused across calls.
 type fillJob struct {
-	cfg      *Config
-	ws       *Workspace
-	dy32     *tensor.Float32
-	dy16     *tensor.Half
-	half     bool
-	resident bool
+	cfg  *Config
+	ws   *Workspace
+	dy32 *tensor.Float32
+	dy16 *tensor.Half
+	half bool
 }
 
 // Run fills global segment rows [lo, hi).
@@ -159,16 +152,11 @@ func (f *fillJob) Run(lo, hi int) {
 		}
 		seg := cfg.Segments[si]
 		oh := seg.Row0 + (i - ws.rowOff[si])
-		switch {
-		case f.half && f.resident:
-			fillRowHalfRes(p, seg, oh, f.dy16, ws.dyDec, s,
-				ws.what32[ws.whatOff[si]:ws.whatOff[si+1]])
-		case f.half:
-			fillRowHalf(p, seg, oh, f.dy16, s,
-				ws.what16[ws.whatOff[si]:ws.whatOff[si+1]])
-		default:
-			fillRow32(p, seg, oh, f.dy32,
-				ws.what32[ws.whatOff[si]:ws.whatOff[si+1]])
+		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		if f.half {
+			fillRowHalfRes(p, seg, oh, f.dy16, ws.dyDec, s, what)
+		} else {
+			fillRow32(p, seg, oh, f.dy32, what)
 		}
 	}
 }
@@ -214,42 +202,13 @@ func halfMats(tr *winograd.Transform) (g, d, a *winograd.Mat) {
 	return g, d, a
 }
 
-// fillRowHalf is fillRow32 for the FP16 path: mixed-precision filter
-// transform (FP32 arithmetic, binary16 storage) into the half-width cache.
-// The gathered ∇Y rows bulk-decode through the binary16 LUT into the
-// workspace scratch and the transformed panel bulk-encodes into the cache
-// — both kernels are bit-identical to the scalar codec, so the cache
-// contents are unchanged.
-func fillRowHalf(p conv.Params, seg Segment, oh int, dy *tensor.Half,
-	s *tileScratch, what []fp16.Bits) {
-	tr := seg.K.Transform()
-	gMat, _, _ := halfMats(tr)
-	r, alpha, oc := tr.R, tr.Alpha, p.OC
-	wRaw := growF32(&s.wRaw, r*oc)
-	wHatF := growF32(&s.wHatF, alpha*oc)
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-	rowBase := (oh - seg.Row0) * tiles
-
-	for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-		for nb := 0; nb < p.N; nb++ {
-			for u := 0; u < r; u++ {
-				base := dy.Shape.Index(nb, oh, ow0+u, 0)
-				fp16.DecodeSlice(wRaw[u*oc:(u+1)*oc], dy.Data[base:base+oc])
-			}
-			matMulF32(gMat, wRaw, wHatF, r, oc)
-			dst := what[((rowBase+t)*p.N+nb)*entry:]
-			fp16.EncodeSlice(dst[:entry], wHatF)
-		}
-	}
-}
-
-// fillRowHalfRes is the decoded-operand variant of fillRowHalf: the ∇Y
-// unit reads straight from the bulk-decoded dyDec mirror (one contiguous
-// [r][O_C] block, like fillRow32), and the transformed panel is rounded
-// through binary16 while being stored in float32 form (fp16.RoundInto).
-// Cache values are bit-identical to decode(encode(panel)), so every
-// execution-side use skips the per-unit decode without changing a bit.
+// fillRowHalfRes is fillRow32 for the FP16 path: mixed-precision filter
+// transform (FP32 arithmetic, binary16 storage). The ∇Y unit reads
+// straight from the bulk-decoded dyDec mirror (one contiguous [r][O_C]
+// block, like fillRow32), and the transformed panel is rounded through
+// binary16 while being stored in float32 form (fp16.RoundInto) — the
+// decoded-operand ("resident") cache. Cache values are bit-identical to
+// decode(encode(panel)), so execution-side uses need no per-unit decode.
 func fillRowHalfRes(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 	dyDec []float32, s *tileScratch, what []float32) {
 	tr := seg.K.Transform()
@@ -290,19 +249,6 @@ func tile32Unit(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
 	var ut obs.UnitTimes
 	t0 := time.Now()
 	segmentTile32(p, seg, fh, j, x, what, bucket, &ut)
-	obs.RecordUnit(time.Since(t0), ut)
-}
-
-// tileHalfUnit is tile32Unit for the legacy (codec-per-unit) FP16 path.
-func tileHalfUnit(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	what []fp16.Bits, bucket []float32, traceOn bool) {
-	if !traceOn {
-		segmentTileHalf(p, seg, fh, j, x, what, bucket, nil)
-		return
-	}
-	var ut obs.UnitTimes
-	t0 := time.Now()
-	segmentTileHalf(p, seg, fh, j, x, what, bucket, &ut)
 	obs.RecordUnit(time.Since(t0), ut)
 }
 
@@ -478,80 +424,18 @@ func segmentTile32(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
 	writeOutput(p, tr.A, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
 }
 
-// segmentTileHalf is the FP16 variant of segmentTile32 (see ExecuteHalf):
-// the cached Ŵ panels are binary16 and decoded to FP32 per use (binary16
-// → FP32 is exact, so products match the pre-restructuring path bit for
-// bit), X̂ is transformed in FP32, rounded to binary16 and decoded back —
-// the "SMEM storage" rounding — and the EWM accumulates in FP32.
-func segmentTileHalf(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	what []fp16.Bits, bucket []float32, ut *obs.UnitTimes) {
-	k := seg.K
-	tr := k.Transform()
-	_, dMat, aMat := halfMats(tr)
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	wDec := growF32(&s.wHatF, alpha*oc) // decoded cached Ŵ panel
-	xRaw := growF32(&s.xRaw, alpha*ic)
-	xHat := growF32(&s.xHatF, alpha*ic)
-	colBase := j * n
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-
-	var smp unitSampler
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue
-		}
-		rowBase := (oh - seg.Row0) * tiles
-		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-			for nb := 0; nb < p.N; nb++ {
-				smp.begin(ut)
-				hw := what[((rowBase+t)*p.N+nb)*entry:]
-				hw = hw[:entry]
-				fp16.DecodeSlice(wDec, hw)
-				for u := 0; u < alpha; u++ {
-					iw := ow0 + colBase + u - p.PW
-					dst := xRaw[u*ic : (u+1)*ic]
-					if iw < 0 || iw >= p.IW {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					base := x.Shape.Index(nb, ih, iw, 0)
-					fp16.DecodeSlice(dst, x.Data[base:base+ic])
-				}
-				matTMulF32(dMat, xRaw, xHat, alpha, ic)
-				// Round to binary16 storage and decode in place: the
-				// decoded values are exactly the binary16 operands, so the
-				// FP32-accumulated EWM below is the Tensor-Core contract
-				// without a per-product conversion.
-				fp16.RoundSlice(xHat)
-				smp.mark()
-				ewmPanels(v, wDec, xHat, alpha, oc, ic)
-				smp.end()
-			}
-		}
-	}
-	smp.flush(ut)
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
-}
-
-// segmentTileHalfRes is the decoded-operand FP16 unit of the kernel tier:
-// the Ŵ cache is float32-resident (binary16-rounded values stored already
-// decoded, see fillRowHalfRes) and X reads from the bulk-decoded xDec
-// mirror, so the per-unit codec work shrinks to the one mandatory X̂ "SMEM
-// storage" rounding. Operand values are bit-identical to the codec path:
-// binary16 → float32 decoding is exact, and every resident store rounded
-// through binary16 on the way in. The fused mode transforms, rounds and
-// multiplies one X̂ row at a time — matTMulRowF32 reproduces the panel
-// transform's per-row ascending-k accumulation exactly, and rounding is
-// element-wise, so the row-at-a-time order changes no bits either.
+// segmentTileHalfRes is the FP16 variant of segmentTile32 (see
+// ExecuteHalf): the Ŵ cache is float32-resident (binary16-rounded values
+// stored already decoded, see fillRowHalfRes) and X reads from the
+// bulk-decoded xDec mirror, so the per-unit codec work shrinks to the one
+// mandatory X̂ "SMEM storage" rounding; the EWM accumulates in FP32.
+// Operand values are bit-identical to a per-use scalar codec (the
+// codecref_test.go oracle): binary16 → float32 decoding is exact, and every
+// resident store rounded through binary16 on the way in. The fused mode
+// transforms, rounds and multiplies one X̂ row at a time — matTMulRowF32
+// reproduces the panel transform's per-row ascending-k accumulation
+// exactly, and rounding is element-wise, so the row-at-a-time order
+// changes no bits either.
 func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 	xDec []float32, what []float32, bucket []float32, ut *obs.UnitTimes) {
 	k := seg.K

@@ -14,15 +14,12 @@ import (
 // gradient (∇W is O_C-major and each group owns a contiguous O_C/G range),
 // so outputs are written through zero-copy views.
 //
-// Two dispatch modes exist (WINRS_GROUP_DISPATCH, groupedinterleave.go):
-// the default interleaved dispatch fuses all G groups into ONE sched batch
-// over a (group, unit) index space with a small ring of in-flight staging
-// slots, recovering pool occupancy when per-group work is tiny (depthwise);
-// the sequential mode below runs the G passes one after another through a
-// single group-sized workspace — the PR 9 baseline the interleaved path is
-// pinned bit-identical to. Either way the tiny-workspace property the
-// paper's reduce-split buys shrinks by ~G²/ring vs the ungrouped plan, and
-// depthwise (G == I_C) is its limiting case.
+// The dispatch (groupedinterleave.go) fuses all G groups into ONE sched
+// batch over a (group, unit) index space with a small ring of in-flight
+// staging slots, recovering pool occupancy when per-group work is tiny
+// (depthwise). The tiny-workspace property the paper's reduce-split buys
+// shrinks by ~G²/ring vs the ungrouped plan, and depthwise (G == I_C) is
+// its limiting case.
 
 // sliceChannels gathers channels [off, off+width) of every row of src
 // (rows × srcC, dense) into dst (rows × width, dense). A full-width slice
@@ -53,7 +50,7 @@ func scatterChannels[E any](dst, src []E, rows, dstC, off, width int) {
 
 // sliceDecodeChannels is sliceChannels fused with the binary16 → float32
 // bulk decode: the gathered group slice lands directly in its decoded
-// float32 mirror (the fp16Resident operand form). Decoding is exact, so
+// float32 mirror (the FP16 path's operand form). Decoding is exact, so
 // the values are bit-identical to gather-then-decode.
 func sliceDecodeChannels(dst []float32, src []fp16.Bits, rows, srcC, off, width int) {
 	if width == srcC {
@@ -71,85 +68,22 @@ func groupSlab(dst *tensor.Float32, shape tensor.Shape, gi int) *tensor.Float32 
 	return &tensor.Float32{Shape: shape, Data: dst.Data[gi*n : (gi+1)*n : (gi+1)*n]}
 }
 
-// executeGroupedIn is the FP32 grouped BFC driver behind executeIn.
-func executeGroupedIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
-	p := cfg.Params
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		panic("core: Execute operand shape mismatch")
-	}
+// executeGroupedIn is the grouped BFC driver behind executeIn and
+// executeHalfIn (which have already checked the operand shapes): exactly
+// one operand pair is non-nil, (x32, dy32) for FP32 or (x16, dy16) for
+// FP16. The FP16 path runs the regular per-group pipeline, so the eq.(7)
+// error model applies per group with the reduced C = I_C/G depth.
+func executeGroupedIn(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32, x16, dy16 *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	if dst == nil {
-		dst = tensor.NewFloat32(p.DWShape())
-	} else if dst.Shape != p.DWShape() {
+		dst = tensor.NewFloat32(cfg.Params.DWShape())
+	} else if dst.Shape != cfg.Params.DWShape() {
 		panic("core: reduce destination shape mismatch")
 	}
-	gcfg := cfg.group
-	if ws == nil {
-		ws = NewWorkspace(cfg) // group-sized, shared by all G passes
-	}
-	if InterleavedGroups() {
-		if ok := runGroupedInterleaved(cfg, ws, x, dy, nil, nil, dst, cancel); !ok {
-			return nil, false
-		}
-		return dst, true
-	}
-	g, icg, ocg := p.G(), p.ICG(), p.OCG()
-	pg := gcfg.Params
-	xRows := p.N * p.IH * p.IW
-	dyRows := p.N * p.OH() * p.OW()
-	xg := &tensor.Float32{Shape: pg.XShape(), Data: growF32(&ws.xg32, xRows*icg)}
-	dyg := &tensor.Float32{Shape: pg.DYShape(), Data: growF32(&ws.dyg32, dyRows*ocg)}
-	for gi := 0; gi < g; gi++ {
-		if cancel.Cancelled() {
-			return nil, false
-		}
-		sliceChannels(xg.Data, x.Data, xRows, p.IC, gi*icg, icg)
-		sliceChannels(dyg.Data, dy.Data, dyRows, p.OC, gi*ocg, ocg)
-		if _, ok := executeIn(gcfg, ws, xg, dyg, groupSlab(dst, pg.DWShape(), gi), cancel); !ok {
-			return nil, false
-		}
-	}
-	return dst, true
-}
-
-// executeGroupedHalfIn is the FP16 grouped BFC driver behind executeHalfIn.
-// Gathers stay in binary16 (bit-exact channel copies); each per-group pass
-// then runs the regular FP16 pipeline, so the eq.(7) error model applies
-// per group with the reduced C = I_C/G reduction depth.
-func executeGroupedHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
-	p := cfg.Params
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		panic("core: ExecuteHalf operand shape mismatch")
-	}
-	if dst == nil {
-		dst = tensor.NewFloat32(p.DWShape())
-	} else if dst.Shape != p.DWShape() {
-		panic("core: reduce destination shape mismatch")
-	}
-	gcfg := cfg.group
 	if ws == nil {
 		ws = NewWorkspace(cfg)
 	}
-	if InterleavedGroups() {
-		if ok := runGroupedInterleaved(cfg, ws, nil, nil, x, dy, dst, cancel); !ok {
-			return nil, false
-		}
-		return dst, true
-	}
-	g, icg, ocg := p.G(), p.ICG(), p.OCG()
-	pg := gcfg.Params
-	xRows := p.N * p.IH * p.IW
-	dyRows := p.N * p.OH() * p.OW()
-	xg := &tensor.Half{Shape: pg.XShape(), Data: growHalf(&ws.xg16, xRows*icg)}
-	dyg := &tensor.Half{Shape: pg.DYShape(), Data: growHalf(&ws.dyg16, dyRows*ocg)}
-	for gi := 0; gi < g; gi++ {
-		if cancel.Cancelled() {
-			return nil, false
-		}
-		sliceChannels(xg.Data, x.Data, xRows, p.IC, gi*icg, icg)
-		sliceChannels(dyg.Data, dy.Data, dyRows, p.OC, gi*ocg, ocg)
-		if _, ok := executeHalfIn(gcfg, ws, xg, dyg, groupSlab(dst, pg.DWShape(), gi), cancel); !ok {
-			return nil, false
-		}
+	if !runGroupedInterleaved(cfg, ws, x32, dy32, x16, dy16, dst, cancel) {
+		return nil, false
 	}
 	return dst, true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -38,24 +37,11 @@ import (
 // cancelled batch drains chunks without running them — a dependency
 // counter may then never complete, and the waiter must bail instead.
 //
-// Bit-identity with the sequential dispatch: each (segment, f_h, j) unit
-// writes a disjoint element range of its segment's bucket, segments use
-// distinct buckets, and the per-group Kahan reduce visits buckets in the
-// same order as reduceInto — so the interleaving changes no accumulation
-// order within any group.
-
-// groupDispatchMode is the WINRS_GROUP_DISPATCH forcing knob.
-type groupDispatchMode uint8
-
-const (
-	groupDispatchAuto        groupDispatchMode = iota
-	groupDispatchSeq                           // force the PR 9 sequential per-group passes
-	groupDispatchInterleaved                   // force the fused single-batch dispatch (the auto choice)
-)
-
-// groupDispatchForce is the process-wide dispatch mode; tests swap it via
-// forceGroupDispatch.
-var groupDispatchForce = parseGroupDispatch(os.Getenv("WINRS_GROUP_DISPATCH"))
+// Bit-identity with G separate per-group WinRS passes: each (segment,
+// f_h, j) unit writes a disjoint element range of its segment's bucket,
+// segments use distinct buckets, and the per-group Kahan reduce visits
+// buckets in the same order as reduceInto — so the interleaving changes no
+// accumulation order within any group.
 
 // groupWidthForce, when positive, overrides the effective co-scheduling
 // width (still capped at the pool's width). Tests set it to drive the
@@ -63,37 +49,15 @@ var groupDispatchForce = parseGroupDispatch(os.Getenv("WINRS_GROUP_DISPATCH"))
 // machines whose CPU count would otherwise select the inline path.
 var groupWidthForce = 0
 
-// parseGroupDispatch maps WINRS_GROUP_DISPATCH to a dispatch mode. Like
-// parseEWMMode, unknown values warn and fall back to auto so a typoed
-// forcing never silently tests the wrong path.
-func parseGroupDispatch(s string) groupDispatchMode {
-	switch s {
-	case "", "auto":
-		return groupDispatchAuto
-	case "seq", "sequential":
-		return groupDispatchSeq
-	case "interleaved":
-		return groupDispatchInterleaved
-	default:
-		envWarnf("winrs: unrecognized WINRS_GROUP_DISPATCH=%q; valid values are auto, interleaved, seq — using auto", s)
-		return groupDispatchAuto
-	}
-}
-
-// InterleavedGroups reports whether grouped plans dispatch interleaved
-// (the default; WINRS_GROUP_DISPATCH=seq selects the sequential passes).
-// The backend cost model keys its grain accounting off this.
-func InterleavedGroups() bool { return groupDispatchForce != groupDispatchSeq }
-
 // groupRingSlots bounds the staging-slot ring: two slots double-buffer the
 // pipeline (group gi+1 stages and fills while gi executes and reduces) and
-// cap the workspace at 2× the sequential per-group arena — the growth
-// budget Config.WorkspaceBytes reports.
+// cap the workspace at 2× one slot's per-group arena — the growth budget
+// Config.WorkspaceBytes reports.
 const groupRingSlots = 2
 
 // groupRing returns the realized ring depth: min(G, pool width,
 // groupRingSlots). A width-1 pool cannot overlap anything, so it keeps
-// the single sequential-sized slot.
+// a single slot.
 func groupRing(g, width int) int {
 	r := groupRingSlots
 	if width < r {
@@ -133,7 +97,6 @@ type groupJob struct {
 	dst       *tensor.Float32
 	cancel    *sched.Batch
 	half      bool
-	resident  bool
 	traceOn   bool
 
 	ring          int
@@ -231,9 +194,8 @@ func (j *groupJob) runUnit(gi, local int) {
 }
 
 // gatherUnit stages one operand of group gi into the slot: the
-// channel-sliced copy (FP32/legacy FP16) or the gather fused with the
-// binary16 decode (resident FP16 — exact, so bits match the sequential
-// gather-then-decode).
+// channel-sliced copy (FP32) or the gather fused with the binary16 decode
+// (FP16 — exact, so bits match gather-then-decode).
 func (j *groupJob) gatherUnit(gi int, isX bool, slot *groupSlot) {
 	var t0 time.Time
 	if j.traceOn {
@@ -242,24 +204,14 @@ func (j *groupJob) gatherUnit(gi int, isX bool, slot *groupSlot) {
 	p := j.cfg.Params
 	icg, ocg := p.ICG(), p.OCG()
 	switch {
+	case !j.half && isX:
+		sliceChannels(slot.xT.Data, j.x32.Data, j.xRows, p.IC, gi*icg, icg)
 	case !j.half:
-		if isX {
-			sliceChannels(slot.xT.Data, j.x32.Data, j.xRows, p.IC, gi*icg, icg)
-		} else {
-			sliceChannels(slot.dyT.Data, j.dy32.Data, j.dyRows, p.OC, gi*ocg, ocg)
-		}
-	case j.resident:
-		if isX {
-			sliceDecodeChannels(slot.xDec, j.x16.Data, j.xRows, p.IC, gi*icg, icg)
-		} else {
-			sliceDecodeChannels(slot.dyDec, j.dy16.Data, j.dyRows, p.OC, gi*ocg, ocg)
-		}
+		sliceChannels(slot.dyT.Data, j.dy32.Data, j.dyRows, p.OC, gi*ocg, ocg)
+	case isX:
+		sliceDecodeChannels(slot.xDec, j.x16.Data, j.xRows, p.IC, gi*icg, icg)
 	default:
-		if isX {
-			sliceChannels(slot.xTH.Data, j.x16.Data, j.xRows, p.IC, gi*icg, icg)
-		} else {
-			sliceChannels(slot.dyTH.Data, j.dy16.Data, j.dyRows, p.OC, gi*ocg, ocg)
-		}
+		sliceDecodeChannels(slot.dyDec, j.dy16.Data, j.dyRows, p.OC, gi*ocg, ocg)
 	}
 	if j.traceOn {
 		obs.RecordStage(obs.StageGroupGather, time.Since(t0))
@@ -268,8 +220,8 @@ func (j *groupJob) gatherUnit(gi int, isX bool, slot *groupSlot) {
 
 // fillRowUnit is one Ŵ-cache row of the group — fillJob.Run for a single
 // row, against the slot's staging operands and cache arena. Recorded per
-// row under what_transform when tracing (the sequential dispatch records
-// the whole pre-pass once; the histograms label the granularity).
+// row under what_transform when tracing (ungrouped executions record the
+// whole pre-pass once; the histograms label the granularity).
 func (j *groupJob) fillRowUnit(row int, slot *groupSlot) {
 	cfg, ws := j.gcfg, j.ws
 	p := cfg.Params
@@ -279,20 +231,13 @@ func (j *groupJob) fillRowUnit(row int, slot *groupSlot) {
 	}
 	seg := cfg.Segments[si]
 	oh := seg.Row0 + (row - ws.rowOff[si])
-	switch {
-	case j.half && j.resident:
+	what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+	if j.half {
 		s := getTileScratch()
-		fillRowHalfRes(p, seg, oh, &slot.dyTH, slot.dyDec, s,
-			slot.what32[ws.whatOff[si]:ws.whatOff[si+1]])
+		fillRowHalfRes(p, seg, oh, &slot.dyTH, slot.dyDec, s, what)
 		putTileScratch(s)
-	case j.half:
-		s := getTileScratch()
-		fillRowHalf(p, seg, oh, &slot.dyTH, s,
-			slot.what16[ws.whatOff[si]:ws.whatOff[si+1]])
-		putTileScratch(s)
-	default:
-		fillRow32(p, seg, oh, &slot.dyT,
-			slot.what32[ws.whatOff[si]:ws.whatOff[si+1]])
+	} else {
+		fillRow32(p, seg, oh, &slot.dyT, what)
 	}
 }
 
@@ -310,23 +255,18 @@ func (j *groupJob) execUnit(u int, slot *groupSlot) {
 	jTiles := fw / seg.K.N
 	local := u - off[si]
 	fh, jt := local/jTiles, local%jTiles
-	switch {
-	case j.half && j.resident:
-		what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+	what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+	if j.half {
 		tileHalfResUnit(cfg.Params, seg, fh, jt, &slot.xTH, slot.xDec, what, slot.buckets[si], j.traceOn)
-	case j.half:
-		what := slot.what16[ws.whatOff[si]:ws.whatOff[si+1]]
-		tileHalfUnit(cfg.Params, seg, fh, jt, &slot.xTH, what, slot.buckets[si], j.traceOn)
-	default:
-		what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+	} else {
 		tile32Unit(cfg.Params, seg, fh, jt, &slot.xT, what, slot.buckets[si], j.traceOn)
 	}
 }
 
 // reduceGroup is phase 3 for one group: Kahan-reduce the slot's buckets
 // into the group's contiguous ∇W slab — the same bucket order and copy
-// fast path as reduceInto, so the result is bit-identical to the
-// sequential dispatch.
+// fast path as reduceInto, so the result is bit-identical to a standalone
+// per-group execution.
 func (j *groupJob) reduceGroup(gi int, slot *groupSlot) {
 	var t0 time.Time
 	if j.traceOn {
@@ -358,7 +298,6 @@ func runGroupedInterleaved(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32
 	p := cfg.Params
 	pg := gcfg.Params
 	half := x16 != nil
-	resident := half && fp16Resident
 	traceOn := obs.TraceEnabled()
 
 	pool := execPool()
@@ -399,24 +338,18 @@ func runGroupedInterleaved(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32
 	for s := 0; s < ring; s++ {
 		slot := &ws.ring[s]
 		slot.ensureBuckets(ws.z, ws.elems)
-		switch {
-		case !half:
-			slot.xT = tensor.Float32{Shape: pg.XShape(), Data: growF32(&slot.x32, xRows*icg)}
-			slot.dyT = tensor.Float32{Shape: pg.DYShape(), Data: growF32(&slot.dy32, dyRows*ocg)}
-			growF32(&slot.what32, whatElems)
-		case resident:
-			// Decoded-operand mode: staging IS the decoded mirror; the Half
-			// views carry only the per-group shape (units index through it).
+		if half {
+			// Staging IS the decoded mirror; the Half views carry only the
+			// per-group shape (units index through it).
 			slot.xTH = tensor.Half{Shape: pg.XShape()}
 			slot.dyTH = tensor.Half{Shape: pg.DYShape()}
 			growF32(&slot.xDec, xRows*icg)
 			growF32(&slot.dyDec, dyRows*ocg)
-			growF32(&slot.what32, whatElems)
-		default:
-			slot.xTH = tensor.Half{Shape: pg.XShape(), Data: growHalf(&slot.x16, xRows*icg)}
-			slot.dyTH = tensor.Half{Shape: pg.DYShape(), Data: growHalf(&slot.dy16, dyRows*ocg)}
-			growHalf(&slot.what16, whatElems)
+		} else {
+			slot.xT = tensor.Float32{Shape: pg.XShape(), Data: growF32(&slot.x32, xRows*icg)}
+			slot.dyT = tensor.Float32{Shape: pg.DYShape(), Data: growF32(&slot.dy32, dyRows*ocg)}
 		}
+		growF32(&slot.what32, whatElems)
 	}
 
 	if cap(ws.gphase) < g {
@@ -436,7 +369,7 @@ func runGroupedInterleaved(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32
 		cfg: cfg, gcfg: gcfg, ws: ws,
 		x32: x32, dy32: dy32, x16: x16, dy16: dy16,
 		dst: dst, cancel: cancel,
-		half: half, resident: resident, traceOn: traceOn,
+		half: half, traceOn: traceOn,
 		ring: ring, perGroup: perGroup,
 		fillRows: fillRows, execUnits: execUnits,
 		slabElems: pg.DWShape().Elems(),

@@ -14,15 +14,6 @@ import (
 	"winrs/internal/tensor"
 )
 
-// forceGroupDispatch overrides the grouped-dispatch forcing mode for the
-// test's duration — the test-process form of WINRS_GROUP_DISPATCH.
-func forceGroupDispatch(t testing.TB, mode groupDispatchMode) {
-	t.Helper()
-	prev := groupDispatchForce
-	groupDispatchForce = mode
-	t.Cleanup(func() { groupDispatchForce = prev })
-}
-
 // forceGroupWidth pins the interleave's effective co-scheduling width so
 // the pooled pipeline (phase gates, ring hand-off, unit claims) runs even
 // on CI machines with fewer CPUs than the test pool's width — without it
@@ -34,11 +25,34 @@ func forceGroupWidth(t testing.TB, width int) {
 	t.Cleanup(func() { groupWidthForce = prev })
 }
 
-// The interleaved dispatch must be bit-identical to the sequential
-// per-group passes on every grouped sweep shape, FP32 and FP16 (both
-// operand forms), across forced segmentations, inline and through a
-// width-4 pool — and both must stay within the oracle band. Run under
-// -race this is the interleaved co-scheduling differential.
+// perGroupRef is the sequential per-group reference: slice each group's
+// channels and run the per-group plan as an ordinary ungrouped execution,
+// one group after another (FP16 when half; binary16 rounding is
+// element-wise, so slicing before it changes no bits).
+func perGroupRef(cfg *Config, x, dy *tensor.Float32, half bool) *tensor.Float32 {
+	p, gcfg := cfg.Params, cfg.GroupConfig()
+	pg := gcfg.Params
+	xg, dyg := tensor.NewFloat32(pg.XShape()), tensor.NewFloat32(pg.DYShape())
+	dst := tensor.NewFloat32(p.DWShape())
+	for gi := 0; gi < p.G(); gi++ {
+		sliceChannels(xg.Data, x.Data, p.N*p.IH*p.IW, p.IC, gi*p.ICG(), p.ICG())
+		sliceChannels(dyg.Data, dy.Data, p.N*p.OH()*p.OW(), p.OC, gi*p.OCG(), p.OCG())
+		var out *tensor.Float32
+		if half {
+			out = ExecuteHalf(gcfg, xg.ToHalf(), dyg.ToHalf())
+		} else {
+			out = Execute(gcfg, xg, dyg)
+		}
+		copy(groupSlab(dst, pg.DWShape(), gi).Data, out.Data)
+	}
+	return dst
+}
+
+// The grouped dispatch must be bit-identical to the sequential per-group
+// reference on every grouped sweep shape, FP32 and FP16, across forced
+// segmentations, inline and through a width-4 pool — and stay within the
+// oracle band. Run under -race this is the interleaved co-scheduling
+// differential.
 func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
@@ -62,25 +76,13 @@ func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 						t.Fatalf("%s z=%d fp16: %v", tc.name, z, err)
 					}
 
-					forceGroupDispatch(t, groupDispatchSeq)
-					seq := Execute(cfg, x, dy)
-					seqH := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					forceResident(t, false)
-					seqHC := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					forceResident(t, true)
-
-					forceGroupDispatch(t, groupDispatchInterleaved)
 					il := Execute(cfg, x, dy)
-					equalBits(t, tc.name+"-fp32", il.Data, seq.Data)
+					equalBits(t, tc.name+"-fp32", il.Data, perGroupRef(cfg, x, dy, false).Data)
 					if m := tensor.MARE(il, want); m > 1e-5 {
 						t.Errorf("%s width=%d z=%d: interleaved MARE %v > 1e-5", tc.name, width, z, m)
 					}
 					ilH := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					equalBits(t, tc.name+"-fp16", ilH.Data, seqH.Data)
-					forceResident(t, false)
-					ilHC := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					forceResident(t, true)
-					equalBits(t, tc.name+"-fp16-codec", ilHC.Data, seqHC.Data)
+					equalBits(t, tc.name+"-fp16", ilH.Data, perGroupRef(cfg16, x, dy, true).Data)
 				}
 			}
 		})
@@ -133,7 +135,6 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 // a fully executed group, so every slab is either untouched (the sentinel
 // prefill survives) or bit-identical to the uncancelled result.
 func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	p := conv.Params{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8}
 	cfg, err := Configure(p, WithSegments(3))
 	if err != nil {
@@ -194,7 +195,6 @@ func TestGroupedInterleavedAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
 	}
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	p := conv.Params{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8}
 	cfg, err := Configure(p, WithSegments(2))
 	if err != nil {
@@ -304,61 +304,21 @@ func TestSliceDecodeChannelsMatchesUnfused(t *testing.T) {
 	}
 }
 
-// An unrecognized WINRS_GROUP_DISPATCH must fall back to auto loudly,
-// naming the knob, the bad value and the valid set.
-func TestParseGroupDispatchWarnsOnUnknown(t *testing.T) {
-	warns := captureEnvWarn(t)
-	for val, want := range map[string]groupDispatchMode{
-		"": groupDispatchAuto, "auto": groupDispatchAuto,
-		"seq": groupDispatchSeq, "sequential": groupDispatchSeq,
-		"interleaved": groupDispatchInterleaved,
-	} {
-		if got := parseGroupDispatch(val); got != want {
-			t.Errorf("parseGroupDispatch(%q) = %v, want %v", val, got, want)
-		}
-	}
-	if len(*warns) != 0 {
-		t.Fatalf("valid values warned: %v", *warns)
-	}
-	if got := parseGroupDispatch("interleave"); got != groupDispatchAuto {
-		t.Errorf("unknown value mapped to %v, want auto", got)
-	}
-	if len(*warns) != 1 ||
-		!strings.Contains((*warns)[0], `"interleave"`) ||
-		!strings.Contains((*warns)[0], "WINRS_GROUP_DISPATCH") ||
-		!strings.Contains((*warns)[0], "seq") {
-		t.Fatalf("warning should name the knob, the bad value and the valid set; got %v", *warns)
-	}
-}
-
-// Describe must attribute the dispatch mode, the realized ring budget and
-// the sequential per-group arena on grouped plans — and stay silent on
-// ungrouped ones.
+// Describe must attribute the realized ring budget and one ring slot's
+// per-group arena on grouped plans — and stay silent on ungrouped ones.
 func TestDescribeGroupDispatch(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
 	cfg, err := Configure(p, WithSegments(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	d := cfg.Describe()
-	if d.GroupDispatch != "interleaved" {
-		t.Errorf("GroupDispatch = %q, want interleaved", d.GroupDispatch)
-	}
 	if d.GroupRing != groupRingSlots {
 		t.Errorf("GroupRing = %d, want %d", d.GroupRing, groupRingSlots)
 	}
 	if d.WorkspaceSeqBytes <= 0 || d.WorkspaceBytes != d.WorkspaceSeqBytes*int64(d.GroupRing) {
-		t.Errorf("workspace accounting: total %d, seq %d, ring %d",
+		t.Errorf("workspace accounting: total %d, per-slot %d, ring %d",
 			d.WorkspaceBytes, d.WorkspaceSeqBytes, d.GroupRing)
-	}
-	forceGroupDispatch(t, groupDispatchSeq)
-	d = cfg.Describe()
-	if d.GroupDispatch != "sequential" || d.GroupRing != 1 {
-		t.Errorf("sequential forcing: dispatch %q ring %d", d.GroupDispatch, d.GroupRing)
-	}
-	if d.WorkspaceBytes != d.WorkspaceSeqBytes {
-		t.Errorf("sequential workspace %d != per-group arena %d", d.WorkspaceBytes, d.WorkspaceSeqBytes)
 	}
 
 	pu := p
@@ -367,15 +327,14 @@ func TestDescribeGroupDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if du := ucfg.Describe(); du.GroupDispatch != "" || du.GroupRing != 0 || du.WorkspaceSeqBytes != 0 {
+	if du := ucfg.Describe(); du.GroupRing != 0 || du.WorkspaceSeqBytes != 0 {
 		t.Errorf("ungrouped plan carries group attribution: %+v", du)
 	}
 }
 
-// BenchmarkGroupedDispatch pits the interleaved dispatch against the
-// sequential per-group passes on a production depthwise shape — the
-// occupancy case the interleaved dispatch exists for. Run with
-// -cpu 1,4 to see the pool-width dependence.
+// BenchmarkGroupedDispatch times the grouped dispatch on a production
+// depthwise shape — the occupancy case it exists for. Run with -cpu 1,4
+// to see the pool-width dependence.
 func BenchmarkGroupedDispatch(b *testing.B) {
 	p := conv.Params{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 64}
 	cfg, err := Configure(p)
@@ -391,25 +350,18 @@ func BenchmarkGroupedDispatch(b *testing.B) {
 	}
 	ws16 := NewWorkspace(cfg16)
 	xh, dyh := x.ToHalf(), dy.ToHalf()
-	for _, m := range []struct {
-		name string
-		mode groupDispatchMode
-	}{{"seq", groupDispatchSeq}, {"interleaved", groupDispatchInterleaved}} {
-		b.Run(m.name, func(b *testing.B) {
-			forceGroupDispatch(b, m.mode)
+	b.Run("interleaved", func(b *testing.B) {
+		ExecuteIn(cfg, ws, x, dy, dst)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			ExecuteIn(cfg, ws, x, dy, dst)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ExecuteIn(cfg, ws, x, dy, dst)
-			}
-		})
-		b.Run(m.name+"16", func(b *testing.B) {
-			forceGroupDispatch(b, m.mode)
+		}
+	})
+	b.Run("interleaved16", func(b *testing.B) {
+		ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
-			}
-		})
-	}
+		}
+	})
 }

@@ -69,7 +69,9 @@ func QuantInt8(absmax float32) Quantizer {
 // ExecuteQuantized runs the configured plan with the given storage format.
 // x and dy are float32 tensors whose values are quantized on load (a
 // pre-quantized tensor passes through unchanged because Round is
-// idempotent). The result is FP32, like the FP16 path.
+// idempotent). The result is FP32, like the FP16 path. Grouped plans run
+// the per-group plan over each group's channel slice, reducing into the
+// group's contiguous ∇W slab.
 func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
@@ -78,11 +80,32 @@ func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.F
 	if q.Round == nil {
 		panic("core: ExecuteQuantized requires a Round function")
 	}
+	if cfg.group == nil {
+		return quantizedPass(cfg, x, dy, q, nil)
+	}
+	pg := cfg.group.Params
+	icg, ocg := p.ICG(), p.OCG()
+	xRows := p.N * p.IH * p.IW
+	dyRows := p.N * p.OH() * p.OW()
+	xg := tensor.NewFloat32(pg.XShape())
+	dyg := tensor.NewFloat32(pg.DYShape())
+	dst := tensor.NewFloat32(p.DWShape())
+	for gi := 0; gi < p.G(); gi++ {
+		sliceChannels(xg.Data, x.Data, xRows, p.IC, gi*icg, icg)
+		sliceChannels(dyg.Data, dy.Data, dyRows, p.OC, gi*ocg, ocg)
+		quantizedPass(cfg.group, xg, dyg, q, groupSlab(dst, pg.DWShape(), gi))
+	}
+	return dst
+}
+
+// quantizedPass executes an ungrouped plan in the given storage format,
+// reducing into dst (allocated when nil).
+func quantizedPass(cfg *Config, x, dy *tensor.Float32, q Quantizer, dst *tensor.Float32) *tensor.Float32 {
 	ws := NewWorkspace(cfg)
 	runUnitsFunc(cfg, func(si int, seg Segment, fh, j int) {
-		segmentTileQuantized(p, seg, fh, j, x, dy, ws.buckets[si], q)
+		segmentTileQuantized(cfg.Params, seg, fh, j, x, dy, ws.buckets[si], q)
 	})
-	return reduceInto(cfg, ws.buckets, nil)
+	return reduceInto(cfg, ws.buckets, dst)
 }
 
 // BackwardFilterQuantized is the one-call quantized path.
@@ -94,7 +117,7 @@ func BackwardFilterQuantized(p conv.Params, x, dy *tensor.Float32, q Quantizer, 
 	return ExecuteQuantized(cfg, x, dy, q), nil
 }
 
-// segmentTileQuantized mirrors segmentTileHalf for an arbitrary storage
+// segmentTileQuantized mirrors the FP16 unit for an arbitrary storage
 // format: gather → quantize → FP32 transform → quantize ("SMEM storage in
 // the format") → FP32-accumulated EWM → FP32 output transform.
 func segmentTileQuantized(p conv.Params, seg Segment, fh, j int,

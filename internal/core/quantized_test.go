@@ -46,6 +46,37 @@ func TestQuantizedIdentityMatchesFP32(t *testing.T) {
 	}
 }
 
+// Grouped and depthwise plans run the per-group plan over channel slices:
+// the identity quantizer must reproduce the grouped FP32 path bit for bit
+// and BF16 must stay in the same band as on ungrouped layers, at pool
+// widths 1 and 4.
+func TestQuantizedGrouped(t *testing.T) {
+	shapes := []conv.Params{
+		{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 2},
+		{N: 2, IH: 12, IW: 10, FH: 3, FW: 3, IC: 4, OC: 8, PH: 1, PW: 1, Groups: 4}, // depthwise, multiplier 2
+	}
+	ident := Quantizer{Name: "ident", Round: func(v float32) float32 { return v }}
+	for _, width := range []int{1, 4} {
+		withTestPool(t, width, func() {
+			for _, p := range shapes {
+				x, dy, want := quantOperands(t, p, 8)
+				cfg, err := Configure(p, WithSegments(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalBits(t, "grouped identity", ExecuteQuantized(cfg, x, dy, ident).Data, Execute(cfg, x, dy).Data)
+				got, err := BackwardFilterQuantized(p, x, dy, QuantBF16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := tensor.MARE(got, want); m > 5e-2 {
+					t.Errorf("%v width=%d: grouped BF16 MARE %v > 5e-2", p, width, m)
+				}
+			}
+		})
+	}
+}
+
 // Accuracy ordering across formats on unit-range data: FP32 best, then
 // BF16/FP8-E4M3, with FP8-E5M2 (2 mantissa bits) the coarsest float format.
 func TestQuantizedAccuracyOrdering(t *testing.T) {

@@ -34,34 +34,20 @@ type Workspace struct {
 	whatOff []int
 	rowOff  []int
 
-	// Ŵ cache arenas, grown lazily per executed precision (one workspace
-	// may serve both ExecuteIn and ExecuteHalfIn). In the decoded-operand
-	// FP16 mode (fp16Resident) the Ŵ cache lives in what32 as
-	// binary16-rounded float32 values; what16 is used only by the legacy
-	// codec-per-unit path.
+	// Ŵ cache arena, grown lazily and shared by both precisions (one
+	// workspace may serve both ExecuteIn and ExecuteHalfIn): the FP16 path
+	// stores its binary16-rounded panels here as float32 values.
 	what32 []float32
-	what16 []fp16.Bits
 
-	// Decoded-operand mirrors of the binary16 inputs (fp16Resident mode):
-	// X and ∇Y bulk-decode once per execution, replacing the per-unit
-	// row decodes of the legacy path. Grown lazily like the Ŵ arenas.
+	// Decoded mirrors of the binary16 inputs: X and ∇Y bulk-decode once
+	// per FP16 execution, so units never decode per use. Grown lazily.
 	xDec, dyDec []float32
 
-	// Channel-sliced operand copies for grouped execution: one group's
-	// I_C/G input and O_C/G output-gradient channels gathered contiguously
-	// (NHWC keeps channels innermost, so a group slice is a strided
-	// row-gather). Reused across the G per-group passes and across
-	// executions. Empty for ungrouped plans; the sequential dispatch only —
-	// the interleaved dispatch stages through the ring slots below.
-	xg32, dyg32 []float32
-	xg16, dyg16 []fp16.Bits
-
-	// Interleaved grouped dispatch state (groupedinterleave.go): the
-	// bounded ring of in-flight per-group slots — each holding its own
-	// buckets, staging slabs and Ŵ cache so groups execute concurrently —
-	// and the per-group phase ledger. Grown lazily on the first interleaved
-	// execution, then reused. Empty for ungrouped plans or forced
-	// sequential dispatch.
+	// Grouped dispatch state (groupedinterleave.go): the bounded ring of
+	// in-flight per-group slots — each holding its own buckets, staging
+	// slabs and Ŵ cache so groups execute concurrently — and the per-group
+	// phase ledger. Grown lazily on the first grouped execution, then
+	// reused. Empty for ungrouped plans.
 	ring   []groupSlot
 	gphase []groupPhase
 
@@ -72,22 +58,21 @@ type Workspace struct {
 	gjob groupJob
 }
 
-// groupSlot is one ring entry of the interleaved grouped dispatch: the
-// complete per-group arena (Z buckets, staging operands, Ŵ cache) of one
-// in-flight group. Groups map to slots round-robin (gi mod ring); the prep
-// unit of a group re-zeroes the buckets after the previous occupant's
-// reduce retires the slot.
+// groupSlot is one ring entry of the grouped dispatch: the complete
+// per-group arena (Z buckets, staging operands, Ŵ cache) of one in-flight
+// group. Groups map to slots round-robin (gi mod ring); the prep unit of a
+// group re-zeroes the buckets after the previous occupant's reduce retires
+// the slot.
 type groupSlot struct {
-	x32, dy32   []float32   // FP32 staging (xT/dyT views alias these)
-	x16, dy16   []fp16.Bits // legacy FP16 staging
-	xDec, dyDec []float32   // resident-FP16 decoded staging
+	x32, dy32   []float32 // FP32 staging (xT/dyT views alias these)
+	xDec, dyDec []float32 // FP16 staging, decoded
 	what32      []float32
-	what16      []fp16.Bits
 	buckets     [][]float32
 
 	// Pre-bound operand views handed to the fill/tile helpers, so per-unit
-	// dispatch allocates nothing. Data aliases the staging slices above; in
-	// resident mode the Half views carry only the per-group shape.
+	// dispatch allocates nothing. The Float32 views alias the FP32 staging;
+	// the Half views carry only the per-group shape (FP16 units index the
+	// decoded staging through it).
 	xT, dyT   tensor.Float32
 	xTH, dyTH tensor.Half
 }
@@ -115,9 +100,9 @@ func (ws *Workspace) ensureRing(n int) {
 }
 
 // NewWorkspace allocates the bucket arena for cfg and binds its schedule
-// tables. For a grouped plan the arena is sized for ONE group's ∇W slab —
-// the per-group passes share it — which is exactly the shrinkage
-// Config.WorkspaceBytes reports.
+// tables. For a grouped plan the geometry is ONE group's ∇W slab: the
+// grouped dispatch sizes each ring slot's buckets from it (see
+// Config.WorkspaceBytes).
 func NewWorkspace(cfg *Config) *Workspace {
 	e := cfg.exec()
 	elems := e.Params.DWShape().Elems()
@@ -161,21 +146,19 @@ func (ws *Workspace) Fits(cfg *Config) bool {
 	return ws != nil && ws.z == e.Z() && ws.elems == e.Params.DWShape().Elems()
 }
 
-// Bytes returns the arena footprint: buckets plus whatever Ŵ-cache arenas
-// the executed precisions have materialized, plus the interleaved-dispatch
-// ring slots when grouped executions grew them. The cache stays within the
-// analytic bound documented on Config.WHatCacheBytes.
+// Bytes returns the arena footprint: buckets plus whatever Ŵ-cache and
+// decoded-operand arenas the executed precisions have materialized, plus
+// the grouped-dispatch ring slots when grouped executions grew them. The
+// cache stays within the analytic bound documented on
+// Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
 	b := int64(ws.z)*int64(ws.elems)*4 +
-		int64(cap(ws.what32))*4 + int64(cap(ws.what16))*2 +
-		int64(cap(ws.xDec))*4 + int64(cap(ws.dyDec))*4 +
-		int64(cap(ws.xg32))*4 + int64(cap(ws.dyg32))*4 +
-		int64(cap(ws.xg16))*2 + int64(cap(ws.dyg16))*2
+		int64(cap(ws.what32))*4 +
+		int64(cap(ws.xDec))*4 + int64(cap(ws.dyDec))*4
 	for i := range ws.ring {
 		s := &ws.ring[i]
 		b += int64(len(s.buckets)) * int64(ws.elems) * 4
 		b += int64(cap(s.x32)+cap(s.dy32)+cap(s.xDec)+cap(s.dyDec)+cap(s.what32)) * 4
-		b += int64(cap(s.x16)+cap(s.dy16)+cap(s.what16)) * 2
 	}
 	return b
 }
@@ -254,12 +237,12 @@ func ExecuteIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) *tensor.F
 // pool participant still touches it — but its buckets hold partial sums,
 // and no result is produced.
 func executeIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32, cancel *sched.Batch) (out *tensor.Float32, ok bool) {
-	if cfg.group != nil {
-		return executeGroupedIn(cfg, ws, x, dy, dst, cancel)
-	}
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
 		panic("core: Execute operand shape mismatch")
+	}
+	if cfg.group != nil {
+		return executeGroupedIn(cfg, ws, x, dy, nil, nil, dst, cancel)
 	}
 	ws = ensureWorkspace(cfg, ws)
 	traceOn := obs.TraceEnabled()
@@ -280,7 +263,8 @@ func executeIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32, cancel *s
 
 // ExecuteHalfIn is ExecuteIn for the emulated FP16 Tensor-Core path.
 // Buckets and the reduction stay FP32 (paper §5.2), so the same Workspace
-// type serves both precisions; the Ŵ cache is binary16 here.
+// type serves both precisions; the Ŵ cache holds binary16-rounded values
+// in float32 form here.
 func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32) *tensor.Float32 {
 	out, _ := executeHalfIn(cfg, ws, x, dy, dst, nil)
 	return out
@@ -288,31 +272,25 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 
 // executeHalfIn is executeIn for the FP16 path.
 func executeHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) (out *tensor.Float32, ok bool) {
-	if cfg.group != nil {
-		return executeGroupedHalfIn(cfg, ws, x, dy, dst, cancel)
-	}
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
 		panic("core: ExecuteHalf operand shape mismatch")
 	}
+	if cfg.group != nil {
+		return executeGroupedIn(cfg, ws, nil, nil, x, dy, dst, cancel)
+	}
 	ws = ensureWorkspace(cfg, ws)
 	traceOn := obs.TraceEnabled()
 
-	resident := fp16Resident
-	if resident {
-		// Decoded-operand mode: the Ŵ cache is float32-resident and the
-		// binary16 inputs bulk-decode once up front (exact, so values
-		// match the legacy per-unit decodes bit for bit).
-		growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
-		fp16.DecodeSlice(growF32(&ws.xDec, len(x.Data)), x.Data)
-		fp16.DecodeSlice(growF32(&ws.dyDec, len(dy.Data)), dy.Data)
-	} else {
-		growHalf(&ws.what16, ws.whatOff[len(ws.whatOff)-1])
-	}
-	ws.fill = fillJob{cfg: cfg, ws: ws, dy16: dy, half: true, resident: resident}
+	// The binary16 inputs bulk-decode once up front (exact, so every unit
+	// sees the same values a per-use decode would produce).
+	growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
+	fp16.DecodeSlice(growF32(&ws.xDec, len(x.Data)), x.Data)
+	fp16.DecodeSlice(growF32(&ws.dyDec, len(dy.Data)), dy.Data)
+	ws.fill = fillJob{cfg: cfg, ws: ws, dy16: dy, half: true}
 	fillWHat(ws, traceOn, cancel)
 
-	ws.job = execJob{cfg: cfg, ws: ws, x16: x, half: true, resident: resident, traceOn: traceOn}
+	ws.job = execJob{cfg: cfg, ws: ws, x16: x, half: true, traceOn: traceOn}
 	execPool().RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
 	ws.job = execJob{}
 	ws.fill = fillJob{}
@@ -365,12 +343,4 @@ func growF32Zero(buf *[]float32, n int) []float32 {
 		s[i] = 0
 	}
 	return s
-}
-
-func growHalf(buf *[]fp16.Bits, n int) []fp16.Bits {
-	if cap(*buf) < n {
-		*buf = make([]fp16.Bits, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
