@@ -6,7 +6,7 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 0.15
 FUZZTIME ?= 30s
 
-.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate grouped-smoke
+.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate grouped-smoke bench-smoke
 
 ci: vet build race
 
@@ -93,6 +93,12 @@ grouped-smoke:
 			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
 	done
+
+# bench-smoke runs the end-to-end benchmark's own tests (about 10 s).
+# bench/ is a separate Go module, so the root `go test ./...` never
+# compiles it — nor its probes of the core exports it calls.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # fuzz-smoke runs every fuzz target from its seed corpus for FUZZTIME
 # each, plus the exhaustive codec equivalence sweeps (all 65536 decode

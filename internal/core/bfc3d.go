@@ -1,10 +1,7 @@
 package core
 
 import (
-	"math"
-
 	"winrs/internal/conv"
-	"winrs/internal/kahan"
 	"winrs/internal/tensor"
 )
 
@@ -13,9 +10,11 @@ import (
 // Dimension Reduction, decompose ∇Y(z) into 1-D filters ∈ R^{N×Sk(z)×OC}".
 // Concretely, the depth and height axes are flattened into the row axis of
 // the 2-D machinery — every (o_d, o_h) pair is one 1-D filter — and the
-// width axis carries the reduce-split F(n,r) kernels unchanged. Height- and
-// depth-axis zero padding are both clipped (the Figure 7 optimization,
-// applied per axis).
+// width axis carries the reduce-split F(n,r) kernels unchanged. Execution
+// is the 2-D pipeline itself (Ŵ cache, EWM tier, pooled units, Kahan
+// reduce) on the flattened plan; only the X row address goes through the
+// 3-D row map, which clips height- and depth-axis zero padding alike (the
+// Figure 7 optimization, applied per axis).
 
 // Config3D is the adapted plan for one volumetric layer.
 type Config3D struct {
@@ -53,7 +52,16 @@ func Configure3D(p conv.Params3D, opts ...Option) (*Config3D, error) {
 	}
 	zHat := o.forceZ
 	if zHat <= 0 {
-		zHat = estimateZ3D(p, pr, o.hw)
+		dwBytes := int64(p.DWShape().Elems()) * 4
+		zHat = algorithm1(zInputs{
+			fc:        convBlocks(p.OC, p.N, p.OD()*p.OH(), p.OW()),
+			bdc:       convBlocks(p.IC, p.N, p.ID*p.IH, p.IW),
+			bfc:       BlocksPerSegment(pr.Fast, p2, false),
+			intensity: pr.Fast.Intensity(false),
+			dwBytes:   dwBytes,
+			dataBytes: int64(p.XShape().Elems()+p.DYShape().Elems())*4 + dwBytes,
+			flops:     p.FLOPs(), outputs: p.N * p.OD() * p.OH() * p.OW(),
+		}, o.hw)
 	}
 	// Segment-shape calculation on the flattened plane; padding rows are
 	// interleaved (each o_h strip repeats per o_d), so the minimum segment
@@ -64,107 +72,41 @@ func Configure3D(p conv.Params3D, opts ...Option) (*Config3D, error) {
 	return cfg, nil
 }
 
-// flat2D folds the depth axis into the height axis for the planning
-// helpers: the flattened output plane is (O_D·O_H) × O_W. Only the fields
-// the planners read (channels, batch, output extents via IH/FH/PH back-
-// derivation) need to be consistent.
+// flat2D is the 2-D plan geometry of a 3-D layer: O_D·O_H output rows,
+// F_D·F_H filter rows, width and channel axes unchanged, p_H kept for the
+// segment-height guard. Its ∇Y and ∇W shapes are the 3-D tensors' layouts
+// exactly; its I_H only makes O_H() come out as O_D·O_H — X is addressed
+// through rows3D, never through this geometry.
 func flat2D(p conv.Params3D) conv.Params {
-	ohFlat := p.OD() * p.OH()
+	ohFlat, fhFlat := p.OD()*p.OH(), p.FD*p.FH
 	return conv.Params{
 		N:  p.N,
-		IH: ohFlat + p.FH - 1 - 2*p.PH, // OH() == ohFlat
+		IH: ohFlat + fhFlat - 1 - 2*p.PH, // OH() == ohFlat
 		IW: p.IW,
-		FH: p.FH, FW: p.FW,
+		FH: fhFlat, FW: p.FW,
 		IC: p.IC, OC: p.OC,
 		PH: p.PH, PW: p.PW,
 	}
 }
 
-// estimateZ3D mirrors Algorithm 1 with volumetric block counts.
-func estimateZ3D(p conv.Params3D, pr Pair, hw Hardware) int {
-	spatialOut := p.N * ceilDiv(p.OD()*p.OH(), 2) * ceilDiv(p.OW(), 2)
-	spatialIn := p.N * ceilDiv(p.ID*p.IH, 2) * ceilDiv(p.IW, 2)
-	b0 := ceilDiv(p.OC, 64) * ceilDiv(spatialOut, 32)
-	b1 := ceilDiv(p.IC, 64) * ceilDiv(spatialIn, 32)
-	bn, bm := pr.Fast.CacheBlock(false)
-	b2 := ceilDiv(p.OC, bn) * ceilDiv(p.IC, bm) *
-		ceilDiv(p.FD*p.FH*p.FW, pr.Fast.N)
-
-	zHat := float64(b0+b1) / (1.45 * float64(b2))
-	k := latencyBlocksPerSM(pr.Fast.Intensity(false))
-	b2Full := k * float64(hw.NSM)
-	dwBytes := int64(p.DWShape().Elems()) * 4
-	dataBytes := int64(p.XShape().Elems()+p.DYShape().Elems())*4 + dwBytes
-	zMax := 1 + int(2*dataBytes/maxI64(1, dwBytes))
-	if zMax > 128 {
-		zMax = 128
-	}
-	if zHat < 2 && float64(b2) >= b2Full {
-		return 1
-	}
-	z1 := ceilDiv(int(2*b2Full), b2)
-	z2 := int(math.Ceil(float64(p.FLOPs()) / 1e9))
-	z := int(zHat)
-	if z < 1 {
-		z = 1
-	}
-	z = minInt(z, z1, z2, p.N*p.OD()*p.OH()*p.OW()/512)
-	if z < 1 {
-		z = 1
-	}
-	pp := 1 << bits(z)
-	if pp > 8 {
-		pp = 8
-	}
-	z = pp * ceilDiv(z, pp)
-	if z > zMax {
-		z = zMax
-	}
-	if z < 1 {
-		z = 1
-	}
-	return z
+// rows3D is the row map of a 3-D layer (see rowMap).
+func rows3D(p conv.Params3D) rowMap {
+	return rowMap{oh: p.OH(), fh: p.FH, ih: p.IH, id: p.ID, ph: p.PH, pd: p.PD}
 }
 
-// Execute3D runs the fused FP32 3-D pipeline: tasks are
-// (segment, f_d, f_h, width-tile) units writing disjoint bucket regions.
+// Execute3D runs the fused FP32 3-D pipeline: the 2-D pipeline on the
+// flattened plan, its (segment, f_d·F_H + f_h, width-tile) units writing
+// disjoint bucket regions of the 3-D ∇W.
 func Execute3D(cfg *Config3D, x, dy *tensor.Float325) *tensor.Float325 {
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
 		panic("core: Execute3D operand shape mismatch")
 	}
-	elems := p.DWShape().Elems()
-	buckets := make([][]float32, cfg.Z())
-	for i := range buckets {
-		buckets[i] = make([]float32, elems)
-	}
-	// Per-segment unit counts as a prefix table; global indices decode
-	// arithmetically, so no task slice is materialized.
-	off := make([]int, len(cfg.Segments)+1)
-	for si, seg := range cfg.Segments {
-		off[si+1] = off[si] + p.FD*p.FH*(p.FW/seg.K.N)
-	}
-	execPool().RunFunc(off[len(off)-1], 0, func(lo, hi int) {
-		si := 0
-		for i := lo; i < hi; i++ {
-			for i >= off[si+1] {
-				si++ // i only grows, so si scans forward
-			}
-			seg := cfg.Segments[si]
-			jTiles := p.FW / seg.K.N
-			local := i - off[si]
-			fd := local / (p.FH * jTiles)
-			fh := local / jTiles % p.FH
-			segmentTile3D(p, seg, fd, fh, local%jTiles, x, dy, buckets[si])
-		}
-	})
-
+	flat := &Config{Params: flat2D(p), Pair: cfg.Pair, ZTarget: cfg.ZTarget,
+		Segments: cfg.Segments, Hardware: cfg.Hardware}
 	dw := tensor.NewFloat325(p.DWShape())
-	if len(buckets) == 1 {
-		copy(dw.Data, buckets[0])
-		return dw
-	}
-	kahan.ReduceBuckets(dw.Data, buckets)
+	ops := operands{rows: rows3D(p), x: operand{f32: x.Data}, dy: operand{f32: dy.Data}}
+	execute(flat, nil, ops, fp32Storage, &tensor.Float32{Shape: flat.Params.DWShape(), Data: dw.Data}, nil)
 	return dw
 }
 
@@ -175,78 +117,4 @@ func BackwardFilter3D(p conv.Params3D, x, dy *tensor.Float325, opts ...Option) (
 		return nil, err
 	}
 	return Execute3D(cfg, x, dy), nil
-}
-
-// segmentTile3D is segmentTile32 with the flattened (o_d, o_h) row axis
-// and two clipped padding axes.
-func segmentTile3D(p conv.Params3D, seg Segment, fd, fh, j int,
-	x, dy *tensor.Float325, bucket []float32) {
-	k := seg.K
-	tr := k.Transform().Balanced()
-	gPlan, dtPlan := tr.PanelPlans()
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-	oh := p.OH()
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	wRaw := growF32(&s.wRaw, r*oc)
-	wHat := growF32(&s.wHatF, alpha*oc)
-	xRaw := growF32(&s.xRaw, alpha*ic)
-	xHat := growF32(&s.xHatF, alpha*ic)
-	colBase := j * n
-	dwShape := p.DWShape()
-
-	for row := seg.Row0; row < seg.Row1; row++ {
-		od, oyh := row/oh, row%oh
-		id := od + fd - p.PD
-		if id < 0 || id >= p.ID {
-			continue // depth-axis clipping
-		}
-		ih := oyh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue // height-axis clipping
-		}
-		for ow0 := seg.Col0; ow0 < seg.Col1; ow0 += r {
-			for nb := 0; nb < p.N; nb++ {
-				for u := 0; u < r; u++ {
-					base := dy.Shape.Index(nb, od, oyh, ow0+u, 0)
-					copy(wRaw[u*oc:(u+1)*oc], dy.Data[base:base+oc])
-				}
-				gPlan.MulPanel(wRaw, wHat, r, oc)
-				for u := 0; u < alpha; u++ {
-					iw := ow0 + colBase + u - p.PW
-					dst := xRaw[u*ic : (u+1)*ic]
-					if iw < 0 || iw >= p.IW {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					base := x.Shape.Index(nb, id, ih, iw, 0)
-					copy(dst, x.Data[base:base+ic])
-				}
-				dtPlan.MulPanel(xRaw, xHat, alpha, ic)
-				ewmPanels(v, wHat, xHat, alpha, oc, ic)
-			}
-		}
-	}
-
-	// Output transform into the (oc, fd, fh, colBase+i, ic) bucket slots.
-	acc := growF32(&s.acc, alpha)
-	for a := 0; a < oc; a++ {
-		for b := 0; b < ic; b++ {
-			for e := 0; e < alpha; e++ {
-				acc[e] = v[(e*oc+a)*ic+b]
-			}
-			for i := 0; i < n; i++ {
-				var s float32
-				for e := 0; e < alpha; e++ {
-					s += float32(tr.A.At(e, i)) * acc[e]
-				}
-				bucket[dwShape.Index(a, fd, fh, colBase+i, b)] += s
-			}
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"winrs/internal/conv"
 	"winrs/internal/fp16"
 	"winrs/internal/tensor"
+	"winrs/internal/winograd"
 )
 
 // This file pins the binary16 codec's integration into the execution
@@ -216,5 +217,44 @@ func TestStridedHalfMatchesScalarCodecRef(t *testing.T) {
 			}
 			equalBits(t, "strided-half", got.Data, want.Data)
 		})
+	}
+}
+
+// matMulF32 computes out = m·in for in laid out [m.Cols][width] and out
+// [m.Rows][width], in float32 — the oracle's filter transform: one
+// ascending-k chain per element with zero coefficients skipped.
+func matMulF32(m *winograd.Mat, in, out []float32, rows, width int) {
+	if rows != m.Cols {
+		panic("core: matMulF32 dimension mismatch")
+	}
+	if width == 1 {
+		// Depthwise column shape (the grouped Ŵ fill's O_C/G == 1 panel):
+		// scalar accumulators, same ascending-k order and zero skip.
+		for i := 0; i < m.Rows; i++ {
+			var s float32
+			for k := 0; k < rows; k++ {
+				if c := float32(m.At(i, k)); c != 0 {
+					s += c * in[k]
+				}
+			}
+			out[i] = s
+		}
+		return
+	}
+	for i := 0; i < m.Rows; i++ {
+		dst := out[i*width : (i+1)*width]
+		for x := range dst {
+			dst[x] = 0
+		}
+		for k := 0; k < rows; k++ {
+			c := float32(m.At(i, k))
+			if c == 0 {
+				continue
+			}
+			src := in[k*width : (k+1)*width]
+			for x, sv := range src {
+				dst[x] += c * sv
+			}
+		}
 	}
 }

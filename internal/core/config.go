@@ -200,17 +200,12 @@ func BlocksPerSegment(k winograd.Kernel, p conv.Params, fp16 bool) int {
 	return ceilDiv(p.OC, bn) * ceilDiv(p.IC, bm) * ceilDiv(p.FH*p.FW, k.N)
 }
 
-// fcBlocks and bdcBlocks estimate the block counts of the layer's forward
-// and backward-data convolutions with the reference F(2×2,3×3) kernel and a
-// 64×32×8 cache block (the Figure 2 setup); they feed Algorithm 1 line 1.
-func fcBlocks(p conv.Params) int {
-	spatial := p.N * ceilDiv(p.OH(), 2) * ceilDiv(p.OW(), 2)
-	return ceilDiv(p.OC, 64) * ceilDiv(spatial, 32)
-}
-
-func bdcBlocks(p conv.Params) int {
-	spatial := p.N * ceilDiv(p.IH, 2) * ceilDiv(p.IW, 2)
-	return ceilDiv(p.IC, 64) * ceilDiv(spatial, 32)
+// convBlocks estimates the block count of a forward or backward-data
+// convolution producing c channels over n·h·w outputs, with the reference
+// F(2×2,3×3) kernel and a 64×32×8 cache block (the Figure 2 setup); the FC
+// and BDC counts feed Algorithm 1 line 1.
+func convBlocks(c, n, h, w int) int {
+	return ceilDiv(c, 64) * ceilDiv(n*ceilDiv(h, 2)*ceilDiv(w, 2), 32)
 }
 
 // latencyBlocksPerSM mirrors the simulator's calibration: a kernel with
@@ -226,23 +221,45 @@ func latencyBlocksPerSM(intensity float64) float64 {
 // EstimateZ implements Algorithm 1: the baseline segment count balancing
 // parallelism against partitioning overhead.
 func EstimateZ(p conv.Params, pr Pair, hw Hardware, fp16 bool) int {
-	b0 := fcBlocks(p)
-	b1 := bdcBlocks(p)
-	b2 := BlocksPerSegment(pr.Fast, p, fp16)
-
-	// Line 1: initialize from the FC/BDC block budget.
-	zHat := float64(b0+b1) / (1.45 * float64(b2))
-
-	// Line 2: thresholds from N_SM and data size.
-	k := latencyBlocksPerSM(pr.Fast.Intensity(fp16))
-	b2Full := k * float64(hw.NSM) // blocks for full utilization
 	dwBytes := tensor.Bytes32(p.DWShape())
 	dataBytes := p.DataBytes32()
 	if fp16 {
 		dwBytes = tensor.Bytes16(p.DWShape())
 		dataBytes = p.DataBytes16()
 	}
-	zMax := 1 + int(2*dataBytes/maxI64(1, dwBytes)) // workspace ≤ ~2× data
+	return algorithm1(zInputs{
+		fc:        convBlocks(p.OC, p.N, p.OH(), p.OW()),
+		bdc:       convBlocks(p.IC, p.N, p.IH, p.IW),
+		bfc:       BlocksPerSegment(pr.Fast, p, fp16),
+		intensity: pr.Fast.Intensity(fp16),
+		dwBytes:   dwBytes, dataBytes: dataBytes,
+		flops: p.FLOPs(), outputs: p.N * p.OH() * p.OW(),
+	}, hw)
+}
+
+// zInputs are the layer figures Algorithm 1 reads: the FC, BDC and
+// per-segment BFC block counts, the fast kernel's computation intensity,
+// the ∇W and total data sizes, the direct-equivalent FLOPs and the output
+// cell count. 2-D (EstimateZ) and 3-D (Configure3D) layers derive them
+// from their own geometry and share the algorithm.
+type zInputs struct {
+	fc, bdc, bfc       int
+	intensity          float64
+	dwBytes, dataBytes int64
+	flops              int64
+	outputs            int
+}
+
+func algorithm1(in zInputs, hw Hardware) int {
+	b2 := in.bfc
+
+	// Line 1: initialize from the FC/BDC block budget.
+	zHat := float64(in.fc+in.bdc) / (1.45 * float64(b2))
+
+	// Line 2: thresholds from N_SM and data size.
+	k := latencyBlocksPerSM(in.intensity)
+	b2Full := k * float64(hw.NSM)                         // blocks for full utilization
+	zMax := 1 + int(2*in.dataBytes/maxI64(1, in.dwBytes)) // workspace ≤ ~2× data
 	if zMax > 128 {
 		zMax = 128
 	}
@@ -258,14 +275,14 @@ func EstimateZ(p conv.Params, pr Pair, hw Hardware, fp16 bool) int {
 	// Line 5: keep per-segment work above a quantum so tiny workloads
 	// don't fragment.
 	const workQuantum = 1e9 // direct-equivalent FLOPs per segment
-	z2 := int(math.Ceil(float64(p.FLOPs()) / workQuantum))
+	z2 := int(math.Ceil(float64(in.flops) / workQuantum))
 
 	// Line 6.
 	z := int(zHat)
 	if z < 1 {
 		z = 1
 	}
-	z = minInt(z, z1, z2, p.N*p.OH()*p.OW()/512)
+	z = minInt(z, z1, z2, in.outputs/512)
 	if z < 1 {
 		z = 1
 	}
@@ -452,9 +469,9 @@ func (c *Config) GroupRing() int {
 //
 //	Σ_seg Rows(seg) · (Cols(seg)/r_seg) · N · α_seg · O_C  elements,
 //
-// at 4 bytes per element on both precisions (the FP16 path keeps its
-// binary16-rounded panels stored as float32 so units skip the per-use
-// decode; see fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
+// at 4 bytes per element under every storage policy (rounded policies
+// keep their rounded panels stored as float32 so units skip the per-use
+// decode; see fillRow). Because α/r ≤ max_s(α_s/r_s)
 // and Σ_seg Rows·Cols·N·O_C = |∇Y|, the cache is bounded by
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not

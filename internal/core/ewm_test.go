@@ -98,32 +98,46 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 	}
 }
 
-// matTMulRowF32 (the FP16 fused path's row-at-a-time input transform)
-// must reproduce each row of matTMulF32 exactly: per output row the
-// ascending-k accumulation order is identical.
-func TestMatTMulRowMatchesPanel(t *testing.T) {
+// The FP16 storage policy runs its transforms through pairing-free plans
+// because they must reproduce the oracle's row-by-column products
+// (matMulF32 for G, matTMulF32 for Dᵀ) bit for bit: every registry
+// kernel, both matrix families the FP16 path uses, widths 1–17 (the
+// scalar width-1 column walk and the two-column panel pass), whole-panel
+// and row-emitting forms, with planted zero inputs.
+func TestPairingFreePlansMatchMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, kr := range []struct{ n, r int }{{3, 2}, {3, 6}, {9, 8}} {
-		k, ok := winograd.Lookup(kr.n, kr.r)
-		if !ok {
-			t.Fatalf("kernel Ω(%d,%d) missing from registry", kr.n, kr.r)
-		}
+	for _, k := range winograd.Kernels {
 		tr := k.Transform()
-		_, dMat, _ := halfMats(tr)
-		alpha, ic := tr.Alpha, 5
-		in := make([]float32, alpha*ic)
-		for i := range in {
-			in[i] = (rng.Float32() - 0.5) * 8
-		}
-		want := make([]float32, alpha*ic)
-		matTMulF32(dMat, in, want, alpha, ic)
-		row := make([]float32, ic)
-		for e := 0; e < alpha; e++ {
-			matTMulRowF32(dMat, in, row, e, alpha, ic)
-			for x := 0; x < ic; x++ {
-				if row[x] != want[e*ic+x] {
-					t.Fatalf("Ω%d row %d col %d: %v vs %v", alpha, e, x, row[x], want[e*ic+x])
+		bal, sc := tr.Balanced(), tr.Scaled()
+		for _, fam := range []struct {
+			name string
+			g, d *winograd.Mat
+		}{{"balanced", bal.G, bal.D}, {"scaled", sc.G, sc.D}} {
+			gp, dtp := winograd.SinglesPanelPlansFor(fam.g, fam.d)
+			if gp.Pairs() != 0 || dtp.Pairs() != 0 {
+				t.Fatalf("%v %s: pairing-free plans pair rows", k, fam.name)
+			}
+			r, alpha := tr.R, tr.Alpha
+			for width := 1; width <= 17; width++ {
+				in := make([]float32, alpha*width)
+				for i := range in {
+					if rng.Intn(5) != 0 {
+						in[i] = (rng.Float32() - 0.5) * 8
+					}
 				}
+				want := make([]float32, alpha*width)
+				got := make([]float32, alpha*width)
+				matMulF32(fam.g, in[:r*width], want, r, width)
+				gp.MulPanel(in[:r*width], got, r, width)
+				equalBits(t, k.String()+"/"+fam.name+"/G", got, want)
+
+				matTMulF32(fam.d, in, want, alpha, width)
+				dtp.MulPanel(in, got, alpha, width)
+				equalBits(t, k.String()+"/"+fam.name+"/Dt", got, want)
+				emitted := make([]float32, alpha*width)
+				dtp.MulPanelEmit(in, emitted, alpha, width, func(u, _ int) {
+					equalBits(t, k.String()+"/"+fam.name+"/emit", emitted[u*width:(u+1)*width], want[u*width:(u+1)*width])
+				})
 			}
 		}
 	}

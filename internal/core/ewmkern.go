@@ -8,9 +8,9 @@ import "winrs/internal/winograd"
 // (the scalar-oracle tier of ewm.go) because each v element still receives
 // exactly one fused add per e — register blocking and row interleaving
 // only reorder independent accumulators — and the fused mode replicates
-// the transform's per-row arithmetic exactly (see MulPanelEmit and
-// matTMulRowF32). The differential suites force every mode through the
-// codecref/pool oracles to pin this.
+// the transform's per-row arithmetic exactly (see MulPanelEmit). The
+// differential suites force every mode through the codecref/pool oracles
+// to pin this.
 
 // ewmMode is the kernel-tier forcing mode: auto (per-kernel selection),
 // or one of the force values the differential sweeps pin each variant
@@ -399,41 +399,5 @@ func ewmPanelDW1(ve, we, xe []float32, oc, ic int) {
 			continue
 		}
 		ve[a] += wv * xv
-	}
-}
-
-// matTMulRowF32 computes output row i of matTMulF32 alone: dst is zeroed,
-// then accumulated in the same ascending-k order with the same zero skip,
-// so the row's value is bit-identical to the full-panel evaluation (rows
-// of out = mᵀ·in are independent; only the per-row accumulation order
-// matters). This is the FP16 fused path's row-at-a-time input transform.
-func matTMulRowF32(m *winograd.Mat, in, dst []float32, i, rows, width int) {
-	if rows != m.Rows {
-		panic("core: matTMulRowF32 dimension mismatch")
-	}
-	if width == 1 {
-		// Depthwise column shape: one scalar accumulator, same ascending-k
-		// order and zero skip, none of the per-k slice bookkeeping.
-		var s float32
-		for k := 0; k < rows; k++ {
-			if c := float32(m.At(k, i)); c != 0 {
-				s += c * in[k]
-			}
-		}
-		dst[0] = s
-		return
-	}
-	for x := range dst {
-		dst[x] = 0
-	}
-	for k := 0; k < rows; k++ {
-		c := float32(m.At(k, i))
-		if c == 0 {
-			continue
-		}
-		src := in[k*width : (k+1)*width]
-		for x, sv := range src {
-			dst[x] += c * sv
-		}
 	}
 }

@@ -69,162 +69,239 @@ func execPool() *sched.Pool {
 	return sched.Default()
 }
 
-// runUnitsFunc schedules every (segment, f_h, width-tile) unit of cfg onto
-// the shared pool via a closure — the convenience form used by the
-// quantized path (the FP32/FP16 hot paths use the Workspace's pooled
-// execJob instead, which boxes nothing).
-func runUnitsFunc(cfg *Config, unit func(si int, seg Segment, fh, j int)) {
-	off, total := schedule(cfg)
-	fw := cfg.Params.FW
-	execPool().RunFunc(total, 0, func(lo, hi int) {
-		si := 0
-		for i := lo; i < hi; i++ {
-			for i >= off[si+1] {
-				si++ // i only grows, so si scans forward
+// storage is the storage policy of one execution — the only thing the
+// FP32, FP16 and quantized paths differ in. It decides each Ω kernel's
+// transform matrices and the panel plans that apply them (plan), and the
+// in-place rounding of every stored panel: the Ŵ cache entries and each
+// X̂ panel ("SMEM storage" in the format). Operands reach the unit kernel
+// already in float32 form (see operand.stage).
+type storage struct {
+	// half selects the binary16 path: pairing-free plans (bit-identical
+	// to the row-by-column products the scalar-codec oracle pins; the
+	// shared ± products of paired plans would round differently), FP16
+	// EWM blocks, and the depthwise inline unit.
+	half bool
+	// scaled selects the eq. (7) scaling matrices for α ≥ 16 kernels.
+	scaled bool
+	// round rounds a stored panel in place; nil stores exact FP32.
+	round func([]float32)
+}
+
+var (
+	// fp32Storage: balanced transforms through paired plans (the Figure 8
+	// shared ± products), no rounding.
+	fp32Storage = storage{}
+	// halfStorage: mixed-precision binary16 storage (paper §5.2).
+	halfStorage = storage{half: true, scaled: true, round: fp16.RoundSlice}
+)
+
+// quantStorage is the storage policy of a Quantizer: balanced transforms
+// (scaled ones for α ≥ 16 when UseScaling) through paired plans, so the
+// identity quantizer reproduces FP32 bit for bit; rounding takes the
+// format's bulk kernel, else per-element Round.
+func quantStorage(q Quantizer) storage {
+	round := q.RoundSlice
+	if round == nil {
+		round = func(vs []float32) {
+			for i, v := range vs {
+				vs[i] = q.Round(v)
 			}
-			seg := cfg.Segments[si]
-			jTiles := fw / seg.K.N
-			local := i - off[si]
-			unit(si, seg, local/jTiles, local%jTiles)
 		}
-	})
+	}
+	return storage{scaled: q.UseScaling, round: round}
 }
 
-// execJob is the pooled unit-grid task of one ExecuteIn/ExecuteHalfIn
-// call. It lives inside the Workspace so the steady-state dispatch
-// allocates nothing: the fields are rewritten per call and the same
-// *execJob is handed to the sched pool as a Task.
+// unitPlan is one Ω kernel's transforms under a storage policy: the filter
+// (G) and input (Dᵀ) panel plans and the output matrix A.
+type unitPlan struct {
+	g, dt *winograd.SymPlan
+	a     *winograd.Mat
+}
+
+// plan resolves kernel k's transforms under the policy.
+func (s storage) plan(k winograd.Kernel) unitPlan {
+	g, d, a := s.mats(k.Transform())
+	plans := winograd.PanelPlansFor
+	if s.half {
+		plans = winograd.SinglesPanelPlansFor
+	}
+	gp, dtp := plans(g, d)
+	return unitPlan{gp, dtp, a}
+}
+
+// mats returns the policy's transform matrices: balanced transforms (which
+// keep FP32 cancellation in the paper's accuracy band for the α = 16
+// kernels), or the eq. (7) scaling matrices for α ≥ 16 when scaled
+// (unit-L1 G and Dᵀ rows keep narrow-format values in dynamic range).
+func (s storage) mats(tr *winograd.Transform) (g, d, a *winograd.Mat) {
+	if s.scaled && tr.Alpha >= 16 {
+		sc := tr.Scaled()
+		return sc.G, sc.D, sc.A
+	}
+	bal := tr.Balanced()
+	return bal.G, bal.D, bal.A
+}
+
+// halfMats returns the transform matrices of the FP16 path.
+func halfMats(tr *winograd.Transform) (g, d, a *winograd.Mat) { return halfStorage.mats(tr) }
+
+// rowMap addresses X along the flattened row axis of §3 Level 2: output
+// row o_d·O_H + o_h at filter row f_d·F_H + f_h reads X row
+// (o_d+f_d−p_D)·I_H + (o_h+f_h−p_H) of its image, clipped per axis
+// (Figure 7). ∇Y and ∇W of a 3-D layer already have the layout of a 2-D
+// plan with O_D·O_H output and F_D·F_H filter rows; only this X address
+// differs, and a 2-D layer is the D = 1 case.
+type rowMap struct {
+	oh, fh int // output and filter rows per depth slice
+	ih, id int // X rows per depth slice, depth slices per image
+	ph, pd int // padding of the height and depth axes
+}
+
+// rows2D is the row map of a 2-D layer.
+func rows2D(p conv.Params) rowMap {
+	return rowMap{oh: p.OH(), fh: p.FH, ih: p.IH, id: 1, ph: p.PH}
+}
+
+// operand is one BFC input as the call supplies it: float32 data (FP32,
+// quantized and 3-D calls) or binary16 data (FP16 calls).
+type operand struct {
+	f32 []float32
+	f16 []fp16.Bits
+}
+
+// stage writes channels [off, off+width) of the operand's rows into dst
+// (rows × width) in the unit kernel's float32 form: decoded when binary16
+// (exact), else copied and rounded by round (nil copies exactly). Rounding
+// once here equals rounding every gathered tile, because Round works
+// element by element and maps 0 to 0 (the clipped padding).
+func (o operand) stage(dst []float32, rows, srcC, off, width int, round func([]float32)) {
+	if o.f16 != nil {
+		sliceDecodeChannels(dst, o.f16, rows, srcC, off, width)
+		return
+	}
+	sliceChannels(dst, o.f32, rows, srcC, off, width)
+	if round != nil {
+		round(dst[:rows*width])
+	}
+}
+
+// resident returns the float32 form of o the units read (c channels per
+// pixel): the caller's data itself for exact FP32, else o staged once into
+// the workspace mirror.
+func (o operand) resident(mirror *[]float32, c int, round func([]float32)) []float32 {
+	if o.f16 == nil && round == nil {
+		return o.f32
+	}
+	n := len(o.f32) + len(o.f16)
+	dst := growF32(mirror, n)
+	o.stage(dst, n/c, c, 0, c, round)
+	return dst
+}
+
+// operands is the operand pair of one execution plus the row map that
+// addresses X.
+type operands struct {
+	rows  rowMap
+	x, dy operand
+}
+
+// planar shape-checks a 2-D operand pair against p.
+func planar(p conv.Params, xs, dys tensor.Shape, x, dy operand, fn string) operands {
+	if xs != p.XShape() || dys != p.DYShape() {
+		panic("core: " + fn + " operand shape mismatch")
+	}
+	return operands{rows: rows2D(p), x: x, dy: dy}
+}
+
+// execJob is the pooled task of one execution's two phases: the Ŵ-cache
+// fill over global segment rows (filling), then the unit grid. It lives
+// inside the Workspace so the steady-state dispatch allocates nothing: the
+// fields are rewritten per call and the same *execJob is handed to the
+// sched pool as a Task. The grouped dispatch reuses fillRows/units per
+// group against its ring slots.
 type execJob struct {
-	cfg       *Config
-	ws        *Workspace
-	x32, dy32 *tensor.Float32
-	x16, dy16 *tensor.Half
-	half      bool
-	traceOn   bool
+	cfg     *Config
+	ws      *Workspace
+	rows    rowMap
+	st      storage
+	x, dy   []float32 // float32 operand sources (ungrouped executions)
+	traceOn bool
+	filling bool
 }
 
-// Run executes global units [lo, hi) — the sched.Task contract.
+// Run executes items [lo, hi) of the current phase — the sched.Task
+// contract.
 func (j *execJob) Run(lo, hi int) {
+	if j.filling {
+		j.fillRows(lo, hi, j.dy, j.ws.what32)
+	} else {
+		j.units(lo, hi, j.x, j.ws.what32, j.ws.buckets)
+	}
+}
+
+// fillRows fills global segment rows [lo, hi) of the Ŵ cache what from dy.
+func (j *execJob) fillRows(lo, hi int, dy, what []float32) {
+	cfg, ws := j.cfg, j.ws
+	si := 0
+	for i := lo; i < hi; i++ {
+		for i >= ws.rowOff[si+1] {
+			si++ // i only grows, so si scans forward
+		}
+		seg := cfg.Segments[si]
+		fillRow(cfg.Params, seg, seg.Row0+i-ws.rowOff[si], ws.plans[si], j.st.round,
+			dy, what[ws.whatOff[si]:ws.whatOff[si+1]])
+	}
+}
+
+// units runs global (segment, f_h, width-tile) units [lo, hi) against the
+// X source x, the Ŵ cache what and the segment buckets, recording each
+// unit's stage durations when tracing.
+func (j *execJob) units(lo, hi int, x, what []float32, buckets [][]float32) {
 	cfg, ws := j.cfg, j.ws
 	off := ws.unitOff
-	fw := cfg.Params.FW
 	si := 0
 	for i := lo; i < hi; i++ {
 		for i >= off[si+1] {
 			si++
 		}
 		seg := cfg.Segments[si]
-		jTiles := fw / seg.K.N
+		jTiles := cfg.Params.FW / seg.K.N
 		local := i - off[si]
-		fh, jt := local/jTiles, local%jTiles
-		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-		if j.half {
-			tileHalfResUnit(cfg.Params, seg, fh, jt, j.x16, ws.xDec, what, ws.buckets[si], j.traceOn)
-		} else {
-			tile32Unit(cfg.Params, seg, fh, jt, j.x32, what, ws.buckets[si], j.traceOn)
+		w := what[ws.whatOff[si]:ws.whatOff[si+1]]
+		if !j.traceOn {
+			segmentTile(cfg.Params, j.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], nil)
+			continue
 		}
+		var ut obs.UnitTimes
+		t0 := time.Now()
+		segmentTile(cfg.Params, j.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], &ut)
+		obs.RecordUnit(time.Since(t0), ut)
 	}
 }
 
-// fillJob is the pooled Ŵ-cache pre-pass task: items are global segment
-// rows (prefix table ws.rowOff), and each item gathers + filter-transforms
-// every (width-tile, batch) ∇Y unit of that row into the cache. Like
-// execJob it is embedded in the Workspace and reused across calls.
-type fillJob struct {
-	cfg  *Config
-	ws   *Workspace
-	dy32 *tensor.Float32
-	dy16 *tensor.Half
-	half bool
-}
-
-// Run fills global segment rows [lo, hi).
-func (f *fillJob) Run(lo, hi int) {
-	cfg, ws := f.cfg, f.ws
-	p := cfg.Params
-	s := getTileScratch()
-	defer putTileScratch(s)
-
-	si := 0
-	for i := lo; i < hi; i++ {
-		for i >= ws.rowOff[si+1] {
-			si++
-		}
-		seg := cfg.Segments[si]
-		oh := seg.Row0 + (i - ws.rowOff[si])
-		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-		if f.half {
-			fillRowHalfRes(p, seg, oh, f.dy16, ws.dyDec, s, what)
-		} else {
-			fillRow32(p, seg, oh, f.dy32, what)
-		}
-	}
-}
-
-// fillRow32 computes the FP32 Ŵ panels of one segment row: for every
-// width tile and batch image, gather the r-wide ∇Y unit and apply the
-// filter transform Ŵ = G·W directly into the cache slot. These values are
-// what the pre-restructuring kernel recomputed F_H·(F_W/n) times per
-// (oh, ow0, nb); computing them exactly once here keeps the execution
-// bit-identical while amortizing the transform.
-func fillRow32(p conv.Params, seg Segment, oh int, dy *tensor.Float32,
-	what []float32) {
-	tr := seg.K.Transform().Balanced()
-	gPlan, _ := tr.PanelPlans()
-	r, alpha, oc := tr.R, tr.Alpha, p.OC
-	entry := alpha * oc
+// fillRow computes the Ŵ panels of one segment row: for every width tile
+// and batch image, apply the filter transform Ŵ = G·W to the r-wide ∇Y
+// unit straight into its cache slot, then round it in place under the
+// storage policy. In the (N,H,W,C) layout the r unit rows are one
+// contiguous [r][O_C] block — ∇Y is unpadded and segments tile O_W
+// exactly, so the unit never clips and needs no gather copy. The panels
+// depend only on (oh, ow0, nb), so one fill amortizes across all
+// F_H·(F_W/n) units of the segment.
+func fillRow(p conv.Params, seg Segment, oh int, pl unitPlan, round func([]float32),
+	dy, what []float32) {
+	r, oc, ow := seg.K.R, p.OC, p.OW()
+	entry := seg.K.Alpha * oc
 	tiles := seg.Cols() / r
 	rowBase := (oh - seg.Row0) * tiles
-
+	rows := p.OH()
 	for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
 		for nb := 0; nb < p.N; nb++ {
-			// In the (N,H,W,C) layout the r unit rows are one contiguous
-			// [r][O_C] block — ∇Y is unpadded and segments tile O_W exactly,
-			// so the unit never clips. Transform straight from the tensor;
-			// the gather copy the pre-tier code paid per unit is free.
-			base := dy.Shape.Index(nb, oh, ow0, 0)
-			dst := what[((rowBase+t)*p.N+nb)*entry:]
-			gPlan.MulPanel(dy.Data[base:base+r*oc], dst[:entry], r, oc)
-		}
-	}
-}
-
-// halfMats returns the transform matrices of the FP16 path: balanced for
-// the small-α kernels, the eq. (7) scaling matrices for α ≥ 16 (unit-L1 G
-// and Dᵀ rows keep transformed binary16 values in dynamic range).
-func halfMats(tr *winograd.Transform) (g, d, a *winograd.Mat) {
-	bal := tr.Balanced()
-	g, d, a = bal.G, bal.D, bal.A
-	if tr.Alpha >= 16 {
-		sc := tr.Scaled()
-		g, d, a = sc.G, sc.D, sc.A
-	}
-	return g, d, a
-}
-
-// fillRowHalfRes is fillRow32 for the FP16 path: mixed-precision filter
-// transform (FP32 arithmetic, binary16 storage). The ∇Y unit reads
-// straight from the bulk-decoded dyDec mirror (one contiguous [r][O_C]
-// block, like fillRow32), and the transformed panel is rounded through
-// binary16 while being stored in float32 form (fp16.RoundInto) — the
-// decoded-operand ("resident") cache. Cache values are bit-identical to
-// decode(encode(panel)), so execution-side uses need no per-unit decode.
-func fillRowHalfRes(p conv.Params, seg Segment, oh int, dy *tensor.Half,
-	dyDec []float32, s *tileScratch, what []float32) {
-	tr := seg.K.Transform()
-	gMat, _, _ := halfMats(tr)
-	r, alpha, oc := tr.R, tr.Alpha, p.OC
-	wHatF := growF32(&s.wHatF, alpha*oc)
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-	rowBase := (oh - seg.Row0) * tiles
-
-	for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-		for nb := 0; nb < p.N; nb++ {
-			base := dy.Shape.Index(nb, oh, ow0, 0)
-			matMulF32(gMat, dyDec[base:base+r*oc], wHatF, r, oc)
-			dst := what[((rowBase+t)*p.N+nb)*entry:]
-			fp16.RoundInto(dst[:entry], wHatF)
+			base := ((nb*rows+oh)*ow + ow0) * oc
+			dst := what[((rowBase+t)*p.N+nb)*entry:][:entry]
+			pl.g.MulPanel(dy[base:base+r*oc], dst, r, oc)
+			if round != nil {
+				round(dst)
+			}
 		}
 	}
 }
@@ -236,34 +313,6 @@ func fillRowHalfRes(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 // iteration — the overhead that used to perturb the very stage shares it
 // reports. Power of two so the sample test is a mask.
 const traceSampleEvery = 8
-
-// tile32Unit runs one FP32 fused unit, recording its stage durations when
-// traceOn. A top-level function (not a closure) so the trace scratch stays
-// on the stack and the disabled path is branch-only.
-func tile32Unit(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
-	what []float32, bucket []float32, traceOn bool) {
-	if !traceOn {
-		segmentTile32(p, seg, fh, j, x, what, bucket, nil)
-		return
-	}
-	var ut obs.UnitTimes
-	t0 := time.Now()
-	segmentTile32(p, seg, fh, j, x, what, bucket, &ut)
-	obs.RecordUnit(time.Since(t0), ut)
-}
-
-// tileHalfResUnit is tile32Unit for the decoded-operand FP16 path.
-func tileHalfResUnit(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	xDec []float32, what []float32, bucket []float32, traceOn bool) {
-	if !traceOn {
-		segmentTileHalfRes(p, seg, fh, j, x, xDec, what, bucket, nil)
-		return
-	}
-	var ut obs.UnitTimes
-	t0 := time.Now()
-	segmentTileHalfRes(p, seg, fh, j, x, xDec, what, bucket, &ut)
-	obs.RecordUnit(time.Since(t0), ut)
-}
 
 // unitSampler implements the scaled 1-in-N stage timing of one fused
 // unit (see traceSampleEvery). The zero value is ready to use; all state
@@ -314,33 +363,26 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 	ut.EWM += time.Duration(int64(u.ewm)*scale + int64(u.ewm)*rem/int64(u.samples))
 }
 
-// segmentTile32 executes the fused FP32 kernel for one (segment, f_h,
-// width-tile) unit: it produces the ∇W rows [j·n, (j+1)·n) at height f_h
-// for all (oc, ic), accumulating the EWM over the segment's rows, units and
-// the batch.
-//
-// The gathered + filter-transformed ∇Y panels (Ŵ, α·O_C each) come from
-// the workspace cache filled by the pre-pass — they depend only on
-// (oh, ow0, nb), so one fill amortizes across all F_H·(F_W/n) units of the
-// segment instead of being recomputed per unit. Per inner iteration the
-// remaining fused stages appear in order: X gather + input transform
-// X̂ = Dᵀ·X, the register-blocked α-batched outer-product "GEMM", and (per
-// unit) the final output transform.
+// segmentTile is the fused Ω_α(n,r) unit kernel of every precision and
+// dimension: for one (segment, f_h, width-tile) unit it produces the ∇W
+// rows [j·n, (j+1)·n) at (flattened) filter row fh for all (oc, ic),
+// accumulating the EWM over the segment's rows, units and the batch.
+// Per inner iteration: the cached Ŵ panel (filled once per (oh, ow0, nb)
+// by fillRow), the X gather (rows addressed through rm) and input
+// transform X̂ = Dᵀ·X rounded by the storage policy, and the
+// register-blocked α-batched outer-product "GEMM"; per unit, the output
+// transform Aᵀ into the bucket. p is the plan's 2-D (flattened) geometry;
+// x is the float32 X source in (N, rm rows, I_W, I_C) layout.
 //
 // ut, when non-nil, accumulates sampled, scaled intra-unit transform and
 // EWM durations for the observability layer; the nil path adds only
 // predictable never-taken branches.
-func segmentTile32(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
-	what []float32, bucket []float32, ut *obs.UnitTimes) {
-	k := seg.K
-	// Balanced transforms keep FP32 cancellation in the paper's accuracy
-	// band for the α = 16 kernels; the symmetric panel plans implement the
-	// Figure 8 transform simplification (shared ± products).
-	tr := k.Transform().Balanced()
-	_, dtPlan := tr.PanelPlans()
-	n, r, alpha := tr.N, tr.R, tr.Alpha
+func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, st storage,
+	x, what, bucket []float32, ut *obs.UnitTimes) {
+	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
 	oc, ic := p.OC, p.IC
-	sel := selectEWM(k, false, oc, ic)
+	sel := selectEWM(seg.K, st.half, oc, ic)
+	round := st.round
 
 	s := getTileScratch()
 	defer putTileScratch(s)
@@ -351,45 +393,76 @@ func segmentTile32(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
 	colBase := j * n
 	entry := alpha * oc
 	tiles := seg.Cols() / r
+	xRows := rm.id * rm.ih
 
-	var smp unitSampler
+	// Depthwise binary16 tier (I_C == 1, fused): the X̂ row is ONE float,
+	// so the row transform collapses to a dot product against a per-unit
+	// float32 copy of the pairing-free Dᵀ plan's matrix (same constant
+	// conversion, ascending-k order and zero skip), the storage rounding
+	// to the scalar fp16.Round, and the EWM to ewmPanelDW1's zero-skipping
+	// column sweep — every step bit-identical to the generic calls it
+	// replaces, without their per-element call and slice overhead.
+	var dT []float32
+	dw := st.half && sel.fused && ic == 1
+	if dw {
+		dT = growF32(&s.dT, alpha*alpha)
+		for i, c := range pl.dt.Mat().Data {
+			dT[i] = float32(c)
+		}
+	}
+
 	var wHat []float32
-	// emit multiplies each X̂ row into the accumulators the moment the
-	// input transform finalizes it — the fused transform+EWM mode, which
-	// consumes rows while they are still cache-hot instead of storing the
-	// whole panel and reloading it. Each v element still receives exactly
-	// one fused add per e, so fusion is bit-identical to the unfused order.
+	// emit rounds each X̂ row and multiplies it into the accumulators the
+	// moment the input transform finalizes it — the fused transform+EWM
+	// mode, which consumes rows while they are still cache-hot. Each v
+	// element still receives exactly one fused add per e, and rounding is
+	// element-wise, so fusion is bit-identical to the unfused order.
 	// MulPanelEmit never retains the closure, so it stays on the stack.
 	emit := func(u, w int) {
+		if round != nil {
+			round(xHat[u*ic : (u+1)*ic])
+		}
 		sel.panel(v[u*oc*ic:(u+1)*oc*ic], wHat[u*oc:(u+1)*oc], xHat[u*ic:(u+1)*ic], oc, ic)
 		if w >= 0 {
+			if round != nil {
+				round(xHat[w*ic : (w+1)*ic])
+			}
 			sel.panel(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
 		}
 	}
-	if !sel.fused {
+	if !sel.fused || dw {
 		emit = nil
 	}
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue // height-axis clipping (Figure 7)
+
+	// Row-axis cursor: (od, oy) is output row oh split into its depth
+	// slice and in-slice row, advanced incrementally; (fd, fy) splits the
+	// unit's filter row the same way.
+	fd, fy := fh/rm.fh, fh%rm.fh
+	od, oy := seg.Row0/rm.oh, seg.Row0%rm.oh
+	var smp unitSampler
+	for oh := seg.Row0; oh < seg.Row1; oh, oy = oh+1, oy+1 {
+		if oy == rm.oh {
+			od, oy = od+1, 0
+		}
+		id, ih := od+fd-rm.pd, oy+fy-rm.ph
+		if id < 0 || id >= rm.id || ih < 0 || ih >= rm.ih {
+			continue // depth- and height-axis clipping (Figure 7)
 		}
 		rowBase := (oh - seg.Row0) * tiles
 		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
 			for nb := 0; nb < p.N; nb++ {
 				smp.begin(ut)
-				// Cached Ŵ panel (filled once per (oh, ow0, nb)).
-				wHat = what[((rowBase+t)*p.N+nb)*entry:]
-				wHat = wHat[:entry]
+				wHat = what[((rowBase+t)*p.N+nb)*entry:][:entry]
 				// X source: an interior tile is one contiguous [α][I_C]
 				// block in the (N,H,W,C) layout and feeds the transform
 				// in place; only width-clipped tiles gather through xRaw
 				// (with implicit zero padding).
+				pix := (nb*xRows + id*rm.ih + ih) * p.IW
 				iw0 := ow0 + colBase - p.PW
 				xSrc := xRaw
 				if iw0 >= 0 && iw0+alpha <= p.IW {
-					base := x.Shape.Index(nb, ih, iw0, 0)
-					xSrc = x.Data[base : base+alpha*ic]
+					base := (pix + iw0) * ic
+					xSrc = x[base : base+alpha*ic]
 				} else {
 					for u := 0; u < alpha; u++ {
 						iw := iw0 + u
@@ -400,114 +473,17 @@ func segmentTile32(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
 							}
 							continue
 						}
-						base := x.Shape.Index(nb, ih, iw, 0)
-						copy(dst, x.Data[base:base+ic])
+						base := (pix + iw) * ic
+						copy(dst, x[base:base+ic])
 					}
 				}
-				if emit != nil {
+				switch {
+				case emit != nil:
 					// Fused: the transform span folds into the EWM share
 					// (StageShares stays informational).
 					smp.mark()
-					dtPlan.MulPanelEmit(xSrc, xHat, alpha, ic, emit)
-				} else {
-					dtPlan.MulPanel(xSrc, xHat, alpha, ic)
-					smp.mark()
-					ewmPanelsSel(sel.panel, v, wHat, xHat, alpha, oc, ic)
-				}
-				smp.end()
-			}
-		}
-	}
-	smp.flush(ut)
-
-	// Output transform: y = Aᵀ·v[:, oc, ic], written into the bucket.
-	writeOutput(p, tr.A, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
-}
-
-// segmentTileHalfRes is the FP16 variant of segmentTile32 (see
-// ExecuteHalf): the Ŵ cache is float32-resident (binary16-rounded values
-// stored already decoded, see fillRowHalfRes) and X reads from the
-// bulk-decoded xDec mirror, so the per-unit codec work shrinks to the one
-// mandatory X̂ "SMEM storage" rounding; the EWM accumulates in FP32.
-// Operand values are bit-identical to a per-use scalar codec (the
-// codecref_test.go oracle): binary16 → float32 decoding is exact, and every
-// resident store rounded through binary16 on the way in. The fused mode
-// transforms, rounds and multiplies one X̂ row at a time — matTMulRowF32
-// reproduces the panel transform's per-row ascending-k accumulation
-// exactly, and rounding is element-wise, so the row-at-a-time order
-// changes no bits either.
-func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	xDec []float32, what []float32, bucket []float32, ut *obs.UnitTimes) {
-	k := seg.K
-	tr := k.Transform()
-	_, dMat, aMat := halfMats(tr)
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-	sel := selectEWM(k, true, oc, ic)
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	xRaw := growF32(&s.xRaw, alpha*ic)
-	xHat := growF32(&s.xHatF, alpha*ic)
-	colBase := j * n
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-
-	// Depthwise fused tier: hoist Dᵀ into a transposed float32 copy once
-	// per unit, so the per-tile row transforms below walk it contiguously
-	// instead of paying a strided float64 load + convert per coefficient.
-	var dT []float32
-	if sel.fused && ic == 1 {
-		dT = growF32(&s.dT, alpha*alpha)
-		for e := 0; e < alpha; e++ {
-			for kk := 0; kk < alpha; kk++ {
-				dT[e*alpha+kk] = float32(dMat.At(kk, e))
-			}
-		}
-	}
-
-	var smp unitSampler
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue
-		}
-		rowBase := (oh - seg.Row0) * tiles
-		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-			for nb := 0; nb < p.N; nb++ {
-				smp.begin(ut)
-				wHat := what[((rowBase+t)*p.N+nb)*entry:]
-				wHat = wHat[:entry]
-				iw0 := ow0 + colBase - p.PW
-				xSrc := xRaw
-				if iw0 >= 0 && iw0+alpha <= p.IW {
-					base := x.Shape.Index(nb, ih, iw0, 0)
-					xSrc = xDec[base : base+alpha*ic]
-				} else {
-					for u := 0; u < alpha; u++ {
-						iw := iw0 + u
-						dst := xRaw[u*ic : (u+1)*ic]
-						if iw < 0 || iw >= p.IW {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						base := x.Shape.Index(nb, ih, iw, 0)
-						copy(dst, xDec[base:base+ic])
-					}
-				}
-				if sel.fused && ic == 1 {
-					// Depthwise fused unit: the X̂ row is ONE float, so the
-					// row transform collapses to a dot product against a
-					// per-unit transposed float32 copy of Dᵀ (same constant
-					// conversion, ascending-k order and zero skip as
-					// matTMulRowF32), the storage rounding to the scalar
-					// fp16.Round, and the EWM to ewmPanelDW1's zero-skipping
-					// column sweep — every step bit-identical to the generic
-					// calls it replaces, without their per-element call and
-					// slice overhead.
+					pl.dt.MulPanelEmit(xSrc, xHat, alpha, ic, emit)
+				case dw:
 					smp.mark()
 					for e := 0; e < alpha; e++ {
 						var s float32
@@ -524,17 +500,11 @@ func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 							}
 						}
 					}
-				} else if sel.fused {
-					smp.mark()
-					for e := 0; e < alpha; e++ {
-						row := xHat[e*ic : (e+1)*ic]
-						matTMulRowF32(dMat, xSrc, row, e, alpha, ic)
-						fp16.RoundSlice(row)
-						sel.panel(v[e*oc*ic:(e+1)*oc*ic], wHat[e*oc:(e+1)*oc], row, oc, ic)
+				default:
+					pl.dt.MulPanel(xSrc, xHat, alpha, ic)
+					if round != nil {
+						round(xHat)
 					}
-				} else {
-					matTMulF32(dMat, xSrc, xHat, alpha, ic)
-					fp16.RoundSlice(xHat)
 					smp.mark()
 					ewmPanelsSel(sel.panel, v, wHat, xHat, alpha, oc, ic)
 				}
@@ -543,7 +513,7 @@ func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 		}
 	}
 	smp.flush(ut)
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
+	writeOutput(p, pl.a, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
 }
 
 // writeOutput applies the FP32 output transform Aᵀ to the accumulators and
@@ -564,44 +534,6 @@ func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float3
 				}
 				idx := dwShape.Index(a, fh, colBase+i, b)
 				bucket[idx] += s
-			}
-		}
-	}
-}
-
-// matMulF32 computes out = m·in for in laid out [m.Cols][width] and out
-// [m.Rows][width], in float32.
-func matMulF32(m *winograd.Mat, in, out []float32, rows, width int) {
-	if rows != m.Cols {
-		panic("core: matMulF32 dimension mismatch")
-	}
-	if width == 1 {
-		// Depthwise column shape (the grouped Ŵ fill's O_C/G == 1 panel):
-		// scalar accumulators, same ascending-k order and zero skip.
-		for i := 0; i < m.Rows; i++ {
-			var s float32
-			for k := 0; k < rows; k++ {
-				if c := float32(m.At(i, k)); c != 0 {
-					s += c * in[k]
-				}
-			}
-			out[i] = s
-		}
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst := out[i*width : (i+1)*width]
-		for x := range dst {
-			dst[x] = 0
-		}
-		for k := 0; k < rows; k++ {
-			c := float32(m.At(i, k))
-			if c == 0 {
-				continue
-			}
-			src := in[k*width : (k+1)*width]
-			for x, sv := range src {
-				dst[x] += c * sv
 			}
 		}
 	}

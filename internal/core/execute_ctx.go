@@ -21,28 +21,25 @@ import (
 // ctx path is not allocation-free; latency-critical loops that never
 // cancel should keep calling ExecuteIn.
 func ExecuteInCtx(ctx context.Context, cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) (*tensor.Float32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var cancel sched.Batch
-	stop := context.AfterFunc(ctx, cancel.Cancel)
-	defer stop()
-	out, ok := executeIn(cfg, ws, x, dy, dst, &cancel)
-	if !ok {
-		return nil, ctx.Err()
-	}
-	return out, nil
+	return executeCtx(ctx, cfg, ws, planar(cfg.Params, x.Shape, dy.Shape,
+		operand{f32: x.Data}, operand{f32: dy.Data}, "Execute"), fp32Storage, dst)
 }
 
 // ExecuteHalfInCtx is ExecuteInCtx for the emulated FP16 Tensor-Core path.
 func ExecuteHalfInCtx(ctx context.Context, cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32) (*tensor.Float32, error) {
+	return executeCtx(ctx, cfg, ws, planar(cfg.Params, x.Shape, dy.Shape,
+		operand{f16: x.Data}, operand{f16: dy.Data}, "ExecuteHalf"), halfStorage, dst)
+}
+
+// executeCtx runs execute under a context watcher.
+func executeCtx(ctx context.Context, cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32) (*tensor.Float32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var cancel sched.Batch
 	stop := context.AfterFunc(ctx, cancel.Cancel)
 	defer stop()
-	out, ok := executeHalfIn(cfg, ws, x, dy, dst, &cancel)
+	out, ok := execute(cfg, ws, ops, st, dst, &cancel)
 	if !ok {
 		return nil, ctx.Err()
 	}

@@ -68,12 +68,11 @@ func groupSlab(dst *tensor.Float32, shape tensor.Shape, gi int) *tensor.Float32 
 	return &tensor.Float32{Shape: shape, Data: dst.Data[gi*n : (gi+1)*n : (gi+1)*n]}
 }
 
-// executeGroupedIn is the grouped BFC driver behind executeIn and
-// executeHalfIn (which have already checked the operand shapes): exactly
-// one operand pair is non-nil, (x32, dy32) for FP32 or (x16, dy16) for
-// FP16. The FP16 path runs the regular per-group pipeline, so the eq.(7)
-// error model applies per group with the reduced C = I_C/G depth.
-func executeGroupedIn(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32, x16, dy16 *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
+// executeGroupedIn is the grouped branch of execute (whose callers have
+// already checked the operand shapes). Every storage policy runs the
+// regular per-group pipeline, so the eq.(7) error model applies per group
+// with the reduced C = I_C/G depth.
+func executeGroupedIn(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	if dst == nil {
 		dst = tensor.NewFloat32(cfg.Params.DWShape())
 	} else if dst.Shape != cfg.Params.DWShape() {
@@ -82,7 +81,7 @@ func executeGroupedIn(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32, x16
 	if ws == nil {
 		ws = NewWorkspace(cfg)
 	}
-	if !runGroupedInterleaved(cfg, ws, x32, dy32, x16, dy16, dst, cancel) {
+	if !runGroupedInterleaved(cfg, ws, ops, st, dst, cancel) {
 		return nil, false
 	}
 	return dst, true

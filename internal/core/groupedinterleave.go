@@ -90,21 +90,17 @@ type groupPhase struct {
 // Like execJob it is embedded in the Workspace, so steady-state dispatch
 // allocates nothing.
 type groupJob struct {
-	cfg, gcfg *Config
-	ws        *Workspace
-	x32, dy32 *tensor.Float32
-	x16, dy16 *tensor.Half
+	run       execJob // the per-group plan's fill/unit core
+	cfg       *Config
+	x, dy     operand
 	dst       *tensor.Float32
 	cancel    *sched.Batch
-	half      bool
-	traceOn   bool
-
-	ring          int
-	perGroup      int // units per group: 3 + fillRows + execUnits
-	fillRows      int
-	execUnits     int
-	slabElems     int // one group's ∇W slab size
-	xRows, dyRows int
+	ring      int
+	perGroup  int // units per group: 3 + fillRows + execUnits
+	fillRows  int
+	slabElems int // one group's ∇W slab size
+	xRows     int
+	dyRows    int
 }
 
 // Run executes interleaved units [lo, hi) — the sched.Task contract.
@@ -148,7 +144,7 @@ func (j *groupJob) wait(c *atomic.Int32, want int32) bool {
 // dependencies; the ring hand-off (prep waits for group gi−ring to
 // retire) carries the cross-group one.
 func (j *groupJob) runUnit(gi, local int) {
-	ws := j.ws
+	ws := j.run.ws
 	st := &ws.gphase[gi]
 	slot := &ws.ring[gi%j.ring]
 	switch {
@@ -175,13 +171,14 @@ func (j *groupJob) runUnit(gi, local int) {
 		if !j.wait(&st.gather, 0) {
 			return
 		}
-		j.fillRowUnit(local-3, slot)
+		j.run.fillRows(local-3, local-2, slot.dy, slot.what32)
 		st.fill.Add(-1)
 	default:
 		if !j.wait(&st.fill, 0) {
 			return
 		}
-		j.execUnit(local-3-j.fillRows, slot)
+		u := local - 3 - j.fillRows
+		j.run.units(u, u+1, slot.x, slot.what32, slot.buckets)
 		if st.exec.Add(-1) == 0 {
 			// Last fused unit of the group: reduce the slot into the
 			// group's ∇W slab and retire the slot. The reduce only ever
@@ -193,73 +190,23 @@ func (j *groupJob) runUnit(gi, local int) {
 	}
 }
 
-// gatherUnit stages one operand of group gi into the slot: the
-// channel-sliced copy (FP32) or the gather fused with the binary16 decode
-// (FP16 — exact, so bits match gather-then-decode).
+// gatherUnit stages one operand of group gi into the slot's float32
+// staging: the channel-sliced copy, fused with the binary16 decode (FP16 —
+// exact, so bits match gather-then-decode) or the storage rounding
+// (quantized — element-wise, so bits match rounding every tile).
 func (j *groupJob) gatherUnit(gi int, isX bool, slot *groupSlot) {
 	var t0 time.Time
-	if j.traceOn {
+	if j.run.traceOn {
 		t0 = time.Now()
 	}
 	p := j.cfg.Params
-	icg, ocg := p.ICG(), p.OCG()
-	switch {
-	case !j.half && isX:
-		sliceChannels(slot.xT.Data, j.x32.Data, j.xRows, p.IC, gi*icg, icg)
-	case !j.half:
-		sliceChannels(slot.dyT.Data, j.dy32.Data, j.dyRows, p.OC, gi*ocg, ocg)
-	case isX:
-		sliceDecodeChannels(slot.xDec, j.x16.Data, j.xRows, p.IC, gi*icg, icg)
-	default:
-		sliceDecodeChannels(slot.dyDec, j.dy16.Data, j.dyRows, p.OC, gi*ocg, ocg)
+	if isX {
+		j.x.stage(slot.x, j.xRows, p.IC, gi*p.ICG(), p.ICG(), j.run.st.round)
+	} else {
+		j.dy.stage(slot.dy, j.dyRows, p.OC, gi*p.OCG(), p.OCG(), j.run.st.round)
 	}
-	if j.traceOn {
+	if j.run.traceOn {
 		obs.RecordStage(obs.StageGroupGather, time.Since(t0))
-	}
-}
-
-// fillRowUnit is one Ŵ-cache row of the group — fillJob.Run for a single
-// row, against the slot's staging operands and cache arena. Recorded per
-// row under what_transform when tracing (ungrouped executions record the
-// whole pre-pass once; the histograms label the granularity).
-func (j *groupJob) fillRowUnit(row int, slot *groupSlot) {
-	cfg, ws := j.gcfg, j.ws
-	p := cfg.Params
-	si := 0
-	for row >= ws.rowOff[si+1] {
-		si++
-	}
-	seg := cfg.Segments[si]
-	oh := seg.Row0 + (row - ws.rowOff[si])
-	what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-	if j.half {
-		s := getTileScratch()
-		fillRowHalfRes(p, seg, oh, &slot.dyTH, slot.dyDec, s, what)
-		putTileScratch(s)
-	} else {
-		fillRow32(p, seg, oh, &slot.dyT, what)
-	}
-}
-
-// execUnit is one fused (segment, f_h, width-tile) unit of the group —
-// execJob.Run for a single global unit, against the slot's arenas.
-func (j *groupJob) execUnit(u int, slot *groupSlot) {
-	cfg, ws := j.gcfg, j.ws
-	off := ws.unitOff
-	fw := cfg.Params.FW
-	si := 0
-	for u >= off[si+1] {
-		si++
-	}
-	seg := cfg.Segments[si]
-	jTiles := fw / seg.K.N
-	local := u - off[si]
-	fh, jt := local/jTiles, local%jTiles
-	what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-	if j.half {
-		tileHalfResUnit(cfg.Params, seg, fh, jt, &slot.xTH, slot.xDec, what, slot.buckets[si], j.traceOn)
-	} else {
-		tile32Unit(cfg.Params, seg, fh, jt, &slot.xT, what, slot.buckets[si], j.traceOn)
 	}
 }
 
@@ -269,7 +216,7 @@ func (j *groupJob) execUnit(u int, slot *groupSlot) {
 // per-group execution.
 func (j *groupJob) reduceGroup(gi int, slot *groupSlot) {
 	var t0 time.Time
-	if j.traceOn {
+	if j.run.traceOn {
 		t0 = time.Now()
 	}
 	n := j.slabElems
@@ -279,26 +226,23 @@ func (j *groupJob) reduceGroup(gi int, slot *groupSlot) {
 	} else {
 		kahan.ReduceBuckets(dst, slot.buckets)
 	}
-	if j.traceOn {
+	if j.run.traceOn {
 		obs.RecordStage(obs.StageReduce, time.Since(t0))
 	}
 }
 
 // runGroupedInterleaved executes a grouped plan as one interleaved sched
-// batch. Exactly one operand pair is non-nil: (x32, dy32) for FP32,
-// (x16, dy16) for FP16. Reports ok=false when cancellation stopped the
-// run; groups then either hold their complete gradient slab or were never
-// written — no partial-group bytes.
-func runGroupedInterleaved(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32, x16, dy16 *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) bool {
+// batch under storage policy st. Reports ok=false when cancellation
+// stopped the run; groups then either hold their complete gradient slab
+// or were never written — no partial-group bytes.
+func runGroupedInterleaved(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) bool {
 	gcfg := cfg.group
 	if !ws.Fits(cfg) {
 		panic("core: workspace does not fit configuration")
 	}
 	ws.rebind(gcfg)
+	ws.bindPlans(gcfg, st)
 	p := cfg.Params
-	pg := gcfg.Params
-	half := x16 != nil
-	traceOn := obs.TraceEnabled()
 
 	pool := execPool()
 	g := p.G()
@@ -331,24 +275,19 @@ func runGroupedInterleaved(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32
 	dyRows := p.N * p.OH() * p.OW()
 	whatElems := ws.whatOff[len(ws.whatOff)-1]
 
-	// Size the slot ring: buckets (zeroed by each group's prep unit) plus
-	// the precision's staging and Ŵ-cache arenas, with operand tensor views
-	// bound so units allocate nothing.
+	// Size the slot ring: buckets (zeroed by each group's prep unit; slot 0
+	// runs on the workspace's own arena) plus the float32 staging pair and
+	// the Ŵ-cache arena, so units allocate nothing.
 	ws.ensureRing(ring)
 	for s := 0; s < ring; s++ {
 		slot := &ws.ring[s]
-		slot.ensureBuckets(ws.z, ws.elems)
-		if half {
-			// Staging IS the decoded mirror; the Half views carry only the
-			// per-group shape (units index through it).
-			slot.xTH = tensor.Half{Shape: pg.XShape()}
-			slot.dyTH = tensor.Half{Shape: pg.DYShape()}
-			growF32(&slot.xDec, xRows*icg)
-			growF32(&slot.dyDec, dyRows*ocg)
+		if s == 0 {
+			slot.buckets = ws.buckets
 		} else {
-			slot.xT = tensor.Float32{Shape: pg.XShape(), Data: growF32(&slot.x32, xRows*icg)}
-			slot.dyT = tensor.Float32{Shape: pg.DYShape(), Data: growF32(&slot.dy32, dyRows*ocg)}
+			slot.ensureBuckets(ws.z, ws.elems)
 		}
+		growF32(&slot.x, xRows*icg)
+		growF32(&slot.dy, dyRows*ocg)
 		growF32(&slot.what32, whatElems)
 	}
 
@@ -366,13 +305,11 @@ func runGroupedInterleaved(cfg *Config, ws *Workspace, x32, dy32 *tensor.Float32
 	}
 
 	ws.gjob = groupJob{
-		cfg: cfg, gcfg: gcfg, ws: ws,
-		x32: x32, dy32: dy32, x16: x16, dy16: dy16,
+		run: execJob{cfg: gcfg, ws: ws, rows: ops.rows, st: st, traceOn: obs.TraceEnabled()},
+		cfg: cfg, x: ops.x, dy: ops.dy,
 		dst: dst, cancel: cancel,
-		half: half, traceOn: traceOn,
-		ring: ring, perGroup: perGroup,
-		fillRows: fillRows, execUnits: execUnits,
-		slabElems: pg.DWShape().Elems(),
+		ring: ring, perGroup: perGroup, fillRows: fillRows,
+		slabElems: gcfg.Params.DWShape().Elems(),
 		xRows:     xRows, dyRows: dyRows,
 	}
 	total := g * perGroup

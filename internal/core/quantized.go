@@ -7,7 +7,6 @@ import (
 	"winrs/internal/conv"
 	"winrs/internal/fp8"
 	"winrs/internal/tensor"
-	"winrs/internal/winograd"
 )
 
 // Quantizer models a reduced-precision storage format in the value domain:
@@ -20,7 +19,10 @@ import (
 type Quantizer struct {
 	// Name labels the format in reports.
 	Name string
-	// Round quantizes one value (must be idempotent).
+	// Round quantizes one value. It must be idempotent, work element by
+	// element and map 0 to +0: the execution rounds X and ∇Y once per
+	// call rather than per gathered tile, which is only equivalent under
+	// those properties (clipped padding stays an exact zero).
 	Round func(float32) float32
 	// RoundSlice, when set, quantizes a whole slice in place and must be
 	// bit-identical to Round per element. The execution path uses it to
@@ -69,43 +71,18 @@ func QuantInt8(absmax float32) Quantizer {
 // ExecuteQuantized runs the configured plan with the given storage format.
 // x and dy are float32 tensors whose values are quantized on load (a
 // pre-quantized tensor passes through unchanged because Round is
-// idempotent). The result is FP32, like the FP16 path. Grouped plans run
-// the per-group plan over each group's channel slice, reducing into the
-// group's contiguous ∇W slab.
+// idempotent). The result is FP32, like the FP16 path. It runs the same
+// pipeline as Execute — Ŵ cache, EWM kernel tier, pooled units, grouped
+// dispatch — with the format's storage policy: X and ∇Y are copied and
+// rounded once per call into the workspace mirrors, and every stored
+// panel is rounded in place.
 func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
-	p := cfg.Params
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		panic("core: ExecuteQuantized operand shape mismatch")
-	}
+	ops := planar(cfg.Params, x.Shape, dy.Shape, operand{f32: x.Data}, operand{f32: dy.Data}, "ExecuteQuantized")
 	if q.Round == nil {
 		panic("core: ExecuteQuantized requires a Round function")
 	}
-	if cfg.group == nil {
-		return quantizedPass(cfg, x, dy, q, nil)
-	}
-	pg := cfg.group.Params
-	icg, ocg := p.ICG(), p.OCG()
-	xRows := p.N * p.IH * p.IW
-	dyRows := p.N * p.OH() * p.OW()
-	xg := tensor.NewFloat32(pg.XShape())
-	dyg := tensor.NewFloat32(pg.DYShape())
-	dst := tensor.NewFloat32(p.DWShape())
-	for gi := 0; gi < p.G(); gi++ {
-		sliceChannels(xg.Data, x.Data, xRows, p.IC, gi*icg, icg)
-		sliceChannels(dyg.Data, dy.Data, dyRows, p.OC, gi*ocg, ocg)
-		quantizedPass(cfg.group, xg, dyg, q, groupSlab(dst, pg.DWShape(), gi))
-	}
-	return dst
-}
-
-// quantizedPass executes an ungrouped plan in the given storage format,
-// reducing into dst (allocated when nil).
-func quantizedPass(cfg *Config, x, dy *tensor.Float32, q Quantizer, dst *tensor.Float32) *tensor.Float32 {
-	ws := NewWorkspace(cfg)
-	runUnitsFunc(cfg, func(si int, seg Segment, fh, j int) {
-		segmentTileQuantized(cfg.Params, seg, fh, j, x, dy, ws.buckets[si], q)
-	})
-	return reduceInto(cfg, ws.buckets, dst)
+	out, _ := execute(cfg, nil, ops, quantStorage(q), nil, nil)
+	return out
 }
 
 // BackwardFilterQuantized is the one-call quantized path.
@@ -115,84 +92,4 @@ func BackwardFilterQuantized(p conv.Params, x, dy *tensor.Float32, q Quantizer, 
 		return nil, err
 	}
 	return ExecuteQuantized(cfg, x, dy, q), nil
-}
-
-// segmentTileQuantized mirrors the FP16 unit for an arbitrary storage
-// format: gather → quantize → FP32 transform → quantize ("SMEM storage in
-// the format") → FP32-accumulated EWM → FP32 output transform.
-func segmentTileQuantized(p conv.Params, seg Segment, fh, j int,
-	x, dy *tensor.Float32, bucket []float32, q Quantizer) {
-	k := seg.K
-	tr := k.Transform()
-	bal := tr.Balanced()
-	gMat, dMat, aMat := bal.G, bal.D, bal.A
-	if q.UseScaling && tr.Alpha >= 16 {
-		sc := tr.Scaled()
-		gMat, dMat, aMat = sc.G, sc.D, sc.A
-	}
-	gPlan, dtPlan := winograd.PanelPlansFor(gMat, dMat)
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	wRaw := growF32(&s.wRaw, r*oc)
-	wHat := growF32(&s.wHatF, alpha*oc)
-	xRaw := growF32(&s.xRaw, alpha*ic)
-	xHat := growF32(&s.xHatF, alpha*ic)
-	colBase := j * n
-
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue // height-axis clipping
-		}
-		for ow0 := seg.Col0; ow0 < seg.Col1; ow0 += r {
-			for nb := 0; nb < p.N; nb++ {
-				// Gather the rows as raw float32, then quantize the whole
-				// panel in one bulk call — bit-identical to per-element
-				// rounding during the gather (Round is element-wise and
-				// Round(0) = 0 for every format, so the zero-filled clipped
-				// rows are unaffected).
-				for u := 0; u < r; u++ {
-					base := dy.Shape.Index(nb, oh, ow0+u, 0)
-					copy(wRaw[u*oc:(u+1)*oc], dy.Data[base:base+oc])
-				}
-				quantizeSlice(wRaw, q)
-				gPlan.MulPanel(wRaw, wHat, r, oc)
-				quantizeSlice(wHat, q)
-				for u := 0; u < alpha; u++ {
-					iw := ow0 + colBase + u - p.PW
-					dst := xRaw[u*ic : (u+1)*ic]
-					if iw < 0 || iw >= p.IW {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					base := x.Shape.Index(nb, ih, iw, 0)
-					copy(dst, x.Data[base:base+ic])
-				}
-				quantizeSlice(xRaw, q)
-				dtPlan.MulPanel(xRaw, xHat, alpha, ic)
-				quantizeSlice(xHat, q)
-				ewmPanels(v, wHat, xHat, alpha, oc, ic)
-			}
-		}
-	}
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
-}
-
-// quantizeSlice rounds vs in place, preferring the format's bulk kernel.
-// INT8 (and any caller-supplied Quantizer without a bulk kernel) takes
-// the per-element fallback.
-func quantizeSlice(vs []float32, q Quantizer) {
-	if q.RoundSlice != nil {
-		q.RoundSlice(vs)
-		return
-	}
-	for i, v := range vs {
-		vs[i] = q.Round(v)
-	}
 }

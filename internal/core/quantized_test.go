@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"winrs/internal/conv"
 	"winrs/internal/tensor"
+	"winrs/internal/winograd"
 )
 
 func quantLayer() conv.Params {
@@ -230,5 +232,159 @@ func TestQuantizedBulkMatchesScalarFallback(t *testing.T) {
 					q.Name, i, got.Data[i], want.Data[i])
 			}
 		}
+	}
+}
+
+// segmentTileQuantizedRef is the per-unit quantized kernel the shared unit
+// kernel replaced, kept as the bitwise reference: it mirrors the FP16 unit
+// for an arbitrary storage format: gather → quantize → FP32 transform →
+// quantize ("SMEM storage in the format") → FP32-accumulated EWM → FP32
+// output transform, recomputing every Ŵ panel per unit.
+func segmentTileQuantizedRef(p conv.Params, seg Segment, fh, j int,
+	x, dy *tensor.Float32, bucket []float32, q Quantizer) {
+	k := seg.K
+	tr := k.Transform()
+	bal := tr.Balanced()
+	gMat, dMat, aMat := bal.G, bal.D, bal.A
+	if q.UseScaling && tr.Alpha >= 16 {
+		sc := tr.Scaled()
+		gMat, dMat, aMat = sc.G, sc.D, sc.A
+	}
+	gPlan, dtPlan := winograd.PanelPlansFor(gMat, dMat)
+	n, r, alpha := tr.N, tr.R, tr.Alpha
+	oc, ic := p.OC, p.IC
+
+	s := getTileScratch()
+	defer putTileScratch(s)
+	v := growF32Zero(&s.v, alpha*oc*ic)
+	wRaw := growF32(&s.wRaw, r*oc)
+	wHat := growF32(&s.wHatF, alpha*oc)
+	xRaw := growF32(&s.xRaw, alpha*ic)
+	xHat := growF32(&s.xHatF, alpha*ic)
+	colBase := j * n
+
+	for oh := seg.Row0; oh < seg.Row1; oh++ {
+		ih := oh + fh - p.PH
+		if ih < 0 || ih >= p.IH {
+			continue // height-axis clipping
+		}
+		for ow0 := seg.Col0; ow0 < seg.Col1; ow0 += r {
+			for nb := 0; nb < p.N; nb++ {
+				// Gather the rows as raw float32, then quantize the whole
+				// panel in one bulk call — bit-identical to per-element
+				// rounding during the gather (Round is element-wise and
+				// Round(0) = 0 for every format, so the zero-filled clipped
+				// rows are unaffected).
+				for u := 0; u < r; u++ {
+					base := dy.Shape.Index(nb, oh, ow0+u, 0)
+					copy(wRaw[u*oc:(u+1)*oc], dy.Data[base:base+oc])
+				}
+				quantizeSlice(wRaw, q)
+				gPlan.MulPanel(wRaw, wHat, r, oc)
+				quantizeSlice(wHat, q)
+				for u := 0; u < alpha; u++ {
+					iw := ow0 + colBase + u - p.PW
+					dst := xRaw[u*ic : (u+1)*ic]
+					if iw < 0 || iw >= p.IW {
+						for i := range dst {
+							dst[i] = 0
+						}
+						continue
+					}
+					base := x.Shape.Index(nb, ih, iw, 0)
+					copy(dst, x.Data[base:base+ic])
+				}
+				quantizeSlice(xRaw, q)
+				dtPlan.MulPanel(xRaw, xHat, alpha, ic)
+				quantizeSlice(xHat, q)
+				ewmPanels(v, wHat, xHat, alpha, oc, ic)
+			}
+		}
+	}
+	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
+}
+
+// quantizeSlice rounds vs in place, preferring the format's bulk kernel.
+// INT8 (and any caller-supplied Quantizer without a bulk kernel) takes
+// the per-element fallback.
+func quantizeSlice(vs []float32, q Quantizer) {
+	if q.RoundSlice != nil {
+		q.RoundSlice(vs)
+		return
+	}
+	for i, v := range vs {
+		vs[i] = q.Round(v)
+	}
+}
+
+// executeQuantizedRef runs a plan serially through the reference unit
+// kernel: one fresh bucket set per (group) pass, every unit in schedule
+// order, the same Kahan reduction; grouped plans run the per-group plan
+// over channel slices into the group's ∇W slab.
+func executeQuantizedRef(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
+	pass := func(cfg *Config, x, dy, dst *tensor.Float32) *tensor.Float32 {
+		ws := NewWorkspace(cfg)
+		for si, seg := range cfg.Segments {
+			for fh := 0; fh < cfg.Params.FH; fh++ {
+				for j := 0; j < cfg.Params.FW/seg.K.N; j++ {
+					segmentTileQuantizedRef(cfg.Params, seg, fh, j, x, dy, ws.buckets[si], q)
+				}
+			}
+		}
+		return reduceInto(cfg, ws.buckets, dst)
+	}
+	gcfg := cfg.GroupConfig()
+	if gcfg == nil {
+		return pass(cfg, x, dy, nil)
+	}
+	p, pg := cfg.Params, gcfg.Params
+	xg, dyg := tensor.NewFloat32(pg.XShape()), tensor.NewFloat32(pg.DYShape())
+	dst := tensor.NewFloat32(p.DWShape())
+	for gi := 0; gi < p.G(); gi++ {
+		sliceChannels(xg.Data, x.Data, p.N*p.IH*p.IW, p.IC, gi*p.ICG(), p.ICG())
+		sliceChannels(dyg.Data, dy.Data, p.N*p.OH()*p.OW(), p.OC, gi*p.OCG(), p.OCG())
+		pass(gcfg, xg, dyg, groupSlab(dst, pg.DWShape(), gi))
+	}
+	return dst
+}
+
+// ExecuteQuantized runs the shared pipeline (Ŵ cache, EWM tier, pooled
+// units, grouped dispatch, operands rounded once per call) and must equal
+// the per-unit reference kernel bit for bit: every format — including the
+// per-element fallback (identity, INT8) and the degenerate all-zero INT8
+// grid — ungrouped, α = 16 and grouped shapes, default and forced
+// segmentations, pool widths 1 and 4.
+func TestQuantizedMatchesRef(t *testing.T) {
+	shapes := []conv.Params{
+		quantLayer(),
+		{N: 1, IH: 24, IW: 24, FH: 9, FW: 9, IC: 2, OC: 2, PH: 4, PW: 4},
+		{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 2},
+		{N: 2, IH: 12, IW: 10, FH: 3, FW: 3, IC: 4, OC: 8, PH: 1, PW: 1, Groups: 4},
+	}
+	quantizers := []Quantizer{
+		{Name: "ident", Round: func(v float32) float32 { return v }},
+		QuantBF16, QuantFP8E4M3, QuantFP8E5M2, QuantInt8(4), QuantInt8(0),
+	}
+	for _, width := range []int{1, 4} {
+		withTestPool(t, width, func() {
+			forceGroupWidth(t, width)
+			for _, p := range shapes {
+				x, dy, _ := quantOperands(t, p, 9)
+				for _, z := range []int{0, 3} {
+					opts := []Option{}
+					if z > 0 {
+						opts = append(opts, WithSegments(z))
+					}
+					cfg, err := Configure(p, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, q := range quantizers {
+						name := fmt.Sprintf("%v z=%d width=%d %s", p, z, width, q.Name)
+						equalBits(t, name, ExecuteQuantized(cfg, x, dy, q).Data, executeQuantizedRef(cfg, x, dy, q).Data)
+					}
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"winrs/internal/fp16"
 	"winrs/internal/kahan"
 	"winrs/internal/obs"
 	"winrs/internal/sched"
@@ -34,27 +33,31 @@ type Workspace struct {
 	whatOff []int
 	rowOff  []int
 
-	// Ŵ cache arena, grown lazily and shared by both precisions (one
-	// workspace may serve both ExecuteIn and ExecuteHalfIn): the FP16 path
-	// stores its binary16-rounded panels here as float32 values.
+	// Ŵ cache arena, grown lazily and shared by every storage policy (one
+	// workspace may serve ExecuteIn and ExecuteHalfIn alike): rounded
+	// policies store their rounded panels here as float32 values.
 	what32 []float32
 
-	// Decoded mirrors of the binary16 inputs: X and ∇Y bulk-decode once
-	// per FP16 execution, so units never decode per use. Grown lazily.
-	xDec, dyDec []float32
+	// Float32 operand mirrors, grown lazily: X and ∇Y decoded once per
+	// FP16 execution, or copied and rounded once per quantized one, so
+	// units never decode or round operands per use. FP32 executions read
+	// the caller's tensors directly.
+	xMirror, dyMirror []float32
+
+	// Per-segment transforms under the current call's storage policy.
+	plans []unitPlan
 
 	// Grouped dispatch state (groupedinterleave.go): the bounded ring of
 	// in-flight per-group slots — each holding its own buckets, staging
-	// slabs and Ŵ cache so groups execute concurrently — and the per-group
-	// phase ledger. Grown lazily on the first grouped execution, then
-	// reused. Empty for ungrouped plans.
+	// operands and Ŵ cache so groups execute concurrently — and the
+	// per-group phase ledger. Grown lazily on the first grouped execution,
+	// then reused. Empty for ungrouped plans.
 	ring   []groupSlot
 	gphase []groupPhase
 
 	// Reusable pool tasks: rewritten per call so the steady-state dispatch
 	// passes a pointer-to-field as sched.Task without boxing allocations.
 	job  execJob
-	fill fillJob
 	gjob groupJob
 }
 
@@ -62,19 +65,11 @@ type Workspace struct {
 // per-group arena (Z buckets, staging operands, Ŵ cache) of one in-flight
 // group. Groups map to slots round-robin (gi mod ring); the prep unit of a
 // group re-zeroes the buckets after the previous occupant's reduce retires
-// the slot.
+// the slot. Slot 0 runs on the workspace's own bucket arena.
 type groupSlot struct {
-	x32, dy32   []float32 // FP32 staging (xT/dyT views alias these)
-	xDec, dyDec []float32 // FP16 staging, decoded
-	what32      []float32
-	buckets     [][]float32
-
-	// Pre-bound operand views handed to the fill/tile helpers, so per-unit
-	// dispatch allocates nothing. The Float32 views alias the FP32 staging;
-	// the Half views carry only the per-group shape (FP16 units index the
-	// decoded staging through it).
-	xT, dyT   tensor.Float32
-	xTH, dyTH tensor.Half
+	x, dy   []float32 // the group's float32 operand staging (see operand.stage)
+	what32  []float32
+	buckets [][]float32
 }
 
 // ensureBuckets sizes the slot's bucket set to z buckets of elems each.
@@ -100,9 +95,9 @@ func (ws *Workspace) ensureRing(n int) {
 }
 
 // NewWorkspace allocates the bucket arena for cfg and binds its schedule
-// tables. For a grouped plan the geometry is ONE group's ∇W slab: the
-// grouped dispatch sizes each ring slot's buckets from it (see
-// Config.WorkspaceBytes).
+// tables. For a grouped plan the geometry is ONE group's ∇W slab: ring
+// slot 0 of the grouped dispatch runs on this arena and further slots
+// size theirs from it (see Config.WorkspaceBytes).
 func NewWorkspace(cfg *Config) *Workspace {
 	e := cfg.exec()
 	elems := e.Params.DWShape().Elems()
@@ -147,18 +142,19 @@ func (ws *Workspace) Fits(cfg *Config) bool {
 }
 
 // Bytes returns the arena footprint: buckets plus whatever Ŵ-cache and
-// decoded-operand arenas the executed precisions have materialized, plus
-// the grouped-dispatch ring slots when grouped executions grew them. The
-// cache stays within the analytic bound documented on
-// Config.WHatCacheBytes.
+// operand-mirror arenas the executed storage policies have materialized,
+// plus the grouped-dispatch ring slots when grouped executions grew them
+// (slot 0 shares the bucket arena, so it is counted once). The cache
+// stays within the analytic bound documented on Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
 	b := int64(ws.z)*int64(ws.elems)*4 +
-		int64(cap(ws.what32))*4 +
-		int64(cap(ws.xDec))*4 + int64(cap(ws.dyDec))*4
+		int64(cap(ws.what32)+cap(ws.xMirror)+cap(ws.dyMirror))*4
 	for i := range ws.ring {
 		s := &ws.ring[i]
-		b += int64(len(s.buckets)) * int64(ws.elems) * 4
-		b += int64(cap(s.x32)+cap(s.dy32)+cap(s.xDec)+cap(s.dyDec)+cap(s.what32)) * 4
+		if i > 0 {
+			b += int64(len(s.buckets)) * int64(ws.elems) * 4
+		}
+		b += int64(cap(s.x)+cap(s.dy)+cap(s.what32)) * 4
 	}
 	return b
 }
@@ -202,63 +198,21 @@ func reduceInto(cfg *Config, buckets [][]float32, dst *tensor.Float32) *tensor.F
 	return dst
 }
 
-// fillWHat runs the Ŵ-cache pre-pass over all global segment rows on the
-// shared pool, recording it as the what_transform stage when tracing.
-func fillWHat(ws *Workspace, traceOn bool, cancel *sched.Batch) {
-	total := ws.rowOff[len(ws.rowOff)-1]
-	if !traceOn {
-		execPool().RunBatch(total, 0, &ws.fill, cancel)
-		return
-	}
-	t0 := time.Now()
-	execPool().RunBatch(total, 0, &ws.fill, cancel)
-	obs.RecordStage(obs.StageWHat, time.Since(t0))
-}
-
 // ExecuteIn runs the configured FP32 plan with caller-provided scratch: ws
 // supplies the buckets and Ŵ cache (nil allocates fresh) and dst receives
 // the gradient (nil allocates fresh). With both provided, the steady-state
 // execution allocates nothing — the serving runtime's zero-allocation hot
 // path: the pre-pass and the unit grid both schedule onto the persistent
-// sched pool through tasks embedded in the workspace.
+// sched pool through the task embedded in the workspace.
 //
 // When obs.TraceEnabled, the pre-pass records the what_transform stage,
 // every fused unit records segment-tile plus sampled transform and EWM
 // durations, and the reduction records the reduce stage; the disabled path
 // costs one atomic load per call.
 func ExecuteIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) *tensor.Float32 {
-	out, _ := executeIn(cfg, ws, x, dy, dst, nil)
+	out, _ := execute(cfg, ws, planar(cfg.Params, x.Shape, dy.Shape,
+		operand{f32: x.Data}, operand{f32: dy.Data}, "Execute"), fp32Storage, dst, nil)
 	return out
-}
-
-// executeIn is ExecuteIn with an optional cancel handle (nil = never
-// cancelled, the exact pre-cancellation code path). It reports ok=false
-// when cancellation stopped the run; the workspace is then quiescent — no
-// pool participant still touches it — but its buckets hold partial sums,
-// and no result is produced.
-func executeIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32, cancel *sched.Batch) (out *tensor.Float32, ok bool) {
-	p := cfg.Params
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		panic("core: Execute operand shape mismatch")
-	}
-	if cfg.group != nil {
-		return executeGroupedIn(cfg, ws, x, dy, nil, nil, dst, cancel)
-	}
-	ws = ensureWorkspace(cfg, ws)
-	traceOn := obs.TraceEnabled()
-
-	growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
-	ws.fill = fillJob{cfg: cfg, ws: ws, dy32: dy}
-	fillWHat(ws, traceOn, cancel)
-
-	ws.job = execJob{cfg: cfg, ws: ws, x32: x, traceOn: traceOn}
-	execPool().RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
-	ws.job = execJob{}
-	ws.fill = fillJob{}
-	if cancel.Cancelled() {
-		return nil, false
-	}
-	return reduceTraced(cfg, ws.buckets, dst, traceOn), true
 }
 
 // ExecuteHalfIn is ExecuteIn for the emulated FP16 Tensor-Core path.
@@ -266,38 +220,56 @@ func executeIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32, cancel *s
 // type serves both precisions; the Ŵ cache holds binary16-rounded values
 // in float32 form here.
 func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32) *tensor.Float32 {
-	out, _ := executeHalfIn(cfg, ws, x, dy, dst, nil)
+	out, _ := execute(cfg, ws, planar(cfg.Params, x.Shape, dy.Shape,
+		operand{f16: x.Data}, operand{f16: dy.Data}, "ExecuteHalf"), halfStorage, dst, nil)
 	return out
 }
 
-// executeHalfIn is executeIn for the FP16 path.
-func executeHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) (out *tensor.Float32, ok bool) {
-	p := cfg.Params
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		panic("core: ExecuteHalf operand shape mismatch")
-	}
+// execute is the one execution path behind every BFC entry point — FP32, FP16,
+// quantized, grouped and 3-D: bring the operands into float32 form, fill
+// the Ŵ cache, run the unit grid, Kahan-reduce the buckets into dst
+// (allocated when nil). Grouped plans take the interleaved dispatch.
+// cancel may be nil (never cancelled). It reports ok=false when
+// cancellation stopped the run; the workspace is then quiescent — no pool
+// participant still touches it — but its buckets hold partial sums, and
+// no result is produced.
+func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	if cfg.group != nil {
-		return executeGroupedIn(cfg, ws, nil, nil, x, dy, dst, cancel)
+		return executeGroupedIn(cfg, ws, ops, st, dst, cancel)
 	}
 	ws = ensureWorkspace(cfg, ws)
+	ws.bindPlans(cfg, st)
 	traceOn := obs.TraceEnabled()
-
-	// The binary16 inputs bulk-decode once up front (exact, so every unit
-	// sees the same values a per-use decode would produce).
+	p := cfg.Params
 	growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
-	fp16.DecodeSlice(growF32(&ws.xDec, len(x.Data)), x.Data)
-	fp16.DecodeSlice(growF32(&ws.dyDec, len(dy.Data)), dy.Data)
-	ws.fill = fillJob{cfg: cfg, ws: ws, dy16: dy, half: true}
-	fillWHat(ws, traceOn, cancel)
-
-	ws.job = execJob{cfg: cfg, ws: ws, x16: x, half: true, traceOn: traceOn}
+	ws.job = execJob{cfg: cfg, ws: ws, rows: ops.rows, st: st, traceOn: traceOn, filling: true,
+		x:  ops.x.resident(&ws.xMirror, p.IC, st.round),
+		dy: ops.dy.resident(&ws.dyMirror, p.OC, st.round),
+	}
+	total := ws.rowOff[len(ws.rowOff)-1]
+	if !traceOn {
+		execPool().RunBatch(total, 0, &ws.job, cancel)
+	} else {
+		t0 := time.Now()
+		execPool().RunBatch(total, 0, &ws.job, cancel)
+		obs.RecordStage(obs.StageWHat, time.Since(t0))
+	}
+	ws.job.filling = false
 	execPool().RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
 	ws.job = execJob{}
-	ws.fill = fillJob{}
 	if cancel.Cancelled() {
 		return nil, false
 	}
 	return reduceTraced(cfg, ws.buckets, dst, traceOn), true
+}
+
+// bindPlans resolves every segment's transforms under the call's storage
+// policy, once per execution instead of per unit.
+func (ws *Workspace) bindPlans(cfg *Config, st storage) {
+	ws.plans = ws.plans[:0]
+	for _, seg := range cfg.Segments {
+		ws.plans = append(ws.plans, st.plan(seg.K))
+	}
 }
 
 // reduceTraced runs the Kahan reduction, recording the reduce stage when

@@ -90,24 +90,58 @@ func routerGeos(n int) []winrs.Params {
 	return geos
 }
 
-// TestRouterShardStickiness drives 12 distinct geometries, three requests
-// each, through a 2-node fleet: every response must be correct, every
-// geometry must stay on one shard, both shards must see traffic, and the
-// fleet must hold exactly 12 plans total.
+// TestRouterShardStickiness drives at least 12 distinct geometries, three
+// requests each, through a 2-node fleet: every response must be correct,
+// every geometry must stay on the shard the ring picks for its routing
+// hash, both shards must see traffic, and the fleet must hold exactly one
+// plan per geometry. The ring places nodes by their (random) listener
+// ports, so geometries are drawn from routerGeos until the ring maps at
+// least one to each node — a property of this run's ring, checked up
+// front, rather than luck.
 func TestRouterShardStickiness(t *testing.T) {
+	const minGeos, maxCandidates = 12, 64
 	f := newRouterFixture(t, 2)
-	geos := routerGeos(12)
-	shardOf := make([]string, len(geos))
-	for i, p := range geos {
+	type geo struct {
+		p     winrs.Params
+		x, dy *winrs.Tensor
+		body  []byte
+		node  string // the ring's pick for the frame's routing hash
+	}
+	var geos []geo
+	owners := map[string]bool{}
+	for i, p := range routerGeos(maxCandidates) {
+		if len(geos) >= minGeos && len(owners) == len(f.nodes) {
+			break
+		}
 		x, dy := randLayer(t, int64(500+i), p)
-		lib, err := winrs.BackwardFilter(p, x, dy)
+		body := frameF32(t, p, x, dy)
+		hdr, _, err := serve.DecodeRequest(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, ok := f.router.Ring().Pick(serve.RouteHash(hdr))
+		if !ok {
+			t.Fatal("ring has no nodes")
+		}
+		if len(geos) >= minGeos && owners[node] {
+			continue // only a geometry owned by an uncovered node helps now
+		}
+		geos = append(geos, geo{p, x, dy, body, node})
+		owners[node] = true
+	}
+	if len(owners) < len(f.nodes) {
+		t.Fatalf("%d candidate geometries never reached all %d nodes; the ring is not spreading", maxCandidates, len(f.nodes))
+	}
+
+	seen := map[string]bool{}
+	for i, g := range geos {
+		lib, err := winrs.BackwardFilter(g.p, g.x, g.dy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := serve.AppendF32(nil, lib.Data)
-		body := frameF32(t, p, x, dy)
 		for rep := 0; rep < 3; rep++ {
-			status, out, shard, err := postViaRouter(f.front.URL, body)
+			status, out, shard, err := postViaRouter(f.front.URL, g.body)
 			if err != nil {
 				t.Fatalf("geo %d rep %d: %v", i, rep, err)
 			}
@@ -117,23 +151,14 @@ func TestRouterShardStickiness(t *testing.T) {
 			if !bytes.Equal(out, want) {
 				t.Fatalf("geo %d rep %d: forwarded response differs from the library gradient", i, rep)
 			}
-			if shard == "" {
-				t.Fatalf("geo %d rep %d: missing X-Winrs-Shard header", i, rep)
+			if shard != g.node {
+				t.Fatalf("geo %d rep %d: X-Winrs-Shard %q, ring picks %q", i, rep, shard, g.node)
 			}
-			if rep == 0 {
-				shardOf[i] = shard
-			} else if shard != shardOf[i] {
-				t.Fatalf("geo %d moved shards: %q then %q", i, shardOf[i], shard)
-			}
+			seen[shard] = true
 		}
 	}
-
-	seen := map[string]bool{}
-	for _, s := range shardOf {
-		seen[s] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("all 12 geometries landed on one shard; the ring is not spreading")
+	if len(seen) < len(f.nodes) {
+		t.Errorf("traffic reached %d of %d shards", len(seen), len(f.nodes))
 	}
 
 	total := 0

@@ -53,6 +53,20 @@ func NewSymPlan(m *Mat) *SymPlan {
 	return sp
 }
 
+// NewSinglesPlan returns the pairing-free plan of m: every row is a single,
+// one chain in ascending column order with zero coefficients skipped, so
+// it is bit-identical to a plain row-by-column float32 product.
+func NewSinglesPlan(m *Mat) *SymPlan {
+	sp := &SymPlan{m: m, singles: make([]int, m.Rows)}
+	for i := range sp.singles {
+		sp.singles[i] = i
+	}
+	return sp
+}
+
+// Mat returns the matrix the plan evaluates.
+func (sp *SymPlan) Mat() *Mat { return sp.m }
+
 // rowsSymmetric reports whether rows i and j satisfy the Figure 8 pattern:
 // equal at even columns, opposite at odd columns, with at least one
 // non-zero element (all-zero pairs are pointless).
@@ -338,9 +352,14 @@ type panelPlans struct {
 	G, DT *SymPlan
 }
 
+type panelPlanKey struct {
+	g, d    *Mat
+	singles bool
+}
+
 var (
 	panelPlanCacheMu sync.Mutex
-	panelPlanCache   = map[[2]*Mat]*panelPlans{}
+	panelPlanCache   = map[panelPlanKey]*panelPlans{}
 )
 
 // PanelPlansFor returns cached shared-product plans for a (G, D) matrix
@@ -349,13 +368,22 @@ var (
 // read-only cached instances (plain, balanced or scaled transforms), whose
 // pointer identity keys the cache. Safe for concurrent use.
 func PanelPlansFor(g, d *Mat) (gPlan, dtPlan *SymPlan) {
-	key := [2]*Mat{g, d}
+	return panelPlansFor(panelPlanKey{g: g, d: d}, NewSymPlan)
+}
+
+// SinglesPanelPlansFor is PanelPlansFor with pairing-free plans (see
+// NewSinglesPlan), cached separately.
+func SinglesPanelPlansFor(g, d *Mat) (gPlan, dtPlan *SymPlan) {
+	return panelPlansFor(panelPlanKey{g: g, d: d, singles: true}, NewSinglesPlan)
+}
+
+func panelPlansFor(key panelPlanKey, build func(*Mat) *SymPlan) (gPlan, dtPlan *SymPlan) {
 	panelPlanCacheMu.Lock()
 	defer panelPlanCacheMu.Unlock()
 	if pp, ok := panelPlanCache[key]; ok {
 		return pp.G, pp.DT
 	}
-	pp := &panelPlans{G: NewSymPlan(g), DT: NewSymPlan(d.T())}
+	pp := &panelPlans{G: build(key.g), DT: build(key.d.T())}
 	panelPlanCache[key] = pp
 	return pp.G, pp.DT
 }
