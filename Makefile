@@ -6,7 +6,7 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 0.15
 FUZZTIME ?= 30s
 
-.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate grouped-smoke bench-smoke
+.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke router-smoke saturate grouped-smoke bench-smoke
 
 ci: vet build race
 
@@ -59,20 +59,17 @@ faults:
 	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestExecutorExecuteCtx|TestRunBatch' \
 		./internal/serve ./internal/core ./internal/sched
 
-# batch-smoke runs the micro-batching differential and topology suites
-# under the race detector: batched execution pinned bit-identical to
-# per-request, mixed-geometry isolation, the consistent-hash ring's
-# remapping bounds, and the in-process router (stickiness, live drain).
-# Batch-membership fault injection is named TestFaultBatch* and therefore
-# also rides the `faults` target.
-batch-smoke:
-	$(GO) test -race -count 1 -run 'TestBatch|TestRing|TestRoute|TestRouter' ./internal/serve
+# router-smoke runs the sharding topology suites under the race detector:
+# the consistent-hash ring's remapping bounds and the in-process router
+# (stickiness, live drain).
+router-smoke:
+	$(GO) test -race -count 1 -run 'TestRing|TestRoute|TestRouter' ./internal/serve
 
 # saturate is the multi-process load test: real winrs-serve ×2 and
 # winrs-router processes, mixed-geometry load, shard-stickiness and
-# zero-drop live-drain assertions, and an in-process batched-vs-unbatched
-# saturation comparison merged into /tmp/bench_saturate.json (override
-# with SATURATE_OUT; point it at the committed baseline to track rows).
+# zero-drop live-drain assertions, plus the in-process saturation row,
+# merged into /tmp/bench_saturate.json (override with SATURATE_OUT; point
+# it at the committed baseline to track rows).
 SATURATE_OUT ?= /tmp/bench_saturate.json
 saturate:
 	$(GO) run ./cmd/winrs-bench -saturate $(SATURATE_OUT)

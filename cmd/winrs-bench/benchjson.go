@@ -461,11 +461,11 @@ func runBenchCompare(oldPath, newPath string, threshold float64) error {
 		}
 	}
 
-	// Saturation diff (warn-only): serving throughput and batch occupancy
-	// depend on scheduler behavior and machine load in ways the calibrated
-	// compute grid does not, so a drop here is reviewer signal rather than
-	// a gate failure — except a drained scenario that dropped in-flight
-	// requests, which is a correctness property and does fail.
+	// Saturation diff (warn-only): serving throughput depends on scheduler
+	// behavior and machine load in ways the calibrated compute grid does
+	// not, so a drop here is reviewer signal rather than a gate failure —
+	// except a drained scenario that dropped in-flight requests, which is a
+	// correctness property and does fail.
 	oldSat := map[string]benchSaturation{}
 	for _, s := range oldRep.Saturation {
 		oldSat[s.Scenario] = s
@@ -484,10 +484,6 @@ func runBenchCompare(oldPath, newPath string, threshold float64) error {
 		if base.Throughput > 0 && ns.Throughput < base.Throughput*(1-threshold) {
 			fmt.Printf("  SATURATION WARN %s: throughput %.0f -> %.0f req/s (%+.1f%%; warning only)\n",
 				ns.Scenario, base.Throughput, ns.Throughput, (ns.Throughput/base.Throughput-1)*100)
-		}
-		if base.BatchOccupancyMean > 0 && ns.BatchOccupancyMean < base.BatchOccupancyMean*(1-threshold) {
-			fmt.Printf("  SATURATION WARN %s: batch occupancy %.2f -> %.2f members/batch (warning only)\n",
-				ns.Scenario, base.BatchOccupancyMean, ns.BatchOccupancyMean)
 		}
 	}
 

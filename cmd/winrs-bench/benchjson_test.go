@@ -139,15 +139,15 @@ func TestCompareSaturationRows(t *testing.T) {
 	base := writeReport(t, dir, "old.json", benchReport{
 		CalibrationNs: 100_000,
 		Saturation: []benchSaturation{
-			{Scenario: "inproc_batch", Throughput: 5000, BatchOccupancyMean: 4.0},
+			{Scenario: "inproc_batch", Throughput: 5000},
 		},
 	})
 
-	// A 50% throughput and occupancy collapse warns, never fails.
+	// A 50% throughput collapse warns, never fails.
 	slower := writeReport(t, dir, "slower.json", benchReport{
 		CalibrationNs: 100_000,
 		Saturation: []benchSaturation{
-			{Scenario: "inproc_batch", Throughput: 2500, BatchOccupancyMean: 2.0},
+			{Scenario: "inproc_batch", Throughput: 2500},
 		},
 	})
 	if err := runBenchCompare(base, slower, 0.15); err != nil {

@@ -58,7 +58,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (or 'all')")
 	list := flag.Bool("list", false, "list experiments")
 	jsonOut := flag.String("json", "", "write the regression-grid benchmark report to this file ('-' for stdout)")
-	saturate := flag.String("saturate", "", "measure in-process serving saturation (batched vs unbatched) and merge the rows into this bench report ('-' for stdout)")
+	saturate := flag.String("saturate", "", "measure in-process serving saturation and merge the \"inproc\" row into this bench report ('-' for stdout)")
 	compare := flag.Bool("compare", false, "compare two benchmark reports: -compare OLD.json NEW.json")
 	threshold := flag.Float64("threshold", 0.15, "relative regression tolerance for -compare")
 	matchProcs := flag.String("match-procs", "", "pin GOMAXPROCS to the value recorded in this baseline report before measuring (-json)")

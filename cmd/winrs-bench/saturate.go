@@ -1,11 +1,10 @@
 package main
 
-// -saturate drives an in-process serving stack to saturation, with and
-// without micro-batching, and records the scenarios as saturation rows in
-// a bench report. The load is deliberately plan-cache-friendly (a handful
-// of geometries, many clients) — the regime micro-batching exists for —
-// so the batched scenario's occupancy is a meaningful health signal:
-// compare mode warns when it collapses.
+// -saturate drives an in-process serving stack to saturation and records
+// the run as the "inproc" saturation row of a bench report. The load is
+// plan-cache-friendly (a handful of geometries, many clients), so the row
+// measures the per-request serving path — decode, dispatcher, pooled
+// execution, encode — rather than configuration adaptation.
 
 import (
 	"bytes"
@@ -106,7 +105,7 @@ func driveSaturation(scenario, url string, bodies [][]byte, clients, perClient i
 	}
 }
 
-// runSaturate measures the in-process scenarios and merges the rows into
+// runSaturate measures the in-process scenario and merges its row into
 // the report at path (keeping any existing results; creating the file
 // with a fresh calibration when absent).
 func runSaturate(path string) error {
@@ -120,38 +119,11 @@ func runSaturate(path string) error {
 	}
 	const perClient = 50
 
-	var rows []benchfmt.Saturation
-
-	// Baseline: per-request execution, no coalescer.
-	{
-		s := serve.NewServer(serve.Config{QueueDepth: 4 * clients})
-		ts := httptest.NewServer(s.Handler())
-		rows = append(rows, driveSaturation("inproc_nobatch", ts.URL, bodies, clients, perClient))
-		ts.Close()
-		s.Close()
-	}
-
-	// Batched: same load through the coalescer; occupancy and batched
-	// fraction come from the server's own counters.
-	{
-		s := serve.NewServer(serve.Config{
-			QueueDepth:  4 * clients,
-			BatchMax:    16,
-			BatchLinger: 500 * time.Microsecond,
-		})
-		ts := httptest.NewServer(s.Handler())
-		row := driveSaturation("inproc_batch", ts.URL, bodies, clients, perClient)
-		mean, count := s.Stats().BatchOccupancy.Mean()
-		if count > 0 {
-			row.BatchOccupancyMean = mean
-		}
-		if row.Requests > 0 {
-			row.BatchedFrac = float64(s.Stats().Batched.Load()) / float64(row.Requests)
-		}
-		rows = append(rows, row)
-		ts.Close()
-		s.Close()
-	}
+	s := serve.NewServer(serve.Config{QueueDepth: 4 * clients})
+	ts := httptest.NewServer(s.Handler())
+	row := driveSaturation("inproc", ts.URL, bodies, clients, perClient)
+	ts.Close()
+	s.Close()
 
 	rep, err := benchfmt.Read(path)
 	if err != nil {
@@ -167,12 +139,9 @@ func runSaturate(path string) error {
 			CalibrationNs: calibrationNs(),
 		}
 	}
-	rep.Saturation = mergeSaturation(rep.Saturation, rows)
-	for _, r := range rows {
-		fmt.Fprintf(os.Stderr,
-			"saturate: %-16s %6.0f req/s  p50 %6.2fms  p99 %6.2fms  occupancy %.2f  batched %.0f%%  failed %d\n",
-			r.Scenario, r.Throughput, r.P50Ms, r.P99Ms, r.BatchOccupancyMean, r.BatchedFrac*100, r.Failed)
-	}
+	rep.Saturation = mergeSaturation(rep.Saturation, []benchfmt.Saturation{row})
+	fmt.Fprintf(os.Stderr, "saturate: %s %6.0f req/s  p50 %6.2fms  p99 %6.2fms  failed %d\n",
+		row.Scenario, row.Throughput, row.P50Ms, row.P99Ms, row.Failed)
 	return rep.Write(path)
 }
 

@@ -9,7 +9,6 @@
 //	winrs-serve -algo auto                # cost-model dispatch by default
 //	winrs-serve -force-algo winrs         # pin the paper's algorithm
 //	winrs-serve -dispatch-measure=false   # prediction-only "auto"
-//	winrs-serve -batch-max 8 -batch-linger 500us  # coalesce same-geometry requests
 //
 // Endpoints: POST /v1/backward_filter, /v1/forward, /v1/backward_data
 // (framed request bodies, see internal/serve's wire format), GET /healthz
@@ -50,8 +49,6 @@ func main() {
 		algo     = flag.String("algo", "", `backward-filter algorithm when the request omits "algo": "" or "winrs" (default), "auto" for cost-model dispatch, or a backend name (gemm, direct, fft, winnf)`)
 		forceAlg = flag.String("force-algo", "", "override the algorithm of EVERY backward-filter request, including explicit headers (\"winrs\" disables dispatch entirely)")
 		measure  = flag.Bool("dispatch-measure", true, `refine "auto" dispatch with a bounded one-shot measurement of the top-2 predicted backends (once per plan-cache miss)`)
-		batchMax = flag.Int("batch-max", 0, "coalesce up to this many same-geometry backward-filter requests into one batched execution (<=1 disables micro-batching)")
-		linger   = flag.Duration("batch-linger", 0, "how long the first request of a batch waits for same-geometry company before executing (0 disables micro-batching)")
 	)
 	flag.Parse()
 	obs.EnableTrace(*enTrace)
@@ -65,8 +62,6 @@ func main() {
 		DefaultAlgo:        *algo,
 		ForceAlgo:          *forceAlg,
 		DispatchMeasureOff: !*measure,
-		BatchMax:           *batchMax,
-		BatchLinger:        *linger,
 	})
 	defer srv.Close()
 

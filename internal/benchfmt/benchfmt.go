@@ -91,12 +91,6 @@ type Saturation struct {
 	P50Ms       float64 `json:"p50_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 
-	// BatchOccupancyMean is the mean members-per-batch over the run (0
-	// when batching was off); BatchedFrac is the fraction of requests that
-	// shared a batch with at least one other.
-	BatchOccupancyMean float64 `json:"batch_occupancy_mean,omitempty"`
-	BatchedFrac        float64 `json:"batched_frac,omitempty"`
-
 	// Drained is set by scenarios that drain a node mid-run;
 	// FailedInFlight counts requests that were in flight across the drain
 	// and did not complete successfully — the acceptance criterion is 0.

@@ -17,7 +17,6 @@ func TestReportRoundTrip(t *testing.T) {
 		Saturation: []Saturation{{
 			Scenario: "inproc_batch", Nodes: 1, Clients: 8, Requests: 400,
 			Throughput: 5000, P50Ms: 1.5, P99Ms: 4.2,
-			BatchOccupancyMean: 3.3, BatchedFrac: 0.8,
 		}},
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")

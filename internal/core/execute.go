@@ -307,30 +307,37 @@ func fillRow(p conv.Params, seg Segment, oh int, pl unitPlan, round func([]float
 }
 
 // traceSampleEvery is the 1-in-N sampling stride of the intra-unit stage
-// timers: with tracing on, only every N-th (oh, ow0, nb) iteration is
-// timed and the sampled durations are scaled by the realized iteration/
-// sample ratio, so -trace no longer pays two time.Now() calls per inner
-// iteration — the overhead that used to perturb the very stage shares it
-// reports. Power of two so the sample test is a mask.
+// timers: with tracing on, only every N-th (oh, ow0, nb) iteration times
+// its transform and EWM spans, so -trace does not pay two time.Now()
+// calls per inner iteration — the overhead that used to perturb the very
+// stage shares it reports. Power of two so the sample test is a mask.
 const traceSampleEvery = 8
 
-// unitSampler implements the scaled 1-in-N stage timing of one fused
-// unit (see traceSampleEvery). The zero value is ready to use; all state
-// stays on the caller's stack.
+// unitSampler implements the stage timing of one fused unit. The whole
+// inner loop is timed once; the sampled iterations (see traceSampleEvery)
+// only split that span between transform and EWM. Scaling the sampled
+// spans up by the iteration/sample ratio instead multiplied the cold
+// first iteration and any stall inside a sample by up to N, so the two
+// stages could add up to more than the unit that encloses them. The zero
+// value is ready to use; all state stays on the caller's stack.
 type unitSampler struct {
-	iters, samples int
+	iters          int
 	transform, ewm time.Duration
-	t0             time.Time
+	start, t0      time.Time
 	sampling       bool
 }
 
 // begin starts one inner iteration, arming the timers on sampled ones.
+// The first iteration is always sampled and also starts the loop span.
 func (u *unitSampler) begin(ut *obs.UnitTimes) {
 	u.sampling = ut != nil && u.iters&(traceSampleEvery-1) == 0
-	u.iters++
 	if u.sampling {
 		u.t0 = time.Now()
+		if u.iters == 0 {
+			u.start = u.t0
+		}
 	}
+	u.iters++
 }
 
 // mark records the transform span of a sampled iteration and re-arms for
@@ -347,20 +354,20 @@ func (u *unitSampler) mark() {
 func (u *unitSampler) end() {
 	if u.sampling {
 		u.ewm += time.Since(u.t0)
-		u.samples++
 	}
 }
 
-// flush scales the sampled spans to the full iteration count and adds
-// them to ut.
+// flush splits the loop span between transform and EWM in the sampled
+// ratio and adds both shares to ut; they sum to the span exactly.
 func (u *unitSampler) flush(ut *obs.UnitTimes) {
-	if ut == nil || u.samples == 0 {
+	sampled := u.transform + u.ewm
+	if ut == nil || sampled <= 0 {
 		return
 	}
-	scale := int64(u.iters) / int64(u.samples)
-	rem := int64(u.iters) % int64(u.samples)
-	ut.Transform += time.Duration(int64(u.transform)*scale + int64(u.transform)*rem/int64(u.samples))
-	ut.EWM += time.Duration(int64(u.ewm)*scale + int64(u.ewm)*rem/int64(u.samples))
+	span := time.Since(u.start)
+	tr := time.Duration(float64(span) * float64(u.transform) / float64(sampled))
+	ut.Transform += tr
+	ut.EWM += span - tr
 }
 
 // segmentTile is the fused Ω_α(n,r) unit kernel of every precision and

@@ -89,8 +89,8 @@ func awaitHealthy(t *testing.T, url string) {
 	t.Fatalf("%s never became healthy", url)
 }
 
-// startFleet launches two batching shard nodes and the router fronting
-// them, all as real processes, and waits for every /healthz.
+// startFleet launches two shard nodes and the router fronting them, all
+// as real processes, and waits for every /healthz.
 func startFleet(t *testing.T) *fleet {
 	t.Helper()
 	dir := t.TempDir()
@@ -102,8 +102,7 @@ func startFleet(t *testing.T) *fleet {
 		url := fmt.Sprintf("http://127.0.0.1:%d", port)
 		cmd := exec.Command(serveBin,
 			"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-			"-workers", "2", "-queue", "256",
-			"-batch-max", "16", "-batch-linger", "500us")
+			"-workers", "2", "-queue", "256")
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)

@@ -283,82 +283,6 @@ func (h *Histogram) write(w io.Writer) {
 		float64(h.sumNS.Load())/1e9, h.quantiles)
 }
 
-// --- ValueHistogram ---
-
-// ValueHistogram is a histogram over plain float64 observations (batch
-// occupancies, queue lengths — anything that is a count rather than a
-// duration). Buckets are caller-supplied upper bounds; observations above
-// the last bound land in +Inf. Observe is lock-free.
-type ValueHistogram struct {
-	mid    metricID
-	labels []Label
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last = +Inf overflow
-	count  atomic.Uint64
-	sum    atomicFloat
-}
-
-// atomicFloat is a float64 accumulated via CAS on its bit pattern.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-// ValueHistogram registers (or returns the existing) value histogram with
-// the given ascending bucket upper bounds.
-func (r *Registry) ValueHistogram(name, help string, bounds []float64, labels ...Label) *ValueHistogram {
-	h := &ValueHistogram{
-		mid:    metricID{name, "histogram", help, renderLabels(labels)},
-		labels: labels,
-		bounds: bounds,
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
-	return r.register(h).(*ValueHistogram)
-}
-
-// Observe records one value.
-func (h *ValueHistogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-}
-
-// Mean returns the average observed value and the observation count.
-func (h *ValueHistogram) Mean() (mean float64, count uint64) {
-	n := h.count.Load()
-	if n == 0 {
-		return 0, 0
-	}
-	return h.sum.load() / float64(n), n
-}
-
-func (h *ValueHistogram) id() metricID { return h.mid }
-
-func (h *ValueHistogram) write(w io.Writer) {
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.mid.name,
-			renderLabels(append(append([]Label{}, h.labels...),
-				Label{"le", formatFloat(bound)})), cum)
-	}
-	total := cum + h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", h.mid.name,
-		renderLabels(append(append([]Label{}, h.labels...), Label{"le", "+Inf"})), total)
-	fmt.Fprintf(w, "%s_sum%s %s\n", h.mid.name, renderLabels(h.labels), formatFloat(h.sum.load()))
-	fmt.Fprintf(w, "%s_count%s %d\n", h.mid.name, renderLabels(h.labels), total)
-}
-
 // writeHistSamples renders one histogram series: sparse cumulative
 // le-buckets (empty leading/inner runs are skipped — the cumulative value
 // is unchanged there), +Inf, _sum, _count, and quantile lines.

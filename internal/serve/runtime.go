@@ -68,137 +68,69 @@ func (rt *Runtime) injectFault(ctx context.Context, key PlanKey) error {
 // assertions in tests).
 func (rt *Runtime) Borrowed() int64 { return rt.borrowed.Load() }
 
-// BackwardFilter computes ∇W via the cached plan for key. The result is
-// freshly allocated and owned by the caller; only the bucket workspace is
-// pooled. The boolean reports a plan-cache hit.
-func (rt *Runtime) BackwardFilter(key PlanKey, x, dy *tensor.Float32) (*tensor.Float32, bool, error) {
-	e, hit, err := rt.cache.Get(key)
-	if err != nil {
-		return nil, false, err
-	}
-	if e.Cfg == nil {
-		dw := tensor.NewFloat32(key.Params.DWShape())
-		if err := e.exec.ExecuteCtx(context.Background(), key.Params, x, dy, dw); err != nil {
-			return nil, false, err
-		}
-		return dw, hit, nil
-	}
-	ws := e.AcquireWorkspace()
-	defer e.ReleaseWorkspace(ws)
-	return core.ExecuteIn(e.Cfg, ws, x, dy, nil), hit, nil
-}
-
-// BackwardFilterPooled executes with workspace AND output pooled: use
-// receives the pooled gradient together with the plan entry and the
-// cache-hit flag, and the tensor is recycled as soon as use returns — so
-// use must serialize or copy it, not retain it. This is the daemon's
-// allocation-free hot path.
-func (rt *Runtime) BackwardFilterPooled(key PlanKey, x, dy *tensor.Float32,
-	use func(dw *tensor.Float32, e *Entry, hit bool) error) error {
-	return rt.BackwardFilterPooledCtx(context.Background(), key, x, dy, use)
-}
-
-// BackwardFilterPooledCtx is BackwardFilterPooled with cooperative
-// cancellation: a ctx deadline or cancel aborts the execution at the next
-// chunk claim (core.ExecuteInCtx) and returns ctx.Err(); the partial
-// result is discarded and the arenas are recycled. On a panic — from the
-// fault hook or compute itself — the borrowed arenas are dropped for the
-// GC instead of recycled (a sched helper could in principle still be
-// writing into a workspace abandoned mid-unwind; a dropped arena can
-// corrupt nothing) and the panic propagates to the dispatcher's recover.
+// BackwardFilterPooledCtx computes ∇W via the cached plan for key with
+// workspace AND output pooled: use receives the pooled gradient together
+// with the plan entry and the cache-hit flag, and the tensor is recycled
+// as soon as use returns — so use must serialize or copy it, not retain
+// it. This is the daemon's allocation-free hot path. A ctx deadline or
+// cancel aborts the execution at the next chunk claim (core.ExecuteInCtx)
+// and returns ctx.Err(); the partial result is discarded and the arenas
+// are recycled.
 func (rt *Runtime) BackwardFilterPooledCtx(ctx context.Context, key PlanKey, x, dy *tensor.Float32,
 	use func(dw *tensor.Float32, e *Entry, hit bool) error) error {
-	e, hit, err := rt.cache.Get(key)
-	if err != nil {
-		return err
-	}
-	if e.Cfg == nil {
-		return rt.backendPooled(ctx, key, e, hit, use, func(ctx context.Context, out *tensor.Float32) error {
-			return e.exec.ExecuteCtx(ctx, key.Params, x, dy, out)
-		})
-	}
-	ws := e.AcquireWorkspace()
-	out := e.acquireOut()
-	rt.borrowed.Add(1)
-	recycle := false
-	defer func() {
-		rt.borrowed.Add(-1)
-		if recycle {
-			e.ReleaseWorkspace(ws)
-			e.releaseOut(out)
+	return rt.pooled(ctx, key, use, func(ctx context.Context, e *Entry, ws *core.Workspace, out *tensor.Float32) (*tensor.Float32, error) {
+		if e.Cfg == nil {
+			return out, e.exec.ExecuteCtx(ctx, key.Params, x, dy, out)
 		}
-	}()
-	if err := rt.injectFault(ctx, key); err != nil {
-		recycle = true
-		return err
-	}
-	dw, err := core.ExecuteInCtx(ctx, e.Cfg, ws, x, dy, out)
-	recycle = true // execution finished or was fully drained: arenas are quiescent
-	if err != nil {
-		return err
-	}
-	return use(dw, e, hit)
-}
-
-// backendPooled drives a non-WinRS entry through the pooled lifecycle:
-// only the output tensor is pooled (the backends manage their own
-// scratch), the fault hook and borrow accounting apply exactly as on the
-// WinRS path, and a panic drops the output for the GC instead of
-// recycling it. Cancellation is boundary-checked by the backends — their
-// inner loops run to completion, mirroring forward/backward_data.
-func (rt *Runtime) backendPooled(ctx context.Context, key PlanKey, e *Entry, hit bool,
-	use func(dw *tensor.Float32, e *Entry, hit bool) error,
-	exec func(ctx context.Context, out *tensor.Float32) error) error {
-	out := e.acquireOut()
-	rt.borrowed.Add(1)
-	recycle := false
-	defer func() {
-		rt.borrowed.Add(-1)
-		if recycle {
-			e.releaseOut(out)
-		}
-	}()
-	if err := rt.injectFault(ctx, key); err != nil {
-		recycle = true
-		return err
-	}
-	err := exec(ctx, out)
-	recycle = true // backends return only after their parallel stages drain
-	if err != nil {
-		return err
-	}
-	return use(out, e, hit)
-}
-
-// BackwardFilterHalfPooled is BackwardFilterPooled for binary16 operands
-// (the Tensor-Core path). key.FP16 must be set so the plan restricts
-// kernel selection accordingly; the pooled result stays FP32.
-func (rt *Runtime) BackwardFilterHalfPooled(key PlanKey, x, dy *tensor.Half,
-	use func(dw *tensor.Float32, e *Entry, hit bool) error) error {
-	return rt.BackwardFilterHalfPooledCtx(context.Background(), key, x, dy, use)
+		return core.ExecuteInCtx(ctx, e.Cfg, ws, x, dy, out)
+	})
 }
 
 // BackwardFilterHalfPooledCtx is BackwardFilterPooledCtx for binary16
-// operands.
+// operands (the Tensor-Core path). key.FP16 must be set so the plan
+// restricts kernel selection accordingly; the pooled result stays FP32.
 func (rt *Runtime) BackwardFilterHalfPooledCtx(ctx context.Context, key PlanKey, x, dy *tensor.Half,
 	use func(dw *tensor.Float32, e *Entry, hit bool) error) error {
+	return rt.pooled(ctx, key, use, func(ctx context.Context, e *Entry, ws *core.Workspace, out *tensor.Float32) (*tensor.Float32, error) {
+		if e.Cfg == nil {
+			return out, e.exec.ExecuteHalfCtx(ctx, key.Params, x, dy, out)
+		}
+		return core.ExecuteHalfInCtx(ctx, e.Cfg, ws, x, dy, out)
+	})
+}
+
+// pooled is the one execution lifecycle behind both entry points: resolve
+// the plan, borrow its arenas, run the fault hook, execute, recycle, then
+// hand the result to use. WinRS entries borrow a workspace and an output;
+// backend entries (Cfg nil) borrow only the output, because the backends
+// manage their own scratch and check cancellation at stage boundaries.
+//
+// exec returns only once its parallel stages have drained, so the arenas
+// are recycled on every normal return. On a panic — from the fault hook
+// or compute itself — they are dropped for the GC instead (a sched helper
+// could in principle still be writing into a workspace abandoned
+// mid-unwind; a dropped arena can corrupt nothing) and the panic
+// propagates to the dispatcher's recover.
+func (rt *Runtime) pooled(ctx context.Context, key PlanKey,
+	use func(dw *tensor.Float32, e *Entry, hit bool) error,
+	exec func(ctx context.Context, e *Entry, ws *core.Workspace, out *tensor.Float32) (*tensor.Float32, error)) error {
 	e, hit, err := rt.cache.Get(key)
 	if err != nil {
 		return err
 	}
-	if e.Cfg == nil {
-		return rt.backendPooled(ctx, key, e, hit, use, func(ctx context.Context, out *tensor.Float32) error {
-			return e.exec.ExecuteHalfCtx(ctx, key.Params, x, dy, out)
-		})
+	var ws *core.Workspace
+	if e.Cfg != nil {
+		ws = e.AcquireWorkspace()
 	}
-	ws := e.AcquireWorkspace()
 	out := e.acquireOut()
 	rt.borrowed.Add(1)
 	recycle := false
 	defer func() {
 		rt.borrowed.Add(-1)
 		if recycle {
-			e.ReleaseWorkspace(ws)
+			if ws != nil {
+				e.ReleaseWorkspace(ws)
+			}
 			e.releaseOut(out)
 		}
 	}()
@@ -206,8 +138,8 @@ func (rt *Runtime) BackwardFilterHalfPooledCtx(ctx context.Context, key PlanKey,
 		recycle = true
 		return err
 	}
-	dw, err := core.ExecuteHalfInCtx(ctx, e.Cfg, ws, x, dy, out)
-	recycle = true
+	dw, err := exec(ctx, e, ws, out)
+	recycle = true // execution finished or was fully drained: arenas are quiescent
 	if err != nil {
 		return err
 	}

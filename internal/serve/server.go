@@ -45,16 +45,6 @@ type Config struct {
 	// DispatchMeasureOff disables the one-shot measurement refinement of
 	// "auto" dispatch, leaving the cost-model prediction alone to decide.
 	DispatchMeasureOff bool
-	// BatchMax caps one coalesced batch's member count; together with a
-	// positive BatchLinger it enables cross-request micro-batching of
-	// backward-filter requests that share a plan-cache key. Values ≤ 1
-	// disable coalescing (the default: every request runs alone, exactly
-	// the pre-batching behavior).
-	BatchMax int
-	// BatchLinger is how long the first member of a batch waits for
-	// same-key company before the batch seals and executes. Zero disables
-	// coalescing.
-	BatchLinger time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -84,7 +74,6 @@ type Server struct {
 	cfg   Config
 	rt    *Runtime
 	disp  *Dispatcher
-	coal  *Coalescer // nil when micro-batching is disabled
 	reg   *obs.Registry
 	stats *Stats
 	start time.Time
@@ -111,10 +100,6 @@ func NewServer(cfg Config) *Server {
 		s.rt.cache.SetDispatchOptions(backend.Options{Measure: false})
 	}
 	s.stats = newStats(s.reg)
-	if cfg.BatchMax > 1 && cfg.BatchLinger > 0 {
-		s.coal = newCoalescer(s.disp, s.rt, cfg.BatchMax, cfg.BatchLinger, s.closing,
-			s.stats.Batches, s.stats.Batched, s.stats.BatchOccupancy)
-	}
 	s.reg.GaugeFunc("winrs_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reg.CounterFunc("winrs_plan_cache_hits_total", "Plan-cache hits.",
@@ -136,19 +121,12 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Runtime exposes the server's runtime (tests, embedding).
 func (s *Server) Runtime() *Runtime { return s.rt }
 
-// Stats exposes the server's serving counters (tests, embedding, the
-// saturation benchmark's occupancy readout).
-func (s *Server) Stats() *Stats { return s.stats }
-
 // Close drains the worker pool. In-flight computes are cancelled
 // cooperatively (they abort at the next chunk claim and their requests
 // answer 503), so the drain is bounded by one chunk's work rather than by
 // the slowest request; new submissions get 503.
 func (s *Server) Close() {
 	s.cancelClose()
-	if s.coal != nil {
-		s.coal.Close() // flush pending batches before the dispatcher drains
-	}
 	s.disp.Close()
 }
 
@@ -234,6 +212,14 @@ func (s *Server) serveOp(op Op, w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Zero already selects the adaptive Z and the default hardware model;
+	// a negative value would configure the same plan under a distinct
+	// cache key, so a client cycling them could evict every hot plan.
+	if hdr.Segments < 0 || hdr.NSM < 0 {
+		s.clientError(w, http.StatusBadRequest,
+			"segments (%d) and nsm (%d) must be non-negative", hdr.Segments, hdr.NSM)
+		return
+	}
 	key := PlanKey{Params: p, FP16: hdr.DType == F16, NSM: hdr.NSM, Segments: hdr.Segments, Algo: algo}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
@@ -249,18 +235,9 @@ func (s *Server) serveOp(op Op, w http.ResponseWriter, r *http.Request) {
 	// on deadline expiry, client disconnect or server shutdown.
 	rw := &commitTracker{ResponseWriter: w}
 	var jobErr error
-	if s.coal != nil && op == OpBackwardFilter {
-		// Coalesced path: the member executes inside its key's batch (one
-		// dispatcher slot, shared plan resolution and arenas) with the same
-		// blocking contract, so reading jobErr after Do stays race-free.
-		err = s.coal.Do(ctx, key, func(mctx context.Context, bx *BatchExec) {
-			jobErr = s.computeBatched(mctx, key, hdr.DType, aBytes, bBytes, rw, bx)
-		})
-	} else {
-		err = s.disp.Do(ctx, func(jctx context.Context) {
-			jobErr = s.compute(jctx, op, key, hdr.DType, aBytes, bBytes, rw)
-		})
-	}
+	err = s.disp.Do(ctx, func(jctx context.Context) {
+		jobErr = s.compute(jctx, op, key, hdr.DType, aBytes, bBytes, rw)
+	})
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		s.stats.Rejected.Add(1)
@@ -390,27 +367,16 @@ var (
 	f32OperandPool  = sync.Pool{New: func() any { return new([]float32) }}
 )
 
-// getHalfOperand shapes a pooled binary16 buffer into a tensor. Contents
-// are stale until the decode fills every element.
-func getHalfOperand(shape tensor.Shape) (*tensor.Half, *[]fp16.Bits) {
-	bp := halfOperandPool.Get().(*[]fp16.Bits)
+// getOperand takes a buffer from pool, sized to shape's element count.
+// Contents are stale until the decode fills every element.
+func getOperand[T any](pool *sync.Pool, shape tensor.Shape) *[]T {
+	bp := pool.Get().(*[]T)
 	if n := shape.Elems(); cap(*bp) < n {
-		*bp = make([]fp16.Bits, n)
+		*bp = make([]T, n)
 	} else {
 		*bp = (*bp)[:n]
 	}
-	return &tensor.Half{Shape: shape, Data: *bp}, bp
-}
-
-// getF32Operand is getHalfOperand for float32 operands.
-func getF32Operand(shape tensor.Shape) (*tensor.Float32, *[]float32) {
-	bp := f32OperandPool.Get().(*[]float32)
-	if n := shape.Elems(); cap(*bp) < n {
-		*bp = make([]float32, n)
-	} else {
-		*bp = (*bp)[:n]
-	}
-	return &tensor.Float32{Shape: shape, Data: *bp}, bp
+	return bp
 }
 
 // compute decodes the operands, executes the pass and, on success, writes
@@ -423,34 +389,36 @@ func (s *Server) compute(ctx context.Context, op Op, key PlanKey, dt DType, aByt
 	p := key.Params
 	switch op {
 	case OpBackwardFilter:
+		write := func(dw *tensor.Float32, e *Entry, hit bool) error {
+			s.stats.DispatchTo(e.Backend)
+			return writeResult(w, dw, e, hit)
+		}
 		if dt == F16 {
-			x, xb := getHalfOperand(p.XShape())
-			dy, dyb := getHalfOperand(p.DYShape())
-			err := DecodeF16(aBytes, x.Data)
+			xb := getOperand[fp16.Bits](&halfOperandPool, p.XShape())
+			dyb := getOperand[fp16.Bits](&halfOperandPool, p.DYShape())
+			err := DecodeF16(aBytes, *xb)
 			if err == nil {
-				err = DecodeF16(bBytes, dy.Data)
+				err = DecodeF16(bBytes, *dyb)
 			}
 			if err == nil {
-				err = s.rt.BackwardFilterHalfPooledCtx(ctx, key, x, dy, func(dw *tensor.Float32, e *Entry, hit bool) error {
-					s.stats.DispatchTo(e.Backend)
-					return writeResult(w, dw, e, hit)
-				})
+				err = s.rt.BackwardFilterHalfPooledCtx(ctx, key,
+					&tensor.Half{Shape: p.XShape(), Data: *xb},
+					&tensor.Half{Shape: p.DYShape(), Data: *dyb}, write)
 			}
 			halfOperandPool.Put(xb)
 			halfOperandPool.Put(dyb)
 			return err
 		}
-		x, xb := getF32Operand(p.XShape())
-		dy, dyb := getF32Operand(p.DYShape())
-		err := DecodeF32(aBytes, x.Data)
+		xb := getOperand[float32](&f32OperandPool, p.XShape())
+		dyb := getOperand[float32](&f32OperandPool, p.DYShape())
+		err := DecodeF32(aBytes, *xb)
 		if err == nil {
-			err = DecodeF32(bBytes, dy.Data)
+			err = DecodeF32(bBytes, *dyb)
 		}
 		if err == nil {
-			err = s.rt.BackwardFilterPooledCtx(ctx, key, x, dy, func(dw *tensor.Float32, e *Entry, hit bool) error {
-				s.stats.DispatchTo(e.Backend)
-				return writeResult(w, dw, e, hit)
-			})
+			err = s.rt.BackwardFilterPooledCtx(ctx, key,
+				&tensor.Float32{Shape: p.XShape(), Data: *xb},
+				&tensor.Float32{Shape: p.DYShape(), Data: *dyb}, write)
 		}
 		f32OperandPool.Put(xb)
 		f32OperandPool.Put(dyb)
@@ -489,48 +457,6 @@ func (s *Server) compute(ctx context.Context, op Op, key PlanKey, dt DType, aByt
 		return writeResult(w, dx, nil, false)
 	}
 	return fmt.Errorf("serve: invalid op %v", op)
-}
-
-// computeBatched is the backward-filter arm of compute for a coalesced
-// member: operands are decoded on the batch's worker and executed through
-// the batch's shared plan entry and arenas. Response bytes are produced by
-// the same writeResult the per-request path uses, so batched responses are
-// byte-for-byte identical to un-batched ones.
-func (s *Server) computeBatched(ctx context.Context, key PlanKey, dt DType,
-	aBytes, bBytes []byte, w http.ResponseWriter, bx *BatchExec) error {
-	p := key.Params
-	if dt == F16 {
-		x, xb := getHalfOperand(p.XShape())
-		dy, dyb := getHalfOperand(p.DYShape())
-		err := DecodeF16(aBytes, x.Data)
-		if err == nil {
-			err = DecodeF16(bBytes, dy.Data)
-		}
-		if err == nil {
-			err = bx.BackwardFilterHalf(ctx, x, dy, func(dw *tensor.Float32, e *Entry, hit bool) error {
-				s.stats.DispatchTo(e.Backend)
-				return writeResult(w, dw, e, hit)
-			})
-		}
-		halfOperandPool.Put(xb)
-		halfOperandPool.Put(dyb)
-		return err
-	}
-	x, xb := getF32Operand(p.XShape())
-	dy, dyb := getF32Operand(p.DYShape())
-	err := DecodeF32(aBytes, x.Data)
-	if err == nil {
-		err = DecodeF32(bBytes, dy.Data)
-	}
-	if err == nil {
-		err = bx.BackwardFilter(ctx, x, dy, func(dw *tensor.Float32, e *Entry, hit bool) error {
-			s.stats.DispatchTo(e.Backend)
-			return writeResult(w, dw, e, hit)
-		})
-	}
-	f32OperandPool.Put(xb)
-	f32OperandPool.Put(dyb)
-	return err
 }
 
 // writeResult sends t as raw little-endian float32 with metadata headers.

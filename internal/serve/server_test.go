@@ -37,24 +37,38 @@ func randLayer(t *testing.T, seed int64, p winrs.Params) (*winrs.Tensor, *winrs.
 	return x, dy
 }
 
-func postBackwardFilter(t *testing.T, url string, p winrs.Params, x, dy *winrs.Tensor) (*http.Response, []byte) {
+// frameF32 builds the framed FP32 backward-filter request body.
+func frameF32(t *testing.T, p winrs.Params, x, dy *winrs.Tensor) []byte {
 	t.Helper()
 	body, err := serve.EncodeRequest(serve.RequestHeader{Op: "backward_filter", Params: p},
 		serve.AppendF32(nil, x.Data), serve.AppendF32(nil, dy.Data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/backward_filter", "application/octet-stream",
-		bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	return body
+}
+
+func postBackwardFilter(t *testing.T, url string, p winrs.Params, x, dy *winrs.Tensor) (*http.Response, []byte) {
+	t.Helper()
+	resp, out, err := postFramed(url, frameF32(t, p, x, dy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// postFramed posts a framed backward-filter body and returns the response
+// with its body read. It reports failure as an error rather than through
+// t, so client goroutines can call it.
+func postFramed(url string, body []byte) (*http.Response, []byte, error) {
+	resp, err := http.Post(url+"/v1/backward_filter", "application/octet-stream",
+		bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	return resp, out, err
 }
 
 // The served gradient must be bit-for-bit identical to the library path,
@@ -195,7 +209,7 @@ func TestServeForwardAndBackwardData(t *testing.T) {
 }
 
 func TestServeBadRequests(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	p := winrs.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 1, OC: 1, PH: 1, PW: 1}
 	okA := make([]byte, p.XShape().Elems()*4)
 	okB := make([]byte, p.DYShape().Elems()*4)
@@ -241,6 +255,24 @@ func TestServeBadRequests(t *testing.T) {
 	body, _ = serve.EncodeRequest(serve.RequestHeader{Params: p, DType: "f64"}, okA, okB)
 	if code := post("/v1/backward_filter", body); code != http.StatusBadRequest {
 		t.Errorf("unknown dtype: status %d", code)
+	}
+	// Negative segment or SM counts: zero already selects the adaptive Z
+	// and the default hardware, so a negative value could only mint a
+	// duplicate plan-cache key for the same plan.
+	for _, hdr := range []serve.RequestHeader{
+		{Params: p, Segments: -1},
+		{Params: p, NSM: -7},
+	} {
+		body, _ = serve.EncodeRequest(hdr, okA, okB)
+		if code := post("/v1/backward_filter", body); code != http.StatusBadRequest {
+			t.Errorf("segments %d, nsm %d: status %d", hdr.Segments, hdr.NSM, code)
+		}
+	}
+	if n := s.Runtime().Cache().Len(); n != 0 {
+		t.Errorf("rejected requests left %d plans in the cache", n)
+	}
+	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, "winrs_client_errors_total 8\n") {
+		t.Errorf("winrs_client_errors_total does not count all 8 rejections:\n%s", m)
 	}
 }
 
@@ -293,28 +325,42 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// Load-style test: 8 concurrent clients over two shapes. Every response is
-// either a correct 200 (bit-for-bit against the library) or a retryable
-// rejection. Run with -race.
+// Load-style test: 8 concurrent clients over two FP32 shapes and one
+// binary16 shape. Every response is either a correct 200 (bit-for-bit
+// against the library) or a retryable rejection. Run with -race.
 func TestServeConcurrentClients(t *testing.T) {
 	s, ts := newTestServer(t)
-	shapes := []winrs.Params{
+	type layer struct {
+		p    winrs.Params
+		body []byte        // framed request
+		want *winrs.Tensor // library gradient
+	}
+	var layers []layer
+	for i, p := range []winrs.Params{
 		{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1},
 		{N: 2, IH: 12, IW: 14, FH: 5, FW: 5, IC: 2, OC: 3, PH: 2, PW: 2},
-	}
-	type layer struct {
-		x, dy *winrs.Tensor
-		want  *winrs.Tensor
-	}
-	layers := make([]layer, len(shapes))
-	for i, p := range shapes {
+	} {
 		x, dy := randLayer(t, int64(30+i), p)
 		want, err := winrs.BackwardFilter(p, x, dy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		layers[i] = layer{x, dy, want}
+		layers = append(layers, layer{p, frameF32(t, p, x, dy), want})
 	}
+	p := winrs.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1}
+	xf, dyf := randLayer(t, 32, p)
+	xh, dyh := xf.ToHalf(), dyf.ToHalf()
+	want, err := winrs.BackwardFilterHalf(p, xh, dyh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := serve.EncodeRequest(
+		serve.RequestHeader{Op: "backward_filter", Params: p, DType: serve.F16},
+		serve.AppendF16(nil, xh.Data), serve.AppendF16(nil, dyh.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers = append(layers, layer{p, body, want})
 
 	const clients = 8
 	const perClient = 6
@@ -326,12 +372,15 @@ func TestServeConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				p := shapes[(c+i)%len(shapes)]
-				l := layers[(c+i)%len(shapes)]
-				resp, out := postBackwardFilter(t, ts.URL, p, l.x, l.dy)
+				l := layers[(c+i)%len(layers)]
+				resp, out, err := postFramed(ts.URL, l.body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				switch resp.StatusCode {
 				case http.StatusOK:
-					got := make([]float32, p.DWShape().Elems())
+					got := make([]float32, l.p.DWShape().Elems())
 					if err := serve.DecodeF32(out, got); err != nil {
 						t.Error(err)
 						return
@@ -364,7 +413,7 @@ func TestServeConcurrentClients(t *testing.T) {
 		t.Fatalf("no request succeeded (%d rejected)", rejected)
 	}
 	// The plan cache must be doing its job under concurrency: 48 requests
-	// over 2 shapes leave at most a handful of misses.
+	// over 3 plan keys leave at most a handful of misses.
 	hits, misses := s.Runtime().Cache().Stats()
 	if hits == 0 {
 		t.Errorf("plan cache never hit (%d misses) across %d served requests", misses, ok)

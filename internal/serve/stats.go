@@ -28,14 +28,6 @@ type Stats struct {
 	// pre-registered so /metrics shows zeros before any dispatch.
 	Dispatch map[string]*obs.Counter
 
-	// Micro-batching series: Batches counts coalesced executions, Batched
-	// counts requests that rode a batch with two or more members, and
-	// BatchOccupancy distributes members-per-batch. All three stay zero
-	// when coalescing is disabled.
-	Batches        *obs.Counter
-	Batched        *obs.Counter
-	BatchOccupancy *obs.ValueHistogram
-
 	hist *obs.Histogram
 }
 
@@ -49,12 +41,6 @@ func newStats(reg *obs.Registry) *Stats {
 		Cancelled:  reg.Counter("winrs_cancelled_total", "Requests abandoned because the client disconnected."),
 		Panics:     reg.Counter("winrs_panics_total", "Compute panics recovered by the dispatcher (500)."),
 		WriteErr:   reg.Counter("winrs_write_errors_total", "Response writes that failed after the response was committed."),
-		Batches:    reg.Counter("winrs_batches_total", "Coalesced batch executions."),
-		Batched: reg.Counter("winrs_batched_total",
-			"Requests that executed inside a multi-member batch."),
-		BatchOccupancy: reg.ValueHistogram("winrs_batch_occupancy",
-			"Members per coalesced batch execution.",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
 		hist: reg.Histogram("winrs_request_latency_seconds",
 			"Completed request latency (queue + compute).",
 			[]float64{0.5, 0.9, 0.99}),
@@ -83,10 +69,4 @@ func (s *Stats) DispatchTo(name string) {
 func (s *Stats) Observe(op Op, d time.Duration) {
 	s.OK[op].Add(1)
 	s.hist.Observe(d)
-}
-
-// Latency returns the approximate q-quantile (0 < q < 1) of completed
-// request latency, in seconds, and the number of observations.
-func (s *Stats) Latency(q float64) (seconds float64, count uint64) {
-	return s.hist.Quantile(q)
 }

@@ -146,9 +146,6 @@ func (pl *Plan) KernelPair() string { return pl.cfg.Pair.String() }
 // steady-state calls do not re-allocate it; concurrent calls are safe and
 // each borrow their own arena.
 func (pl *Plan) Execute(x, dy *Tensor) *Tensor {
-	if pl.entry == nil {
-		return core.Execute(pl.cfg, x, dy)
-	}
 	ws := pl.entry.AcquireWorkspace()
 	defer pl.entry.ReleaseWorkspace(ws)
 	return core.ExecuteIn(pl.cfg, ws, x, dy, nil)
@@ -159,9 +156,6 @@ func (pl *Plan) Execute(x, dy *Tensor) *Tensor {
 // paper's accuracy design). Like Execute, it reuses the plan's pooled
 // workspace and is safe for concurrent use.
 func (pl *Plan) ExecuteHalf(x, dy *HalfTensor) *Tensor {
-	if pl.entry == nil {
-		return core.ExecuteHalf(pl.cfg, x, dy)
-	}
 	ws := pl.entry.AcquireWorkspace()
 	defer pl.entry.ReleaseWorkspace(ws)
 	return core.ExecuteHalfIn(pl.cfg, ws, x, dy, nil)
