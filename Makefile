@@ -6,7 +6,7 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 0.15
 FUZZTIME ?= 30s
 
-.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke router-smoke saturate grouped-smoke bench-smoke
+.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke router-smoke saturate grouped-smoke bitwise-smoke bench-smoke
 
 ci: vet build race
 
@@ -89,6 +89,21 @@ grouped-smoke:
 		GOMAXPROCS=$$procs \
 			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
+	done
+
+# bitwise-smoke repeats the bitwise suites of the unit epilogue and the
+# pooled reduce under the race detector at GOMAXPROCS 1 and 4: the
+# streaming epilogue against its per-element oracle, poisoned (NaN)
+# workspaces against fresh ones (every bucket element is stored once per
+# run; nothing zeroes them), pool-vs-inline and shared-pool concurrency,
+# mid-run cancellation, and the FP16, quantized and 3-D reference
+# executors. Pool workers share the reduce, so each suite runs 5 times.
+bitwise-smoke:
+	@for procs in 1 4; do \
+		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs \
+			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef' \
+			./internal/core || exit 1; \
 	done
 
 # bench-smoke runs the end-to-end benchmark's own tests (about 10 s).

@@ -104,7 +104,7 @@ func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half
 			}
 		}
 	}
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
+	writeOutputRef(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
 }
 
 // executeHalfScalarRef runs the full FP16 plan serially with the scalar
@@ -131,7 +131,7 @@ func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 			}
 		}
 	}
-	return reduceInto(cfg, ws.buckets, nil)
+	return reduceRef(cfg, ws.buckets, nil)
 }
 
 // halfLayer builds binary16 operands with a value mix that exercises the

@@ -429,9 +429,12 @@ func (c *Config) GroupConfig() *Config { return c.group }
 func (c *Config) Z() int { return len(c.Segments) }
 
 // WorkspaceBytes returns the bucket workspace the plan executes with.
-// Ungrouped: (Z−1) × sizeof(∇W) — the final gradient itself is not
-// workspace (bucket 0 aliases it). Buckets are FP32 on both precision
-// paths: accumulators and the Kahan reduction run in FP32 (paper §5.2).
+// Ungrouped: (Z−1) × sizeof(∇W), the paper's figure — there bucket 0 is
+// the output buffer itself. The host arena holds one bucket more:
+// NewWorkspace allocates all Z buckets, phase 3 reduces them into a
+// separate destination, and Workspace.Bytes counts all Z. Buckets are
+// FP32 on both precision paths: accumulators and the Kahan reduction run
+// in FP32 (paper §5.2).
 // Grouped layers report GroupRing() × the per-group arena: the grouped
 // dispatch keeps a bounded ring of in-flight per-group bucket sets
 // (≤ groupRingSlots, i.e. at most 2× one slot's arena, which

@@ -213,29 +213,42 @@ func planar(p conv.Params, xs, dys tensor.Shape, x, dy operand, fn string) opera
 	return operands{rows: rows2D(p), x: x, dy: dy}
 }
 
-// execJob is the pooled task of one execution's two phases: the Ŵ-cache
-// fill over global segment rows (filling), then the unit grid. It lives
-// inside the Workspace so the steady-state dispatch allocates nothing: the
-// fields are rewritten per call and the same *execJob is handed to the
-// sched pool as a Task. The grouped dispatch reuses fillRows/units per
-// group against its ring slots.
+// execPhase is one of the three pooled phases of an execution.
+type execPhase uint8
+
+const (
+	phaseFill   execPhase = iota // Ŵ-cache fill over global segment rows
+	phaseUnits                   // the fused unit grid into the buckets
+	phaseReduce                  // Kahan reduce of the buckets over ∇W element ranges
+)
+
+// execJob is the pooled task of one execution's three phases: the Ŵ-cache
+// fill, the unit grid, then the bucket reduce. It lives inside the
+// Workspace so the steady-state dispatch allocates nothing: the fields are
+// rewritten per call and the same *execJob is handed to the sched pool as
+// a Task. The grouped dispatch reuses fillRows/units per group against its
+// ring slots (and reduces each group inside its last unit).
 type execJob struct {
 	cfg     *Config
 	ws      *Workspace
 	rows    rowMap
 	st      storage
 	x, dy   []float32 // float32 operand sources (ungrouped executions)
+	dst     []float32 // the reduce target (ungrouped executions)
 	traceOn bool
-	filling bool
+	phase   execPhase
 }
 
 // Run executes items [lo, hi) of the current phase — the sched.Task
 // contract.
 func (j *execJob) Run(lo, hi int) {
-	if j.filling {
+	switch j.phase {
+	case phaseFill:
 		j.fillRows(lo, hi, j.dy, j.ws.what32)
-	} else {
+	case phaseUnits:
 		j.units(lo, hi, j.x, j.ws.what32, j.ws.buckets)
+	default:
+		reduceRange(j.dst, j.ws.buckets, lo, hi)
 	}
 }
 
@@ -520,28 +533,65 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 		}
 	}
 	smp.flush(ut)
-	writeOutput(p, pl.a, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
+	writeOutput(p, pl.a, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha*n+ic))
 }
 
 // writeOutput applies the FP32 output transform Aᵀ to the accumulators and
-// adds the n output columns into the bucket at (·, fh, colBase…, ·). acc is
-// α-length scratch for the per-(oc,ic) accumulator column.
+// stores the n output columns into the bucket at (·, fh, colBase…, ·). For
+// each (oc, column i) it builds the I_C-wide bucket row in scratch (see
+// outputRow) and lands it in the bucket with one contiguous store. The
+// segment's units together cover every bucket element exactly once, so a
+// store (not an add) is the whole epilogue: buckets need no zeroing, and
+// since the row is never −0 the stored bits equal the +0 + s of an add
+// into a zeroed bucket. acc is α·n + I_C floats of scratch: Aᵀ in
+// float32, then the row.
 func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float32,
 	fh, colBase, n, alpha, oc, ic int, acc []float32) {
+	aT := acc[:alpha*n]
+	for i := 0; i < n; i++ {
+		for e := 0; e < alpha; e++ {
+			aT[i*alpha+e] = float32(aMat.At(e, i))
+		}
+	}
+	row := acc[alpha*n : alpha*n+ic : alpha*n+ic]
 	dwShape := p.DWShape()
 	for a := 0; a < oc; a++ {
-		for b := 0; b < ic; b++ {
-			for e := 0; e < alpha; e++ {
-				acc[e] = v[(e*oc+a)*ic+b]
-			}
-			for i := 0; i < n; i++ {
-				var s float32
-				for e := 0; e < alpha; e++ {
-					s += float32(aMat.At(e, i)) * acc[e]
-				}
-				idx := dwShape.Index(a, fh, colBase+i, b)
-				bucket[idx] += s
-			}
+		for i := 0; i < n; i++ {
+			outputRow(row, aT[i*alpha:(i+1)*alpha], v[a*ic:], oc*ic)
+			off := dwShape.Index(a, fh, colBase+i, 0)
+			copy(bucket[off:off+ic], row)
+		}
+	}
+}
+
+// outputRow sets row[b] = Σ_e cs[e]·v[e·stride + b]: each element starts at
+// +0 and adds its terms in ascending e — the operation sequence of a
+// per-element dot product over the α accumulators. Four terms are added
+// per pass over the row, so each element stays in a register across them.
+func outputRow(row, cs, v []float32, stride int) {
+	for b := range row {
+		row[b] = 0
+	}
+	e := 0
+	for ; e+4 <= len(cs); e += 4 {
+		c0, c1, c2, c3 := cs[e], cs[e+1], cs[e+2], cs[e+3]
+		v0 := v[e*stride:][:len(row)]
+		v1 := v[(e+1)*stride:][:len(row)]
+		v2 := v[(e+2)*stride:][:len(row)]
+		v3 := v[(e+3)*stride:][:len(row)]
+		for b := range row {
+			s := row[b]
+			s += c0 * v0[b]
+			s += c1 * v1[b]
+			s += c2 * v2[b]
+			s += c3 * v3[b]
+			row[b] = s
+		}
+	}
+	for ; e < len(cs); e++ {
+		c := cs[e]
+		for b, x := range v[e*stride:][:len(row)] {
+			row[b] += c * x
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 // cancelled or its deadline expires, the execution stops at the next chunk
 // claim of the shared sched pool — the pre-pass, the unit grid and the
 // reduction all abandon their remaining work — and ctx.Err() is returned.
-// The partial result is discarded (the returned tensor is nil) and the
-// workspace is quiescent on return: no pool participant still touches it,
-// so pooled callers may recycle it immediately (the next execution
-// re-zeroes the buckets).
+// The partial result is discarded (the returned tensor is nil; a supplied
+// dst may be partly overwritten) and the workspace is quiescent on return:
+// no pool participant still touches it, so pooled callers may recycle it
+// immediately (the next execution stores every bucket element afresh).
 //
 // An uncancelled ExecuteInCtx produces a result bit-identical to
 // ExecuteIn. Unlike ExecuteIn, each call arms one context watcher, so the

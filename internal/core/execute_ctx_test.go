@@ -77,8 +77,9 @@ func TestExecuteInCtxPreCancelled(t *testing.T) {
 // Cancelling mid-execution must abandon the run — context.Canceled, nil
 // result — and leave the workspace reusable: a follow-up uncancelled run
 // on the same workspace must produce the exact uncancelled result (the
-// re-zeroing contract that lets the serving runtime recycle arenas after a
-// cancelled request).
+// write-once contract — every run stores each bucket element before the
+// reduce reads it, whatever a cancelled run left there — that lets the
+// serving runtime recycle arenas after a cancelled request).
 func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 	// Geometry sized so a warm run takes ~60ms across 10 grid units: on a
 	// single-CPU host a parked timer goroutine only gets scheduled at an
@@ -115,7 +116,7 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 			cancelled++
 			// The workspace must be quiescent and fully reusable right
 			// away: the next run on it must match the uncancelled result
-			// bit for bit (the re-zeroing contract the serving runtime
+			// bit for bit (the write-once contract the serving runtime
 			// relies on to recycle arenas after a cancelled request).
 			got, err := ExecuteInCtx(context.Background(), cfg, ws, x, dy, nil)
 			if err != nil {

@@ -68,16 +68,11 @@ func groupSlab(dst *tensor.Float32, shape tensor.Shape, gi int) *tensor.Float32 
 	return &tensor.Float32{Shape: shape, Data: dst.Data[gi*n : (gi+1)*n : (gi+1)*n]}
 }
 
-// executeGroupedIn is the grouped branch of execute (whose callers have
-// already checked the operand shapes). Every storage policy runs the
-// regular per-group pipeline, so the eq.(7) error model applies per group
-// with the reduced C = I_C/G depth.
+// executeGroupedIn is the grouped branch of execute (which has already
+// checked the operand shapes and supplied dst). Every storage policy runs
+// the regular per-group pipeline, so the eq.(7) error model applies per
+// group with the reduced C = I_C/G depth.
 func executeGroupedIn(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
-	if dst == nil {
-		dst = tensor.NewFloat32(cfg.Params.DWShape())
-	} else if dst.Shape != cfg.Params.DWShape() {
-		panic("core: reduce destination shape mismatch")
-	}
 	if ws == nil {
 		ws = NewWorkspace(cfg)
 	}

@@ -281,8 +281,9 @@ func TestGroupedCtxCancellable(t *testing.T) {
 }
 
 // A shared workspace must be reusable across grouped runs and across
-// grouped/ungrouped plans of matching per-group size (ExecuteIn re-zeroes
-// buckets per pass), and grouped execution must stay deterministic.
+// grouped/ungrouped plans of matching per-group size (every pass stores
+// each bucket element afresh), and grouped execution must stay
+// deterministic.
 func TestGroupedWorkspaceReuseDeterministic(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 2}
 	cfg, err := Configure(p, WithSegments(3))

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"winrs/internal/kahan"
 	"winrs/internal/obs"
 	"winrs/internal/sched"
 	"winrs/internal/tensor"
@@ -18,7 +17,7 @@ import (
 // (group, unit) index space. One chunk-self-scheduling run, one
 // cancellation poll domain.
 //
-// Per group the unit stream is: 1 prep unit (zero the slot's buckets),
+// Per group the unit stream is: 1 prep unit (claim the ring slot),
 // 2 gather units (sliceChannels of X and ∇Y into the slot's staging
 // slabs), the Ŵ-cache fill rows, then the fused execution units; the last
 // execution unit to finish reduces the slot's buckets into the group's
@@ -38,9 +37,9 @@ import (
 // counter may then never complete, and the waiter must bail instead.
 //
 // Bit-identity with G separate per-group WinRS passes: each (segment,
-// f_h, j) unit writes a disjoint element range of its segment's bucket,
-// segments use distinct buckets, and the per-group Kahan reduce visits
-// buckets in the same order as reduceInto — so the interleaving changes no
+// f_h, j) unit stores a disjoint element range of its segment's bucket,
+// segments use distinct buckets, and the per-group reduce runs the same
+// reduceRange as the ungrouped phase 3 — so the interleaving changes no
 // accumulation order within any group.
 
 // groupWidthForce, when positive, overrides the effective co-scheduling
@@ -78,7 +77,7 @@ func groupRing(g, width int) int {
 // cache line so one group's waiters polling and the neighbor group's
 // count-downs never ping-pong the same line.
 type groupPhase struct {
-	prep   atomic.Int32 // 1 once the group's slot buckets are zeroed
+	prep   atomic.Int32 // 1 once the group has claimed its ring slot
 	gather atomic.Int32 // staging gathers outstanding (X and ∇Y)
 	fill   atomic.Int32 // Ŵ-cache rows outstanding
 	exec   atomic.Int32 // fused units outstanding
@@ -149,16 +148,12 @@ func (j *groupJob) runUnit(gi, local int) {
 	slot := &ws.ring[gi%j.ring]
 	switch {
 	case local == 0:
-		// Prep: claim the slot once its previous occupant has reduced,
-		// then zero its buckets (fresh slots and slots left dirty by a
-		// cancelled run are handled alike).
+		// Prep: claim the slot once its previous occupant has reduced.
+		// Nothing is cleared: the group's units store every bucket
+		// element, so fresh slots and slots left dirty by a cancelled run
+		// are handled alike.
 		if gi >= j.ring && !j.wait(&ws.gphase[gi-j.ring].done, 1) {
 			return
-		}
-		for _, b := range slot.buckets {
-			for i := range b {
-				b[i] = 0
-			}
 		}
 		st.prep.Store(1)
 	case local <= 2:
@@ -211,21 +206,17 @@ func (j *groupJob) gatherUnit(gi int, isX bool, slot *groupSlot) {
 }
 
 // reduceGroup is phase 3 for one group: Kahan-reduce the slot's buckets
-// into the group's contiguous ∇W slab — the same bucket order and copy
-// fast path as reduceInto, so the result is bit-identical to a standalone
-// per-group execution.
+// into the group's contiguous ∇W slab through the ungrouped phase 3's
+// reduceRange, so the result is bit-identical to a standalone per-group
+// execution. It runs inside the group's last unit rather than as a pooled
+// phase, because the groups themselves already run concurrently.
 func (j *groupJob) reduceGroup(gi int, slot *groupSlot) {
 	var t0 time.Time
 	if j.run.traceOn {
 		t0 = time.Now()
 	}
 	n := j.slabElems
-	dst := j.dst.Data[gi*n : (gi+1)*n : (gi+1)*n]
-	if len(slot.buckets) == 1 {
-		copy(dst, slot.buckets[0])
-	} else {
-		kahan.ReduceBuckets(dst, slot.buckets)
-	}
+	reduceRange(j.dst.Data[gi*n:(gi+1)*n:(gi+1)*n], slot.buckets, 0, n)
 	if j.run.traceOn {
 		obs.RecordStage(obs.StageReduce, time.Since(t0))
 	}
@@ -275,9 +266,9 @@ func runGroupedInterleaved(cfg *Config, ws *Workspace, ops operands, st storage,
 	dyRows := p.N * p.OH() * p.OW()
 	whatElems := ws.whatOff[len(ws.whatOff)-1]
 
-	// Size the slot ring: buckets (zeroed by each group's prep unit; slot 0
-	// runs on the workspace's own arena) plus the float32 staging pair and
-	// the Ŵ-cache arena, so units allocate nothing.
+	// Size the slot ring: buckets (overwritten by each group's units; slot
+	// 0 runs on the workspace's own arena) plus the float32 staging pair
+	// and the Ŵ-cache arena, so units allocate nothing.
 	ws.ensureRing(ring)
 	for s := 0; s < ring; s++ {
 		slot := &ws.ring[s]

@@ -301,7 +301,7 @@ func segmentTileQuantizedRef(p conv.Params, seg Segment, fh, j int,
 			}
 		}
 	}
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
+	writeOutputRef(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
 }
 
 // quantizeSlice rounds vs in place, preferring the format's bulk kernel.
@@ -331,7 +331,7 @@ func executeQuantizedRef(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tenso
 				}
 			}
 		}
-		return reduceInto(cfg, ws.buckets, dst)
+		return reduceRef(cfg, ws.buckets, dst)
 	}
 	gcfg := cfg.GroupConfig()
 	if gcfg == nil {

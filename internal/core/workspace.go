@@ -64,8 +64,9 @@ type Workspace struct {
 // groupSlot is one ring entry of the grouped dispatch: the complete
 // per-group arena (Z buckets, staging operands, Ŵ cache) of one in-flight
 // group. Groups map to slots round-robin (gi mod ring); the prep unit of a
-// group re-zeroes the buckets after the previous occupant's reduce retires
-// the slot. Slot 0 runs on the workspace's own bucket arena.
+// group claims the slot once the previous occupant's reduce retires it,
+// and the group's units then overwrite every bucket element. Slot 0 runs
+// on the workspace's own bucket arena.
 type groupSlot struct {
 	x, dy   []float32 // the group's float32 operand staging (see operand.stage)
 	what32  []float32
@@ -73,7 +74,8 @@ type groupSlot struct {
 }
 
 // ensureBuckets sizes the slot's bucket set to z buckets of elems each.
-// Contents are unspecified — the prep unit zeroes them before use.
+// Contents are unspecified — the group's units store every element before
+// its reduce reads them.
 func (s *groupSlot) ensureBuckets(z, elems int) {
 	if len(s.buckets) == z && (z == 0 || len(s.buckets[0]) == elems) {
 		return
@@ -159,43 +161,37 @@ func (ws *Workspace) Bytes() int64 {
 	return b
 }
 
-func (ws *Workspace) zero() {
-	for _, b := range ws.buckets {
-		for i := range b {
-			b[i] = 0
-		}
-	}
-}
-
-// ensureWorkspace returns a zeroed workspace for cfg: the caller's if it
-// fits (rebinding its schedule tables when cfg changed), a fresh one when
-// ws is nil.
+// ensureWorkspace returns a workspace for cfg: the caller's if it fits
+// (rebinding its schedule tables when cfg changed), a fresh one when ws is
+// nil. Bucket contents are never cleared: every execution's units store
+// each bucket element exactly once (see writeOutput) before phase 3 reads
+// it, so whatever a previous — possibly cancelled — run left there is
+// overwritten.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
-		return NewWorkspace(cfg) // fresh arenas are already zero
+		return NewWorkspace(cfg)
 	}
 	if !ws.Fits(cfg) {
 		panic("core: workspace does not fit configuration")
 	}
 	ws.rebind(cfg)
-	ws.zero()
 	return ws
 }
 
-// reduceInto is phase 3: Kahan-compensated summation of the Z buckets into
-// dst (allocated when nil).
-func reduceInto(cfg *Config, buckets [][]float32, dst *tensor.Float32) *tensor.Float32 {
-	if dst == nil {
-		dst = tensor.NewFloat32(cfg.Params.DWShape())
-	} else if dst.Shape != cfg.Params.DWShape() {
-		panic("core: reduce destination shape mismatch")
-	}
+// reduceGrain is the smallest element range of one phase-3 chunk: below
+// it, recruiting a pool helper costs more than the Kahan loop it shares.
+const reduceGrain = 4096
+
+// reduceRange is phase 3 over ∇W elements [lo, hi): the Kahan-compensated
+// sum of the Z buckets into dst, each element visiting the buckets in
+// bucket order, or a plain copy when Z = 1. Any split of the element range
+// therefore produces the same bits.
+func reduceRange(dst []float32, buckets [][]float32, lo, hi int) {
 	if len(buckets) == 1 {
-		copy(dst.Data, buckets[0])
-		return dst
+		copy(dst[lo:hi], buckets[0][lo:hi])
+		return
 	}
-	kahan.ReduceBuckets(dst.Data, buckets)
-	return dst
+	kahan.ReduceBucketsRange(dst, buckets, lo, hi)
 }
 
 // ExecuteIn runs the configured FP32 plan with caller-provided scratch: ws
@@ -231,36 +227,56 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // (allocated when nil). Grouped plans take the interleaved dispatch.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
-// participant still touches it — but its buckets hold partial sums, and
-// no result is produced.
+// participant still touches it — but its buckets and dst may hold partial
+// results, and no result is produced.
 func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
+	p := cfg.Params
+	if dst == nil {
+		dst = tensor.NewFloat32(p.DWShape())
+	} else if dst.Shape != p.DWShape() {
+		panic("core: reduce destination shape mismatch")
+	}
 	if cfg.group != nil {
 		return executeGroupedIn(cfg, ws, ops, st, dst, cancel)
 	}
 	ws = ensureWorkspace(cfg, ws)
 	ws.bindPlans(cfg, st)
 	traceOn := obs.TraceEnabled()
-	p := cfg.Params
 	growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
-	ws.job = execJob{cfg: cfg, ws: ws, rows: ops.rows, st: st, traceOn: traceOn, filling: true,
-		x:  ops.x.resident(&ws.xMirror, p.IC, st.round),
-		dy: ops.dy.resident(&ws.dyMirror, p.OC, st.round),
+	ws.job = execJob{cfg: cfg, ws: ws, rows: ops.rows, st: st, traceOn: traceOn, phase: phaseFill,
+		x:   ops.x.resident(&ws.xMirror, p.IC, st.round),
+		dy:  ops.dy.resident(&ws.dyMirror, p.OC, st.round),
+		dst: dst.Data,
 	}
-	total := ws.rowOff[len(ws.rowOff)-1]
-	if !traceOn {
-		execPool().RunBatch(total, 0, &ws.job, cancel)
-	} else {
-		t0 := time.Now()
-		execPool().RunBatch(total, 0, &ws.job, cancel)
-		obs.RecordStage(obs.StageWHat, time.Since(t0))
-	}
-	ws.job.filling = false
-	execPool().RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
-	ws.job = execJob{}
+	defer func() { ws.job = execJob{} }()
+	pool := execPool()
+	ws.runPhase(pool, ws.rowOff[len(ws.rowOff)-1], 0, obs.StageWHat, cancel)
+	ws.job.phase = phaseUnits
+	pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
 	if cancel.Cancelled() {
 		return nil, false
 	}
-	return reduceTraced(cfg, ws.buckets, dst, traceOn), true
+	// Phase 3 over element ranges: RunBatch's automatic grain (≈4 chunks
+	// per participant), floored at reduceGrain.
+	w := 4 * pool.Workers()
+	ws.job.phase = phaseReduce
+	ws.runPhase(pool, ws.elems, max(reduceGrain, (ws.elems+w-1)/w), obs.StageReduce, cancel)
+	if cancel.Cancelled() {
+		return nil, false
+	}
+	return dst, true
+}
+
+// runPhase runs the current phase of ws.job over [0, total) on the pool,
+// recording its wall time as stage when tracing.
+func (ws *Workspace) runPhase(pool *sched.Pool, total, chunk int, stage obs.Stage, cancel *sched.Batch) {
+	if !ws.job.traceOn {
+		pool.RunBatch(total, chunk, &ws.job, cancel)
+		return
+	}
+	t0 := time.Now()
+	pool.RunBatch(total, chunk, &ws.job, cancel)
+	obs.RecordStage(stage, time.Since(t0))
 }
 
 // bindPlans resolves every segment's transforms under the call's storage
@@ -272,23 +288,12 @@ func (ws *Workspace) bindPlans(cfg *Config, st storage) {
 	}
 }
 
-// reduceTraced runs the Kahan reduction, recording the reduce stage when
-// tracing is on.
-func reduceTraced(cfg *Config, buckets [][]float32, dst *tensor.Float32, traceOn bool) *tensor.Float32 {
-	if !traceOn {
-		return reduceInto(cfg, buckets, dst)
-	}
-	t0 := time.Now()
-	out := reduceInto(cfg, buckets, dst)
-	obs.RecordStage(obs.StageReduce, time.Since(t0))
-	return out
-}
-
 // tileScratch holds the per-unit transform scratch of one fused kernel
 // invocation: the register tile v, the gather/transform panels and the
-// output-transform accumulator. Units borrow it from a process-wide pool so
-// steady-state executions allocate no transform scratch at all; the slices
-// grow to the largest geometry seen and are then reused as-is.
+// output-transform scratch (float32 Aᵀ plus one bucket row). Units borrow
+// it from a process-wide pool so steady-state executions allocate no
+// transform scratch at all; the slices grow to the largest geometry seen
+// and are then reused as-is.
 type tileScratch struct {
 	v, wRaw, wHatF, xRaw, xHatF, acc, dT []float32
 }

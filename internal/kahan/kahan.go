@@ -109,12 +109,36 @@ func ReduceBuckets(dst []float32, buckets [][]float32) {
 			panic("kahan: ReduceBuckets bucket length mismatch")
 		}
 	}
-	for i := range dst {
-		var k Sum32
+	ReduceBucketsRange(dst, buckets, 0, len(dst))
+}
+
+// reduceBlock is the element block ReduceBucketsRange keeps its running
+// sums and compensations for on the stack (2 KiB).
+const reduceBlock = 256
+
+// ReduceBucketsRange is ReduceBuckets restricted to elements [lo, hi), so
+// disjoint ranges can be reduced concurrently. Each element runs the Sum32
+// update over its buckets in bucket order, so any split of the range
+// yields the same bits. The loop streams bucket by bucket over blocks of
+// elements, keeping each element's sum and compensation in a block array:
+// the per-element updates are independent, so they pipeline instead of
+// waiting on one element's dependency chain. Lengths are not checked.
+func ReduceBucketsRange(dst []float32, buckets [][]float32, lo, hi int) {
+	var sums, comps [reduceBlock]float32
+	for b0 := lo; b0 < hi; b0 += reduceBlock {
+		sum := sums[:min(reduceBlock, hi-b0)]
+		comp := comps[:len(sum)]
+		clear(sum)
+		clear(comp)
 		for _, b := range buckets {
-			k.Add(b[i])
+			for i, v := range b[b0:][:len(sum)] {
+				y := v - comp[i]
+				t := sum[i] + y
+				comp[i] = (t - sum[i]) - y
+				sum[i] = t
+			}
 		}
-		dst[i] = k.Value()
+		copy(dst[b0:], sum)
 	}
 }
 

@@ -143,6 +143,46 @@ func TestReduceBucketsMismatchPanics(t *testing.T) {
 	ReduceBuckets(make([]float32, 4), [][]float32{make([]float32, 3)})
 }
 
+// The bucket reduction must equal a Sum32 accumulator per element, bit
+// for bit, over the whole slice and over any split into disjoint ranges.
+func TestReduceBucketsRangeMatchesSum32(t *testing.T) {
+	const z, n = 5, 700
+	rng := rand.New(rand.NewSource(3))
+	buckets := make([][]float32, z)
+	for zi := range buckets {
+		buckets[zi] = make([]float32, n)
+		for i := range buckets[zi] {
+			buckets[zi][i] = float32(rng.NormFloat64()) * float32(math.Pow(10, float64(rng.Intn(9)-4)))
+		}
+	}
+	want := make([]float32, n)
+	for i := range want {
+		var k Sum32
+		for _, b := range buckets {
+			k.Add(b[i])
+		}
+		want[i] = k.Value()
+	}
+	whole := make([]float32, n)
+	ReduceBuckets(whole, buckets)
+	for i := range want {
+		if math.Float32bits(whole[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("whole: dst[%d] = %v, want %v", i, whole[i], want[i])
+		}
+	}
+	for _, step := range []int{1, 7, 64, 300, n} {
+		got := make([]float32, n)
+		for lo := 0; lo < n; lo += step {
+			ReduceBucketsRange(got, buckets, lo, min(lo+step, n))
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("step %d: dst[%d] = %v, want %v", step, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // Kahan reduction must be at least as accurate as naive reduction when
 // summing many buckets of tiny values onto one large bucket.
 func TestReduceBucketsAccuracyAblation(t *testing.T) {
