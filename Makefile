@@ -56,7 +56,7 @@ dispatch-smoke:
 # client disconnects), dispatcher panic/cancel isolation, and the
 # cancellable-execution tests in core and sched.
 faults:
-	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestExecutorExecuteCtx|TestRunBatch' \
+	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestRunBatch' \
 		./internal/serve ./internal/core ./internal/sched
 
 # router-smoke runs the sharding topology suites under the race detector:
@@ -77,7 +77,7 @@ saturate:
 
 # grouped-smoke runs the grouped/depthwise differential suites under the
 # race detector at GOMAXPROCS 1 and 4. Every grouped path (FP32, FP16,
-# strided, forward, data gradient, serve round-trip, mid-interleave
+# strided, forward, data gradient, serve round-trip, mid-run
 # cancellation) is pinned against the grouped float64 direct oracle and
 # the sequential per-group reference, plus the depthwise planned-path and
 # workspace-shrinkage acceptance checks. The in-test width-{1,4} pools

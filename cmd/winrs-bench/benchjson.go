@@ -50,8 +50,8 @@ var benchGroupedShapes = []conv.Params{
 	{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 4},
 	{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16},
 	// Production depthwise-separable trunk shapes (MobileNet-style 56×56
-	// stages): per-group work is a single channel, so these rows are the
-	// occupancy stress the interleaved group dispatch exists for.
+	// stages): per-group work is a single channel, so these rows stress
+	// the grouped dispatch's one pool batch over many tiny groups.
 	{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 64},
 	{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 128, OC: 128, PH: 1, PW: 1, Groups: 128},
 }
@@ -220,9 +220,9 @@ func runBenchJSON(path string) error {
 	}
 
 	// Grouped and depthwise rows: the WinRS path runs the per-group plan
-	// over channel-sliced operands — by default interleaved across all
-	// groups through a small ring of staging slots — so these rows also pin
-	// the paper's headline quantity (workspace shrinkage) into the report.
+	// over channel-sliced operands — one pool batch over the groups, one
+	// slot arena per worker — so these rows also pin the paper's headline
+	// quantity (workspace shrinkage) into the report.
 	// The direct baseline is the grouped float64-oracle's float32 sibling.
 	for _, p := range benchGroupedShapes {
 		rng := rand.New(rand.NewSource(13))

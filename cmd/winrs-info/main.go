@@ -110,12 +110,12 @@ func main() {
 	if p.G() > 1 {
 		fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
 			p.G(), p.ICG(), p.OCG(), p.G() == p.IC)
-		fmt.Printf("workspace          %.3f MB (per-group arena x %d-slot ring)\n",
+		fmt.Printf("workspace          %.3f MB (per-group arena x %d slots, one per worker)\n",
 			float64(cfg.WorkspaceBytes())/(1<<20), cfg.GroupRing())
-		fmt.Printf("  per-group arena  %.3f MB ((Z-1) x per-group dW slab; one ring slot)\n",
+		fmt.Printf("  per-group arena  %.3f MB ((Z-1) x per-group dW slab; one slot)\n",
 			float64(cfg.WorkspaceSeqBytes())/(1<<20))
-		// The paper's headline quantity under grouping: the in-flight
-		// arenas are sized for single groups, so even with the ring the
+		// The paper's headline quantity under grouping: the slot arenas
+		// are sized for single groups, so even with one per worker the
 		// workspace shrinks vs the ungrouped plan of the same outer
 		// geometry.
 		pu := p

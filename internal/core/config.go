@@ -406,9 +406,9 @@ type Config struct {
 	// group is the per-group execution plan when Params.Groups > 1: the
 	// WinRS pipeline for one group's channel slice (I_C/G inputs, O_C/G
 	// outputs). Execution runs it G times over channel-sliced operands
-	// staged through a small ring of group-sized arenas; Pair/Segments/
-	// unitOff above mirror it so inspection of the outer config reports
-	// the plan that actually runs. Nil for ungrouped layers.
+	// staged in group-sized slot arenas; Pair/Segments/unitOff above
+	// mirror it so inspection of the outer config reports the plan that
+	// actually runs. Nil for ungrouped layers.
 	group *Config
 }
 
@@ -436,34 +436,34 @@ func (c *Config) Z() int { return len(c.Segments) }
 // FP32 on both precision paths: accumulators and the Kahan reduction run
 // in FP32 (paper §5.2).
 // Grouped layers report GroupRing() × the per-group arena: the grouped
-// dispatch keeps a bounded ring of in-flight per-group bucket sets
-// (≤ groupRingSlots, i.e. at most 2× one slot's arena, which
-// WorkspaceSeqBytes reports) — still ~G²/ring below the ungrouped layer of
-// the same outer geometry (1/G from the sliced C-reduction, 1/G from the
+// dispatch keeps one per-group bucket set per possible participant, each
+// WorkspaceSeqBytes — G² below the ungrouped layer of the same outer
+// geometry at equal Z (1/G from the sliced C-reduction, 1/G from the
 // sliced O_C), the paper's tiny-workspace regime at its most favorable.
 func (c *Config) WorkspaceBytes() int64 {
 	return c.WorkspaceSeqBytes() * int64(c.GroupRing())
 }
 
-// WorkspaceSeqBytes returns one ring slot's bucket arena, (Z−1) × the
+// WorkspaceSeqBytes returns one grouped slot's bucket arena, (Z−1) × the
 // per-group ∇W slab. For ungrouped plans it equals WorkspaceBytes.
 func (c *Config) WorkspaceSeqBytes() int64 {
 	e := c.exec()
 	return int64(e.Z()-1) * int64(e.Params.DWShape().Elems()) * 4
 }
 
-// GroupRing returns the staging-slot ring depth the plan's grouped
-// dispatch budgets: min(G, groupRingSlots) (an upper bound — execution
-// additionally clamps to the pool width), 1 for ungrouped plans.
+// GroupRing returns the number of slot arenas the plan's grouped dispatch
+// holds, min(G, pool width); 1 for ungrouped plans.
 func (c *Config) GroupRing() int {
 	if c.group == nil {
 		return 1
 	}
-	if g := c.Params.G(); g < groupRingSlots {
-		return g
-	}
-	return groupRingSlots
+	return groupSlots(c.Params.G())
 }
+
+// groupSlots is the slot count of a G-group dispatch: one per possible
+// participant, since sched runs at most one per chunk and at most the
+// pool's width at once.
+func groupSlots(g int) int { return min(g, execPool().Workers()) }
 
 // WHatCacheBytes returns the exact footprint of the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels the execution computes once per
@@ -522,8 +522,9 @@ func WithCoefficients(coeffs map[string]float64) Option {
 
 // WithWorkspaceLimit caps the bucket workspace at the given byte budget
 // (the cuDNN-style workspace-limit knob): the segment count is clamped so
-// (Z−1)·sizeof(∇W) never exceeds it. A zero limit forces single-segment
-// execution — always correct, at reduced parallelism.
+// WorkspaceBytes never exceeds it — (Z−1)·sizeof(∇W), or for grouped
+// layers the per-group figure times the slot count. A zero limit forces
+// single-segment execution — always correct, at reduced parallelism.
 func WithWorkspaceLimit(bytes int64) Option {
 	return func(o *configOpts) { o.wsLimit, o.wsLimitSet = bytes, true }
 }
@@ -534,12 +535,20 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	o := configOpts{hw: DefaultHardware}
+	for _, f := range opts {
+		f(&o)
+	}
 	if p.G() > 1 {
 		// Grouped layer: adapt the pipeline for one group's channel slice
 		// and wrap it. Execution runs the per-group plan G times over
-		// channel-sliced operands through group-sized arenas.
+		// channel-sliced operands in group-sized slot arenas, each with
+		// its own buckets, so a workspace budget splits across the slots.
 		pg := p
 		pg.IC, pg.OC, pg.Groups = p.ICG(), p.OCG(), 0
+		if o.wsLimitSet {
+			opts = append(opts[:len(opts):len(opts)], WithWorkspaceLimit(o.wsLimit/int64(groupSlots(p.G()))))
+		}
 		gcfg, err := Configure(pg, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: grouped plan (G=%d): %w", p.G(), err)
@@ -550,10 +559,6 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 			Segments: gcfg.Segments, Hardware: gcfg.Hardware,
 			unitOff: gcfg.unitOff, group: gcfg,
 		}, nil
-	}
-	o := configOpts{hw: DefaultHardware}
-	for _, f := range opts {
-		f(&o)
 	}
 	pr, err := selectPairCoeff(p, o.fp16, o.coeffs)
 	if err != nil {

@@ -301,6 +301,20 @@ func TestWorkspaceLimit(t *testing.T) {
 	if capped.Z() <= zero.Z() || capped.Z() >= free.Z() {
 		t.Errorf("capped Z=%d should sit between 1 and %d", capped.Z(), free.Z())
 	}
+	// A grouped plan holds one bucket arena per slot, so the budget must
+	// cover all of them: one per-group ∇W slab (16·3·3·16·4 = 9216 B) fits
+	// one slot at Z = 2, but not two slots.
+	pg := conv.Params{N: 8, IH: 64, IW: 66, FH: 3, FW: 3, IC: 64, OC: 64,
+		PH: 1, PW: 1, Groups: 4}
+	const slab = 9216
+	grouped, err := Configure(pg, WithSegments(8), WithWorkspaceLimit(slab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grouped.WorkspaceBytes() > slab {
+		t.Errorf("grouped workspace %d exceeds budget %d (Z=%d, %d slots)",
+			grouped.WorkspaceBytes(), slab, grouped.Z(), grouped.GroupRing())
+	}
 	// Results stay correct under any budget.
 	rng := rand.New(rand.NewSource(9))
 	ps := conv.Params{N: 2, IH: 20, IW: 18, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1}

@@ -152,7 +152,6 @@ func TestExecuteInPoisonedWorkspaceMatchesFresh(t *testing.T) {
 	nan := float32(math.NaN())
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
-			forceGroupWidth(t, width)
 			for _, tc := range poisonedCases {
 				x, dy := poolLayer(t, 97, tc.p)
 				xh, dyh := x.ToHalf(), dy.ToHalf()

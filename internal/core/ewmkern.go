@@ -22,7 +22,6 @@ const (
 	ewmBlock4         // force the base 4×4 tier (the oracle's kernel)
 	ewmBlock8         // force 8-row blocking, fusion disabled
 	ewmFused          // force the fused transform+EWM mode (any α)
-	ewmDW1            // force the depthwise I_C == 1 panel (no-op when I_C > 1)
 )
 
 // ewmForce is the process-wide forcing mode: always auto in production,
@@ -67,8 +66,8 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 		// Depthwise regime (I_C/G == 1): the accumulator panel is a single
 		// column, so the register blocks above degenerate into their scalar
 		// tails. The dedicated panel drops the channel-reduction loop; auto
-		// selects it, the dw1 force pins it for differential sweeps, and
-		// the explicit block forcings still win for oracle comparisons.
+		// and the fused force select it, and the explicit block forcings
+		// still win for oracle comparisons.
 		sel.panel, shape = ewmPanelDW1, 3
 	case mode == ewmBlock4 || oc < 8 || bn < 64:
 		sel.panel = ewmPanel
@@ -78,9 +77,7 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 		sel.panel, shape = ewmPanel8x4, 1
 	}
 	switch mode {
-	case ewmAuto, ewmDW1:
-		// Forcing dw1 on a non-depthwise shape keeps auto's fusion choice;
-		// the force only means "use the depthwise panel where it is legal".
+	case ewmAuto:
 		sel.fused = k.Alpha <= 8
 	case ewmFused:
 		sel.fused = true
@@ -385,13 +382,8 @@ func ewmPanel8x8(ve, we, xe []float32, oc, ic int) {
 // output channel against the lone X̂ value held in a register. Each element
 // still receives exactly one fused add per e, and the per-row zero skip
 // matches the base kernel's scalar tail, so the accumulation is
-// bit-identical to every other tier. Falls back to the base kernel when
-// forced onto a shape with I_C > 1 (the force is advisory, never wrong).
-func ewmPanelDW1(ve, we, xe []float32, oc, ic int) {
-	if ic != 1 {
-		ewmPanel(ve, we, xe, oc, ic)
-		return
-	}
+// bit-identical to every other tier. Only I_C == 1 selects it.
+func ewmPanelDW1(ve, we, xe []float32, oc, _ int) {
 	xv := xe[0]
 	ve = ve[:oc]
 	for a, wv := range we[:oc] {

@@ -226,8 +226,8 @@ const (
 // fill, the unit grid, then the bucket reduce. It lives inside the
 // Workspace so the steady-state dispatch allocates nothing: the fields are
 // rewritten per call and the same *execJob is handed to the sched pool as
-// a Task. The grouped dispatch reuses fillRows/units per group against its
-// ring slots (and reduces each group inside its last unit).
+// a Task. The grouped dispatch calls fillRows/units inline per group
+// against its slot arenas.
 type execJob struct {
 	cfg     *Config
 	ws      *Workspace

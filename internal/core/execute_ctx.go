@@ -45,10 +45,3 @@ func executeCtx(ctx context.Context, cfg *Config, ws *Workspace, ops operands, s
 	}
 	return out, nil
 }
-
-// ExecuteCtx is Executor.Execute with cooperative cancellation; see
-// ExecuteInCtx for the semantics. The returned tensor is owned by the
-// executor and overwritten by the next call.
-func (e *Executor) ExecuteCtx(ctx context.Context, x, dy *tensor.Float32) (*tensor.Float32, error) {
-	return ExecuteInCtx(ctx, e.cfg, e.ws, x, dy, e.out)
-}

@@ -132,28 +132,3 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 	}
 	t.Logf("%d/%d attempts cancelled mid-run", cancelled, attempts)
 }
-
-// Executor.ExecuteCtx routes through the same cancellation machinery.
-func TestExecutorExecuteCtx(t *testing.T) {
-	p := conv.Params{N: 1, IH: 10, IW: 10, FH: 3, FW: 3, IC: 2, OC: 2, PH: 1, PW: 1}
-	cfg, err := Configure(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewExecutor(cfg)
-	x, dy := poolLayer(t, 94, p)
-	want := e.Execute(x, dy)
-	wantCopy := append([]float32(nil), want.Data...)
-
-	got, err := e.ExecuteCtx(context.Background(), x, dy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalBits(t, "executor-ctx", got.Data, wantCopy)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.ExecuteCtx(ctx, x, dy); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

@@ -242,70 +242,3 @@ func BenchmarkExecuteHalfWinRS(b *testing.B) {
 		_ = ExecuteHalf(cfg, xh, dyh)
 	}
 }
-
-// The reusable Executor must produce the same bits as the allocating path
-// and keep steady-state allocations flat.
-func TestExecutorMatchesExecute(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	p := conv.Params{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1}
-	x64, dy64, _ := randLayer64(rng, p)
-	x, dy := x64.ToFloat32(), dy64.ToFloat32()
-	cfg, err := Configure(p, WithSegments(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(cfg)
-	if ex.Config() != cfg {
-		t.Error("Config accessor broken")
-	}
-	want := Execute(cfg, x, dy)
-	for step := 0; step < 3; step++ { // reuse across steps
-		got := ex.Execute(x, dy)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("step %d: executor diverged at %d", step, i)
-			}
-		}
-	}
-	// Output tensor is reused (same backing array across calls).
-	a := ex.Execute(x, dy)
-	b := ex.Execute(x, dy)
-	if &a.Data[0] != &b.Data[0] {
-		t.Error("executor should reuse its output buffer")
-	}
-}
-
-func TestExecutorShapePanics(t *testing.T) {
-	p := conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 2, OC: 2, PH: 1, PW: 1}
-	cfg, err := Configure(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(cfg)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	ex.Execute(tensor.NewFloat32(tensor.Shape{N: 1, H: 7, W: 8, C: 2}),
-		tensor.NewFloat32(p.DYShape()))
-}
-
-func BenchmarkExecutorReuse(b *testing.B) {
-	p := conv.Params{N: 4, IH: 32, IW: 32, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.NewFloat32(p.XShape())
-	dy := tensor.NewFloat32(p.DYShape())
-	x.FillUniform(rng, 0, 1)
-	dy.FillUniform(rng, 0, 1)
-	cfg, err := Configure(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := NewExecutor(cfg)
-	b.SetBytes(p.DataBytes32())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ex.Execute(x, dy)
-	}
-}

@@ -186,16 +186,16 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	if gw >= uw {
 		t.Errorf("grouped workspace %d B >= ungrouped %d B; want per-group shrinkage", gw, uw)
 	}
-	// Per-group ∇W slab is (O_C/G)·F_H·F_W·(I_C/G): one ring slot's arena
+	// Per-group ∇W slab is (O_C/G)·F_H·F_W·(I_C/G): one slot's arena
 	// shrinks exactly G² at equal Z (both sides round Z the same way under
-	// WithSegments), and the executed workspace grows by at most the
-	// grouped dispatch's ring factor — the ≤ 2× budget.
+	// WithSegments), and the executed workspace holds one slot per
+	// possible participant, min(G, pool width).
 	sw := cfg.WorkspaceSeqBytes()
 	if cfg.Z() == ucfg.Z() && uw != sw*int64(p.G())*int64(p.G()) {
 		t.Errorf("workspace shrink %d/%d, want exactly G²=%d at equal Z", uw, sw, p.G()*p.G())
 	}
-	if gw > 2*sw {
-		t.Errorf("grouped workspace %d B > 2× one slot's per-group arena %d B", gw, sw)
+	if ring, want := cfg.GroupRing(), min(p.G(), execPool().Workers()); ring != want {
+		t.Errorf("GroupRing %d, want min(G, pool width) = %d", ring, want)
 	}
 	if ring := cfg.GroupRing(); gw != sw*int64(ring) {
 		t.Errorf("WorkspaceBytes %d != WorkspaceSeqBytes %d × ring %d", gw, sw, ring)

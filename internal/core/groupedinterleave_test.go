@@ -14,17 +14,6 @@ import (
 	"winrs/internal/tensor"
 )
 
-// forceGroupWidth pins the interleave's effective co-scheduling width so
-// the pooled pipeline (phase gates, ring hand-off, unit claims) runs even
-// on CI machines with fewer CPUs than the test pool's width — without it
-// the NumCPU clamp would route every run through the inline path there.
-func forceGroupWidth(t testing.TB, width int) {
-	t.Helper()
-	prev := groupWidthForce
-	groupWidthForce = width
-	t.Cleanup(func() { groupWidthForce = prev })
-}
-
 // perGroupRef is the sequential per-group reference: slice each group's
 // channels and run the per-group plan as an ordinary ungrouped execution,
 // one group after another (FP16 when half; binary16 rounding is
@@ -51,12 +40,11 @@ func perGroupRef(cfg *Config, x, dy *tensor.Float32, half bool) *tensor.Float32 
 // The grouped dispatch must be bit-identical to the sequential per-group
 // reference on every grouped sweep shape, FP32 and FP16, across forced
 // segmentations, inline and through a width-4 pool — and stay within the
-// oracle band. Run under -race this is the interleaved co-scheduling
+// oracle band. Run under -race this is the grouped co-scheduling
 // differential.
 func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
-			forceGroupWidth(t, width)
 			for _, tc := range groupedSweepCases {
 				x64, dy64 := groupedLayer64(t, 71, tc.p)
 				want := conv.BackwardFilterDirect64(tc.p, x64, dy64)
@@ -130,8 +118,8 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 	}
 }
 
-// Cancellation mid-interleave must never leave partial-group bytes in the
-// destination: a group's ∇W slab is written only by the last fused unit of
+// Cancellation mid-run must never leave partial-group bytes in the
+// destination: a group's ∇W slab is written only by the reduce that ends
 // a fully executed group, so every slab is either untouched (the sentinel
 // prefill survives) or bit-identical to the uncancelled result.
 func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
@@ -146,7 +134,6 @@ func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
 	const sentinel = float32(-12345.5)
 
 	withTestPool(t, 4, func() {
-		forceGroupWidth(t, 4)
 		ws := NewWorkspace(cfg)
 		dst := tensor.NewFloat32(p.DWShape())
 		cancelled := 0
@@ -188,9 +175,9 @@ func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
 	})
 }
 
-// Steady-state interleaved grouped dispatch through a warm pool must not
-// allocate: the groupJob is embedded in the Workspace, the slot ring and
-// phase ledger are grown once, and batch descriptors are pooled.
+// Steady-state grouped dispatch through a warm pool must not allocate:
+// the groupJob is embedded in the Workspace, the slot arenas are grown
+// once, and batch descriptors are pooled.
 func TestGroupedInterleavedAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
@@ -304,21 +291,26 @@ func TestSliceDecodeChannelsMatchesUnfused(t *testing.T) {
 	}
 }
 
-// Describe must attribute the realized ring budget and one ring slot's
-// per-group arena on grouped plans — and stay silent on ungrouped ones.
+// Describe must attribute the slot count — one per possible participant,
+// min(G, pool width) — and one slot's per-group arena on grouped plans,
+// and stay silent on ungrouped ones.
 func TestDescribeGroupDispatch(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
 	cfg, err := Configure(p, WithSegments(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := cfg.Describe()
-	if d.GroupRing != groupRingSlots {
-		t.Errorf("GroupRing = %d, want %d", d.GroupRing, groupRingSlots)
-	}
-	if d.WorkspaceSeqBytes <= 0 || d.WorkspaceBytes != d.WorkspaceSeqBytes*int64(d.GroupRing) {
-		t.Errorf("workspace accounting: total %d, per-slot %d, ring %d",
-			d.WorkspaceBytes, d.WorkspaceSeqBytes, d.GroupRing)
+	for _, tc := range []struct{ width, slots int }{{1, 1}, {3, 3}, {8, 4}} {
+		withTestPool(t, tc.width, func() {
+			d := cfg.Describe()
+			if d.GroupRing != tc.slots {
+				t.Errorf("width %d: GroupRing = %d, want %d", tc.width, d.GroupRing, tc.slots)
+			}
+			if d.WorkspaceSeqBytes <= 0 || d.WorkspaceBytes != d.WorkspaceSeqBytes*int64(d.GroupRing) {
+				t.Errorf("workspace accounting: total %d, per-slot %d, slots %d",
+					d.WorkspaceBytes, d.WorkspaceSeqBytes, d.GroupRing)
+			}
+		})
 	}
 
 	pu := p
@@ -333,8 +325,7 @@ func TestDescribeGroupDispatch(t *testing.T) {
 }
 
 // BenchmarkGroupedDispatch times the grouped dispatch on a production
-// depthwise shape — the occupancy case it exists for. Run with -cpu 1,4
-// to see the pool-width dependence.
+// depthwise shape. Run with -cpu 1,4 to see the pool-width dependence.
 func BenchmarkGroupedDispatch(b *testing.B) {
 	p := conv.Params{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 64}
 	cfg, err := Configure(p)
@@ -350,14 +341,14 @@ func BenchmarkGroupedDispatch(b *testing.B) {
 	}
 	ws16 := NewWorkspace(cfg16)
 	xh, dyh := x.ToHalf(), dy.ToHalf()
-	b.Run("interleaved", func(b *testing.B) {
+	b.Run("fp32", func(b *testing.B) {
 		ExecuteIn(cfg, ws, x, dy, dst)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ExecuteIn(cfg, ws, x, dy, dst)
 		}
 	})
-	b.Run("interleaved16", func(b *testing.B) {
+	b.Run("fp16", func(b *testing.B) {
 		ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -143,3 +143,40 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		}
 	}
 }
+
+// A traced grouped execution attributes every group's stages: two gathers,
+// one Ŵ fill and one reduce per group, and one segment_tile record per
+// fused unit of every group — inline and through a width-4 pool.
+func TestGroupedExecuteRecordsStages(t *testing.T) {
+	p := conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
+	cfg, err := Configure(p, WithSegments(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, dy := poolLayer(t, 53, p)
+	g := uint64(p.G())
+	units := uint64(cfg.GroupConfig().unitOff[len(cfg.GroupConfig().unitOff)-1])
+	obs.EnableTrace(true)
+	defer obs.EnableTrace(false)
+	defer obs.ResetTrace()
+	for _, width := range []int{1, 4} {
+		withTestPool(t, width, func() {
+			obs.ResetTrace()
+			Execute(cfg, x, dy)
+			snap := obs.TraceSnapshot()
+			for _, c := range []struct {
+				stage obs.Stage
+				want  uint64
+			}{
+				{obs.StageWHat, g},
+				{obs.StageReduce, g},
+				{obs.StageGroupGather, 2 * g},
+				{obs.StageSegmentTile, g * units},
+			} {
+				if got := snap[c.stage].Count; got != c.want {
+					t.Errorf("width %d: %s count = %d, want %d", width, c.stage, got, c.want)
+				}
+			}
+		})
+	}
+}

@@ -192,40 +192,64 @@ func TestExecuteInAllocsZeroWithPool(t *testing.T) {
 
 // Concurrent Execute calls sharing one pool must not interfere: each gets
 // its own workspace, results stay bit-identical to the serial reference.
-// Run with -race, this is the co-scheduling safety test.
+// The grouped cases make the participants of each call contend for its
+// slot arenas: depthwise FP16 with G above the pool width, and G = 3,
+// which a width-4 pool splits unevenly. Run with -race, this is the
+// co-scheduling safety test.
 func TestConcurrentExecuteSharedPool(t *testing.T) {
-	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 4, OC: 6, PH: 1, PW: 1}
-	cfg, err := Configure(p, WithSegments(2))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		p    conv.Params
+		half bool
+	}{
+		{"dense", conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 4, OC: 6, PH: 1, PW: 1}, false},
+		{"depthwise_fp16", conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16}, true},
+		{"g3", conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 6, OC: 9, PH: 1, PW: 1, Groups: 3}, false},
 	}
-	x, dy := poolLayer(t, 95, p)
-	want := Execute(cfg, x, dy)
+	for _, tc := range cases {
+		opts := []Option{WithSegments(2)}
+		if tc.half {
+			opts = append(opts, WithFP16())
+		}
+		cfg, err := Configure(tc.p, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		x, dy := poolLayer(t, 95, tc.p)
+		xh, dyh := x.ToHalf(), dy.ToHalf()
+		run := func(ws *Workspace, dst *tensor.Float32) *tensor.Float32 {
+			if tc.half {
+				return ExecuteHalfIn(cfg, ws, xh, dyh, dst)
+			}
+			return ExecuteIn(cfg, ws, x, dy, dst)
+		}
+		want := run(nil, nil)
 
-	withTestPool(t, 4, func() {
-		var wg sync.WaitGroup
-		errs := make(chan string, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := NewWorkspace(cfg)
-				dst := tensor.NewFloat32(p.DWShape())
-				for iter := 0; iter < 10; iter++ {
-					got := ExecuteIn(cfg, ws, x, dy, dst)
-					for i := range want.Data {
-						if got.Data[i] != want.Data[i] {
-							errs <- "concurrent pooled result differs from serial reference"
-							return
+		withTestPool(t, 4, func() {
+			var wg sync.WaitGroup
+			errs := make(chan string, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ws := NewWorkspace(cfg)
+					dst := tensor.NewFloat32(tc.p.DWShape())
+					for iter := 0; iter < 10; iter++ {
+						got := run(ws, dst)
+						for i := range want.Data {
+							if got.Data[i] != want.Data[i] {
+								errs <- tc.name + ": concurrent pooled result differs from serial reference"
+								return
+							}
 						}
 					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for e := range errs {
-			t.Error(e)
-		}
-	})
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Error(e)
+			}
+		})
+	}
 }

@@ -367,7 +367,6 @@ func TestQuantizedMatchesRef(t *testing.T) {
 	}
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
-			forceGroupWidth(t, width)
 			for _, p := range shapes {
 				x, dy, _ := quantOperands(t, p, 9)
 				for _, z := range []int{0, 3} {

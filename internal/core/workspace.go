@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"winrs/internal/kahan"
@@ -16,8 +17,8 @@ import (
 // α·O_C panel per (segment row, width tile, batch image), filled once per
 // execution and reused across all F_H·(F_W/n) units of a segment).
 // Executions through ExecuteIn reuse it across steps, so a steady-state
-// caller (the serving runtime's workspace pool, the training Executor)
-// pays the allocations once instead of per gradient.
+// caller (the serving runtime's workspace pool, a training loop) pays the
+// allocations once instead of per gradient.
 //
 // A Workspace is NOT safe for concurrent use; the Config it was built for
 // is read-only and may be shared freely.
@@ -47,13 +48,11 @@ type Workspace struct {
 	// Per-segment transforms under the current call's storage policy.
 	plans []unitPlan
 
-	// Grouped dispatch state (groupedinterleave.go): the bounded ring of
-	// in-flight per-group slots — each holding its own buckets, staging
-	// operands and Ŵ cache so groups execute concurrently — and the
-	// per-group phase ledger. Grown lazily on the first grouped execution,
-	// then reused. Empty for ungrouped plans.
-	ring   []groupSlot
-	gphase []groupPhase
+	// Grouped dispatch state (grouped.go): one slot arena per possible
+	// participant, each holding its own buckets, staging operands and Ŵ
+	// cache so groups execute concurrently. Grown lazily on the first
+	// grouped execution, then reused. Empty for ungrouped plans.
+	ring []groupSlot
 
 	// Reusable pool tasks: rewritten per call so the steady-state dispatch
 	// passes a pointer-to-field as sched.Task without boxing allocations.
@@ -61,16 +60,16 @@ type Workspace struct {
 	gjob groupJob
 }
 
-// groupSlot is one ring entry of the grouped dispatch: the complete
-// per-group arena (Z buckets, staging operands, Ŵ cache) of one in-flight
-// group. Groups map to slots round-robin (gi mod ring); the prep unit of a
-// group claims the slot once the previous occupant's reduce retires it,
-// and the group's units then overwrite every bucket element. Slot 0 runs
-// on the workspace's own bucket arena.
+// groupSlot is one slot arena of the grouped dispatch: the complete
+// per-group arena (Z buckets, staging operands, Ŵ cache) of one
+// participant, claimed through busy for a chunk of groups whose units
+// overwrite every bucket element. Slot 0 runs on the workspace's own
+// bucket arena.
 type groupSlot struct {
 	x, dy   []float32 // the group's float32 operand staging (see operand.stage)
 	what32  []float32
 	buckets [][]float32
+	busy    atomic.Bool
 }
 
 // ensureBuckets sizes the slot's bucket set to z buckets of elems each.
@@ -86,7 +85,7 @@ func (s *groupSlot) ensureBuckets(z, elems int) {
 	}
 }
 
-// ensureRing sizes the slot ring to n entries, keeping existing arenas.
+// ensureRing sizes the slot set to n entries, keeping existing arenas.
 func (ws *Workspace) ensureRing(n int) {
 	if cap(ws.ring) < n {
 		r := make([]groupSlot, n)
@@ -97,9 +96,9 @@ func (ws *Workspace) ensureRing(n int) {
 }
 
 // NewWorkspace allocates the bucket arena for cfg and binds its schedule
-// tables. For a grouped plan the geometry is ONE group's ∇W slab: ring
-// slot 0 of the grouped dispatch runs on this arena and further slots
-// size theirs from it (see Config.WorkspaceBytes).
+// tables. For a grouped plan the geometry is ONE group's ∇W slab: slot 0
+// of the grouped dispatch runs on this arena and further slots size
+// theirs from it (see Config.WorkspaceBytes).
 func NewWorkspace(cfg *Config) *Workspace {
 	e := cfg.exec()
 	elems := e.Params.DWShape().Elems()
@@ -145,8 +144,8 @@ func (ws *Workspace) Fits(cfg *Config) bool {
 
 // Bytes returns the arena footprint: buckets plus whatever Ŵ-cache and
 // operand-mirror arenas the executed storage policies have materialized,
-// plus the grouped-dispatch ring slots when grouped executions grew them
-// (slot 0 shares the bucket arena, so it is counted once). The cache
+// plus the grouped-dispatch slots when grouped executions grew them (slot
+// 0 shares the bucket arena, so it is counted once). The cache
 // stays within the analytic bound documented on Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
 	b := int64(ws.z)*int64(ws.elems)*4 +
@@ -224,7 +223,8 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // execute is the one execution path behind every BFC entry point — FP32, FP16,
 // quantized, grouped and 3-D: bring the operands into float32 form, fill
 // the Ŵ cache, run the unit grid, Kahan-reduce the buckets into dst
-// (allocated when nil). Grouped plans take the interleaved dispatch.
+// (allocated when nil). Grouped plans take the group-item batch of
+// grouped.go.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial

@@ -191,7 +191,6 @@ func TestGroupedWorkspaceBytesCountsArenasOnce(t *testing.T) {
 	}
 	x, dy := poolLayer(t, 44, p)
 	withTestPool(t, 4, func() {
-		forceGroupWidth(t, 4)
 		ws := NewWorkspace(cfg)
 		ExecuteIn(cfg, ws, x, dy, nil)
 		pg := cfg.GroupConfig().Params

@@ -26,16 +26,15 @@ const (
 	StageEWM
 	// StageWHat is the Ŵ-cache pre-pass of one execution: gathering and
 	// filter-transforming every ∇Y unit once before the fused units run.
-	// Recorded once per execution, like StageReduce.
+	// Recorded once per execution (once per group on grouped plans), like
+	// StageReduce.
 	StageWHat
-	// StageReduce is the Kahan bucket reduction of one execution.
+	// StageReduce is the Kahan bucket reduction of one execution (of one
+	// group on grouped plans).
 	StageReduce
 	// StageGroupGather is one grouped-execution channel gather: slicing a
-	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Under
-	// the interleaved group dispatch each gather is a pool unit recorded
-	// individually, so the overlap with the previous group's compute is
-	// visible in the stage histogram; the sequential dispatch gathers
-	// inline and records per group.
+	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Each
+	// group records two, one per operand.
 	StageGroupGather
 	// NumStages bounds the enum.
 	NumStages

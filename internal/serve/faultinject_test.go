@@ -381,8 +381,8 @@ func TestFaultMetricsRegisteredUpfront(t *testing.T) {
 	}
 }
 
-// Acceptance criterion: cancelling a grouped request mid-interleave leaks
-// nothing — the interleaved dispatch drains, the borrowed arenas return to
+// Acceptance criterion: cancelling a grouped request mid-run leaks
+// nothing — the grouped dispatch drains, the borrowed arenas return to
 // the pools (Borrowed() == 0) after every attempt, and a served grouped
 // gradient (cancelled runs retried to completion) stays bit-identical to
 // the library path. Run under -race this also proves the cancelled batch
