@@ -6,7 +6,7 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 0.15
 FUZZTIME ?= 30s
 
-.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke router-smoke saturate grouped-smoke bitwise-smoke bench-smoke
+.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke router-smoke saturate grouped-smoke bitwise-smoke bench-smoke cross-build
 
 ci: vet build race
 
@@ -91,20 +91,34 @@ grouped-smoke:
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
 	done
 
-# bitwise-smoke repeats the bitwise suites of the unit epilogue and the
-# pooled reduce under the race detector at GOMAXPROCS 1 and 4: the
-# streaming epilogue against its per-element oracle, poisoned (NaN)
-# workspaces against fresh ones (every bucket element is stored once per
-# run; nothing zeroes them), pool-vs-inline and shared-pool concurrency,
-# mid-run cancellation, and the FP16, quantized and 3-D reference
-# executors. Pool workers share the reduce, so each suite runs 5 times.
+# bitwise-smoke repeats the bitwise suites of the EWM panels, the unit
+# epilogue and the pooled reduce under the race detector at GOMAXPROCS 1
+# and 4: each EWM panel against the Go 4×4 panel and every forced EWM mode
+# against the forced 4×4 tier, the streaming epilogue against its
+# per-element oracle, poisoned (NaN) workspaces against fresh ones (every
+# bucket element is stored once per run; nothing zeroes them),
+# pool-vs-inline and shared-pool concurrency, mid-run cancellation, and
+# the FP16, quantized and 3-D reference executors. On an AVX2 host
+# TestBitwiseSuitesGoKernels runs the suites again on the Go kernels, so
+# both kernel paths are pinned. Pool workers share the reduce, so each
+# suite runs 5 times.
 bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef' \
+			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMForcedVariantsMatchBaseFP32|TestBitwiseSuitesGoKernels' \
 			./internal/core || exit 1; \
 	done
+
+# cross-build compiles the non-amd64 fallbacks of the AVX2 kernels and the
+# CPU feature detection, which no amd64 build touches: vet on arm64 and
+# 386, and the arm64 test binaries of the packages that carry them.
+cross-build:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/core
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/kahan
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/cpufeat
 
 # bench-smoke runs the end-to-end benchmark's own tests (about 10 s).
 # bench/ is a separate Go module, so the root `go test ./...` never
@@ -113,11 +127,15 @@ bench-smoke:
 	cd bench && $(GO) test ./...
 
 # fuzz-smoke runs every fuzz target from its seed corpus for FUZZTIME
-# each, plus the exhaustive codec equivalence sweeps (all 65536 decode
-# patterns, every encode rounding boundary) that anchor the fuzz targets.
+# each (the AVX2 kernel targets skip on hosts without AVX2), plus the
+# exhaustive codec equivalence sweeps (all 65536 decode patterns, every
+# encode rounding boundary) that anchor the fuzz targets.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConfigurePartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzExecuteMatchesDirect$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEWMPanelAVX2$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOutputRowAVX2$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kahan -run '^$$' -fuzz '^FuzzReduceAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzConversion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzOrdering$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzEncodeMatchesScalar$$' -fuzztime $(FUZZTIME)

@@ -35,8 +35,10 @@ type Cost struct {
 // derates below are fit against measured ns/op of the five backends on
 // the bench grid of cmd/winrs-bench (see TestDispatchWithinBest).
 const (
-	// hostFLOPSPerProc is the scalar FMA peak of one worker running the
-	// tightest loop in this repository (the register-blocked EWM).
+	// hostFLOPSPerProc is the per-worker FLOP rate charged to every
+	// backend's compute term. It was fit to the scalar register-blocked
+	// EWM; WinRS's AVX2 EWM panel runs several times faster on AVX2
+	// hosts, which the WinRS derates do not yet model.
 	hostFLOPSPerProc = 2.0e9
 	// hostBytesPerSec is the streaming bandwidth charged to intermediate
 	// traffic (shared across workers, hence not scaled by procs).

@@ -11,8 +11,8 @@ import (
 	"winrs/internal/tensor"
 )
 
-// directCases3D are the filter shapes and paddings (both spatial padding
-// axes) of the 3-D differential tests.
+// directCases3D are the filter shapes, paddings (both spatial padding
+// axes) and channel widths of the 3-D differential tests.
 var directCases3D = []conv.Params3D{
 	{N: 1, ID: 6, IH: 8, IW: 8, FD: 3, FH: 3, FW: 3, IC: 2, OC: 2,
 		PD: 1, PH: 1, PW: 1},
@@ -20,6 +20,10 @@ var directCases3D = []conv.Params3D{
 	{N: 1, ID: 5, IH: 9, IW: 12, FD: 3, FH: 5, FW: 5, IC: 2, OC: 2,
 		PD: 1, PH: 2, PW: 2},
 	{N: 1, ID: 7, IH: 7, IW: 13, FD: 1, FH: 3, FW: 3, IC: 3, OC: 2,
+		PH: 1, PW: 1},
+	// I_C = 44 runs the wide EWM panel and output row on every step: 32
+	// and 8 lanes, then a 4-column tail.
+	{N: 1, ID: 3, IH: 5, IW: 8, FD: 2, FH: 3, FW: 3, IC: 44, OC: 3,
 		PH: 1, PW: 1},
 }
 

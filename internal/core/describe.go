@@ -38,7 +38,9 @@ type Description struct {
 	WHatCacheRatio    float64 `json:"wHatCacheRatio"`
 	TotalBlocks       int     `json:"totalBlocks"`
 	// EWMKernel is the kernel-tier variant the fast kernel's units resolve
-	// to (e.g. "fused8x4", "block8x8").
+	// to: the panel ("block4x4", "avx2" or "dw1"), "fused" in place of
+	// "block" where the transform feeds the EWM row by row (e.g.
+	// "fusedavx2").
 	EWMKernel string `json:"ewmKernel"`
 }
 

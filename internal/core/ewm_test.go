@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"winrs/internal/conv"
+	"winrs/internal/cpufeat"
 	"winrs/internal/tensor"
 	"winrs/internal/winograd"
 )
@@ -32,7 +33,6 @@ var ewmVariantModes = []struct {
 }{
 	{"auto", ewmAuto},
 	{"block4", ewmBlock4},
-	{"block8", ewmBlock8},
 	{"fused", ewmFused},
 }
 
@@ -53,26 +53,32 @@ func randPanels(rng *rand.Rand, alpha, oc, ic int) (wHat, xHat []float32) {
 	return wHat, xHat
 }
 
-// Every register-blocked panel variant must produce bit-identical
-// accumulators to the base 4×4 kernel across row/column remainders
-// (including oc < 8 tails and ic % 8 ≠ 0) and planted zero rows: each v
-// element receives exactly one fused add per e in every variant, so any
-// difference is a real indexing bug. The dw1 panel runs at I_C == 1 only,
-// the one shape that selects it.
+// Every panel variant must produce bit-identical accumulators to the base
+// 4×4 kernel across row/column remainders (including oc < 8 tails, ic % 8
+// ≠ 0 and the AVX2 panel's 32-lane steps at ic = 40) and planted zero
+// rows: each v element receives exactly one multiply and one add per e in
+// every variant, so any difference is a real indexing or rounding bug. The
+// dw1 panel runs at I_C == 1 only, the one shape that selects it; the
+// AVX2 panel runs on AVX2 hosts only.
 func TestEWMPanelVariantsMatchBase(t *testing.T) {
 	variants := []struct {
 		name  string
 		panel ewmPanelFunc
 		dw    bool
 	}{
-		{"8x4", ewmPanel8x4, false},
-		{"8x8", ewmPanel8x8, false},
 		{"dw1", ewmPanelDW1, true},
+	}
+	if cpufeat.HasAVX2 {
+		variants = append(variants, struct {
+			name  string
+			panel ewmPanelFunc
+			dw    bool
+		}{"avx2", ewmPanelAVX2, false})
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, alpha := range []int{2, 4, 8, 16} {
 		for _, oc := range []int{1, 3, 4, 7, 8, 9, 11, 16} {
-			for _, ic := range []int{1, 3, 4, 5, 8, 9, 16} {
+			for _, ic := range []int{1, 3, 4, 5, 8, 9, 16, 40} {
 				wHat, xHat := randPanels(rng, alpha, oc, ic)
 				// Accumulate into a shared random prior — variants must
 				// agree on the += behaviour, not just on fresh zeros.
@@ -266,24 +272,38 @@ func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 }
 
 // EWMKernel must report the selection the executing units actually
-// resolve, including force modes and the depthwise panel.
+// resolve, including force modes, the depthwise panel, the I_C < 8 shapes
+// that keep the Go panel, and the Go kernel path on an AVX2 host.
 func TestEWMKernelReporting(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
-	cfg, err := Configure(p) // fast kernel Ω8(3,6): fp32 block (64, 32)
+	cfg, err := Configure(p) // fast kernel Ω8(3,6): fused
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg16, err := Configure(p, WithFP16()) // fp16 block (128, 64)
+	cfg16, err := Configure(p, WithFP16())
 	if err != nil {
 		t.Fatal(err)
+	}
+	narrow := p
+	narrow.IC = 3
+	cfgNarrow, err := Configure(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := "fused4x4"
+	if cpufeat.HasAVX2 {
+		wide = "fusedavx2"
 	}
 
 	forceEWM(t, ewmAuto)
-	if got, want := cfg.EWMKernel(), "fused8x4"; got != want {
-		t.Errorf("fp32 auto: %q, want %q (B_M 32 keeps the 4-wide column block)", got, want)
+	if got := cfg.EWMKernel(); got != wide {
+		t.Errorf("fp32 auto: %q, want %q", got, wide)
 	}
-	if got, want := cfg16.EWMKernel(), "fused8x8"; got != want {
-		t.Errorf("fp16 auto: %q, want %q (precision-aware B_M 64 widens the block)", got, want)
+	if got := cfg16.EWMKernel(); got != wide {
+		t.Errorf("fp16 auto: %q, want %q", got, wide)
+	}
+	if got, want := cfgNarrow.EWMKernel(), "fused4x4"; got != want {
+		t.Errorf("I_C = 3 auto: %q, want %q (narrow panels keep the Go 4×4 panel)", got, want)
 	}
 	dw := p
 	dw.IC, dw.OC, dw.Groups = 16, 16, 16
@@ -306,5 +326,9 @@ func TestEWMKernelReporting(t *testing.T) {
 	forceEWM(t, ewmAuto)
 	if d := cfg.Describe(); d.EWMKernel != cfg.EWMKernel() {
 		t.Errorf("Describe() EWMKernel %q, want %q", d.EWMKernel, cfg.EWMKernel())
+	}
+	forceGoKernels(t)
+	if got, want := cfg.EWMKernel(), "fused4x4"; got != want {
+		t.Errorf("Go kernels forced: %q, want %q", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"winrs/internal/conv"
+	"winrs/internal/cpufeat"
 	"winrs/internal/fp16"
 	"winrs/internal/obs"
 	"winrs/internal/sched"
@@ -395,13 +396,13 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 // x is the float32 X source in (N, rm rows, I_W, I_C) layout.
 //
 // ut, when non-nil, accumulates sampled, scaled intra-unit transform and
-// EWM durations for the observability layer; the nil path adds only
-// predictable never-taken branches.
+// EWM durations and the timed epilogue for the observability layer; the
+// nil path adds only predictable never-taken branches.
 func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, st storage,
 	x, what, bucket []float32, ut *obs.UnitTimes) {
 	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
 	oc, ic := p.OC, p.IC
-	sel := selectEWM(seg.K, st.half, oc, ic)
+	sel := selectEWM(seg.K, ic)
 	round := st.round
 
 	s := getTileScratch()
@@ -533,7 +534,14 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 		}
 	}
 	smp.flush(ut)
+	var t0 time.Time
+	if ut != nil {
+		t0 = time.Now()
+	}
 	writeOutput(p, pl.a, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha*n+ic))
+	if ut != nil {
+		ut.Epilogue += time.Since(t0)
+	}
 }
 
 // writeOutput applies the FP32 output transform Aᵀ to the accumulators and
@@ -566,9 +574,25 @@ func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float3
 
 // outputRow sets row[b] = Σ_e cs[e]·v[e·stride + b]: each element starts at
 // +0 and adds its terms in ascending e — the operation sequence of a
-// per-element dot product over the α accumulators. Four terms are added
-// per pass over the row, so each element stays in a register across them.
+// per-element dot product over the α accumulators. On an AVX2 host the
+// AVX2 kernel produces the largest multiple of 8 elements, eight lanes
+// per register with the same per-lane sequence, and outputRowGo the rest.
 func outputRow(row, cs, v []float32, stride int) {
+	if n8 := len(row) &^ 7; cpufeat.HasAVX2 && n8 > 0 && len(cs) > 0 {
+		_ = v[(len(cs)-1)*stride : (len(cs)-1)*stride+len(row)] // the kernel checks no bounds
+		outputRowAVX2(&row[0], &cs[0], &v[0], n8, len(cs), stride)
+		if n8 == len(row) {
+			return
+		}
+		row, v = row[n8:], v[n8:]
+	}
+	outputRowGo(row, cs, v, stride)
+}
+
+// outputRowGo is the portable outputRow and the AVX2 kernel's oracle. Four
+// terms are added per pass over the row, so each element stays in a
+// register across them.
+func outputRowGo(row, cs, v []float32, stride int) {
 	for b := range row {
 		row[b] = 0
 	}

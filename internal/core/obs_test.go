@@ -77,8 +77,8 @@ func TestObservabilityAllocsPinned(t *testing.T) {
 }
 
 // Tracing must observe every stage of an execution: units on both precision
-// paths, nested transform/EWM times that fit inside the unit, and one
-// reduce record per call.
+// paths, nested transform/EWM/epilogue times that fit inside the unit, and
+// one reduce record per call.
 func TestExecuteRecordsStages(t *testing.T) {
 	cfg, x, dy, xh, dyh := obsTestLayer(t)
 	obs.ResetTrace()
@@ -111,6 +111,15 @@ func TestExecuteRecordsStages(t *testing.T) {
 	// to a span inside each unit and can never exceed the unit total.
 	if nested := snap[obs.StageTransform].Total + snap[obs.StageEWM].Total; nested > units.Total {
 		t.Errorf("transform+ewm %v exceeds segment_tile total %v", nested, units.Total)
+	}
+	// The epilogue is timed once per unit, after the inner loop, so all
+	// three nested stages together still fit inside the unit.
+	epi := snap[obs.StageEpilogue]
+	if epi.Count != 2*calls {
+		t.Errorf("epilogue count = %d, want %d", epi.Count, 2*calls)
+	}
+	if nested := snap[obs.StageTransform].Total + snap[obs.StageEWM].Total + epi.Total; nested > units.Total {
+		t.Errorf("transform+ewm+epilogue %v exceeds segment_tile total %v", nested, units.Total)
 	}
 	if units.Total <= 0 {
 		t.Error("segment_tile total duration not recorded")
@@ -145,8 +154,9 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 }
 
 // A traced grouped execution attributes every group's stages: two gathers,
-// one Ŵ fill and one reduce per group, and one segment_tile record per
-// fused unit of every group — inline and through a width-4 pool.
+// one Ŵ fill and one reduce per group, and one segment_tile and one
+// epilogue record per fused unit of every group — inline and through a
+// width-4 pool.
 func TestGroupedExecuteRecordsStages(t *testing.T) {
 	p := conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
 	cfg, err := Configure(p, WithSegments(2))
@@ -172,6 +182,7 @@ func TestGroupedExecuteRecordsStages(t *testing.T) {
 				{obs.StageReduce, g},
 				{obs.StageGroupGather, 2 * g},
 				{obs.StageSegmentTile, g * units},
+				{obs.StageEpilogue, g * units},
 			} {
 				if got := snap[c.stage].Count; got != c.want {
 					t.Errorf("width %d: %s count = %d, want %d", width, c.stage, got, c.want)

@@ -8,6 +8,8 @@
 // used by the bucket-reduction kernel.
 package kahan
 
+import "winrs/internal/cpufeat"
+
 // Sum32 is a float32 Kahan (compensated) accumulator. The zero value is an
 // accumulator holding 0.
 type Sum32 struct {
@@ -112,18 +114,36 @@ func ReduceBuckets(dst []float32, buckets [][]float32) {
 	ReduceBucketsRange(dst, buckets, 0, len(dst))
 }
 
-// reduceBlock is the element block ReduceBucketsRange keeps its running
+// reduceBlock is the element block reduceRangeGo keeps its running
 // sums and compensations for on the stack (2 KiB).
 const reduceBlock = 256
 
 // ReduceBucketsRange is ReduceBuckets restricted to elements [lo, hi), so
 // disjoint ranges can be reduced concurrently. Each element runs the Sum32
 // update over its buckets in bucket order, so any split of the range
-// yields the same bits. The loop streams bucket by bucket over blocks of
-// elements, keeping each element's sum and compensation in a block array:
-// the per-element updates are independent, so they pipeline instead of
-// waiting on one element's dependency chain. Lengths are not checked.
+// yields the same bits. On an AVX2 host the AVX2 kernel takes the largest
+// multiple of 8 elements and reduceRangeGo the rest; each lane runs the
+// scalar sequence, so the bits do not depend on the host. Every bucket
+// and dst must hold at least hi elements.
 func ReduceBucketsRange(dst []float32, buckets [][]float32, lo, hi int) {
+	if n8 := (hi - lo) &^ 7; cpufeat.HasAVX2 && n8 > 0 && len(buckets) > 0 {
+		// The kernel checks no bounds; these slicings do.
+		_ = dst[lo:hi]
+		for _, b := range buckets {
+			_ = b[lo:hi]
+		}
+		reduceAVX2(&dst[lo], &buckets[0], len(buckets), lo, n8)
+		lo += n8
+	}
+	reduceRangeGo(dst, buckets, lo, hi)
+}
+
+// reduceRangeGo is the portable ReduceBucketsRange and the AVX2 kernel's
+// oracle. It streams bucket by bucket over blocks of elements, keeping
+// each element's sum and compensation in a block array: the per-element
+// updates are independent, so they pipeline instead of waiting on one
+// element's dependency chain.
+func reduceRangeGo(dst []float32, buckets [][]float32, lo, hi int) {
 	var sums, comps [reduceBlock]float32
 	for b0 := lo; b0 < hi; b0 += reduceBlock {
 		sum := sums[:min(reduceBlock, hi-b0)]

@@ -36,11 +36,15 @@ const (
 	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Each
 	// group records two, one per operand.
 	StageGroupGather
+	// StageEpilogue is one unit's output transform Aᵀ into its bucket, the
+	// last step of a fused unit; like StageTransform and StageEWM it is
+	// nested in StageSegmentTile.
+	StageEpilogue
 	// NumStages bounds the enum.
 	NumStages
 )
 
-var stageNames = [NumStages]string{"segment_tile", "transform", "ewm", "what_transform", "reduce", "group_gather"}
+var stageNames = [NumStages]string{"segment_tile", "transform", "ewm", "what_transform", "reduce", "group_gather", "epilogue"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -66,6 +70,7 @@ func TraceEnabled() bool { return traceEnabled.Load() }
 type UnitTimes struct {
 	Transform time.Duration
 	EWM       time.Duration
+	Epilogue  time.Duration
 }
 
 // stageRec is the lock-free accumulator of one stage.
@@ -86,11 +91,12 @@ func RecordStage(s Stage, d time.Duration) {
 }
 
 // RecordUnit records one fused work unit: its total duration plus the
-// intra-unit transform and EWM shares.
+// intra-unit transform, EWM and epilogue shares.
 func RecordUnit(total time.Duration, ut UnitTimes) {
 	RecordStage(StageSegmentTile, total)
 	RecordStage(StageTransform, ut.Transform)
 	RecordStage(StageEWM, ut.EWM)
+	RecordStage(StageEpilogue, ut.Epilogue)
 }
 
 // ResetTrace zeroes all stage accumulators (bench isolation). Concurrent

@@ -46,9 +46,7 @@ func (k Kernel) Accel() float64 { return float64(k.N*k.R) / float64(k.Alpha) }
 // table is precision-aware: binary16 operands occupy half the bytes, so
 // every kernel's FP16 block covers at least its FP32 block's area within
 // the same shared-memory budget (pinned by TestCacheBlockPrecisionAware;
-// the budget itself by TestCacheBlocksFitSharedMemory). Beyond the GPU
-// model, the host kernel tier keys its EWM block-shape selection off B_M
-// (see core's selectEWM).
+// the budget itself by TestCacheBlocksFitSharedMemory).
 func (k Kernel) CacheBlock(fp16 bool) (bn, bm int) {
 	if fp16 {
 		return k.BN16, k.BM16
