@@ -1,10 +1,8 @@
 package backend
 
 import (
-	"fmt"
-	"sync"
-
 	"context"
+	"fmt"
 
 	"winrs/internal/conv"
 	"winrs/internal/core"
@@ -21,84 +19,64 @@ func errFP16(name string) error {
 
 // --- winrs: the paper's fused segmented Winograd algorithm ---
 
-// winrsBackend adapts internal/core. Configuration adaptation (§4) is
-// deterministic per (geometry, precision), so configs are memoized; the
-// workspace is allocated per call — this is the registry/measurement
+// winrsBackend adapts internal/core. Configuration adaptation (§4) runs
+// per call — it takes a few microseconds, and a memo keyed by geometry
+// would grow with every distinct layer a long-lived process sees. The
+// workspace is allocated per call too: this is the registry/measurement
 // entry point, while the serving hot path keeps its own pooled route
-// through serve.Runtime (which reuses workspaces and stays 0 allocs/op).
-type winrsBackend struct {
-	cfgs sync.Map // winrsKey -> winrsConfig
-}
+// through serve.Runtime (which reuses configs and workspaces in its plan
+// cache and stays 0 allocs/op).
+type winrsBackend struct{}
 
-type winrsKey struct {
-	p    conv.Params
-	fp16 bool
-}
+func (winrsBackend) Name() string { return "winrs" }
 
-type winrsConfig struct {
-	cfg *core.Config
-	err error
-}
-
-func newWinRSBackend() *winrsBackend { return &winrsBackend{} }
-
-func (b *winrsBackend) Name() string { return "winrs" }
-
-func (b *winrsBackend) config(p conv.Params, prec Precision) (*core.Config, error) {
-	key := winrsKey{p: p, fp16: prec == FP16}
-	if v, ok := b.cfgs.Load(key); ok {
-		c := v.(winrsConfig)
-		return c.cfg, c.err
-	}
-	opts := []core.Option{}
+// configure adapts the WinRS configuration for (p, prec).
+func configure(p conv.Params, prec Precision) (*core.Config, error) {
 	if prec == FP16 {
-		opts = append(opts, core.WithFP16())
+		return core.Configure(p, core.WithFP16())
 	}
-	cfg, err := core.Configure(p, opts...)
-	v, _ := b.cfgs.LoadOrStore(key, winrsConfig{cfg: cfg, err: err})
-	c := v.(winrsConfig)
-	return c.cfg, c.err
+	return core.Configure(p)
 }
 
-func (b *winrsBackend) Supports(p conv.Params, prec Precision) bool {
+func (winrsBackend) Supports(p conv.Params, prec Precision) bool {
 	if p.Validate() != nil {
 		return false
 	}
-	_, err := b.config(p, prec)
+	_, err := configure(p, prec)
 	return err == nil
 }
 
-func (b *winrsBackend) WorkspaceBytes(p conv.Params, prec Precision) int64 {
-	cfg, err := b.config(p, prec)
+func (winrsBackend) WorkspaceBytes(p conv.Params, prec Precision) int64 {
+	cfg, err := configure(p, prec)
 	if err != nil {
 		return 0
 	}
 	return cfg.WorkspaceBytes()
 }
 
-func (b *winrsBackend) ExecuteCtx(ctx context.Context, p conv.Params, x, dy, dst *tensor.Float32) error {
+func (winrsBackend) ExecuteCtx(ctx context.Context, p conv.Params, x, dy, dst *tensor.Float32) error {
 	if err := checkOperands(p, x.Shape, dy.Shape, dst.Shape); err != nil {
 		return err
 	}
-	cfg, err := b.config(p, FP32)
+	cfg, err := configure(p, FP32)
 	if err != nil {
 		return err
 	}
-	return observe(ctx, b.Name(), func() error {
+	return observe(ctx, "winrs", func() error {
 		_, err := core.ExecuteInCtx(ctx, cfg, core.NewWorkspace(cfg), x, dy, dst)
 		return err
 	})
 }
 
-func (b *winrsBackend) ExecuteHalfCtx(ctx context.Context, p conv.Params, x, dy *tensor.Half, dst *tensor.Float32) error {
+func (winrsBackend) ExecuteHalfCtx(ctx context.Context, p conv.Params, x, dy *tensor.Half, dst *tensor.Float32) error {
 	if err := checkOperands(p, x.Shape, dy.Shape, dst.Shape); err != nil {
 		return err
 	}
-	cfg, err := b.config(p, FP16)
+	cfg, err := configure(p, FP16)
 	if err != nil {
 		return err
 	}
-	return observe(ctx, b.Name(), func() error {
+	return observe(ctx, "winrs", func() error {
 		_, err := core.ExecuteHalfInCtx(ctx, cfg, core.NewWorkspace(cfg), x, dy, dst)
 		return err
 	})

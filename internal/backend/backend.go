@@ -152,7 +152,7 @@ var (
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		defaultReg = NewRegistry(
-			newWinRSBackend(),
+			&winrsBackend{},
 			&gemmBackend{},
 			&directBackend{},
 			&fftBackend{},

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"winrs/internal/conv"
@@ -164,5 +165,39 @@ func TestExecuteCancelledContext(t *testing.T) {
 		if err := b.ExecuteCtx(ctx, p3x3, x, dy, dst); err == nil {
 			t.Errorf("%s: cancelled context accepted", b.Name())
 		}
+	}
+}
+
+// The WinRS adapter must not retain anything per geometry it has seen: a
+// long-lived registry (winrs-serve's "auto" traffic) meets an unbounded
+// stream of distinct layers, and its plan cache is what bounds per-key
+// memory. About 20k Supports calls on distinct geometries must leave the
+// post-GC heap within 2 MiB of where it started.
+func TestWinRSSupportsRetainsNothingPerGeometry(t *testing.T) {
+	b, _ := Default().Get("winrs")
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	n := 0
+	for ic := 1; ic <= 5; ic++ {
+		for ih := 8; ih < 72; ih++ {
+			for iw := 8; iw < 72; iw++ {
+				p := conv.Params{N: 1, IH: ih, IW: iw, FH: 3, FW: 3, IC: ic, OC: 2, PH: 1, PW: 1}
+				if b.Supports(p, FP32) {
+					n++
+				}
+			}
+		}
+	}
+	after := heap()
+	if n < 20000 {
+		t.Fatalf("only %d geometries supported, want ≥ 20000", n)
+	}
+	if grew := int64(after) - int64(before); grew >= 2<<20 {
+		t.Errorf("heap grew %d bytes over %d distinct geometries, want < 2 MiB", grew, n)
 	}
 }

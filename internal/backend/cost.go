@@ -70,8 +70,8 @@ func operandBytes32(p conv.Params) float64 { return float64(p.DataBytes32()) }
 
 // --- per-backend Cost methods ---
 
-func (b *winrsBackend) Cost(p conv.Params, prec Precision) Cost {
-	cfg, err := b.config(p, prec)
+func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
+	cfg, err := configure(p, prec)
 	if err != nil {
 		return Cost{FLOPs: math.Inf(1), Eff: 1, Grains: 1}
 	}

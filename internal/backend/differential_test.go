@@ -93,7 +93,34 @@ func withProcs(t *testing.T, procs int, fn func(t *testing.T)) {
 	})
 }
 
+// sameBitsAcrossProcs records each (case, backend) result of the procs-1
+// pass and requires the procs-4 pass to return the same bits: every
+// backend runs its parallel loops on the shared pool, and each loop
+// iteration writes a disjoint part of ∇W, so the pool width must never
+// reach the result.
+type sameBitsAcrossProcs map[string][]float32
+
+func (m sameBitsAcrossProcs) check(t *testing.T, procs int, key string, got []float32) {
+	t.Helper()
+	if procs == 1 {
+		m[key] = append([]float32(nil), got...)
+		return
+	}
+	want, ok := m[key]
+	if !ok {
+		return // the procs-1 pass was filtered out by -run
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Errorf("%s: procs %d result differs from procs 1 at %d: %v vs %v",
+				key, procs, i, got[i], want[i])
+			return
+		}
+	}
+}
+
 func TestCrossBackendDifferentialFP32(t *testing.T) {
+	serial := sameBitsAcrossProcs{}
 	for _, procs := range []int{1, 4} {
 		withProcs(t, procs, func(t *testing.T) {
 			ran := map[string]int{}
@@ -115,6 +142,7 @@ func TestCrossBackendDifferentialFP32(t *testing.T) {
 							t.Errorf("%s vs FP64 oracle: err %.3g exceeds eq.(7) bound %.3g",
 								b.Name(), e, bound)
 						}
+						serial.check(t, procs, tc.name+"/"+b.Name(), dst.Data)
 					}
 				})
 			}
@@ -136,6 +164,7 @@ func TestCrossBackendDifferentialFP32(t *testing.T) {
 }
 
 func TestCrossBackendDifferentialFP16(t *testing.T) {
+	serial := sameBitsAcrossProcs{}
 	for _, procs := range []int{1, 4} {
 		withProcs(t, procs, func(t *testing.T) {
 			ran := map[string]int{}
@@ -162,6 +191,7 @@ func TestCrossBackendDifferentialFP16(t *testing.T) {
 							t.Errorf("%s FP16 vs quantized FP64 oracle: err %.3g exceeds bound %.3g",
 								b.Name(), e, bound)
 						}
+						serial.check(t, procs, tc.name+"/"+b.Name(), dst.Data)
 					}
 				})
 			}

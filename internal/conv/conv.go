@@ -16,9 +16,8 @@ package conv
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"winrs/internal/sched"
 	"winrs/internal/tensor"
 )
 
@@ -191,7 +190,7 @@ func BackwardFilterDirect32(p Params, x *tensor.Float32, dy *tensor.Float32) *te
 	dw := tensor.NewFloat32(p.DWShape())
 	oh, ow := p.OH(), p.OW()
 	icg, ocg := p.ICG(), p.OCG()
-	parallelFor(p.OC, func(oc int) {
+	sched.For(p.OC, func(oc int) {
 		icBase := oc / ocg * icg
 		for fh := 0; fh < p.FH; fh++ {
 			for fw := 0; fw < p.FW; fw++ {
@@ -262,7 +261,7 @@ func Forward32(p Params, x *tensor.Float32, w *tensor.Float32) *tensor.Float32 {
 	y := tensor.NewFloat32(p.DYShape())
 	oh, ow := p.OH(), p.OW()
 	icg, ocg := p.ICG(), p.OCG()
-	parallelFor(p.N, func(n int) {
+	sched.For(p.N, func(n int) {
 		for yy := 0; yy < oh; yy++ {
 			for xx := 0; xx < ow; xx++ {
 				for oc := 0; oc < p.OC; oc++ {
@@ -297,7 +296,7 @@ func BackwardData32(p Params, dy *tensor.Float32, w *tensor.Float32) *tensor.Flo
 	dx := tensor.NewFloat32(p.XShape())
 	oh, ow := p.OH(), p.OW()
 	icg, ocg := p.ICG(), p.OCG()
-	parallelFor(p.N, func(n int) {
+	sched.For(p.N, func(n int) {
 		for ih := 0; ih < p.IH; ih++ {
 			for iw := 0; iw < p.IW; iw++ {
 				for ic := 0; ic < p.IC; ic++ {
@@ -336,34 +335,4 @@ func checkShapes(p Params, xs, dys tensor.Shape) {
 	if dys != (tensor.Shape{}) && dys != p.DYShape() {
 		panic(fmt.Sprintf("conv: dY shape %v, want %v", dys, p.DYShape()))
 	}
-}
-
-// parallelFor runs f(i) for i in [0,n) across GOMAXPROCS goroutines.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -221,18 +221,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	BackwardFilterDirect64(p, wrong, dy)
 }
 
-func TestParallelForCoversAll(t *testing.T) {
-	n := 100
-	hits := make([]int32, n)
-	parallelFor(n, func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-	parallelFor(0, func(int) { t.Error("should not be called") })
-}
-
 func BenchmarkBackwardFilterDirect32(b *testing.B) {
 	p := Params{N: 4, IH: 32, IW: 32, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
 	rng := rand.New(rand.NewSource(1))

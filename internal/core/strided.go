@@ -21,19 +21,33 @@ import (
 // Stride 1 short-circuits to the standard path. The same decimation is the
 // stride-2 Winograd decomposition of the paper's related work ([16], [20]).
 func BackwardFilterStrided(p conv.StridedParams, x, dy *tensor.Float32, opts ...Option) (*tensor.Float32, error) {
+	return backwardFilterStrided("BackwardFilterStrided", p, x, dy,
+		func(t *tensor.Float32) tensor.Shape { return t.Shape }, gatherPhaseInput, BackwardFilter, opts)
+}
+
+// backwardFilterStrided is the phase-decimation driver behind
+// BackwardFilterStrided and BackwardFilterStridedHalf, generic over the
+// operand tensor T (tensor.Float32 or tensor.Half): shape reads an
+// operand's shape, gather materializes one phase's decimated input, and
+// bfc is the stride-1 BFC every phase (and the stride-1 short cut) runs.
+func backwardFilterStrided[T any](name string, p conv.StridedParams, x, dy *T,
+	shape func(*T) tensor.Shape,
+	gather func(conv.StridedParams, conv.Params, *T, int, int) *T,
+	bfc func(conv.Params, *T, *T, ...Option) (*tensor.Float32, error),
+	opts []Option) (*tensor.Float32, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		return nil, fmt.Errorf("core: BackwardFilterStrided operand shapes %v/%v, want %v/%v",
-			x.Shape, dy.Shape, p.XShape(), p.DYShape())
+	if xs, dys := shape(x), shape(dy); xs != p.XShape() || dys != p.DYShape() {
+		return nil, fmt.Errorf("core: %s operand shapes %v/%v, want %v/%v",
+			name, xs, dys, p.XShape(), p.DYShape())
 	}
 	if unit, ok := p.Unit(); ok {
-		return BackwardFilter(unit, x, dy, opts...)
+		return bfc(unit, x, dy, opts...)
 	}
 	sh, sw := p.StrideH(), p.StrideW()
+	icg := p.ICG() // filter rows carry I_C/G channels under grouping
 	dw := tensor.NewFloat32(p.DWShape())
-
 	for qh := 0; qh < sh && qh < p.FH; qh++ {
 		for qw := 0; qw < sw && qw < p.FW; qw++ {
 			// The decimated stride-1 problem: padding is folded into the
@@ -42,14 +56,11 @@ func BackwardFilterStrided(p conv.StridedParams, x, dy *tensor.Float32, opts ...
 			if err := pq.Validate(); err != nil {
 				return nil, fmt.Errorf("core: phase (%d,%d) geometry: %w", qh, qw, err)
 			}
-			xq := gatherPhaseInput(p, pq, x, qh, qw)
-			dwq, err := BackwardFilter(pq, xq, dy, opts...)
+			dwq, err := bfc(pq, gather(p, pq, x, qh, qw), dy, opts...)
 			if err != nil {
 				return nil, fmt.Errorf("core: phase (%d,%d): %w", qh, qw, err)
 			}
 			// Interleave the phase gradient back: ∇W[s·m+q] = ∇W_q[m].
-			// Filter rows carry I_C/G channels under grouping.
-			icg := p.ICG()
 			for oc := 0; oc < p.OC; oc++ {
 				for mh := 0; mh < fqh; mh++ {
 					for mw := 0; mw < fqw; mw++ {
@@ -245,44 +256,10 @@ func BackwardDataStrided(p conv.StridedParams, dy, w *tensor.Float32) (*tensor.F
 // binary16 and runs the stride-1 FP16 pipeline (mixed-precision transforms,
 // FP32 accumulation, scaling matrices for α = 16).
 func BackwardFilterStridedHalf(p conv.StridedParams, x, dy *tensor.Half, opts ...Option) (*tensor.Float32, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
-		return nil, fmt.Errorf("core: BackwardFilterStridedHalf operand shapes %v/%v",
-			x.Shape, dy.Shape)
-	}
-	if unit, ok := p.Unit(); ok {
-		return BackwardFilterHalf(unit, x, dy, opts...)
-	}
 	// Clone before appending: opts aliases the caller's variadic slice, and
 	// appending in place would clobber its backing array when the caller
 	// passed a shared slice with spare capacity via opts... .
 	opts = append(append([]Option(nil), opts...), WithFP16())
-	sh, sw := p.StrideH(), p.StrideW()
-	icg := p.ICG()
-	dw := tensor.NewFloat32(p.DWShape())
-	for qh := 0; qh < sh && qh < p.FH; qh++ {
-		for qw := 0; qw < sw && qw < p.FW; qw++ {
-			pq, fqh, fqw := phaseGeometry(p, qh, qw)
-			if err := pq.Validate(); err != nil {
-				return nil, fmt.Errorf("core: phase (%d,%d) geometry: %w", qh, qw, err)
-			}
-			xq := gatherPhaseInputHalf(p, pq, x, qh, qw)
-			dwq, err := BackwardFilterHalf(pq, xq, dy, opts...)
-			if err != nil {
-				return nil, fmt.Errorf("core: phase (%d,%d): %w", qh, qw, err)
-			}
-			for oc := 0; oc < p.OC; oc++ {
-				for mh := 0; mh < fqh; mh++ {
-					for mw := 0; mw < fqw; mw++ {
-						src := dwq.Shape.Index(oc, mh, mw, 0)
-						dst := dw.Shape.Index(oc, sh*mh+qh, sw*mw+qw, 0)
-						copy(dw.Data[dst:dst+icg], dwq.Data[src:src+icg])
-					}
-				}
-			}
-		}
-	}
-	return dw, nil
+	return backwardFilterStrided("BackwardFilterStridedHalf", p, x, dy,
+		func(t *tensor.Half) tensor.Shape { return t.Shape }, gatherPhaseInputHalf, BackwardFilterHalf, opts)
 }

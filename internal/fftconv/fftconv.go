@@ -46,7 +46,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	// padding) and all ∇Y planes.
 	xSpec := make([]complex128, p.N*p.IC*plane)
 	ySpec := make([]complex128, p.N*p.OC*plane)
-	parallelFor(p.N*p.IC, func(idx int) {
+	sched.For(p.N*p.IC, func(idx int) {
 		n, ic := idx/p.IC, idx%p.IC
 		buf := xSpec[idx*plane : (idx+1)*plane]
 		for ih := 0; ih < p.IH; ih++ {
@@ -56,7 +56,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 		}
 		FFT2D(buf, lh, lw)
 	})
-	parallelFor(p.N*p.OC, func(idx int) {
+	sched.For(p.N*p.OC, func(idx int) {
 		n, oc := idx/p.OC, idx%p.OC
 		buf := ySpec[idx*plane : (idx+1)*plane]
 		for y := 0; y < oh; y++ {
@@ -71,7 +71,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	// (the EWM), then inverse-transform and read the F_H×F_W corner (the
 	// correlation at filter offsets).
 	dw := tensor.NewFloat32(p.DWShape())
-	parallelFor(p.OC*p.IC, func(idx int) {
+	sched.For(p.OC*p.IC, func(idx int) {
 		oc, ic := idx/p.IC, idx%p.IC
 		acc := make([]complex128, plane)
 		for n := 0; n < p.N; n++ {
@@ -90,28 +90,4 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 		}
 	})
 	return dw
-}
-
-// testPool, when non-nil, overrides the shared pool — tests inject a
-// fixed-width pool to exercise parallel execution regardless of the host
-// GOMAXPROCS (mirroring internal/core's pattern).
-var testPool *sched.Pool
-
-// parallelFor runs f(i) for i in [0,n) on the process-wide persistent
-// sched pool: FFT stages co-schedule with every other parallel path
-// instead of spawning an ad-hoc goroutine set per call, and effective
-// width tracks the pool's GOMAXPROCS sizing. A chunk of 1 keeps the
-// previous work distribution — each claim is one FFT plane (or one
-// (oc,ic) accumulation), and planes are coarse enough that per-unit
-// claims beat chunking for tail balance.
-func parallelFor(n int, f func(i int)) {
-	pool := testPool
-	if pool == nil {
-		pool = sched.Default()
-	}
-	pool.RunFunc(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
 }

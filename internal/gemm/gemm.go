@@ -16,11 +16,9 @@
 package gemm
 
 import (
-	"runtime"
-	"sync"
-
 	"winrs/internal/conv"
 	"winrs/internal/fp16"
+	"winrs/internal/sched"
 	"winrs/internal/tensor"
 )
 
@@ -33,7 +31,7 @@ func Gemm(a, b, c []float32, k, m, n int) {
 	}
 	const blockM = 32
 	blocks := (m + blockM - 1) / blockM
-	parallelFor(blocks, func(bi int) {
+	sched.For(blocks, func(bi int) {
 		i0 := bi * blockM
 		i1 := i0 + blockM
 		if i1 > m {
@@ -78,7 +76,7 @@ func Algo0(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	oh, ow := p.OH(), p.OW()
 	kLen := p.N * oh * ow
 	const chunk = 256
-	parallelFor(p.OC, func(oc int) {
+	sched.For(p.OC, func(oc int) {
 		for fh := 0; fh < p.FH; fh++ {
 			for fw := 0; fw < p.FW; fw++ {
 				for ic := 0; ic < p.IC; ic++ {
@@ -151,7 +149,7 @@ func Algo1(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 		}
 		rows := k1 - k0
 		// Materialize the im2col chunk and the matching ∇Y rows.
-		parallelFor(rows, func(ri int) {
+		sched.For(rows, func(ri int) {
 			k := k0 + ri
 			n := k / (oh * ow)
 			rem := k % (oh * ow)
@@ -204,46 +202,40 @@ func Algo3(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	}
 	elems := p.DWShape().Elems()
 	partials := make([][]float32, split)
-	var wg sync.WaitGroup
-	wg.Add(split)
-	for s := 0; s < split; s++ {
-		go func(s int) {
-			defer wg.Done()
-			buf := make([]float32, elems)
-			k0 := s * kLen / split
-			k1 := (s + 1) * kLen / split
-			for k := k0; k < k1; k++ {
-				n := k / (oh * ow)
-				rem := k % (oh * ow)
-				y, xw := rem/ow, rem%ow
-				for oc := 0; oc < p.OC; oc++ {
-					dyv := dy.At(n, y, xw, oc)
-					if dyv == 0 {
+	sched.For(split, func(s int) {
+		buf := make([]float32, elems)
+		k0 := s * kLen / split
+		k1 := (s + 1) * kLen / split
+		for k := k0; k < k1; k++ {
+			n := k / (oh * ow)
+			rem := k % (oh * ow)
+			y, xw := rem/ow, rem%ow
+			for oc := 0; oc < p.OC; oc++ {
+				dyv := dy.At(n, y, xw, oc)
+				if dyv == 0 {
+					continue
+				}
+				for fh := 0; fh < p.FH; fh++ {
+					ih := y + fh - p.PH
+					if ih < 0 || ih >= p.IH {
 						continue
 					}
-					for fh := 0; fh < p.FH; fh++ {
-						ih := y + fh - p.PH
-						if ih < 0 || ih >= p.IH {
+					for fw := 0; fw < p.FW; fw++ {
+						iw := xw + fw - p.PW
+						if iw < 0 || iw >= p.IW {
 							continue
 						}
-						for fw := 0; fw < p.FW; fw++ {
-							iw := xw + fw - p.PW
-							if iw < 0 || iw >= p.IW {
-								continue
-							}
-							base := p.DWShape().Index(oc, fh, fw, 0)
-							xbase := x.Shape.Index(n, ih, iw, 0)
-							for ic := 0; ic < p.IC; ic++ {
-								buf[base+ic] += x.Data[xbase+ic] * dyv
-							}
+						base := p.DWShape().Index(oc, fh, fw, 0)
+						xbase := x.Shape.Index(n, ih, iw, 0)
+						for ic := 0; ic < p.IC; ic++ {
+							buf[base+ic] += x.Data[xbase+ic] * dyv
 						}
 					}
 				}
 			}
-			partials[s] = buf
-		}(s)
-	}
-	wg.Wait()
+		}
+		partials[s] = buf
+	})
 
 	dw := tensor.NewFloat32(p.DWShape())
 	for i := 0; i < elems; i++ {
@@ -254,35 +246,6 @@ func Algo3(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 		dw.Data[i] = s
 	}
 	return dw
-}
-
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // Algo1Half is the FP16 Tensor-Core variant of Algo1 with legacy HMMA
@@ -298,7 +261,7 @@ func Algo1Half(p conv.Params, x, dy *tensor.Half) *tensor.Float32 {
 	dw := tensor.NewFloat32(p.DWShape())
 	acc := make([]fp16.Bits, p.DWShape().Elems())
 	kLen := p.N * oh * ow
-	parallelFor(p.OC, func(oc int) {
+	sched.For(p.OC, func(oc int) {
 		for k := 0; k < kLen; k++ {
 			n := k / (oh * ow)
 			rem := k % (oh * ow)

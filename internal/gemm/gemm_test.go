@@ -3,11 +3,26 @@ package gemm
 import (
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
 
 	"winrs/internal/conv"
+	"winrs/internal/sched"
 	"winrs/internal/tensor"
 )
+
+// TestMain builds the process-wide sched pool at width 4 before any test
+// runs: the pool is sized at first use, and Run caps its effective width
+// at runtime GOMAXPROCS, so the GOMAXPROCS=4 legs below are genuinely
+// four-wide on a 1-CPU host while GOMAXPROCS=1 still takes the inline
+// path.
+func TestMain(m *testing.M) {
+	prev := runtime.GOMAXPROCS(4)
+	sched.Default()
+	runtime.GOMAXPROCS(prev)
+	os.Exit(m.Run())
+}
 
 func randCase(rng *rand.Rand) (conv.Params, *tensor.Float32, *tensor.Float32, *tensor.Float64) {
 	p := conv.Params{
@@ -107,6 +122,46 @@ func TestAlgosMatchDirect(t *testing.T) {
 			got := a.f(p, x, dy)
 			if m := tensor.MARE(got, want); m > 1e-5 {
 				t.Errorf("trial %d %s on %v: MARE %v", trial, a.name, p, m)
+			}
+		}
+	}
+}
+
+// Algo0 and Algo3, which no backend wraps, must return the same bits at
+// every pool width: Algo0's output channels and Algo3's K-slices are
+// disjoint pool iterations, and Algo3 sums its partials in slice order.
+func TestAlgosSameBitsAtEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	cases := []conv.Params{
+		{N: 2, IH: 9, IW: 11, FH: 3, FW: 3, IC: 3, OC: 5, PH: 1, PW: 1},
+		{N: 1, IH: 6, IW: 6, FH: 5, FW: 5, IC: 2, OC: 2, PH: 2, PW: 2},
+		{N: 3, IH: 20, IW: 20, FH: 3, FW: 3, IC: 4, OC: 6}, // K ≫ Algo3SplitK
+	}
+	algos := []struct {
+		name string
+		f    func(conv.Params, *tensor.Float32, *tensor.Float32) *tensor.Float32
+	}{
+		{"Algo0", Algo0},
+		{"Algo3", Algo3},
+	}
+	at := func(procs int, f func() *tensor.Float32) *tensor.Float32 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return f()
+	}
+	for _, p := range cases {
+		x := tensor.NewFloat32(p.XShape())
+		dy := tensor.NewFloat32(p.DYShape())
+		x.FillUniform(rng, -1, 1)
+		dy.FillUniform(rng, -1, 1)
+		for _, a := range algos {
+			want := at(1, func() *tensor.Float32 { return a.f(p, x, dy) })
+			got := at(4, func() *tensor.Float32 { return a.f(p, x, dy) })
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Errorf("%s on %v: procs 4 differs from procs 1 at %d: %v vs %v",
+						a.name, p, i, got.Data[i], want.Data[i])
+					break
+				}
 			}
 		}
 	}

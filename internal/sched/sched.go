@@ -1,9 +1,11 @@
 // Package sched provides the process-wide persistent worker pool behind
 // every parallel execution path: the BFC unit grids, the Ŵ-cache fill
-// pass, the forward/backward-data row loops and the 3-D task grids all
-// schedule onto the same parked workers, so concurrent callers (e.g.
-// simultaneous winrs-serve requests) co-schedule instead of each spawning
-// and tearing down a private goroutine set per call.
+// pass, the forward/backward-data row loops, the 3-D task grids and, via
+// For, the loops of the direct, GEMM, FFT and non-fused Winograd
+// baselines all schedule onto the same parked workers, so concurrent
+// callers (e.g. simultaneous winrs-serve requests, whichever backend
+// serves them) co-schedule instead of each spawning and tearing down a
+// private goroutine set per call.
 //
 // The design mirrors GPU-style persistent blocks with chunked
 // self-scheduling: a Pool of width W keeps W−1 goroutines parked on a
@@ -19,6 +21,9 @@
 // The steady-state hot path allocates nothing: batch descriptors are
 // pooled, publication is a pointer send on a buffered channel, and
 // completion is an atomic unit count plus one buffered-channel signal.
+// A finished batch drops its task before returning, so a helper token
+// still queued on the channel pins only the pooled descriptor, never the
+// task's operands.
 package sched
 
 import (
@@ -110,8 +115,6 @@ func (b *batch) runChunks() (finishedLast bool) {
 // release happens after every chunk has finished.
 func (b *batch) release() {
 	if b.refs.Add(-1) == 0 {
-		b.task = nil
-		b.cancel = nil
 		batchPool.Put(b)
 	}
 }
@@ -272,6 +275,12 @@ func (p *Pool) RunBatch(total, chunk int, task Task, c *Batch) {
 		// after completing the final unit.
 		<-b.done
 	}
+	// Every unit has run, so no participant reads task or cancel again.
+	// Drop them now: a helper token still queued behind other batches
+	// keeps the descriptor reachable until a worker drains it, and with it
+	// everything the task holds (a RunFunc closure's operands, a whole
+	// Workspace behind an embedded job).
+	b.task, b.cancel = nil, nil
 	b.release()
 }
 
@@ -279,4 +288,17 @@ func (p *Pool) RunBatch(total, chunk int, task Task, c *Batch) {
 // hot paths implement Task instead).
 func (p *Pool) RunFunc(total, chunk int, f func(lo, hi int)) {
 	p.Run(total, chunk, funcTask(f))
+}
+
+// For runs f(i) for every i in [0, n) on the Default pool, one index per
+// claim, and returns when every call has returned. It is the loop of the
+// baseline convolutions, whose iterations (an output channel, a tile, an
+// FFT plane, a K-slice) each write a disjoint part of the result and are
+// coarse enough that per-index claims balance the tail best.
+func For(n int, f func(i int)) {
+	Default().RunFunc(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
 }

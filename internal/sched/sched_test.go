@@ -1,10 +1,17 @@
 package sched
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Every unit index must be executed exactly once, whatever the pool
@@ -216,5 +223,122 @@ func TestRunBatchCancelQuiescent(t *testing.T) {
 		if after := task.units.Load(); after != before {
 			t.Fatalf("iter %d: task still running after cancelled RunBatch returned", iter)
 		}
+	}
+}
+
+// parkTask blocks every chunk it runs until park is closed, announcing
+// each entry on entered.
+type parkTask struct {
+	entered chan struct{}
+	park    chan struct{}
+}
+
+func (s *parkTask) Run(lo, hi int) {
+	s.entered <- struct{}{}
+	<-s.park
+}
+
+// runHolding runs a 2-chunk batch whose closure holds a 1 MiB object and
+// returns a channel that is closed when the object is finalized. It is a
+// separate frame so the caller's stack holds no pointer to the object.
+//
+//go:noinline
+func runHolding(p *Pool) <-chan struct{} {
+	finalized := make(chan struct{})
+	obj := new([1 << 20]byte)
+	runtime.SetFinalizer(obj, func(*[1 << 20]byte) { close(finalized) })
+	p.RunFunc(2, 1, func(lo, hi int) { obj[lo]++ })
+	return finalized
+}
+
+// A finished batch must not keep its task reachable. With both
+// participants of a width-2 pool parked inside one batch, the next batch's
+// helper token stays queued while its submitter runs every chunk alone;
+// that token must not pin the task's closure, and through it the closure's
+// operands, until the worker gets to drain it.
+func TestRunBatchFinishedReleasesTask(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := NewPool(2)
+	defer p.Close()
+	hold := &parkTask{entered: make(chan struct{}), park: make(chan struct{})}
+	parked := make(chan struct{})
+	go func() {
+		defer close(parked)
+		p.RunBatch(2, 1, hold, nil)
+	}()
+	<-hold.entered
+	<-hold.entered // submitter and worker are both inside the first batch
+
+	finalized := runHolding(p)
+	deadline := time.Now().Add(2 * time.Second)
+	released := false
+	for !released && time.Now().Before(deadline) {
+		runtime.GC()
+		select {
+		case <-finalized:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	close(hold.park)
+	<-parked
+	if !released {
+		t.Fatal("a finished batch's task stayed reachable while its helper token was queued")
+	}
+}
+
+// For visits every index exactly once and calls nothing for n = 0.
+func TestForCoversAll(t *testing.T) {
+	n := 100
+	hits := make([]atomic.Int32, n)
+	For(n, func(i int) { hits[i].Add(1) })
+	for i := range hits {
+		if h := hits[i].Load(); h != 1 {
+			t.Fatalf("index %d visited %d times", i, h)
+		}
+	}
+	For(0, func(int) { t.Error("should not be called") })
+}
+
+// Goroutines stay in the pool and in serve's request dispatcher: every
+// other parallel loop under internal/ runs on the pool (Pool.Run, For),
+// so one process has one scheduler. Parses every non-test Go file under
+// internal/ and fails on a go statement outside internal/sched and
+// internal/serve.
+func TestGoStatementsOnlyInSchedAndServe(t *testing.T) {
+	root := ".." // internal/, from this package's directory
+	allowed := map[string]bool{"sched": true, "serve": true}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if allowed[strings.Split(filepath.ToSlash(rel), "/")[0]] {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement outside internal/sched and internal/serve; run the loop on sched instead",
+					fset.Position(g.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no Go files found under internal/")
 	}
 }

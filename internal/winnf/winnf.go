@@ -20,11 +20,10 @@ package winnf
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"winrs/internal/conv"
 	"winrs/internal/fp16"
+	"winrs/internal/sched"
 	"winrs/internal/tensor"
 	"winrs/internal/winograd"
 )
@@ -90,7 +89,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	// Stage 1 (FT kernel): transform every ∇Y tile per output channel.
 	// Layout: [a2][nt][OC] so each EWM GEMM reads a contiguous plane.
 	ft := make([]float32, a2*nt*p.OC)
-	parallelFor(nt, func(ti int) {
+	sched.For(nt, func(ti int) {
 		n := ti / (th * tw)
 		rem := ti % (th * tw)
 		ty, tx := rem/tw, rem%tw
@@ -117,7 +116,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	// channel. X tile (ty,tx) spans rows TileR·ty−PH … +α and likewise for
 	// columns, with implicit zero padding.
 	it := make([]float32, a2*nt*p.IC)
-	parallelFor(nt, func(ti int) {
+	sched.For(nt, func(ti int) {
 		n := ti / (th * tw)
 		rem := ti % (th * tw)
 		ty, tx := rem/tw, rem%tw
@@ -145,7 +144,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	// ewm[k][oc][ic] = Σ_t ft[k][t][oc] · it[k][t][ic]. Sequential float32
 	// accumulation over the long axis, as the non-fused baseline does.
 	ewm := make([]float32, a2*p.OC*p.IC)
-	parallelFor(a2, func(k int) {
+	sched.For(a2, func(k int) {
 		fPlane := ft[k*nt*p.OC : (k+1)*nt*p.OC]
 		iPlane := it[k*nt*p.IC : (k+1)*nt*p.IC]
 		out := ewm[k*p.OC*p.IC : (k+1)*p.OC*p.IC]
@@ -167,7 +166,7 @@ func BackwardFilter(p conv.Params, x, dy *tensor.Float32) *tensor.Float32 {
 	// Stage 4 (OT kernel): per (oc, ic), output-transform the α² vector
 	// into the F×F filter gradient.
 	dw := tensor.NewFloat32(p.DWShape())
-	parallelFor(p.OC*p.IC, func(idx int) {
+	sched.For(p.OC*p.IC, func(idx int) {
 		oc, ic := idx/p.IC, idx%p.IC
 		acc := make([]float64, a2)
 		for k := 0; k < a2; k++ {
@@ -209,7 +208,7 @@ func BackwardFilterHalf(p conv.Params, x, dy *tensor.Half) *tensor.Float32 {
 	xf := x.ToFloat32()
 
 	ft := make([]fp16.Bits, a2*nt*p.OC)
-	parallelFor(nt, func(ti int) {
+	sched.For(nt, func(ti int) {
 		n := ti / (th * tw)
 		rem := ti % (th * tw)
 		ty, tx := rem/tw, rem%tw
@@ -242,7 +241,7 @@ func BackwardFilterHalf(p conv.Params, x, dy *tensor.Half) *tensor.Float32 {
 	})
 
 	it := make([]fp16.Bits, a2*nt*p.IC)
-	parallelFor(nt, func(ti int) {
+	sched.For(nt, func(ti int) {
 		n := ti / (th * tw)
 		rem := ti % (th * tw)
 		ty, tx := rem/tw, rem%tw
@@ -274,7 +273,7 @@ func BackwardFilterHalf(p conv.Params, x, dy *tensor.Half) *tensor.Float32 {
 
 	// EWM in binary16 with binary16 accumulation.
 	ewm := make([]fp16.Bits, a2*p.OC*p.IC)
-	parallelFor(a2, func(k int) {
+	sched.For(a2, func(k int) {
 		fPlane := ft[k*nt*p.OC : (k+1)*nt*p.OC]
 		iPlane := it[k*nt*p.IC : (k+1)*nt*p.IC]
 		out := ewm[k*p.OC*p.IC : (k+1)*p.OC*p.IC]
@@ -299,7 +298,7 @@ func BackwardFilterHalf(p conv.Params, x, dy *tensor.Half) *tensor.Float32 {
 	fp16.DecodeSlice(ewmF, ewm)
 
 	dw := tensor.NewFloat32(p.DWShape())
-	parallelFor(p.OC*p.IC, func(idx int) {
+	sched.For(p.OC*p.IC, func(idx int) {
 		oc, ic := idx/p.IC, idx%p.IC
 		acc := make([]float64, a2)
 		for k := 0; k < a2; k++ {
@@ -373,33 +372,4 @@ func transform2DT(m *winograd.Mat, tile []float64, rows, cols int) []float64 {
 		}
 	}
 	return out
-}
-
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
