@@ -98,27 +98,33 @@ grouped-smoke:
 # per-element oracle, poisoned (NaN) workspaces against fresh ones (every
 # bucket element is stored once per run; nothing zeroes them),
 # pool-vs-inline and shared-pool concurrency, mid-run cancellation, and
-# the FP16, quantized and 3-D reference executors. On an AVX2 host
-# TestBitwiseSuitesGoKernels runs the suites again on the Go kernels, so
-# both kernel paths are pinned. Pool workers share the reduce, so each
-# suite runs 5 times.
+# the FP16, quantized and 3-D reference executors, and the channel-wide
+# depthwise grid against the per-group reference at pool widths 1–8. On
+# an AVX2 or F16C host TestBitwiseSuitesGoKernels runs the suites again on
+# the Go kernels, so both kernel paths are pinned. Pool workers share the
+# reduce, so each suite runs 5 times. Last, both binary16 rounding paths
+# (F16C and Go) are swept over all 2^32 float32 patterns (about 40 s on
+# two CPUs; tier-1 sweeps a strided subset).
 bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMForcedVariantsMatchBaseFP32|TestBitwiseSuitesGoKernels' \
+			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestBitwiseSuitesGoKernels' \
 			./internal/core || exit 1; \
 	done
+	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16
 
-# cross-build compiles the non-amd64 fallbacks of the AVX2 kernels and the
-# CPU feature detection, which no amd64 build touches: vet on arm64 and
-# 386, and the arm64 test binaries of the packages that carry them.
+# cross-build compiles the non-amd64 fallbacks of the AVX2 and F16C
+# kernels and the CPU feature detection, which no amd64 build touches: vet
+# on arm64 and 386, and the arm64 test binaries of the packages that carry
+# them.
 cross-build:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/core
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/kahan
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/cpufeat
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/fp16
 
 # bench-smoke runs the end-to-end benchmark's own tests (about 10 s).
 # bench/ is a separate Go module, so the root `go test ./...` never
@@ -127,9 +133,9 @@ bench-smoke:
 	cd bench && $(GO) test ./...
 
 # fuzz-smoke runs every fuzz target from its seed corpus for FUZZTIME
-# each (the AVX2 kernel targets skip on hosts without AVX2), plus the
-# exhaustive codec equivalence sweeps (all 65536 decode patterns, every
-# encode rounding boundary) that anchor the fuzz targets.
+# each (the AVX2 and F16C kernel targets skip on hosts without them),
+# plus the exhaustive codec equivalence sweeps (all 65536 decode patterns,
+# every encode rounding boundary) that anchor the fuzz targets.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConfigurePartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzExecuteMatchesDirect$$' -fuzztime $(FUZZTIME)
@@ -139,5 +145,6 @@ fuzz-smoke:
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzConversion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzOrdering$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzEncodeMatchesScalar$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzRoundSliceF16C$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzProtoRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -count 1 -run '^TestDecodeSliceExhaustive$$|^TestEncodeSliceBoundarySweep$$'

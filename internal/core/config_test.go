@@ -315,6 +315,19 @@ func TestWorkspaceLimit(t *testing.T) {
 		t.Errorf("grouped workspace %d exceeds budget %d (Z=%d, %d slots)",
 			grouped.WorkspaceBytes(), slab, grouped.Z(), grouped.GroupRing())
 	}
+	// A depthwise plan runs channel-wide on buckets of the whole ∇W
+	// (64·3·3 floats = 2304 B) whatever the pool width: a budget of one
+	// such bucket fits Z = 2 and no more.
+	pd := pg
+	pd.OC, pd.Groups = 64, 64
+	const dwBucket = 2304
+	depthwise, err := Configure(pd, WithSegments(8), WithWorkspaceLimit(dwBucket))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := depthwise.WorkspaceBytes(); ws > dwBucket || depthwise.Z() != 2 {
+		t.Errorf("depthwise workspace %d at Z=%d, want Z = 2 within the %d B budget", ws, depthwise.Z(), dwBucket)
+	}
 	// Results stay correct under any budget.
 	rng := rand.New(rand.NewSource(9))
 	ps := conv.Params{N: 2, IH: 20, IW: 18, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1}

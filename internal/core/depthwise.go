@@ -1,0 +1,182 @@
+package core
+
+import (
+	"time"
+
+	"winrs/internal/conv"
+	"winrs/internal/obs"
+)
+
+// Channel-wide depthwise execution. A depthwise layer (I_C/G = O_C/G = 1)
+// never mixes channels: channel c of ∇W reads only channel c of X and ∇Y.
+// Its plan adapts the per-group problem, whose segments and kernels fix
+// the bits, but runs them as ONE unit grid over (segment, width tile,
+// block of cb contiguous channels) on the whole layer, the way an
+// ungrouped plan runs its grid. In NHWC a tile's X is [α][C] and its ∇Y
+// [r][C], so a block is a [α][cb] panel: the filter and input transforms
+// run at width cb and the EWM becomes the diagonal v[e][c] += Ŵ[e][c]·X̂[e][c].
+//
+// No channel's operation sequence changes. The panel transforms run one
+// chain per column at any width, rounding is element-wise, the EWM keeps
+// the per-element Ŵ zero skip of the blocked panels, the output row runs
+// the per-element sum in every lane, and the phase-3 Kahan reduce visits
+// the buckets in order for every element. So the gradient is bit-identical
+// to running the per-group plan once per group.
+//
+// A unit covers every filter row of its channel block: it computes each Ŵ
+// panel once per (row, tile, image) and uses it at once in all F_H rows,
+// so the plan needs no Ŵ cache. X and ∇Y tiles are staged straight from
+// the caller's operands (decoded or rounded on the way), so it needs no
+// operand mirrors either; the workspace is the Z buckets of the whole ∇W.
+
+// channelBlock is the channel block cb of a depthwise plan of c channels
+// on a pool of w workers: ⌊c/w⌋ rounded down to a multiple of 8, so every
+// worker gets a block, clamped to [8, 64] (8 fills one AVX2 register;
+// at 128 the MobileNet layers measured in DESIGN §10 gain at most 4% or
+// run up to 1.8× slower), and capped at c.
+func channelBlock(c, w int) int {
+	return min(c, 64, max(8, c/w&^7))
+}
+
+// channelUnits runs global (segment, width-tile, channel-block) units
+// [lo, hi) of a depthwise plan, recording each unit's stage durations
+// when tracing.
+func (j *execJob) channelUnits(lo, hi int) {
+	cfg, ws := j.cfg, j.ws
+	p, cb := cfg.Params, cfg.dwBlock
+	blocks := ceilDiv(p.IC, cb)
+	si := 0
+	for i := lo; i < hi; i++ {
+		for i >= ws.unitOff[si+1] {
+			si++
+		}
+		local := i - ws.unitOff[si]
+		c0 := local % blocks * cb
+		u := channelUnit{seg: cfg.Segments[si], j: local / blocks, c0: c0, cb: min(cb, p.IC-c0)}
+		if !j.traceOn {
+			u.run(p, ws.plans[si], j.st, j.ops, ws.buckets[si], nil)
+			continue
+		}
+		var ut obs.UnitTimes
+		t0 := time.Now()
+		u.run(p, ws.plans[si], j.st, j.ops, ws.buckets[si], &ut)
+		obs.RecordUnit(time.Since(t0), ut)
+	}
+}
+
+// channelUnit is one unit of the channel-wide grid: width tile j of a
+// segment over channels [c0, c0+cb).
+type channelUnit struct {
+	seg       Segment
+	j, c0, cb int
+}
+
+// run produces the unit's ∇W entries — every filter row, the n output
+// columns of width tile j, every channel of the block — into bucket, which
+// holds the whole layer's ∇W. Per (row, tile, image) it stages the ∇Y
+// panel and transforms it to Ŵ = G·∇Y; then, for each filter row whose X
+// row lies inside the image, it stages the X tile, transforms it to
+// X̂ = Dᵀ·X and adds the diagonal EWM into that row's accumulators. Both
+// transformed panels are rounded under the storage policy. ut, when
+// non-nil, collects the sampled transform/EWM split and the epilogue.
+func (u channelUnit) run(p conv.Params, pl unitPlan, st storage, ops operands, bucket []float32, ut *obs.UnitTimes) {
+	seg, cb, round := u.seg, u.cb, st.round
+	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
+	c, oh, ow := p.IC, p.OH(), p.OW()
+	panel := alpha * cb
+
+	s := getTileScratch()
+	defer putTileScratch(s)
+	v := growF32Zero(&s.v, p.FH*panel) // accumulators, [F_H][α][cb]
+	wRaw := growF32(&s.wRaw, r*cb)
+	wHat := growF32(&s.wHatF, panel)
+	xRaw := growF32(&s.xRaw, panel)
+	xHat := growF32(&s.xHatF, panel)
+	colBase := u.j * n
+
+	// Each accumulator sums over (row, tile, image) in the order of the
+	// per-group unit, so the sums round the same way.
+	var smp unitSampler
+	for row := seg.Row0; row < seg.Row1; row++ {
+		for ow0 := seg.Col0; ow0 < seg.Col1; ow0 += r {
+			// Tile columns [lo, hi) lie inside the image; the rest are the
+			// implicit zero padding (Figure 7), which staging never writes.
+			iw0 := ow0 + colBase - p.PW
+			lo := min(alpha, max(0, -iw0))
+			hi := max(lo, min(alpha, p.IW-iw0))
+			clear(xRaw[:lo*cb])
+			clear(xRaw[hi*cb:])
+			for nb := 0; nb < p.N; nb++ {
+				filled := false
+				for fh := 0; fh < p.FH; fh++ {
+					ih := row + fh - p.PH
+					if ih < 0 || ih >= p.IH {
+						continue // height-axis clipping
+					}
+					smp.begin(ut)
+					if !filled {
+						ops.dy.stage(wRaw, (nb*oh+row)*ow+ow0, r, c, u.c0, cb, round)
+						pl.g.MulPanel(wRaw, wHat, r, cb)
+						if round != nil {
+							round(wHat)
+						}
+						filled = true
+					}
+					if lo < hi {
+						ops.x.stage(xRaw[lo*cb:], (nb*p.IH+ih)*p.IW+iw0+lo, hi-lo, c, u.c0, cb, round)
+					}
+					pl.dt.MulPanel(xRaw, xHat, alpha, cb)
+					if round != nil {
+						round(xHat)
+					}
+					smp.mark()
+					ewmDiag(v[fh*panel:(fh+1)*panel], wHat, xHat)
+					smp.end()
+				}
+			}
+		}
+	}
+	smp.flush(ut)
+	var t0 time.Time
+	if ut != nil {
+		t0 = time.Now()
+	}
+	u.writeOutput(p, pl, v, bucket, growF32(&s.acc, alpha*n+cb))
+	if ut != nil {
+		ut.Epilogue += time.Since(t0)
+	}
+}
+
+// ewmDiag is the EWM of a channel-wide unit: v[i] += ŵ[i]·x̂[i] for every
+// i with ŵ[i] ≠ ±0 — per channel, the one-column product of the blocked
+// panels, with their zero skip.
+func ewmDiag(v, w, x []float32) {
+	v, x = v[:len(w)], x[:len(w)]
+	for i, wv := range w {
+		if wv != 0 {
+			v[i] += wv * x[i]
+		}
+	}
+}
+
+// writeOutput applies the output transform Aᵀ to the unit's accumulators
+// and stores its ∇W entries: for each filter row fh and output column i,
+// outputRow builds the cb-wide row over the block, and each channel's
+// value lands in its own ∇W slab, at stride F_H·F_W. Like the ungrouped
+// epilogue it stores rather than adds, so buckets need no zeroing. acc is
+// α·n + cb floats of scratch: Aᵀ in float32, then the row.
+func (u channelUnit) writeOutput(p conv.Params, pl unitPlan, v, bucket, acc []float32) {
+	n, alpha, cb := u.seg.K.N, u.seg.K.Alpha, u.cb
+	aT := transposeA(pl.a, acc, n, alpha)
+	row := acc[alpha*n : alpha*n+cb]
+	taps := p.FH * p.FW
+	for fh := 0; fh < p.FH; fh++ {
+		for i := 0; i < n; i++ {
+			outputRow(row, aT[i*alpha:(i+1)*alpha], v[fh*alpha*cb:], cb)
+			out := bucket[u.c0*taps+fh*p.FW+u.j*n+i:]
+			for k, val := range row {
+				out[k*taps] = val
+			}
+		}
+	}
+}

@@ -31,16 +31,17 @@ type Description struct {
 	WorkspaceRatio  float64 `json:"workspaceRatio"`
 	// Grouped-dispatch attribution (grouped plans only): the budgeted
 	// staging-slot ring depth and one slot's per-group arena —
-	// WorkspaceBytes is WorkspaceSeqBytes × GroupRing.
+	// WorkspaceBytes is WorkspaceSeqBytes × GroupRing. Depthwise plans
+	// run channel-wide with no slots: ring 1, one arena of the whole ∇W.
 	GroupRing         int     `json:"groupRing,omitempty"`
 	WorkspaceSeqBytes int64   `json:"workspaceSeqBytes,omitempty"`
 	WHatCacheBytes    int64   `json:"wHatCacheBytes"`
 	WHatCacheRatio    float64 `json:"wHatCacheRatio"`
 	TotalBlocks       int     `json:"totalBlocks"`
 	// EWMKernel is the kernel-tier variant the fast kernel's units resolve
-	// to: the panel ("block4x4", "avx2" or "dw1"), "fused" in place of
-	// "block" where the transform feeds the EWM row by row (e.g.
-	// "fusedavx2").
+	// to: the panel ("block4x4" or "avx2"), "fused" in place of "block"
+	// where the transform feeds the EWM row by row (e.g. "fusedavx2"), or
+	// "diag" for a depthwise plan's channel-wide units.
 	EWMKernel string `json:"ewmKernel"`
 }
 
@@ -75,8 +76,11 @@ func (c *Config) Describe() Description {
 		d.WorkspaceRatio = float64(c.WorkspaceBytes()) / float64(data)
 		d.WHatCacheRatio = float64(c.WHatCacheBytes()) / float64(data)
 	}
-	// Grouped plans launch the per-group block grid once per group.
-	e := c.exec()
+	// Grouped plans count the per-group block grid once per group.
+	e := c
+	if c.group != nil {
+		e = c.group
+	}
 	for _, s := range e.Segments {
 		d.TotalBlocks += BlocksPerSegment(s.K, e.Params, c.FP16) * p.G()
 	}

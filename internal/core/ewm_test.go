@@ -58,22 +58,19 @@ func randPanels(rng *rand.Rand, alpha, oc, ic int) (wHat, xHat []float32) {
 // ≠ 0 and the AVX2 panel's 32-lane steps at ic = 40) and planted zero
 // rows: each v element receives exactly one multiply and one add per e in
 // every variant, so any difference is a real indexing or rounding bug. The
-// dw1 panel runs at I_C == 1 only, the one shape that selects it; the
-// AVX2 panel runs on AVX2 hosts only.
+// AVX2 panel runs on AVX2 hosts only. Where oc == ic the Ŵ panel also
+// serves as a depthwise unit's [α][cb] panel, and the diagonal EWM must
+// equal the base kernel's one-column product of every channel.
 func TestEWMPanelVariantsMatchBase(t *testing.T) {
-	variants := []struct {
+	var variants []struct {
 		name  string
 		panel ewmPanelFunc
-		dw    bool
-	}{
-		{"dw1", ewmPanelDW1, true},
 	}
 	if cpufeat.HasAVX2 {
 		variants = append(variants, struct {
 			name  string
 			panel ewmPanelFunc
-			dw    bool
-		}{"avx2", ewmPanelAVX2, false})
+		}{"avx2", ewmPanelAVX2})
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, alpha := range []int{2, 4, 8, 16} {
@@ -90,9 +87,6 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 				copy(base, prior)
 				ewmPanelsSel(ewmPanel, base, wHat, xHat, alpha, oc, ic)
 				for _, vr := range variants {
-					if vr.dw && ic != 1 {
-						continue
-					}
 					got := make([]float32, len(prior))
 					copy(got, prior)
 					ewmPanelsSel(vr.panel, got, wHat, xHat, alpha, oc, ic)
@@ -101,6 +95,22 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 							t.Fatalf("%s α=%d oc=%d ic=%d: element %d differs: %v vs %v",
 								vr.name, alpha, oc, ic, i, got[i], base[i])
 						}
+					}
+				}
+				if oc != ic {
+					continue
+				}
+				want := append([]float32(nil), prior[:alpha*ic]...)
+				got := append([]float32(nil), prior[:alpha*ic]...)
+				for e := 0; e < alpha*ic; e += ic {
+					for c := e; c < e+ic; c++ {
+						ewmPanel(want[c:c+1], wHat[c:c+1], xHat[c:c+1], 1, 1)
+					}
+					ewmDiag(got[e:e+ic], wHat[e:e+ic], xHat[e:e+ic])
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("diag α=%d cb=%d: element %d differs: %v vs %v", alpha, ic, i, got[i], want[i])
 					}
 				}
 			}
@@ -112,8 +122,9 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 // because they must reproduce the oracle's row-by-column products
 // (matMulF32 for G, matTMulF32 for Dᵀ) bit for bit: every registry
 // kernel, both matrix families the FP16 path uses, widths 1–17 (the
-// scalar width-1 column walk and the two-column panel pass), whole-panel
-// and row-emitting forms, with planted zero inputs.
+// one-column panels of multiplier plans, every width of a depthwise
+// channel block up to 16, and the two-column panel pass), whole-panel and
+// row-emitting forms, with planted zero inputs.
 func TestPairingFreePlansMatchMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, k := range winograd.Kernels {
@@ -272,8 +283,8 @@ func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 }
 
 // EWMKernel must report the selection the executing units actually
-// resolve, including force modes, the depthwise panel, the I_C < 8 shapes
-// that keep the Go panel, and the Go kernel path on an AVX2 host.
+// resolve, including force modes, the depthwise diagonal EWM, the I_C < 8
+// shapes that keep the Go panel, and the Go kernel path on an AVX2 host.
 func TestEWMKernelReporting(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
 	cfg, err := Configure(p) // fast kernel Ω8(3,6): fused
@@ -311,7 +322,7 @@ func TestEWMKernelReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cfgDW.EWMKernel(), "fuseddw1"; got != want {
+	if got, want := cfgDW.EWMKernel(), "diag"; got != want {
 		t.Errorf("depthwise auto: %q, want %q", got, want)
 	}
 

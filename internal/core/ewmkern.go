@@ -5,7 +5,7 @@ import (
 	"winrs/internal/winograd"
 )
 
-// The EWM kernel tier: three panel kernels selected per operand shape and
+// The EWM kernel tier: two panel kernels selected per operand shape and
 // host, plus the fused transform+EWM execution mode. Every variant is
 // bit-identical to the base 4×4 kernel (the scalar-oracle tier of ewm.go)
 // because each v element still receives exactly one multiply and one add
@@ -13,7 +13,8 @@ import (
 // accumulators — and the fused mode replicates the transform's per-row
 // arithmetic exactly (see MulPanelEmit). The differential suites force
 // every mode, and both kernel paths, through the codecref/pool oracles to
-// pin this.
+// pin this. Depthwise plans run none of the tier: their channel-wide
+// units multiply diagonally (ewmDiag).
 
 // ewmMode is the kernel-tier forcing mode: auto (per-kernel selection),
 // or one of the force values the differential sweeps pin each variant
@@ -43,19 +44,18 @@ type ewmSel struct {
 // ewmNames holds the pre-concatenated attribution strings ([fused][panel])
 // so selectEWM never builds a string at runtime — it runs on the per-unit
 // zero-allocation hot path.
-var ewmNames = [2][3]string{
-	{"block4x4", "avx2", "dw1"},
-	{"fused4x4", "fusedavx2", "fuseddw1"},
+var ewmNames = [2][2]string{
+	{"block4x4", "avx2"},
+	{"fused4x4", "fusedavx2"},
 }
 
 // selectEWM resolves the kernel-tier variant for a segment kernel with
 // I_C input channels per group. The panel follows the operand shape and
-// the host: the depthwise panel at I_C == 1, the AVX2 panel at I_C ≥ 8 on
-// an AVX2 host (narrower panels would run mostly its Go column tail), and
-// the Go 4×4 panel everywhere else. Fusion (transform+EWM in one tile
-// pass) applies to the small-α kernels, where the X̂ panel is small enough
-// that consuming each row immediately after its transform keeps the whole
-// chain in L1.
+// the host: the AVX2 panel at I_C ≥ 8 on an AVX2 host (narrower panels
+// would run mostly its Go column tail), and the Go 4×4 panel everywhere
+// else. Fusion (transform+EWM in one tile pass) applies to the small-α
+// kernels, where the X̂ panel is small enough that consuming each row
+// immediately after its transform keeps the whole chain in L1.
 func selectEWM(k winograd.Kernel, ic int) ewmSel {
 	mode := ewmForce
 	var sel ewmSel
@@ -63,10 +63,6 @@ func selectEWM(k winograd.Kernel, ic int) ewmSel {
 	switch {
 	case mode == ewmBlock4:
 		sel.panel = ewmPanel
-	case ic == 1:
-		// Depthwise regime (I_C/G == 1): the accumulator panel is a single
-		// column, so the dedicated panel drops the channel-reduction loop.
-		sel.panel, shape = ewmPanelDW1, 2
 	case ic >= 8 && cpufeat.HasAVX2:
 		sel.panel, shape = ewmPanelAVX2, 1
 	default:
@@ -88,8 +84,12 @@ func selectEWM(k winograd.Kernel, ic int) ewmSel {
 
 // EWMKernel reports the kernel-tier selection the plan's fast kernel
 // resolves to — the per-plan attribution recorded by winrs-info and the
-// bench JSON's ewm_kernel field.
+// bench JSON's ewm_kernel field — or "diag" for a depthwise plan, whose
+// channel-wide units run the diagonal EWM.
 func (c *Config) EWMKernel() string {
+	if c.dwBlock > 0 {
+		return "diag"
+	}
 	e := c.exec() // grouped plans attribute the per-group operand shape
 	sel := selectEWM(e.Pair.Fast, e.Params.IC)
 	return sel.name
@@ -127,23 +127,5 @@ func ewmPanelAVX2(ve, we, xe []float32, oc, ic int) {
 		for b, xv := range xe[n8:] {
 			row[b] += wv * xv
 		}
-	}
-}
-
-// ewmPanelDW1 is the depthwise specialization: with I_C == 1 the [O_C][I_C]
-// accumulator panel collapses to one column, ve[a] += we[a]·xe[0], so the
-// channel-reduction loop of the blocked kernels disappears — one FMA per
-// output channel against the lone X̂ value held in a register. Each element
-// still receives exactly one fused add per e, and the per-row zero skip
-// matches the base kernel's scalar tail, so the accumulation is
-// bit-identical to every other tier. Only I_C == 1 selects it.
-func ewmPanelDW1(ve, we, xe []float32, oc, _ int) {
-	xv := xe[0]
-	ve = ve[:oc]
-	for a, wv := range we[:oc] {
-		if wv == 0 {
-			continue
-		}
-		ve[a] += wv * xv
 	}
 }

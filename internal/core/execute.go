@@ -35,11 +35,12 @@ func ExecuteHalf(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 
 // unitOffsets builds the prefix table of per-segment work-unit counts:
 // entry i is the first global unit index of segment i, and the final entry
-// is the total unit count. Segment si contributes F_H·(F_W/r_si) units.
-func unitOffsets(fw, fh int, segs []Segment) []int {
+// is the total unit count. Segment si contributes rows·(F_W/n_si) units:
+// rows is F_H, or the channel-block count of a depthwise plan.
+func unitOffsets(fw, rows int, segs []Segment) []int {
 	off := make([]int, len(segs)+1)
 	for i, seg := range segs {
-		off[i+1] = off[i] + fh*(fw/seg.K.N)
+		off[i+1] = off[i] + rows*(fw/seg.K.N)
 	}
 	return off
 }
@@ -79,8 +80,7 @@ func execPool() *sched.Pool {
 type storage struct {
 	// half selects the binary16 path: pairing-free plans (bit-identical
 	// to the row-by-column products the scalar-codec oracle pins; the
-	// shared ± products of paired plans would round differently), FP16
-	// EWM blocks, and the depthwise inline unit.
+	// shared ± products of paired plans would round differently).
 	half bool
 	// scaled selects the eq. (7) scaling matrices for α ≥ 16 kernels.
 	scaled bool
@@ -170,17 +170,18 @@ type operand struct {
 	f16 []fp16.Bits
 }
 
-// stage writes channels [off, off+width) of the operand's rows into dst
-// (rows × width) in the unit kernel's float32 form: decoded when binary16
-// (exact), else copied and rounded by round (nil copies exactly). Rounding
-// once here equals rounding every gathered tile, because Round works
-// element by element and maps 0 to 0 (the clipped padding).
-func (o operand) stage(dst []float32, rows, srcC, off, width int, round func([]float32)) {
+// stage writes channels [off, off+width) of the operand's rows [pix,
+// pix+rows) (srcC channels per row) into dst (rows × width) in the unit
+// kernel's float32 form: decoded when binary16 (exact), else copied and
+// rounded by round (nil copies exactly). Rounding here equals rounding
+// every gathered tile, because Round works element by element and maps 0
+// to 0 (the clipped padding).
+func (o operand) stage(dst []float32, pix, rows, srcC, off, width int, round func([]float32)) {
 	if o.f16 != nil {
-		sliceDecodeChannels(dst, o.f16, rows, srcC, off, width)
+		sliceDecodeChannels(dst, o.f16[pix*srcC:], rows, srcC, off, width)
 		return
 	}
-	sliceChannels(dst, o.f32, rows, srcC, off, width)
+	sliceChannels(dst, o.f32[pix*srcC:], rows, srcC, off, width)
 	if round != nil {
 		round(dst[:rows*width])
 	}
@@ -195,7 +196,7 @@ func (o operand) resident(mirror *[]float32, c int, round func([]float32)) []flo
 	}
 	n := len(o.f32) + len(o.f16)
 	dst := growF32(mirror, n)
-	o.stage(dst, n/c, c, 0, c, round)
+	o.stage(dst, 0, n/c, c, 0, c, round)
 	return dst
 }
 
@@ -214,28 +215,29 @@ func planar(p conv.Params, xs, dys tensor.Shape, x, dy operand, fn string) opera
 	return operands{rows: rows2D(p), x: x, dy: dy}
 }
 
-// execPhase is one of the three pooled phases of an execution.
+// execPhase is one of the pooled phases of an execution.
 type execPhase uint8
 
 const (
-	phaseFill   execPhase = iota // Ŵ-cache fill over global segment rows
-	phaseUnits                   // the fused unit grid into the buckets
-	phaseReduce                  // Kahan reduce of the buckets over ∇W element ranges
+	phaseFill     execPhase = iota // Ŵ-cache fill over global segment rows
+	phaseUnits                     // the fused unit grid into the buckets
+	phaseChannels                  // the channel-wide unit grid of a depthwise plan
+	phaseReduce                    // Kahan reduce of the buckets over ∇W element ranges
 )
 
-// execJob is the pooled task of one execution's three phases: the Ŵ-cache
-// fill, the unit grid, then the bucket reduce. It lives inside the
-// Workspace so the steady-state dispatch allocates nothing: the fields are
-// rewritten per call and the same *execJob is handed to the sched pool as
-// a Task. The grouped dispatch calls fillRows/units inline per group
-// against its slot arenas.
+// execJob is the pooled task of one execution's phases: the Ŵ-cache fill
+// and the unit grid (or a depthwise plan's channel-wide grid), then the
+// bucket reduce. It lives inside the Workspace so the steady-state
+// dispatch allocates nothing: the fields are rewritten per call and the
+// same *execJob is handed to the sched pool as a Task. The grouped
+// dispatch calls fillRows/units inline per group against its slot arenas.
 type execJob struct {
 	cfg     *Config
 	ws      *Workspace
-	rows    rowMap
+	ops     operands // the call's operands (staged per tile by depthwise units)
 	st      storage
 	x, dy   []float32 // float32 operand sources (ungrouped executions)
-	dst     []float32 // the reduce target (ungrouped executions)
+	dst     []float32 // the reduce target (ungrouped and depthwise executions)
 	traceOn bool
 	phase   execPhase
 }
@@ -248,6 +250,8 @@ func (j *execJob) Run(lo, hi int) {
 		j.fillRows(lo, hi, j.dy, j.ws.what32)
 	case phaseUnits:
 		j.units(lo, hi, j.x, j.ws.what32, j.ws.buckets)
+	case phaseChannels:
+		j.channelUnits(lo, hi)
 	default:
 		reduceRange(j.dst, j.ws.buckets, lo, hi)
 	}
@@ -283,12 +287,12 @@ func (j *execJob) units(lo, hi int, x, what []float32, buckets [][]float32) {
 		local := i - off[si]
 		w := what[ws.whatOff[si]:ws.whatOff[si+1]]
 		if !j.traceOn {
-			segmentTile(cfg.Params, j.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], nil)
+			segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], nil)
 			continue
 		}
 		var ut obs.UnitTimes
 		t0 := time.Now()
-		segmentTile(cfg.Params, j.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], &ut)
+		segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], &ut)
 		obs.RecordUnit(time.Since(t0), ut)
 	}
 }
@@ -416,22 +420,6 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 	tiles := seg.Cols() / r
 	xRows := rm.id * rm.ih
 
-	// Depthwise binary16 tier (I_C == 1, fused): the X̂ row is ONE float,
-	// so the row transform collapses to a dot product against a per-unit
-	// float32 copy of the pairing-free Dᵀ plan's matrix (same constant
-	// conversion, ascending-k order and zero skip), the storage rounding
-	// to the scalar fp16.Round, and the EWM to ewmPanelDW1's zero-skipping
-	// column sweep — every step bit-identical to the generic calls it
-	// replaces, without their per-element call and slice overhead.
-	var dT []float32
-	dw := st.half && sel.fused && ic == 1
-	if dw {
-		dT = growF32(&s.dT, alpha*alpha)
-		for i, c := range pl.dt.Mat().Data {
-			dT[i] = float32(c)
-		}
-	}
-
 	var wHat []float32
 	// emit rounds each X̂ row and multiplies it into the accumulators the
 	// moment the input transform finalizes it — the fused transform+EWM
@@ -451,7 +439,7 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 			sel.panel(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
 		}
 	}
-	if !sel.fused || dw {
+	if !sel.fused {
 		emit = nil
 	}
 
@@ -504,23 +492,6 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 					// (StageShares stays informational).
 					smp.mark()
 					pl.dt.MulPanelEmit(xSrc, xHat, alpha, ic, emit)
-				case dw:
-					smp.mark()
-					for e := 0; e < alpha; e++ {
-						var s float32
-						for kk, c := range dT[e*alpha : (e+1)*alpha] {
-							if c != 0 {
-								s += c * xSrc[kk]
-							}
-						}
-						s = fp16.Round(s)
-						ve := v[e*oc : (e+1)*oc]
-						for a, wv := range wHat[e*oc : (e+1)*oc] {
-							if wv != 0 {
-								ve[a] += wv * s
-							}
-						}
-					}
 				default:
 					pl.dt.MulPanel(xSrc, xHat, alpha, ic)
 					if round != nil {
@@ -555,12 +526,7 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 // float32, then the row.
 func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float32,
 	fh, colBase, n, alpha, oc, ic int, acc []float32) {
-	aT := acc[:alpha*n]
-	for i := 0; i < n; i++ {
-		for e := 0; e < alpha; e++ {
-			aT[i*alpha+e] = float32(aMat.At(e, i))
-		}
-	}
+	aT := transposeA(aMat, acc, n, alpha)
 	row := acc[alpha*n : alpha*n+ic : alpha*n+ic]
 	dwShape := p.DWShape()
 	for a := 0; a < oc; a++ {
@@ -570,6 +536,18 @@ func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float3
 			copy(bucket[off:off+ic], row)
 		}
 	}
+}
+
+// transposeA writes Aᵀ in float32 to acc[:n·α], row i holding column i of
+// the α×n output matrix A, and returns it.
+func transposeA(aMat *winograd.Mat, acc []float32, n, alpha int) []float32 {
+	aT := acc[:alpha*n]
+	for i := 0; i < n; i++ {
+		for e := 0; e < alpha; e++ {
+			aT[i*alpha+e] = float32(aMat.At(e, i))
+		}
+	}
+	return aT
 }
 
 // outputRow sets row[b] = Σ_e cs[e]·v[e·stride + b]: each element starts at

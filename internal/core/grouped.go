@@ -10,12 +10,13 @@ import (
 	"winrs/internal/tensor"
 )
 
-// Grouped execution (G > 1) runs the adapted per-group plan (Config.group)
-// once per channel group. NHWC keeps channels innermost, so one group's
-// operands are strided row-gathers (rows of width I_C/G at stride I_C);
-// the per-group ∇W block, by contrast, is a contiguous slab of the full
-// gradient (∇W is O_C-major and each group owns a contiguous O_C/G range),
-// so outputs are written through zero-copy views.
+// Grouped execution (G > 1, except depthwise layers, which run
+// channel-wide: see depthwise.go) runs the adapted per-group plan
+// (Config.group) once per channel group. NHWC keeps channels innermost,
+// so one group's operands are strided row-gathers (rows of width I_C/G at
+// stride I_C); the per-group ∇W block, by contrast, is a contiguous slab
+// of the full gradient (∇W is O_C-major and each group owns a contiguous
+// O_C/G range), so outputs are written through zero-copy views.
 //
 // The dispatch is ONE sched batch whose items are the G groups. A
 // participant claims a free slot arena (Z buckets, a staging pair and a
@@ -26,8 +27,7 @@ import (
 // cache and buckets stay on one core. Cancellation is polled between
 // groups only, so a group either writes its complete slab or none of it.
 // The workspace holds one slot per possible participant (Config.GroupRing),
-// each with G² × fewer bucket bytes than the ungrouped plan at equal Z;
-// depthwise (G == I_C) is the limiting case.
+// each with G² × fewer bucket bytes than the ungrouped plan at equal Z.
 
 // sliceChannels gathers channels [off, off+width) of every row of src
 // (rows × srcC, dense) into dst (rows × width, dense). A full-width slice
@@ -80,10 +80,9 @@ func groupSlab(dst *tensor.Float32, shape tensor.Shape, gi int) *tensor.Float32 
 // it is embedded in the Workspace, so steady-state dispatch allocates
 // nothing.
 type groupJob struct {
-	run   execJob     // the per-group plan's fill/unit core
-	p     conv.Params // the grouped layer
-	x, dy operand
-	dst   []float32
+	run execJob     // the per-group plan's fill/unit core
+	p   conv.Params // the grouped layer
+	dst []float32
 }
 
 // Run executes groups [lo, hi) — the sched.Task contract — on a slot
@@ -121,9 +120,9 @@ func (j *groupJob) runGroup(gi int, slot *groupSlot) {
 	if tr {
 		t0 = time.Now()
 	}
-	j.x.stage(slot.x, p.N*p.IH*p.IW, p.IC, gi*p.ICG(), p.ICG(), j.run.st.round)
+	j.run.ops.x.stage(slot.x, 0, p.N*p.IH*p.IW, p.IC, gi*p.ICG(), p.ICG(), j.run.st.round)
 	t0 = lap(tr, obs.StageGroupGather, t0)
-	j.dy.stage(slot.dy, p.N*p.OH()*p.OW(), p.OC, gi*p.OCG(), p.OCG(), j.run.st.round)
+	j.run.ops.dy.stage(slot.dy, 0, p.N*p.OH()*p.OW(), p.OC, gi*p.OCG(), p.OCG(), j.run.st.round)
 	t0 = lap(tr, obs.StageGroupGather, t0)
 	j.run.fillRows(0, ws.rowOff[len(ws.rowOff)-1], slot.dy, slot.what32)
 	lap(tr, obs.StageWHat, t0)
@@ -173,8 +172,8 @@ func executeGroupedIn(cfg *Config, ws *Workspace, ops operands, st storage, dst 
 		growF32(&slot.what32, ws.whatOff[len(ws.whatOff)-1])
 	}
 	ws.gjob = groupJob{
-		run: execJob{cfg: gcfg, ws: ws, rows: ops.rows, st: st, traceOn: obs.TraceEnabled()},
-		p:   p, x: ops.x, dy: ops.dy, dst: dst.Data,
+		run: execJob{cfg: gcfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled()},
+		p:   p, dst: dst.Data,
 	}
 	defer func() { ws.gjob = groupJob{} }()
 	// One group per chunk: workers balance group by group, and sched polls

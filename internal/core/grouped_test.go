@@ -155,9 +155,9 @@ func TestGroupedStridedMatchesDirect(t *testing.T) {
 }
 
 // Depthwise (G == I_C) must run the planned WinRS path — a real fast
-// kernel, not the direct fallback — and its shared per-group workspace
-// must shrink versus the ungrouped plan of the same outer geometry at
-// equal Z. This is the paper's headline quantity under grouping.
+// kernel, not the direct fallback — and its workspace must shrink versus
+// the ungrouped plan of the same outer geometry at equal Z. This is the
+// paper's headline quantity under grouping.
 func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	p := conv.Params{N: 2, IH: 24, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16}
 	// Force Z > 1 on both plans: the workspace is (Z-1)·sizeof(∇W) slabs,
@@ -186,19 +186,21 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	if gw >= uw {
 		t.Errorf("grouped workspace %d B >= ungrouped %d B; want per-group shrinkage", gw, uw)
 	}
-	// Per-group ∇W slab is (O_C/G)·F_H·F_W·(I_C/G): one slot's arena
-	// shrinks exactly G² at equal Z (both sides round Z the same way under
-	// WithSegments), and the executed workspace holds one slot per
-	// possible participant, min(G, pool width).
-	sw := cfg.WorkspaceSeqBytes()
-	if cfg.Z() == ucfg.Z() && uw != sw*int64(p.G())*int64(p.G()) {
-		t.Errorf("workspace shrink %d/%d, want exactly G²=%d at equal Z", uw, sw, p.G()*p.G())
+	// The channel-wide units run on Z buckets of the whole depthwise ∇W,
+	// O_C·F_H·F_W·(I_C/G), the paper's (Z−1)·|∇W|: G× below the ungrouped
+	// layer at equal Z (both sides round Z the same way under
+	// WithSegments), with no slot ring and no Ŵ cache.
+	if want := int64(cfg.Z()-1) * int64(p.DWShape().Elems()) * 4; gw != want {
+		t.Errorf("WorkspaceBytes %d, want (Z−1)·|∇W| = %d", gw, want)
 	}
-	if ring, want := cfg.GroupRing(), min(p.G(), execPool().Workers()); ring != want {
-		t.Errorf("GroupRing %d, want min(G, pool width) = %d", ring, want)
+	if cfg.Z() == ucfg.Z() && uw != gw*int64(p.G()) {
+		t.Errorf("workspace shrink %d/%d, want exactly G=%d at equal Z", uw, gw, p.G())
 	}
-	if ring := cfg.GroupRing(); gw != sw*int64(ring) {
-		t.Errorf("WorkspaceBytes %d != WorkspaceSeqBytes %d × ring %d", gw, sw, ring)
+	if ring, sw := cfg.GroupRing(), cfg.WorkspaceSeqBytes(); ring != 1 || sw != gw {
+		t.Errorf("GroupRing %d, WorkspaceSeqBytes %d; want 1 and WorkspaceBytes %d", ring, sw, gw)
+	}
+	if wh := cfg.WHatCacheBytes(); wh != 0 {
+		t.Errorf("WHatCacheBytes %d, want 0 (channel-wide units keep no Ŵ cache)", wh)
 	}
 	if d := cfg.Describe(); d.Layer.Groups != p.G() {
 		t.Errorf("Describe reports groups %d, want %d", d.Layer.Groups, p.G())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime/debug"
-	"strings"
 	"testing"
 	"time"
 
@@ -78,9 +77,9 @@ func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 }
 
 // Every EWM kernel-tier forcing must produce bit-identical gradients on
-// depthwise shapes (I_C/G == 1), where auto resolves to the dedicated dw1
-// panel — the forced-kernel differential sweep of the depthwise
-// specialization, inline and pooled.
+// depthwise shapes (I_C/G == 1), whose channel-wide units run the diagonal
+// EWM whatever the forcing — the forced-kernel differential sweep of the
+// depthwise path, inline and pooled.
 func TestDepthwiseEWMKernelSweep(t *testing.T) {
 	shapes := []conv.Params{
 		{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
@@ -96,8 +95,8 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k := cfg.EWMKernel(); !strings.Contains(k, "dw1") {
-					t.Errorf("depthwise auto selection is %q, want the dw1 panel", k)
+				if k := cfg.EWMKernel(); k != "diag" {
+					t.Errorf("depthwise auto selection is %q, want the diagonal EWM", k)
 				}
 				var base *tensor.Float32
 				for _, m := range ewmVariantModes {

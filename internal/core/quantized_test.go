@@ -352,14 +352,17 @@ func executeQuantizedRef(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tenso
 // units, grouped dispatch, operands rounded once per call) and must equal
 // the per-unit reference kernel bit for bit: every format — including the
 // per-element fallback (identity, INT8) and the degenerate all-zero INT8
-// grid — ungrouped, α = 16, grouped and wide-I_C shapes, default and
-// forced segmentations, pool widths 1 and 4.
+// grid — ungrouped, α = 16, grouped, depthwise and wide-I_C shapes,
+// default and forced segmentations, pool widths 1 and 4.
 func TestQuantizedMatchesRef(t *testing.T) {
 	shapes := []conv.Params{
 		quantLayer(),
 		{N: 1, IH: 24, IW: 24, FH: 9, FW: 9, IC: 2, OC: 2, PH: 4, PW: 4},
 		{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 2},
 		{N: 2, IH: 12, IW: 10, FH: 3, FW: 3, IC: 4, OC: 8, PH: 1, PW: 1, Groups: 4},
+		// Depthwise: the channel-wide grid, one 12-wide block at width 1,
+		// an 8-wide block and a 4-wide tail at width 4.
+		{N: 2, IH: 10, IW: 11, FH: 3, FW: 3, IC: 12, OC: 12, PH: 1, PW: 1, Groups: 12},
 		// I_C = 44: the wide EWM panel and output row (32 + 8 lanes + 4).
 		{N: 1, IH: 10, IW: 10, FH: 3, FW: 3, IC: 44, OC: 3, PH: 1, PW: 1},
 	}

@@ -7,22 +7,23 @@ import (
 	"winrs/internal/cpufeat"
 )
 
-// forceGoKernels clears cpufeat.HasAVX2 for the duration of the test, so
-// the EWM panel selection, the output row and the bucket reduce run their
-// Go loops on an AVX2 host. Like forceEWM it is a test-only hook.
+// forceGoKernels clears cpufeat.HasAVX2 and cpufeat.HasF16C for the
+// duration of the test, so the EWM panel selection, the output row, the
+// bucket reduce and the binary16 rounding run their Go loops on an
+// AVX2/F16C host. Like forceEWM it is a test-only hook.
 func forceGoKernels(t testing.TB) {
 	t.Helper()
-	prev := cpufeat.HasAVX2
-	cpufeat.HasAVX2 = false
-	t.Cleanup(func() { cpufeat.HasAVX2 = prev })
+	avx2, f16c := cpufeat.HasAVX2, cpufeat.HasF16C
+	cpufeat.HasAVX2, cpufeat.HasF16C = false, false
+	t.Cleanup(func() { cpufeat.HasAVX2, cpufeat.HasF16C = avx2, f16c })
 }
 
 // The bitwise suites run once on whatever kernels the host selects; on an
-// AVX2 host this runs them again on the Go loops, so both kernel paths are
-// pinned to the same oracles.
+// AVX2 or F16C host this runs them again on the Go loops, so both kernel
+// paths are pinned to the same oracles.
 func TestBitwiseSuitesGoKernels(t *testing.T) {
-	if !cpufeat.HasAVX2 {
-		t.Skip("no AVX2: the suites already ran the Go loops")
+	if !cpufeat.HasAVX2 && !cpufeat.HasF16C {
+		t.Skip("no AVX2 or F16C: the suites already ran the Go loops")
 	}
 	forceGoKernels(t)
 	for _, s := range []struct {
@@ -41,6 +42,7 @@ func TestBitwiseSuitesGoKernels(t *testing.T) {
 		{"Execute3DMatchesRef", TestExecute3DMatchesRef},
 		{"EWMPanelVariantsMatchBase", TestEWMPanelVariantsMatchBase},
 		{"EWMForcedVariantsMatchBaseFP32", TestEWMForcedVariantsMatchBaseFP32},
+		{"DepthwiseChannelWideMatchesPerGroup", TestDepthwiseChannelWideMatchesPerGroup},
 	} {
 		t.Run(s.name, s.run)
 	}

@@ -96,9 +96,9 @@ func (ws *Workspace) ensureRing(n int) {
 }
 
 // NewWorkspace allocates the bucket arena for cfg and binds its schedule
-// tables. For a grouped plan the geometry is ONE group's ∇W slab: slot 0
-// of the grouped dispatch runs on this arena and further slots size
-// theirs from it (see Config.WorkspaceBytes).
+// tables. For a grouped plan other than depthwise the geometry is ONE
+// group's ∇W slab: slot 0 of the grouped dispatch runs on this arena and
+// further slots size theirs from it (see Config.WorkspaceBytes).
 func NewWorkspace(cfg *Config) *Workspace {
 	e := cfg.exec()
 	elems := e.Params.DWShape().Elems()
@@ -136,7 +136,7 @@ func (ws *Workspace) rebind(cfg *Config) {
 
 // Fits reports whether the workspace matches cfg's bucket geometry (same
 // segment count and gradient size; the per-group geometry for grouped
-// plans). Schedule tables rebind automatically.
+// plans other than depthwise). Schedule tables rebind automatically.
 func (ws *Workspace) Fits(cfg *Config) bool {
 	e := cfg.exec()
 	return ws != nil && ws.z == e.Z() && ws.elems == e.Params.DWShape().Elems()
@@ -223,12 +223,15 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // execute is the one execution path behind every BFC entry point — FP32, FP16,
 // quantized, grouped and 3-D: bring the operands into float32 form, fill
 // the Ŵ cache, run the unit grid, Kahan-reduce the buckets into dst
-// (allocated when nil). Grouped plans take the group-item batch of
-// grouped.go.
+// (allocated when nil). Depthwise plans run the channel-wide unit grid of
+// depthwise.go instead of the fill and the unit grid; other grouped plans
+// take the group-item batch of grouped.go.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial
-// results, and no result is produced.
+// results, and no result is produced. A cancelled depthwise run leaves
+// every channel's ∇W slab complete or untouched, as the group-item batch
+// does for every group's.
 func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	p := cfg.Params
 	if dst == nil {
@@ -236,31 +239,39 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	} else if dst.Shape != p.DWShape() {
 		panic("core: reduce destination shape mismatch")
 	}
-	if cfg.group != nil {
+	if cfg.exec() != cfg {
 		return executeGroupedIn(cfg, ws, ops, st, dst, cancel)
 	}
 	ws = ensureWorkspace(cfg, ws)
 	ws.bindPlans(cfg, st)
-	traceOn := obs.TraceEnabled()
-	growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
-	ws.job = execJob{cfg: cfg, ws: ws, rows: ops.rows, st: st, traceOn: traceOn, phase: phaseFill,
-		x:   ops.x.resident(&ws.xMirror, p.IC, st.round),
-		dy:  ops.dy.resident(&ws.dyMirror, p.OC, st.round),
-		dst: dst.Data,
-	}
+	ws.job = execJob{cfg: cfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled(), dst: dst.Data}
 	defer func() { ws.job = execJob{} }()
 	pool := execPool()
-	ws.runPhase(pool, ws.rowOff[len(ws.rowOff)-1], 0, obs.StageWHat, cancel)
-	ws.job.phase = phaseUnits
-	pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
+	// Phase 3 runs over element ranges: RunBatch's automatic grain (≈4
+	// chunks per participant), floored at reduceGrain.
+	w := 4 * pool.Workers()
+	grain := max(reduceGrain, (ws.elems+w-1)/w)
+	if cfg.dwBlock > 0 {
+		ws.job.phase = phaseChannels
+		pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
+		// Whole channel slabs per reduce chunk, so cancellation between
+		// chunks leaves each slab complete or untouched.
+		slab := p.FH * p.FW
+		grain = (grain + slab - 1) / slab * slab
+	} else {
+		growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
+		ws.job.x = ops.x.resident(&ws.xMirror, p.IC, st.round)
+		ws.job.dy = ops.dy.resident(&ws.dyMirror, p.OC, st.round)
+		ws.job.phase = phaseFill
+		ws.runPhase(pool, ws.rowOff[len(ws.rowOff)-1], 0, obs.StageWHat, cancel)
+		ws.job.phase = phaseUnits
+		pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
+	}
 	if cancel.Cancelled() {
 		return nil, false
 	}
-	// Phase 3 over element ranges: RunBatch's automatic grain (≈4 chunks
-	// per participant), floored at reduceGrain.
-	w := 4 * pool.Workers()
 	ws.job.phase = phaseReduce
-	ws.runPhase(pool, ws.elems, max(reduceGrain, (ws.elems+w-1)/w), obs.StageReduce, cancel)
+	ws.runPhase(pool, ws.elems, grain, obs.StageReduce, cancel)
 	if cancel.Cancelled() {
 		return nil, false
 	}
@@ -295,7 +306,7 @@ func (ws *Workspace) bindPlans(cfg *Config, st storage) {
 // transform scratch at all; the slices grow to the largest geometry seen
 // and are then reused as-is.
 type tileScratch struct {
-	v, wRaw, wHatF, xRaw, xHatF, acc, dT []float32
+	v, wRaw, wHatF, xRaw, xHatF, acc []float32
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}

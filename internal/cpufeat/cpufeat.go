@@ -1,7 +1,7 @@
 // Package cpufeat reports the instruction-set extensions that the host CPU
 // implements and the operating system enables, detected once at start-up.
-// The SIMD kernels of internal/core and internal/kahan read it to choose
-// between their assembly bodies and the portable Go loops.
+// The SIMD kernels of internal/core, internal/kahan and internal/fp16 read
+// it to choose between their assembly bodies and the portable Go loops.
 package cpufeat
 
 // HasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
@@ -9,3 +9,8 @@ package cpufeat
 // it is always false off amd64. The only other writer is the test hook
 // that clears it so the suites run the Go loops on an AVX2 host.
 var HasAVX2 = detectAVX2()
+
+// HasF16C reports whether the CPU implements the F16C conversions
+// (VCVTPS2PH, VCVTPH2PS) and the OS saves the YMM registers their 8-lane
+// forms use. Set like HasAVX2, and cleared by the same test hook.
+var HasF16C = detectF16C()

@@ -3,3 +3,5 @@
 package cpufeat
 
 func detectAVX2() bool { return false }
+
+func detectF16C() bool { return false }

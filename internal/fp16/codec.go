@@ -27,11 +27,16 @@ package fp16
 // Both kernels are bit-for-bit identical to the scalar pair across the
 // full input domain; codec_test.go proves decode exhaustively and encode
 // by exhaustive half-domain round-trip plus midpoint/tie sweeps and fuzz.
+// The fused encode+decode, RoundSlice, also has an F16C kernel
+// (round_amd64.s) that matches the scalar round trip on every float32
+// pattern (roundsweep_test.go).
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"winrs/internal/cpufeat"
 )
 
 // decodeLUTBuilds counts decode-LUT constructions; the laziness tests
@@ -169,7 +174,7 @@ func EncodeSlice(dst []Bits, src []float32) {
 // because their half patterns arrive data-dependent (transform outputs),
 // where a per-element LUT load misses L1 while these few ALU ops stay in
 // registers. The equivalence is pinned by the exhaustive decode test plus
-// the RoundSlice/RoundInto scalar round-trip sweeps.
+// the RoundSlice scalar round-trip sweeps.
 func decodeBits(h uint32) float32 {
 	sign := (h & 0x8000) << 16
 	exp := h >> 10 & 0x1F
@@ -189,8 +194,19 @@ func decodeBits(h uint32) float32 {
 
 // RoundSlice rounds every element of vs to its nearest binary16 value in
 // place — the fused encode+decode used for the "SMEM storage" rounding
-// step, bit-identical to ToFloat32(FromFloat32(v)) per element.
+// step, bit-identical to ToFloat32(FromFloat32(v)) per element. On an
+// F16C host the F16C kernel rounds the largest multiple of 8 elements and
+// roundSliceGo the rest.
 func RoundSlice(vs []float32) {
+	if n8 := len(vs) &^ 7; cpufeat.HasF16C && n8 > 0 {
+		roundF16C(&vs[0], n8)
+		vs = vs[n8:]
+	}
+	roundSliceGo(vs)
+}
+
+// roundSliceGo is the portable RoundSlice and the F16C kernel's oracle.
+func roundSliceGo(vs []float32) {
 	base, shift, or := encodeTables()
 	for i, v := range vs {
 		b := math.Float32bits(v)
@@ -216,65 +232,13 @@ func RoundSlice(vs []float32) {
 	}
 }
 
-// Round returns v rounded through binary16 storage — the scalar form of
-// RoundSlice, same tables and RNE fixup, for hot paths whose rows are
-// single floats (the depthwise X̂ row) where the slice call's table fetch
-// and loop prologue would dominate the one element's work.
-func Round(v float32) float32 {
-	base, shift, or := encodeTables()
-	b := math.Float32bits(v)
-	if b&0x7F800000 == 0x7F800000 {
-		h := uint32(b>>16) & 0x8000
-		if frac := b & 0x7FFFFF; frac != 0 {
-			h |= uint32(expMask) | 0x0200 | frac>>13
-		} else {
-			h |= uint32(expMask)
-		}
-		return decodeBits(h)
-	}
-	c := b >> 23
-	m := b&0x7FFFFF | or[c]
-	sh := uint32(shift[c])
-	h := uint32(base[c]) + m>>sh
-	rem := m & (1<<sh - 1)
-	if rem+(h&1) > 1<<(sh-1) {
-		h++
-	}
-	return decodeBits(h)
-}
-
 // RoundInto writes the nearest binary16 value of every src element into
-// dst — RoundSlice fused with the copy, bit-identical to
-// ToFloat32(FromFloat32(v)) per element. It is the one-pass kernel behind
-// the decoded-operand Ŵ cache: the transformed panel is rounded through
-// binary16 while being stored in float32 form, so later uses skip the
-// decode entirely without changing a single bit of the cached values.
-// len(dst) must equal len(src); dst and src may alias only exactly.
+// dst: the copy, then RoundSlice. len(dst) must equal len(src); dst and
+// src may alias only exactly.
 func RoundInto(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("fp16: RoundInto length mismatch")
 	}
-	base, shift, or := encodeTables()
-	for i, v := range src {
-		b := math.Float32bits(v)
-		if b&0x7F800000 == 0x7F800000 {
-			h := uint32(b>>16) & 0x8000
-			if frac := b & 0x7FFFFF; frac != 0 {
-				h |= uint32(expMask) | 0x0200 | frac>>13
-			} else {
-				h |= uint32(expMask)
-			}
-			dst[i] = decodeBits(h)
-			continue
-		}
-		c := b >> 23
-		m := b&0x7FFFFF | or[c]
-		sh := uint32(shift[c])
-		h := uint32(base[c]) + m>>sh
-		rem := m & (1<<sh - 1)
-		if rem+(h&1) > 1<<(sh-1) {
-			h++
-		}
-		dst[i] = decodeBits(h)
-	}
+	copy(dst, src)
+	RoundSlice(dst)
 }

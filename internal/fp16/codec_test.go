@@ -276,9 +276,8 @@ func BenchmarkRoundSliceScalar(b *testing.B) {
 	}
 }
 
-// RoundInto is RoundSlice fused with the copy (the decoded-operand Ŵ-cache
-// store): same scalar round-trip oracle, separate destination, and the
-// source must come through untouched.
+// RoundInto is RoundSlice into a separate destination: same scalar
+// round-trip oracle, and the source must come through untouched.
 func TestRoundIntoMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 2049, 2051,

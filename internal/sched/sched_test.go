@@ -169,15 +169,20 @@ func TestRunBatchCancelledUpfront(t *testing.T) {
 }
 
 // cancelTask cancels its own batch during the trip-th executed chunk, so
-// cancellation deterministically lands mid-run.
+// cancellation lands mid-run, and counts the chunks that start after the
+// cancel is visible.
 type cancelTask struct {
 	c      *Batch
 	chunks atomic.Int64
 	units  atomic.Int64
+	late   atomic.Int64 // chunks whose Run began with c already cancelled
 	trip   int64
 }
 
 func (s *cancelTask) Run(lo, hi int) {
+	if s.c.Cancelled() {
+		s.late.Add(1)
+	}
 	if s.chunks.Add(1) == s.trip {
 		s.c.Cancel()
 	}
@@ -186,9 +191,10 @@ func (s *cancelTask) Run(lo, hi int) {
 
 // Cancelling mid-run must stop the batch within chunk-claim granularity:
 // chunks already claimed finish, everything after is skipped, and RunBatch
-// still returns through the normal completion protocol. With W
-// participants, at most trip+W−1 chunks can be in flight when the cancel
-// lands.
+// still returns through the normal completion protocol. Once the cancel
+// is visible, only a participant that claimed its chunk before it can
+// still start one: at most W−1 chunks, whatever the others ran while the
+// canceller was descheduled.
 func TestRunBatchCancelMidRun(t *testing.T) {
 	const total, chunk = 100000, 10
 	for _, width := range []int{1, 4} {
@@ -196,9 +202,8 @@ func TestRunBatchCancelMidRun(t *testing.T) {
 		task := &cancelTask{c: &Batch{}, trip: 3}
 		p.RunBatch(total, chunk, task, task.c)
 		ran := task.units.Load()
-		limit := int64(chunk) * (task.trip + int64(width) - 1)
-		if ran > limit {
-			t.Errorf("width %d: %d units ran after mid-run cancel, want ≤ %d", width, ran, limit)
+		if late := task.late.Load(); late > int64(width)-1 {
+			t.Errorf("width %d: %d chunks started after the cancel, want ≤ %d", width, late, width-1)
 		}
 		if ran < int64(chunk)*task.trip {
 			t.Errorf("width %d: only %d units ran, want ≥ %d (claimed chunks must finish)",

@@ -189,10 +189,6 @@ func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
 // Row emission order is plan order (pairs first, then singles), not row
 // order; callers must only depend on each row being complete when emitted.
 func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u, v int)) {
-	if width == 1 {
-		sp.mulColEmit(in, out, rows, emit)
-		return
-	}
 	m := sp.m
 	if rows != m.Cols {
 		panic("winograd: MulPanel dimension mismatch")
@@ -291,56 +287,6 @@ func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u,
 				}
 			}
 		}
-		if emit != nil {
-			emit(i, -1)
-		}
-	}
-}
-
-// mulColEmit is the width == 1 panel — a column vector, the shape every
-// depthwise (I_C/G = O_C/G = 1) transform reduces to. The generic kernel
-// pays three slice headers and a loop prologue per single multiply there;
-// this scalar walk keeps the exact per-chain accumulation order (even and
-// odd column chains ascending, zero coefficients skipped, then the
-// ±combine; singles one chain in column order), so its bits match the
-// panel kernel's width-1 execution exactly.
-func (sp *SymPlan) mulColEmit(in, out []float32, rows int, emit func(u, v int)) {
-	m := sp.m
-	if rows != m.Cols {
-		panic("winograd: MulPanel dimension mismatch")
-	}
-	for _, pr := range sp.pairs {
-		row := m.Data[pr[0]*m.Cols : (pr[0]+1)*m.Cols]
-		var even, odd float32
-		c := 0
-		for ; c+2 <= len(row); c += 2 {
-			if c0 := float32(row[c]); c0 != 0 {
-				even += c0 * in[c]
-			}
-			if c1 := float32(row[c+1]); c1 != 0 {
-				odd += c1 * in[c+1]
-			}
-		}
-		if c < len(row) {
-			if cv := float32(row[c]); cv != 0 {
-				even += cv * in[c]
-			}
-		}
-		out[pr[0]] = even + odd
-		out[pr[1]] = even - odd
-		if emit != nil {
-			emit(pr[0], pr[1])
-		}
-	}
-	for _, i := range sp.singles {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float32
-		for c, v := range row {
-			if v != 0 {
-				s += float32(v) * in[c]
-			}
-		}
-		out[i] = s
 		if emit != nil {
 			emit(i, -1)
 		}
