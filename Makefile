@@ -91,12 +91,15 @@ grouped-smoke:
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
 	done
 
-# bitwise-smoke repeats the bitwise suites of the EWM panels, the unit
+# bitwise-smoke repeats the bitwise suites of the EWM kernels, the unit
 # epilogue and the pooled reduce under the race detector at GOMAXPROCS 1
-# and 4: each EWM panel against the Go 4×4 panel and every forced EWM mode
-# against the forced 4×4 tier, the streaming epilogue against its
-# per-element oracle, poisoned (NaN) workspaces against fresh ones (every
-# bucket element is stored once per run; nothing zeroes them),
+# and 4: each chunk kernel against the Go 4×4 panel, the AVX2 chunk kernel
+# against its per-tile oracle over chunked tile sequences, the panel
+# transforms' column independence (one chunk-wide call equals per-tile
+# calls), every forced EWM mode against the forced 4×4 tier, the
+# streaming epilogue against its per-element oracle, poisoned (NaN)
+# workspaces against fresh ones (every bucket element is stored once per
+# run; nothing zeroes them),
 # pool-vs-inline and shared-pool concurrency, mid-run cancellation, and
 # the FP16, quantized and 3-D reference executors, and the channel-wide
 # depthwise grid against the per-group reference at pool widths 1–8. On
@@ -109,8 +112,8 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestBitwiseSuitesGoKernels' \
-			./internal/core || exit 1; \
+			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestBitwiseSuitesGoKernels' \
+			./internal/core ./internal/winograd || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16
 
@@ -139,7 +142,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConfigurePartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzExecuteMatchesDirect$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEWMPanelAVX2$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEWMBlockedAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOutputRowAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kahan -run '^$$' -fuzz '^FuzzReduceAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzConversion$$' -fuzztime $(FUZZTIME)

@@ -22,7 +22,8 @@ type Cost struct {
 	// Bytes is the memory traffic of materialized intermediates plus one
 	// compulsory pass over the operands.
 	Bytes float64
-	// Eff is the sustained fraction of per-proc scalar peak in (0, 1].
+	// Eff is the sustained rate as a fraction of the per-proc scalar rate
+	// hostFLOPSPerProc; above 1 where a SIMD kernel outruns it.
 	Eff float64
 	// Grains is the number of independently schedulable work items of the
 	// dominant stage; effective parallelism is min(procs, Grains).
@@ -37,8 +38,8 @@ type Cost struct {
 const (
 	// hostFLOPSPerProc is the per-worker FLOP rate charged to every
 	// backend's compute term. It was fit to the scalar register-blocked
-	// EWM; WinRS's AVX2 EWM panel runs several times faster on AVX2
-	// hosts, which the WinRS derates do not yet model.
+	// EWM; WinRS's AVX2 chunk kernel runs several times faster, which the
+	// WinRS efficiencies of AVX2 plans carry.
 	hostFLOPSPerProc = 2.0e9
 	// hostBytesPerSec is the streaming bandwidth charged to intermediate
 	// traffic (shared across workers, hence not scaled by procs).
@@ -88,7 +89,6 @@ func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 		return Cost{FLOPs: math.Inf(1), Eff: 1, Grains: 1}
 	}
 	var flops float64
-	var grains int
 	for _, s := range cfg.Segments {
 		// Per-group plan segments: each of the G per-group passes reduces
 		// O_C/G × I_C/G channels, so the total across passes is O_C × I_C/G.
@@ -96,24 +96,35 @@ func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 		direct := 2 * segElems * float64(p.FH) * float64(p.FW) *
 			float64(p.OC) * float64(p.ICG())
 		flops += direct / s.K.Accel() * 1.10
-		grains += s.Rows() * (s.Cols() / s.K.R) * p.N
 	}
-	// The grouped dispatch fuses all G groups into one sched batch, so every
-	// group's units are live in the same grain pool (up to the staging-ring
-	// pipelining limit, which host procs never reach).
-	grains *= p.G()
+	// The pool schedules units, not tiles: a unit runs all of its rows,
+	// width tiles and images itself, so the unit count bounds the
+	// parallelism. Units() counts every group's units of a grouped plan,
+	// whose batch spans its groups, and the channel-wide grid of a
+	// depthwise plan.
+	grains := cfg.Units()
 	// Z × the full ∇W: a depthwise plan's buckets are the whole ∇W; other
 	// grouped plans' per-group buckets are 1/G of it and are swept once
 	// per each of the G passes.
 	dwBytes := float64(p.DWShape().Elems()) * 4
 	bytes := operandBytes32(p) + float64(cfg.Z())*dwBytes
 	// Larger transforms spend more non-GEMM instructions (the footnote-3
-	// trade-off), mirrored from perfmodel's alpha→eff map at host scale.
-	// Recalibrated for the fused kernel tier: the 8-row register blocks and
-	// the fused transform+EWM pass lift the small-α kernels ~20% (measured
-	// BenchmarkExecuteWinRS forced block4 vs auto), and the two-column
-	// transform pass lifts α = 16 (transform-bound) as well.
-	eff := map[int]float64{2: 0.66, 4: 0.65, 8: 0.60, 16: 0.40}[cfg.Pair.Fast.Alpha]
+	// trade-off), so the efficiency falls with the fast kernel's α. Plans
+	// on the Go 4×4 panel (I_C < 8, hosts without AVX2) keep the values
+	// fit to the scalar kernel tier. The AVX2 chunk kernel's values are
+	// fit like dwDerate, relative to the GEMM backend: on conv1_2,
+	// conv3_2, conv4_2, conv5_2 and four dense FP32 serve-churn keys
+	// (2 workers, median of 9 calls through the adapters, two runs), each
+	// is the geometric mean over its α of the efficiency that makes
+	// WinRS's predicted ÷ measured time equal GEMM's on the same shape.
+	// The per-shape values spread widely because the model charges only
+	// the EWM's FLOPs: 0.5–1.3 on the churn keys (I_C, O_C ≤ 32, where the
+	// scalar transforms weigh most) and 3–8.6 on the VGG16 layers.
+	alpha := cfg.Pair.Fast.Alpha
+	eff := map[int]float64{2: 0.66, 4: 0.65, 8: 0.60, 16: 0.40}[alpha]
+	if cfg.EWMKernel() == "avx2" {
+		eff = map[int]float64{2: 1.8, 4: 1.8, 8: 3.2, 16: 0.8}[alpha]
+	}
 	if eff == 0 {
 		eff = 0.60
 	}
@@ -125,11 +136,9 @@ func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 	}
 	switch {
 	case p.G() > 1 && p.ICG() == 1 && p.OCG() == 1:
-		// Depthwise: one channel-wide unit grid, whose units are the
-		// grains. Per channel the diagonal EWM is α multiply-adds against
-		// α² for the input transform, so the width-cb transforms, not the
-		// EWM, set the time.
-		grains = cfg.Units()
+		// Depthwise: per channel the diagonal EWM is α multiply-adds
+		// against α² for the input transform, so the width-cb transforms,
+		// not the EWM, set the time.
 		eff *= dwDerate
 	case p.G() > 1 && p.ICG() == 1:
 		// Multiplier plans (I_C/G = 1 < O_C/G) run one-column panels per

@@ -38,10 +38,9 @@ type Description struct {
 	WHatCacheBytes    int64   `json:"wHatCacheBytes"`
 	WHatCacheRatio    float64 `json:"wHatCacheRatio"`
 	TotalBlocks       int     `json:"totalBlocks"`
-	// EWMKernel is the kernel-tier variant the fast kernel's units resolve
-	// to: the panel ("block4x4" or "avx2"), "fused" in place of "block"
-	// where the transform feeds the EWM row by row (e.g. "fusedavx2"), or
-	// "diag" for a depthwise plan's channel-wide units.
+	// EWMKernel is the chunk kernel the plan's dense units resolve to
+	// ("block4x4" or "avx2"), or "diag" for a depthwise plan's
+	// channel-wide units.
 	EWMKernel string `json:"ewmKernel"`
 }
 

@@ -130,15 +130,17 @@ func TestWriteOutputMatchesRef(t *testing.T) {
 	}
 }
 
-// poisonedCases are the write-once shapes: one whose f_h = 0 and f_h = 2
-// units clip every row (their epilogue must still store zeros), a forced
-// Z ≥ 3 segmentation, and a grouped plan with more groups than ring slots.
+// poisonedCases are the write-once shapes: two whose f_h = 0 and f_h = 2
+// units clip every row (their epilogue must still store zeros), on the Go
+// panel and at an I_C the AVX2 chunk kernel takes, a forced Z ≥ 3
+// segmentation, and a grouped plan with more groups than ring slots.
 var poisonedCases = []struct {
 	name string
 	p    conv.Params
 	z    int
 }{
 	{"all_rows_clipped", conv.Params{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 3, OC: 4, PH: 1, PW: 1}, 0},
+	{"all_rows_clipped_ic16", conv.Params{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 16, OC: 8, PH: 1, PW: 1}, 0},
 	{"z4", conv.Params{N: 2, IH: 12, IW: 12, FH: 3, FW: 3, IC: 3, OC: 5, PH: 1, PW: 1}, 4},
 	{"grouped_g6", conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 12, OC: 12, PH: 1, PW: 1, Groups: 6}, 0},
 }

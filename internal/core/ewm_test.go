@@ -11,10 +11,10 @@ import (
 	"winrs/internal/winograd"
 )
 
-// Kernel-tier differential tests: every block-shape variant, the fused
-// transform+EWM mode and the FP16 decoded-operand path must be
-// bit-identical to the base 4×4 unfused path (FP32) and to the serial
-// scalar-codec reference (FP16), inline and through a width-4 pool.
+// Kernel-tier differential tests: every chunk kernel and the FP16
+// decoded-operand path must be bit-identical to the base 4×4 path (FP32)
+// and to the serial scalar-codec reference (FP16), inline and through a
+// width-4 pool.
 
 // forceEWM overrides the kernel-tier forcing mode for the duration of the
 // test. Kernel forcing is a test-only hook; production always runs auto.
@@ -33,7 +33,6 @@ var ewmVariantModes = []struct {
 }{
 	{"auto", ewmAuto},
 	{"block4", ewmBlock4},
-	{"fused", ewmFused},
 }
 
 // randPanels builds Ŵ/X̂ panels with planted zero rows (the zero-skip
@@ -53,24 +52,23 @@ func randPanels(rng *rand.Rand, alpha, oc, ic int) (wHat, xHat []float32) {
 	return wHat, xHat
 }
 
-// Every panel variant must produce bit-identical accumulators to the base
-// 4×4 kernel across row/column remainders (including oc < 8 tails, ic % 8
-// ≠ 0 and the AVX2 panel's 32-lane steps at ic = 40) and planted zero
-// rows: each v element receives exactly one multiply and one add per e in
-// every variant, so any difference is a real indexing or rounding bug. The
-// AVX2 panel runs on AVX2 hosts only. Where oc == ic the Ŵ panel also
-// serves as a depthwise unit's [α][cb] panel, and the diagonal EWM must
-// equal the base kernel's one-column product of every channel.
+// Every chunk kernel applied to a single tile must produce bit-identical
+// accumulators to the base 4×4 panel across row/column remainders
+// (including oc < 4 tails, ic % 8 ≠ 0 and the AVX2 kernel's 16-column
+// blocks at ic = 40) and planted zero rows: each v element receives
+// exactly one multiply and one add per e in every variant, so any
+// difference is a real indexing or rounding bug. The AVX2 kernel runs on
+// AVX2 hosts only. Where oc == ic the Ŵ panel also serves as a depthwise
+// unit's [α][cb] panel, and the diagonal EWM must equal the base kernel's
+// one-column product of every channel.
 func TestEWMPanelVariantsMatchBase(t *testing.T) {
-	var variants []struct {
+	type variant struct {
 		name  string
-		panel ewmPanelFunc
+		chunk ewmChunkFunc
 	}
+	variants := []variant{{"go", ewmChunkGo}}
 	if cpufeat.HasAVX2 {
-		variants = append(variants, struct {
-			name  string
-			panel ewmPanelFunc
-		}{"avx2", ewmPanelAVX2})
+		variants = append(variants, variant{"avx2", ewmChunkAVX2})
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, alpha := range []int{2, 4, 8, 16} {
@@ -85,11 +83,13 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 				}
 				base := make([]float32, len(prior))
 				copy(base, prior)
-				ewmPanelsSel(ewmPanel, base, wHat, xHat, alpha, oc, ic)
+				ewmPanels(base, wHat, xHat, alpha, oc, ic)
 				for _, vr := range variants {
 					got := make([]float32, len(prior))
 					copy(got, prior)
-					ewmPanelsSel(vr.panel, got, wHat, xHat, alpha, oc, ic)
+					for e := 0; e < alpha; e++ {
+						vr.chunk(got[e*oc*ic:(e+1)*oc*ic], wHat[e*oc:(e+1)*oc], xHat[e*ic:(e+1)*ic], oc, ic, 1, false)
+					}
 					for i := range base {
 						if got[i] != base[i] {
 							t.Fatalf("%s α=%d oc=%d ic=%d: element %d differs: %v vs %v",
@@ -123,8 +123,8 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 // (matMulF32 for G, matTMulF32 for Dᵀ) bit for bit: every registry
 // kernel, both matrix families the FP16 path uses, widths 1–17 (the
 // one-column panels of multiplier plans, every width of a depthwise
-// channel block up to 16, and the two-column panel pass), whole-panel and
-// row-emitting forms, with planted zero inputs.
+// channel block up to 16, and the two-column panel pass), with planted
+// zero inputs.
 func TestPairingFreePlansMatchMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, k := range winograd.Kernels {
@@ -155,19 +155,15 @@ func TestPairingFreePlansMatchMatMul(t *testing.T) {
 				matTMulF32(fam.d, in, want, alpha, width)
 				dtp.MulPanel(in, got, alpha, width)
 				equalBits(t, k.String()+"/"+fam.name+"/Dt", got, want)
-				emitted := make([]float32, alpha*width)
-				dtp.MulPanelEmit(in, emitted, alpha, width, func(u, _ int) {
-					equalBits(t, k.String()+"/"+fam.name+"/emit", emitted[u*width:(u+1)*width], want[u*width:(u+1)*width])
-				})
 			}
 		}
 	}
 }
 
 // ewmSweepCases is the forced-variant differential subset: shapes chosen
-// to cover α ∈ {4, 8, 16} kernels, padding clip paths, O_C/I_C remainders
-// and multi-segment scheduling, while keeping the mode × precision ×
-// pool matrix affordable under -race.
+// to cover α ∈ {4, 8, 16} kernels, padding clip paths, O_C/I_C remainders,
+// multi-segment scheduling and units of several chunks (multi_chunk), while
+// keeping the mode × precision × pool matrix affordable under -race.
 var ewmSweepCases = []struct {
 	name string
 	p    conv.Params
@@ -178,11 +174,32 @@ var ewmSweepCases = []struct {
 	{"nonpow2_channels", conv.Params{N: 1, IH: 13, IW: 17, FH: 3, FW: 3, IC: 5, OC: 7, PH: 1, PW: 1}, 3},
 	{"c16_interior", conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}, 2},
 	{"9x9_alpha16", conv.Params{N: 1, IH: 20, IW: 20, FH: 9, FW: 9, IC: 3, OC: 9, PH: 4, PW: 4}, 0},
+	{"multi_chunk", conv.Params{N: 2, IH: 12, IW: 40, FH: 3, FW: 3, IC: 24, OC: 6, PH: 1, PW: 1}, 0},
+}
+
+// The sweep must keep a geometry whose units run more than one chunk, so
+// the chunk kernels' accumulating path (every chunk after the first) is
+// pinned end to end, not only the first chunk's zero start.
+func TestEWMSweepRunsMultiChunkUnits(t *testing.T) {
+	for _, tc := range ewmSweepCases {
+		cfg, err := Configure(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, seg := range cfg.Segments {
+			iters := seg.Rows() * (seg.Cols() / seg.K.R) * tc.p.N
+			if iters > chunkTiles(seg.K.Alpha, tc.p.OC, tc.p.IC) {
+				return
+			}
+		}
+	}
+	t.Fatal("no sweep geometry runs a unit of more than one chunk")
 }
 
 // Forcing each kernel-tier mode must not change a single output bit on
 // the FP32 path: the oracle is the forced base tier (block4 = the 4×4
-// unfused kernel the pre-tier code ran), compared inline and pooled.
+// panel per tile, the kernel the pre-tier code ran), compared inline and
+// pooled.
 func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 	for _, tc := range ewmSweepCases {
 		opts := []Option{}
@@ -256,7 +273,7 @@ func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 
 // Steady-state pooled ExecuteHalfIn must allocate nothing in the default
 // decoded-operand mode: the resident Ŵ cache, the xDec/dyDec mirrors and
-// the fused-path closure all live in reused arenas or on the stack.
+// the units' chunk scratch all live in reused arenas or on the stack.
 func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
@@ -287,7 +304,7 @@ func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 // shapes that keep the Go panel, and the Go kernel path on an AVX2 host.
 func TestEWMKernelReporting(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
-	cfg, err := Configure(p) // fast kernel Ω8(3,6): fused
+	cfg, err := Configure(p) // fast kernel Ω8(3,6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +318,9 @@ func TestEWMKernelReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := "fused4x4"
+	wide := "block4x4"
 	if cpufeat.HasAVX2 {
-		wide = "fusedavx2"
+		wide = "avx2"
 	}
 
 	forceEWM(t, ewmAuto)
@@ -313,7 +330,7 @@ func TestEWMKernelReporting(t *testing.T) {
 	if got := cfg16.EWMKernel(); got != wide {
 		t.Errorf("fp16 auto: %q, want %q", got, wide)
 	}
-	if got, want := cfgNarrow.EWMKernel(), "fused4x4"; got != want {
+	if got, want := cfgNarrow.EWMKernel(), "block4x4"; got != want {
 		t.Errorf("I_C = 3 auto: %q, want %q (narrow panels keep the Go 4×4 panel)", got, want)
 	}
 	dw := p
@@ -339,7 +356,7 @@ func TestEWMKernelReporting(t *testing.T) {
 		t.Errorf("Describe() EWMKernel %q, want %q", d.EWMKernel, cfg.EWMKernel())
 	}
 	forceGoKernels(t)
-	if got, want := cfg.EWMKernel(), "fused4x4"; got != want {
+	if got, want := cfg.EWMKernel(), "block4x4"; got != want {
 		t.Errorf("Go kernels forced: %q, want %q", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"winrs/internal/conv"
 	"winrs/internal/winograd"
 )
 
@@ -14,17 +15,22 @@ import (
 type EWMMicroCell struct {
 	Kernel  string // Ω_α(n,r) notation
 	Variant string // kernel-tier variant name (matches ewm_kernel values)
-	Run     func() // one tile pass (α panels)
+	Run     func() // one tile's pass (α planes)
 }
 
 // EWMMicroCells builds the microbenchmark grid: one hot kernel per α
-// family (Ω4(3,2), Ω8(3,6), Ω16(9,8)) × the panels, plus transform+EWM
-// unfused-vs-fused pairs that isolate the fusion benefit. All cells run on
-// O_C = I_C = 16 panels. The variant names predate the current tier and
-// feed committed benchmark metrics, so they stay: "block4x4" runs the Go
-// 4×4 panel, and "block8x4", "block8x8", "xform+block8x8" and "fused8x8"
-// run the panel selectEWM picks at this shape (the AVX2 panel on an AVX2
-// host, else the 4×4 panel).
+// family (Ω4(3,2), Ω8(3,6), Ω16(9,8)) on O_C = I_C = 16 panels, every
+// cell one tile's pass. The variant names predate the chunk kernels and
+// feed committed benchmark metrics, so they stay; each runs live code:
+//
+//   - "block4x4": the Go chunk kernel (the 4×4 panel) on one tile;
+//   - "block8x4": the chunk kernel selectEWM picks at this shape (the AVX2
+//     kernel on an AVX2 host) on one tile, adding to the accumulators as a
+//     unit's later chunks do;
+//   - "block8x8": the same on one tile from +0, as a unit's first chunk;
+//   - "xform+block8x8": the tile's input transform, then "block8x4";
+//   - "fused8x8": a dense unit's whole chunk step on one interior tile —
+//     X gather, Ŵ pack, input transform and the selected kernel.
 func EWMMicroCells() []EWMMicroCell {
 	const oc, ic = 16, 16
 	type nr struct{ n, r int }
@@ -47,36 +53,31 @@ func EWMMicroCells() []EWMMicroCell {
 			xRaw[i] = rng.Float32() - 0.5
 		}
 		copy(xHat, xRaw)
-		tr := k.Transform().Balanced()
-		_, dtPlan := tr.PanelPlans()
+		pl := fp32Storage.plan(k)
 		kn := k.String()
-		picked := selectEWM(k, ic).panel
-		panelCell := func(variant string, panel ewmPanelFunc) EWMMicroCell {
-			return EWMMicroCell{Kernel: kn, Variant: variant, Run: func() {
-				ewmPanelsSel(panel, v, wHat, xHat, alpha, oc, ic)
-			}}
-		}
-		emit := func(u, w int) {
-			picked(v[u*oc*ic:(u+1)*oc*ic], wHat[u*oc:(u+1)*oc], xHat[u*ic:(u+1)*ic], oc, ic)
-			if w >= 0 {
-				picked(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
+		picked := selectEWM(ic).chunk
+		// One tile's Ŵ panel [α][OC] is also its plane-major chunk panel.
+		tile := func(kernel ewmChunkFunc, first bool) {
+			for e := 0; e < alpha; e++ {
+				kernel(v[e*oc*ic:(e+1)*oc*ic], wHat[e*oc:(e+1)*oc], xHat[e*ic:(e+1)*ic], oc, ic, 1, first)
 			}
 		}
+		chunk := denseChunk{
+			p: conv.Params{IW: alpha, IC: ic, OC: oc}, pl: pl, kernel: picked,
+			x: xRaw, what: wHat, alpha: alpha, v: v,
+			xRaw: make([]float32, alpha*ic), xHat: make([]float32, alpha*ic), wHat: make([]float32, alpha*oc),
+		}
+		its := []tileIter{{}}
+		var smp unitSampler
 		cells = append(cells,
-			// Pure EWM: the Go panel, then the selected panel under both
-			// names the committed metrics read.
-			panelCell("block4x4", ewmPanel),
-			panelCell("block8x4", picked),
-			panelCell("block8x8", picked),
-			// Transform+EWM, store/reload vs fused: same arithmetic, the
-			// delta is exactly the intermediate-panel round trip.
+			EWMMicroCell{Kernel: kn, Variant: "block4x4", Run: func() { tile(ewmChunkGo, false) }},
+			EWMMicroCell{Kernel: kn, Variant: "block8x4", Run: func() { tile(picked, false) }},
+			EWMMicroCell{Kernel: kn, Variant: "block8x8", Run: func() { tile(picked, true) }},
 			EWMMicroCell{Kernel: kn, Variant: "xform+block8x8", Run: func() {
-				dtPlan.MulPanel(xRaw, xHat, alpha, ic)
-				ewmPanelsSel(picked, v, wHat, xHat, alpha, oc, ic)
+				pl.dt.MulPanel(xRaw, xHat, alpha, ic)
+				tile(picked, false)
 			}},
-			EWMMicroCell{Kernel: kn, Variant: "fused8x8", Run: func() {
-				dtPlan.MulPanelEmit(xRaw, xHat, alpha, ic, emit)
-			}},
+			EWMMicroCell{Kernel: kn, Variant: "fused8x8", Run: func() { chunk.run(its, false, &smp, nil) }},
 		)
 	}
 	return cells

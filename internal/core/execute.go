@@ -388,16 +388,17 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 	ut.EWM += span - tr
 }
 
-// segmentTile is the fused Ω_α(n,r) unit kernel of every precision and
+// segmentTile is the dense Ω_α(n,r) unit kernel of every precision and
 // dimension: for one (segment, f_h, width-tile) unit it produces the ∇W
-// rows [j·n, (j+1)·n) at (flattened) filter row fh for all (oc, ic),
-// accumulating the EWM over the segment's rows, units and the batch.
-// Per inner iteration: the cached Ŵ panel (filled once per (oh, ow0, nb)
-// by fillRow), the X gather (rows addressed through rm) and input
-// transform X̂ = Dᵀ·X rounded by the storage policy, and the
-// register-blocked α-batched outer-product "GEMM"; per unit, the output
-// transform Aᵀ into the bucket. p is the plan's 2-D (flattened) geometry;
-// x is the float32 X source in (N, rm rows, I_W, I_C) layout.
+// rows [j·n, (j+1)·n) at (flattened) filter row fh for all (oc, ic). Its
+// EWM is one GEMM per α-plane over the unit's tiles,
+// v[e] += Σ_t Ŵ_t[e] ⊗ X̂_t[e], accumulated over the segment's rows, width
+// tiles and the batch in that order. The unit walks its valid (row, tile,
+// image) iterations in chunks of up to chunkTiles tiles (see
+// denseChunk.run); per unit, the output transform Aᵀ stores the bucket
+// rows. p is the plan's 2-D (flattened) geometry; x is the float32 X
+// source in (N, rm rows, I_W, I_C) layout and what the segment's Ŵ cache
+// (filled once per (oh, ow0, nb) by fillRow).
 //
 // ut, when non-nil, accumulates sampled, scaled intra-unit transform and
 // EWM durations and the timed epilogue for the observability layer; the
@@ -406,42 +407,23 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 	x, what, bucket []float32, ut *obs.UnitTimes) {
 	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
 	oc, ic := p.OC, p.IC
-	sel := selectEWM(seg.K, ic)
-	round := st.round
+	tcMax := chunkTiles(alpha, oc, ic)
 
 	s := getTileScratch()
 	defer putTileScratch(s)
-	// Accumulators v[α][OC][IC] (the register tile of Algorithm 3).
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	xRaw := growF32(&s.xRaw, alpha*ic)  // gathered X tile, [α][IC]
-	xHat := growF32(&s.xHatF, alpha*ic) // Dᵀ·X, [α][IC]
+	c := denseChunk{
+		p: p, pl: pl, round: st.round, kernel: selectEWM(ic).chunk,
+		x: x, what: what, alpha: alpha,
+		v:    growF32(&s.v, alpha*oc*ic), // accumulators [α][OC][IC]: the register tile of Algorithm 3
+		xRaw: growF32(&s.xRaw, alpha*tcMax*ic),
+		xHat: growF32(&s.xHatF, alpha*tcMax*ic),
+		wHat: growF32(&s.wHatF, alpha*tcMax*oc),
+	}
+	its := s.iters[:0]
 	colBase := j * n
 	entry := alpha * oc
 	tiles := seg.Cols() / r
 	xRows := rm.id * rm.ih
-
-	var wHat []float32
-	// emit rounds each X̂ row and multiplies it into the accumulators the
-	// moment the input transform finalizes it — the fused transform+EWM
-	// mode, which consumes rows while they are still cache-hot. Each v
-	// element still receives exactly one fused add per e, and rounding is
-	// element-wise, so fusion is bit-identical to the unfused order.
-	// MulPanelEmit never retains the closure, so it stays on the stack.
-	emit := func(u, w int) {
-		if round != nil {
-			round(xHat[u*ic : (u+1)*ic])
-		}
-		sel.panel(v[u*oc*ic:(u+1)*oc*ic], wHat[u*oc:(u+1)*oc], xHat[u*ic:(u+1)*ic], oc, ic)
-		if w >= 0 {
-			if round != nil {
-				round(xHat[w*ic : (w+1)*ic])
-			}
-			sel.panel(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
-		}
-	}
-	if !sel.fused {
-		emit = nil
-	}
 
 	// Row-axis cursor: (od, oy) is output row oh split into its depth
 	// slice and in-slice row, advanced incrementally; (fd, fy) splits the
@@ -449,6 +431,7 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 	fd, fy := fh/rm.fh, fh%rm.fh
 	od, oy := seg.Row0/rm.oh, seg.Row0%rm.oh
 	var smp unitSampler
+	first := true
 	for oh := seg.Row0; oh < seg.Row1; oh, oy = oh+1, oy+1 {
 		if oy == rm.oh {
 			od, oy = od+1, 0
@@ -460,80 +443,131 @@ func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, 
 		rowBase := (oh - seg.Row0) * tiles
 		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
 			for nb := 0; nb < p.N; nb++ {
-				smp.begin(ut)
-				wHat = what[((rowBase+t)*p.N+nb)*entry:][:entry]
-				// X source: an interior tile is one contiguous [α][I_C]
-				// block in the (N,H,W,C) layout and feeds the transform
-				// in place; only width-clipped tiles gather through xRaw
-				// (with implicit zero padding).
-				pix := (nb*xRows + id*rm.ih + ih) * p.IW
-				iw0 := ow0 + colBase - p.PW
-				xSrc := xRaw
-				if iw0 >= 0 && iw0+alpha <= p.IW {
-					base := (pix + iw0) * ic
-					xSrc = x[base : base+alpha*ic]
-				} else {
-					for u := 0; u < alpha; u++ {
-						iw := iw0 + u
-						dst := xRaw[u*ic : (u+1)*ic]
-						if iw < 0 || iw >= p.IW {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						base := (pix + iw) * ic
-						copy(dst, x[base:base+ic])
-					}
+				its = append(its, tileIter{
+					what: ((rowBase+t)*p.N + nb) * entry,
+					pix:  (nb*xRows + id*rm.ih + ih) * p.IW,
+					iw0:  ow0 + colBase - p.PW,
+				})
+				if len(its) == tcMax {
+					c.run(its, first, &smp, ut)
+					its, first = its[:0], false
 				}
-				switch {
-				case emit != nil:
-					// Fused: the transform span folds into the EWM share
-					// (StageShares stays informational).
-					smp.mark()
-					pl.dt.MulPanelEmit(xSrc, xHat, alpha, ic, emit)
-				default:
-					pl.dt.MulPanel(xSrc, xHat, alpha, ic)
-					if round != nil {
-						round(xHat)
-					}
-					smp.mark()
-					ewmPanelsSel(sel.panel, v, wHat, xHat, alpha, oc, ic)
-				}
-				smp.end()
 			}
 		}
 	}
+	switch {
+	case len(its) > 0:
+		c.run(its, first, &smp, ut)
+	case first:
+		clear(c.v) // every row clipped: the epilogue stores zeros
+	}
+	s.iters = its
 	smp.flush(ut)
 	var t0 time.Time
 	if ut != nil {
 		t0 = time.Now()
 	}
-	writeOutput(p, pl.a, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha*n+ic))
+	writeOutput(p, pl.a, c.v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha*n))
 	if ut != nil {
 		ut.Epilogue += time.Since(t0)
 	}
 }
 
+// maxChunkTiles and chunkBytes bound a dense unit's chunk: at most
+// maxChunkTiles tiles, and chunk panels (X, X̂ and Ŵ) of at most
+// chunkBytes each unless one tile alone is larger. In a sweep of constant
+// chunk lengths on the VGG16 layers, 8 and 16 were slower and 32 and 64
+// tied (EXPERIMENTS.md, "Tile-blocked EWM").
+const (
+	maxChunkTiles = 32
+	chunkBytes    = 256 << 10
+)
+
+// chunkTiles returns the chunk length T_c of a dense unit with α-point
+// tiles, I_C input and O_C output channels.
+func chunkTiles(alpha, oc, ic int) int {
+	return max(1, min(maxChunkTiles, chunkBytes/(4*alpha*max(oc, ic))))
+}
+
+// tileIter is one valid (row, tile, image) iteration of a dense unit: the
+// offset of its Ŵ cache entry, the first pixel of its X row and the
+// (possibly negative) X column of its first tile column.
+type tileIter struct {
+	what, pix, iw0 int
+}
+
+// denseChunk is the per-unit state of segmentTile's chunk loop: the
+// operands, the storage policy's transforms and rounding, the selected
+// chunk kernel, and the chunk panels, all sized for chunkTiles tiles.
+type denseChunk struct {
+	p                   conv.Params
+	pl                  unitPlan
+	round               func([]float32)
+	kernel              ewmChunkFunc
+	x, what             []float32
+	alpha               int
+	v, xRaw, xHat, wHat []float32 // [α][OC][IC], [α][T_c·IC] twice, [α][T_c][OC]
+}
+
+// run accumulates one chunk of a unit's iterations into the accumulators.
+// It gathers the α X rows of every tile plane-major into xRaw, [α][tc·IC],
+// with implicit zero padding for width-clipped columns, and packs the
+// tiles' Ŵ panels plane-major into wHat, [α][tc][OC]. One input transform
+// X̂ = Dᵀ·X at width tc·IC covers the chunk, since the panel plans run
+// one independent chain per column, and one rounding call stores it under
+// the storage policy, element by element. Then each α-plane runs the
+// chunk kernel, which adds the chunk's tiles in iteration order; the
+// first chunk starts the sums from +0. The chunk is the sampler's
+// iteration: gather, pack and transform are its transform span, the
+// kernel calls its EWM span.
+func (c *denseChunk) run(its []tileIter, first bool, smp *unitSampler, ut *obs.UnitTimes) {
+	p, x, alpha := c.p, c.x, c.alpha
+	oc, ic := p.OC, p.IC
+	tc := len(its)
+	width := tc * ic
+	smp.begin(ut)
+	for t, it := range its {
+		for u := 0; u < alpha; u++ {
+			dst := c.xRaw[u*width+t*ic:][:ic]
+			if iw := it.iw0 + u; iw >= 0 && iw < p.IW {
+				copy(dst, x[(it.pix+iw)*ic:][:ic])
+			} else {
+				clear(dst)
+			}
+		}
+		w := c.what[it.what:][:alpha*oc]
+		for e := 0; e < alpha; e++ {
+			copy(c.wHat[(e*tc+t)*oc:][:oc], w[e*oc:][:oc])
+		}
+	}
+	xRaw, xHat := c.xRaw[:alpha*width], c.xHat[:alpha*width]
+	c.pl.dt.MulPanel(xRaw, xHat, alpha, width)
+	if c.round != nil {
+		c.round(xHat)
+	}
+	smp.mark()
+	for e := 0; e < alpha; e++ {
+		c.kernel(c.v[e*oc*ic:(e+1)*oc*ic], c.wHat[e*tc*oc:(e+1)*tc*oc], xHat[e*width:(e+1)*width], oc, ic, tc, first)
+	}
+	smp.end()
+}
+
 // writeOutput applies the FP32 output transform Aᵀ to the accumulators and
-// stores the n output columns into the bucket at (·, fh, colBase…, ·). For
-// each (oc, column i) it builds the I_C-wide bucket row in scratch (see
-// outputRow) and lands it in the bucket with one contiguous store. The
-// segment's units together cover every bucket element exactly once, so a
-// store (not an add) is the whole epilogue: buckets need no zeroing, and
-// since the row is never −0 the stored bits equal the +0 + s of an add
-// into a zeroed bucket. acc is α·n + I_C floats of scratch: Aᵀ in
-// float32, then the row.
+// stores the n output columns into the bucket at (·, fh, colBase…, ·): for
+// each (oc, column i), outputRow builds the I_C-wide bucket row in place.
+// The segment's units together cover every bucket element exactly once,
+// so a store (not an add) is the whole epilogue: buckets need no zeroing,
+// and since each element is produced from +0 it is never −0, so the
+// stored bits equal the +0 + s of an add into a zeroed bucket. acc is at
+// least α·n floats of scratch, for Aᵀ in float32.
 func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float32,
 	fh, colBase, n, alpha, oc, ic int, acc []float32) {
 	aT := transposeA(aMat, acc, n, alpha)
-	row := acc[alpha*n : alpha*n+ic : alpha*n+ic]
 	dwShape := p.DWShape()
 	for a := 0; a < oc; a++ {
 		for i := 0; i < n; i++ {
-			outputRow(row, aT[i*alpha:(i+1)*alpha], v[a*ic:], oc*ic)
 			off := dwShape.Index(a, fh, colBase+i, 0)
-			copy(bucket[off:off+ic], row)
+			outputRow(bucket[off:off+ic], aT[i*alpha:(i+1)*alpha], v[a*ic:], oc*ic)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,9 @@ func TestExecuteMatchesDirect(t *testing.T) {
 		{N: 1, IH: 24, IW: 24, FH: 9, FW: 9, IC: 2, OC: 2, PH: 4, PW: 4},
 		{N: 1, IH: 21, IW: 23, FH: 8, FW: 8, IC: 1, OC: 2, PH: 4, PW: 4},
 		{N: 1, IH: 12, IW: 30, FH: 3, FW: 6, IC: 2, OC: 2, PH: 1, PW: 2}, // non-square filter
+		// f_h = 0 and f_h = 2 clip every row of their units, at an I_C the
+		// AVX2 chunk kernel takes: those ∇W rows must be exactly +0.
+		{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 16, OC: 8, PH: 1, PW: 1},
 	}
 	for _, p := range cases {
 		if err := p.Validate(); err != nil {
@@ -70,6 +74,11 @@ func TestExecuteMatchesDirect(t *testing.T) {
 			if m := tensor.MARE(got, want); m > tol {
 				t.Errorf("%v forceZ=%d (pair %v, Z=%d): MARE %v > %v",
 					p, forceZ, cfg.Pair, cfg.Z(), m, tol)
+			}
+			for i, e := range want.Data {
+				if e == 0 && math.Float32bits(got.Data[i]) != 0 {
+					t.Fatalf("%v forceZ=%d: element %d = %v, want +0", p, forceZ, i, got.Data[i])
+				}
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func FuzzExecuteMatchesDirect(f *testing.F) {
 	f.Add(int64(7), uint8(16), uint8(5), uint8(2))
 	f.Add(int64(42), uint8(13), uint8(2), uint8(0))
 	// IH=IW=8, F=3, pad 1 → OW=8 pairs Ω8(3,6)+Ω4(3,2): both α ≤ 8, so
-	// this seed drives the fused transform+EWM small-α path.
+	// this seed drives the small-α chunk loop.
 	f.Add(int64(8), uint8(16), uint8(2), uint8(1))
 	// fB ≥ 32 flips the group bit: G=2 with IC=OC=2 is the depthwise
 	// grouped pipeline (per-group planning, channel-sliced operands).

@@ -2,8 +2,8 @@
 
 package core
 
-func ewmRank1AVX2(v, w, x *float32, oc, ic, n8 int) {
-	panic("core: AVX2 EWM panel called off amd64")
+func ewmBlockAVX2(v, w, x *float32, oc, ic, n8, tc, first int) {
+	panic("core: AVX2 EWM kernel called off amd64")
 }
 
 func outputRowAVX2(row, cs, v *float32, n8, alpha, stride int) {

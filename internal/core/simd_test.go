@@ -2,13 +2,14 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"winrs/internal/cpufeat"
 )
 
 // forceGoKernels clears cpufeat.HasAVX2 and cpufeat.HasF16C for the
-// duration of the test, so the EWM panel selection, the output row, the
+// duration of the test, so the EWM kernel selection, the output row, the
 // bucket reduce and the binary16 rounding run their Go loops on an
 // AVX2/F16C host. Like forceEWM it is a test-only hook.
 func forceGoKernels(t testing.TB) {
@@ -101,40 +102,130 @@ func sameBitsOrNaN(got, want []float32) int {
 	return -1
 }
 
-// The AVX2 EWM panel must match the Go 4×4 panel bit for bit at every
-// I_C from 0 to 80 (every tail of the 8-lane loop), on unaligned slice
-// starts, with planted ±0 Ŵ rows, subnormals and magnitudes up to 1e30.
-// Operands stay finite and the prior accumulators are never −0, the
-// invariants the executor keeps: the two panels skip zero Ŵ at different
-// granularity, which is only invisible under them.
-func FuzzEWMPanelAVX2(f *testing.F) {
-	f.Add([]byte{0x10, 0x40, 0x80, 0x01, 0x3c, 0x07}, uint8(5), uint8(17), uint8(1), uint8(3))
-	f.Add([]byte{0x04, 0x22, 0x99}, uint8(16), uint8(80), uint8(0), uint8(0))
-	f.Add([]byte{0x00, 0x02, 0x03, 0x11, 0xff, 0x30}, uint8(9), uint8(40), uint8(7), uint8(9))
-	f.Fuzz(func(t *testing.T, data []byte, ocB, icB, shift, zeroB uint8) {
+// ewmChunkRef is the chunk kernels' per-tile oracle: tile by tile in
+// ascending order, the rank-1 update ve[a][b] += we[t][a]·xe[t][b] of
+// every row whose Ŵ is not ±0 (a per-row zero skip), into accumulators
+// cleared on the first chunk.
+func ewmChunkRef(ve, we, xe []float32, oc, ic, tc int, first bool) {
+	if first {
+		clear(ve[:oc*ic])
+	}
+	for t := 0; t < tc; t++ {
+		for a := 0; a < oc; a++ {
+			wv := we[t*oc+a]
+			if wv == 0 {
+				continue
+			}
+			row := ve[a*ic : (a+1)*ic]
+			for b, xv := range xe[t*ic : (t+1)*ic] {
+				row[b] += wv * xv
+			}
+		}
+	}
+}
+
+// runChunked runs kernel over an L-tile sequence split into chunks of up
+// to tc tiles, the way a dense unit does: the first chunk starts from +0,
+// the later ones add to ve.
+func runChunked(kernel ewmChunkFunc, ve, we, xe []float32, oc, ic, l, tc int) {
+	for t0 := 0; t0 < l; t0 += tc {
+		n := min(tc, l-t0)
+		kernel(ve, we[t0*oc:(t0+n)*oc], xe[t0*ic:(t0+n)*ic], oc, ic, n, t0 == 0)
+	}
+}
+
+// The AVX2 chunk kernel must match the per-tile oracle bit for bit (NaN
+// equal to NaN) on unit-like sequences of 1, T_c−1, T_c, T_c+1 and
+// 2·T_c+3 tiles run in chunks of T_c = maxChunkTiles, at O_C from 1 to 64
+// (every row tail of the 4-row blocks) and I_C from 8 to 512 (the 8-column
+// block and the Go column tail), with planted ±0 Ŵ entries and rows,
+// tiles whose X̂ holds ±Inf and NaN under Ŵ rows that are all ±0 but one,
+// and accumulators pre-filled with NaN, which the first chunk must never
+// read.
+func TestEWMBlockedMatchesPanel(t *testing.T) {
+	if !cpufeat.HasAVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(47))
+	tc := maxChunkTiles
+	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for _, l := range []int{1, tc - 1, tc, tc + 1, 2*tc + 3} {
+		for _, oc := range []int{1, 2, 3, 4, 5, 7, 64} {
+			for _, ic := range []int{8, 9, 15, 16, 17, 24, 40, 512} {
+				we := make([]float32, l*oc)
+				xe := make([]float32, l*ic)
+				for i := range xe {
+					xe[i] = (rng.Float32() - 0.5) * 4
+				}
+				for i := range we {
+					switch rng.Intn(6) {
+					case 0:
+						we[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+					default:
+						we[i] = (rng.Float32() - 0.5) * 4
+					}
+				}
+				for ti := 0; ti < l; ti++ {
+					wt := we[ti*oc : (ti+1)*oc]
+					switch rng.Intn(6) {
+					case 0: // a zero Ŵ row for the whole tile
+						clear(wt)
+					case 1: // non-finite X̂ under Ŵ that is ±0 but for one row
+						for a := range wt {
+							wt[a] = 0
+						}
+						wt[rng.Intn(oc)] = 1.5
+						xt := xe[ti*ic : (ti+1)*ic]
+						for k := 0; k < 3; k++ {
+							xt[rng.Intn(ic)] = nonFinite[rng.Intn(len(nonFinite))]
+						}
+					}
+				}
+				want := make([]float32, oc*ic)
+				got := make([]float32, oc*ic)
+				for i := range got {
+					got[i] = float32(math.NaN())
+				}
+				ewmChunkRef(want, we, xe, oc, ic, l, true)
+				runChunked(ewmChunkAVX2, got, we, xe, oc, ic, l, tc)
+				if i := sameBitsOrNaN(got, want); i >= 0 {
+					t.Fatalf("L=%d oc=%d ic=%d: element %d = %v, want %v", l, oc, ic, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// The AVX2 chunk kernel must match the per-tile oracle bit for bit (NaN
+// equal to NaN) at every O_C from 0 to 12 and I_C from 0 to 80 (every row
+// and column tail), 1 to 40 tiles in one chunk, on unaligned slice
+// starts, from +0 or from a prior that may hold −0, with planted ±0 Ŵ
+// entries, subnormals, magnitudes up to 1e30, ±Inf and NaN.
+func FuzzEWMBlockedAVX2(f *testing.F) {
+	f.Add([]byte{0x10, 0x40, 0x80, 0x01, 0x3c, 0x07}, uint8(5), uint8(17), uint8(3), uint8(1), uint8(3))
+	f.Add([]byte{0x04, 0x22, 0x99}, uint8(16), uint8(80), uint8(33), uint8(0), uint8(0))
+	f.Add([]byte{0x00, 0x02, 0x03, 0x11, 0xff, 0x30}, uint8(9), uint8(40), uint8(8), uint8(7), uint8(9))
+	f.Fuzz(func(t *testing.T, data []byte, ocB, icB, tcB, shift, zeroB uint8) {
 		if !cpufeat.HasAVX2 {
 			t.Skip("no AVX2")
 		}
-		oc, ic, sh := int(ocB%13), int(icB%81), int(shift%8)
-		we := fuzzFloats(data, sh+oc, 0, false)[sh:]
-		for a := range we {
-			if int(zeroB)&(1<<(a%8)) != 0 {
-				we[a] = float32(math.Copysign(0, float64(1-2*(a&1))))
+		oc, ic, tc, sh := int(ocB%13), int(icB%81), 1+int(tcB%40), int(shift%8)
+		first := zeroB&0x80 != 0
+		we := fuzzFloats(data, sh+tc*oc, 0, false)[sh:]
+		for i := range we {
+			if int(zeroB)&(1<<(i%7)) != 0 {
+				we[i] = float32(math.Copysign(0, float64(1-2*(i&1))))
 			}
 		}
-		xe := fuzzFloats(data, sh+ic, 7, false)[sh:]
-		prior := fuzzFloats(data, sh+oc*ic, 13, false)
-		for i, v := range prior {
-			if v == 0 {
-				prior[i] = 0 // +0: accumulators never hold −0
-			}
-		}
+		xe := fuzzFloats(data, sh+tc*ic, 7, true)[sh:]
+		prior := fuzzFloats(data, sh+oc*ic, 13, true)
 		want := append([]float32(nil), prior...)[sh:]
 		got := append([]float32(nil), prior...)[sh:]
-		ewmPanel(want, we, xe, oc, ic)
-		ewmPanelAVX2(got, we, xe, oc, ic)
+		ewmChunkRef(want, we, xe, oc, ic, tc, first)
+		ewmChunkAVX2(got, we, xe, oc, ic, tc, first)
 		if i := sameBitsOrNaN(got, want); i >= 0 {
-			t.Fatalf("oc=%d ic=%d shift=%d: element %d = %v, want %v", oc, ic, sh, i, got[i], want[i])
+			t.Fatalf("oc=%d ic=%d tc=%d first=%v shift=%d: element %d = %v, want %v",
+				oc, ic, tc, first, sh, i, got[i], want[i])
 		}
 	})
 }

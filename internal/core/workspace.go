@@ -299,14 +299,16 @@ func (ws *Workspace) bindPlans(cfg *Config, st storage) {
 	}
 }
 
-// tileScratch holds the per-unit transform scratch of one fused kernel
-// invocation: the register tile v, the gather/transform panels and the
-// output-transform scratch (float32 Aᵀ plus one bucket row). Units borrow
-// it from a process-wide pool so steady-state executions allocate no
-// transform scratch at all; the slices grow to the largest geometry seen
-// and are then reused as-is.
+// tileScratch holds the per-unit scratch of one unit kernel invocation:
+// the accumulators v, the gather/transform panels (a dense unit's chunk
+// panels), a dense unit's chunk of iterations and the output-transform
+// scratch (float32 Aᵀ, plus one bucket row for a depthwise unit). Units
+// borrow it from a process-wide pool so steady-state executions allocate
+// no transform scratch at all; the slices grow to the largest geometry
+// seen and are then reused as-is.
 type tileScratch struct {
 	v, wRaw, wHatF, xRaw, xHatF, acc []float32
+	iters                            []tileIter
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}

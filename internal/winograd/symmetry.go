@@ -172,23 +172,13 @@ func MaxPairableRows(alpha int) int {
 
 // MulPanel computes out = m·in for a panel in laid out [m.Cols][width] and
 // out [m.Rows][width], sharing even/odd products across symmetric row
-// pairs — the panel form of the Figure 8 optimization used by the fused
-// kernels' filter and input transforms.
+// pairs — the panel form of the Figure 8 optimization used by the unit
+// kernels' filter and input transforms. Every column runs its own chains:
+// shared even/odd products accumulated in ascending input row with zero
+// coefficients skipped, then the ±combine (one chain per single row). No
+// column reads another, so one call at width k·w gives the bits of k calls
+// at width w on the column blocks.
 func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
-	sp.MulPanelEmit(in, out, rows, width, nil)
-}
-
-// MulPanelEmit is MulPanel with a row-consumption callback: emit(u, v) runs
-// right after the two rows of a symmetric pair are finalized, and emit(i, -1)
-// after each single row. The per-row arithmetic — shared even/odd product
-// accumulation in ascending column order, zero coefficients skipped, then the
-// ±combine — is exactly MulPanel's, so consumers that fold further work into
-// the emission (the fused transform+EWM kernel tier) stay bit-identical to
-// the transform-then-consume path. A nil emit degrades to MulPanel.
-//
-// Row emission order is plan order (pairs first, then singles), not row
-// order; callers must only depend on each row being complete when emitted.
-func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u, v int)) {
 	m := sp.m
 	if rows != m.Cols {
 		panic("winograd: MulPanel dimension mismatch")
@@ -244,9 +234,6 @@ func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u,
 			dstU[x] = even + odd
 			dstV[x] = even - odd
 		}
-		if emit != nil {
-			emit(pr[0], pr[1])
-		}
 	}
 	for _, i := range sp.singles {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
@@ -286,9 +273,6 @@ func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u,
 					dst[x] += cv * sv
 				}
 			}
-		}
-		if emit != nil {
-			emit(i, -1)
 		}
 	}
 }

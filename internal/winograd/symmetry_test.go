@@ -194,57 +194,53 @@ func TestMulPanelDimensionPanics(t *testing.T) {
 	sp.MulPanel(make([]float32, 8), make([]float32, 8), 2, 4)
 }
 
-// MulPanelEmit is the fusion seam of the kernel tier: the emission must
-// visit every output row exactly once, each emitted row must already hold
-// its final bits (so work folded into the callback sees exactly what a
-// transform-then-consume pass would read), and the emitting run must leave
-// the same output as MulPanel bit for bit.
-func TestMulPanelEmitRowsFinalAndComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	const width = 4
+// A panel multiply's columns are independent: one call at width k·w over
+// a [rows][k·w] panel equals k calls at width w on its column blocks, bit
+// for bit, for paired and pairing-free plans — the property that lets a
+// unit transform a whole chunk of tiles in one call. Inputs include exact
+// zeros, so the zero-coefficient skips run on both sides too.
+func TestMulPanelColumnsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
 	for _, k := range Kernels {
-		tr := Generate(k.N, k.R).Balanced()
-		gPlan, dtPlan := tr.PanelPlans()
-		for _, tc := range []struct {
-			plan *SymPlan
-			rows int
-		}{
-			{gPlan, tr.R},
-			{dtPlan, tr.Alpha},
-		} {
-			in := make([]float32, tc.rows*width)
-			for i := range in {
-				in[i] = rng.Float32()*2 - 1
-			}
-			outRows := tc.plan.m.Rows
-			want := make([]float32, outRows*width)
-			tc.plan.MulPanel(in, want, tc.rows, width)
-
-			got := make([]float32, len(want))
-			seen := make([]int, outRows)
-			check := func(r int) {
-				seen[r]++
-				for x := 0; x < width; x++ {
-					if got[r*width+x] != want[r*width+x] {
-						t.Fatalf("%v: row %d not final at emission: col %d %v vs %v",
-							k, r, x, got[r*width+x], want[r*width+x])
+		bal := Generate(k.N, k.R).Balanced()
+		for _, fam := range []struct {
+			name  string
+			plans func(g, d *Mat) (*SymPlan, *SymPlan)
+		}{{"paired", PanelPlansFor}, {"singles", SinglesPanelPlansFor}} {
+			gPlan, dtPlan := fam.plans(bal.G, bal.D)
+			for _, tc := range []struct {
+				plan *SymPlan
+				rows int
+			}{{gPlan, bal.R}, {dtPlan, bal.Alpha}} {
+				outRows := tc.plan.m.Rows
+				for _, kw := range [][2]int{{1, 1}, {3, 1}, {4, 3}, {5, 8}, {2, 17}} {
+					blocks, w := kw[0], kw[1]
+					width := blocks * w
+					in := make([]float32, tc.rows*width)
+					for i := range in {
+						if rng.Intn(5) != 0 {
+							in[i] = (rng.Float32() - 0.5) * 8
+						}
 					}
-				}
-			}
-			tc.plan.MulPanelEmit(in, got, tc.rows, width, func(u, v int) {
-				check(u)
-				if v >= 0 {
-					check(v)
-				}
-			})
-			for r, n := range seen {
-				if n != 1 {
-					t.Errorf("%v: row %d emitted %d times, want exactly once", k, r, n)
-				}
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v: emitting run differs from MulPanel at %d", k, i)
+					got := make([]float32, outRows*width)
+					tc.plan.MulPanel(in, got, tc.rows, width)
+					blockIn := make([]float32, tc.rows*w)
+					blockOut := make([]float32, outRows*w)
+					for b := 0; b < blocks; b++ {
+						for r := 0; r < tc.rows; r++ {
+							copy(blockIn[r*w:(r+1)*w], in[r*width+b*w:])
+						}
+						tc.plan.MulPanel(blockIn, blockOut, tc.rows, w)
+						for r := 0; r < outRows; r++ {
+							for x := 0; x < w; x++ {
+								g, want := got[r*width+b*w+x], blockOut[r*w+x]
+								if math.Float32bits(g) != math.Float32bits(want) {
+									t.Fatalf("%v %s rows=%d %d×%d: row %d col %d: %v, want %v",
+										k, fam.name, tc.rows, blocks, w, r, b*w+x, g, want)
+								}
+							}
+						}
+					}
 				}
 			}
 		}
