@@ -26,13 +26,16 @@ func forceEWM(t testing.TB, mode ewmMode) {
 }
 
 // ewmVariantModes is the force matrix of the differential sweeps: every
-// kernel-tier mode, each pinned against the base/oracle tier.
+// kernel-tier mode, each pinned against the base/oracle tier. "fused"
+// runs the auto kernel on one-tile chunks, the transform feeding the EWM
+// tile by tile, so the chunk length is pinned not to move a bit.
 var ewmVariantModes = []struct {
 	name string
 	mode ewmMode
 }{
 	{"auto", ewmAuto},
 	{"block4", ewmBlock4},
+	{"fused", ewmTileFused},
 }
 
 // randPanels builds Ŵ/X̂ panels with planted zero rows (the zero-skip

@@ -15,13 +15,15 @@ import (
 // codecref/pool oracles to pin this. Depthwise plans run none of the tier:
 // their channel-wide units multiply diagonally (ewmDiag).
 
-// ewmMode is the kernel-tier forcing mode: auto (per-shape selection), or
-// the base tier the differential sweeps pin the selection against.
+// ewmMode is the kernel-tier forcing mode: auto (per-shape selection),
+// the base tier the differential sweeps pin the selection against, or
+// auto with one-tile chunks.
 type ewmMode uint8
 
 const (
-	ewmAuto   ewmMode = iota
-	ewmBlock4         // force the base 4×4 tier (the oracle's kernel)
+	ewmAuto      ewmMode = iota
+	ewmBlock4            // force the base 4×4 tier (the oracle's kernel)
+	ewmTileFused         // force chunks of one tile: each tile's X̂ goes from its transform straight into the EWM
 )
 
 // ewmForce is the process-wide forcing mode: always auto in production,

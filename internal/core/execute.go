@@ -484,8 +484,12 @@ const (
 )
 
 // chunkTiles returns the chunk length T_c of a dense unit with α-point
-// tiles, I_C input and O_C output channels.
+// tiles, I_C input and O_C output channels: 1 under the test-only
+// ewmTileFused force, which moves every chunk boundary of the default.
 func chunkTiles(alpha, oc, ic int) int {
+	if ewmForce == ewmTileFused {
+		return 1
+	}
 	return max(1, min(maxChunkTiles, chunkBytes/(4*alpha*max(oc, ic))))
 }
 

@@ -201,7 +201,7 @@ func TestEWMBlockedMatchesPanel(t *testing.T) {
 // and column tail), 1 to 40 tiles in one chunk, on unaligned slice
 // starts, from +0 or from a prior that may hold −0, with planted ±0 Ŵ
 // entries, subnormals, magnitudes up to 1e30, ±Inf and NaN.
-func FuzzEWMBlockedAVX2(f *testing.F) {
+func FuzzEWMPanelAVX2(f *testing.F) {
 	f.Add([]byte{0x10, 0x40, 0x80, 0x01, 0x3c, 0x07}, uint8(5), uint8(17), uint8(3), uint8(1), uint8(3))
 	f.Add([]byte{0x04, 0x22, 0x99}, uint8(16), uint8(80), uint8(33), uint8(0), uint8(0))
 	f.Add([]byte{0x00, 0x02, 0x03, 0x11, 0xff, 0x30}, uint8(9), uint8(40), uint8(8), uint8(7), uint8(9))
