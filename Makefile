@@ -99,10 +99,10 @@ grouped-smoke:
 # calls), every forced EWM mode against the forced 4×4 tier, the
 # streaming epilogue against its per-element oracle, poisoned (NaN)
 # workspaces against fresh ones (every bucket element is stored once per
-# run; nothing zeroes them),
-# pool-vs-inline and shared-pool concurrency, mid-run cancellation, and
-# the FP16, quantized and 3-D reference executors, and the channel-wide
-# depthwise grid against the per-group reference at pool widths 1–8. On
+# run; nothing zeroes them), pool-vs-inline and shared-pool concurrency,
+# mid-run cancellation, the FP16, quantized and 3-D reference executors,
+# and the channel-wide depthwise grid (pool widths 1–8) and the grouped
+# dense grid (widths 1 and 4) against the per-group reference. On
 # an AVX2 or F16C host TestBitwiseSuitesGoKernels runs the suites again on
 # the Go kernels, so both kernel paths are pinned. Pool workers share the
 # reduce, so each suite runs 5 times. Last, both binary16 rounding paths
@@ -112,7 +112,7 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestBitwiseSuitesGoKernels' \
+			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels' \
 			./internal/core ./internal/winograd || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16

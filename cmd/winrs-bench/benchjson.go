@@ -51,7 +51,7 @@ var benchGroupedShapes = []conv.Params{
 	{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16},
 	// Production depthwise-separable trunk shapes (MobileNet-style 56×56
 	// stages): per-group work is a single channel, so these rows stress
-	// the grouped dispatch's one pool batch over many tiny groups.
+	// the channel-wide depthwise grid.
 	{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 64},
 	{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 128, OC: 128, PH: 1, PW: 1, Groups: 128},
 }
@@ -219,10 +219,11 @@ func runBenchJSON(path string) error {
 		rep.Dispatch = append(rep.Dispatch, rec)
 	}
 
-	// Grouped and depthwise rows: the WinRS path runs the per-group plan
-	// over channel-sliced operands — one pool batch over the groups, one
-	// slot arena per worker — so these rows also pin the paper's headline
-	// quantity (workspace shrinkage) into the report.
+	// Grouped and depthwise rows: the WinRS path runs the per-group plan's
+	// segments on the whole layer — the dense unit grid with a group axis,
+	// or the channel-wide depthwise grid — on buckets of the grouped ∇W,
+	// so these rows also pin the paper's headline quantity (workspace
+	// shrinkage) into the report.
 	// The direct baseline is the grouped float64-oracle's float32 sibling.
 	for _, p := range benchGroupedShapes {
 		rng := rand.New(rand.NewSource(13))

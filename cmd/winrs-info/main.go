@@ -111,18 +111,15 @@ func main() {
 		depthwise := p.ICG() == 1 && p.OCG() == 1
 		fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
 			p.G(), p.ICG(), p.OCG(), depthwise)
+		grid := "dense"
 		if depthwise {
-			fmt.Printf("workspace          %.3f MB ((Z-1) x dW; %d channel-wide units)\n",
-				float64(cfg.WorkspaceBytes())/(1<<20), cfg.Units())
-		} else {
-			fmt.Printf("workspace          %.3f MB (per-group arena x %d slots, one per worker)\n",
-				float64(cfg.WorkspaceBytes())/(1<<20), cfg.GroupRing())
-			fmt.Printf("  per-group arena  %.3f MB ((Z-1) x per-group dW slab; one slot)\n",
-				float64(cfg.WorkspaceSeqBytes())/(1<<20))
+			grid = "channel-wide"
 		}
+		fmt.Printf("workspace          %.3f MB ((Z-1) x dW; %d %s units)\n",
+			float64(cfg.WorkspaceBytes())/(1<<20), cfg.Units(), grid)
 		// The paper's headline quantity under grouping: a grouped dW is G
-		// times smaller (G² per slot arena), so the workspace shrinks vs
-		// the ungrouped plan of the same outer geometry.
+		// times smaller, so the workspace shrinks vs the ungrouped plan of
+		// the same outer geometry.
 		pu := p
 		pu.Groups = 0
 		if ucfg, err := core.Configure(pu, append(opts, core.WithSegments(cfg.Z()))...); err == nil {

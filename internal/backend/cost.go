@@ -90,8 +90,8 @@ func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 	}
 	var flops float64
 	for _, s := range cfg.Segments {
-		// Per-group plan segments: each of the G per-group passes reduces
-		// O_C/G × I_C/G channels, so the total across passes is O_C × I_C/G.
+		// Per-group plan segments: each of the G groups' units reduces
+		// O_C/G × I_C/G channels, so the total across groups is O_C × I_C/G.
 		segElems := float64(s.Rows()) * float64(s.Cols()) * float64(p.N)
 		direct := 2 * segElems * float64(p.FH) * float64(p.FW) *
 			float64(p.OC) * float64(p.ICG())
@@ -100,12 +100,11 @@ func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 	// The pool schedules units, not tiles: a unit runs all of its rows,
 	// width tiles and images itself, so the unit count bounds the
 	// parallelism. Units() counts every group's units of a grouped plan,
-	// whose batch spans its groups, and the channel-wide grid of a
+	// whose dense grid spans its groups, and the channel-wide grid of a
 	// depthwise plan.
 	grains := cfg.Units()
-	// Z × the full ∇W: a depthwise plan's buckets are the whole ∇W; other
-	// grouped plans' per-group buckets are 1/G of it and are swept once
-	// per each of the G passes.
+	// Z × the full ∇W: every plan's buckets are whole-layer, a grouped
+	// plan's holding its G per-group slabs.
 	dwBytes := float64(p.DWShape().Elems()) * 4
 	bytes := operandBytes32(p) + float64(cfg.Z())*dwBytes
 	// Larger transforms spend more non-GEMM instructions (the footnote-3

@@ -16,6 +16,7 @@ package conv
 
 import (
 	"fmt"
+	"math"
 
 	"winrs/internal/sched"
 	"winrs/internal/tensor"
@@ -60,7 +61,8 @@ func (p Params) OH() int { return p.IH + 2*p.PH - p.FH + 1 }
 // OW returns the output-gradient width O_W = I_W + 2·p_W − F_W + 1.
 func (p Params) OW() int { return p.IW + 2*p.PW - p.FW + 1 }
 
-// Validate checks the geometry for consistency.
+// Validate checks the geometry for consistency, and that its shape
+// arithmetic cannot overflow (see sizeOverflow).
 func (p Params) Validate() error {
 	switch {
 	case p.N < 1 || p.IC < 1 || p.OC < 1:
@@ -69,6 +71,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("conv: non-positive spatial extents in %+v", p)
 	case p.PH < 0 || p.PW < 0:
 		return fmt.Errorf("conv: negative padding in %+v", p)
+	case padOverflows(p.IH, p.PH) || padOverflows(p.IW, p.PW):
+		return fmt.Errorf("conv: padded extent overflows in %+v", p)
 	case p.OH() < 1 || p.OW() < 1:
 		return fmt.Errorf("conv: empty output %dx%d in %+v", p.OH(), p.OW(), p)
 	case p.Groups < 0:
@@ -77,7 +81,56 @@ func (p Params) Validate() error {
 		return fmt.Errorf("conv: groups %d must divide IC %d and OC %d",
 			p.G(), p.IC, p.OC)
 	}
+	if what := sizeOverflow(
+		[]int{p.N, p.IH, p.IW, p.IC},
+		[]int{p.N, p.OH(), p.OW(), p.OC},
+		[]int{p.OC, p.FH, p.FW, p.ICG()},
+		[]int{2, p.OC, p.FH, p.FW, p.ICG(), p.OH(), p.OW(), p.N}); what != "" {
+		return fmt.Errorf("conv: %s overflows in %+v", what, p)
+	}
 	return nil
+}
+
+// padOverflows reports whether the padded extent in + 2·pad of a valid
+// extent and padding overflows an int.
+func padOverflows(in, pad int) bool { return pad > (math.MaxInt-in)/2 }
+
+// sizeOverflow names the first figure of a geometry's shape arithmetic
+// that overflows, or returns "": the X, ∇Y and ∇W element counts (the
+// positive extents x, dy and dw, multiplied as ints), the FP32 data size
+// 4·(|X| + |∇Y| + |∇W|) bytes and the direct FLOP count (the positive
+// factors flops), both int64s. Every size a plan derives from a
+// validated geometry is then exact.
+func sizeOverflow(x, dy, dw, flops []int) string {
+	var elems [3]int64
+	for i, dims := range [3][]int{x, dy, dw} {
+		n, ok := product(math.MaxInt, dims)
+		if !ok {
+			return [3]string{"the X element count", "the ∇Y element count", "the ∇W element count"}[i]
+		}
+		elems[i] = n
+	}
+	const maxElems = math.MaxInt64 / 4 // FP32 elements whose bytes fit an int64
+	if ex, ey := elems[0], elems[1]; ex > maxElems || ey > maxElems-ex || elems[2] > maxElems-ex-ey {
+		return "the FP32 data size"
+	}
+	if _, ok := product(math.MaxInt64, flops); !ok {
+		return "the FLOP count"
+	}
+	return ""
+}
+
+// product multiplies positive factors and reports whether every partial
+// product stays within limit.
+func product(limit int64, fs []int) (int64, bool) {
+	prod := int64(1)
+	for _, f := range fs {
+		if int64(f) > limit/prod {
+			return 0, false
+		}
+		prod *= int64(f)
+	}
+	return prod, true
 }
 
 // XShape returns the input feature-map shape N×I_H×I_W×I_C.

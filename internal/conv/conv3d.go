@@ -26,7 +26,8 @@ func (p Params3D) OH() int { return p.IH + 2*p.PH - p.FH + 1 }
 // OW returns the output width.
 func (p Params3D) OW() int { return p.IW + 2*p.PW - p.FW + 1 }
 
-// Validate checks the geometry.
+// Validate checks the geometry, and that its shape arithmetic cannot
+// overflow (see sizeOverflow).
 func (p Params3D) Validate() error {
 	switch {
 	case p.N < 1 || p.IC < 1 || p.OC < 1:
@@ -35,8 +36,17 @@ func (p Params3D) Validate() error {
 		return fmt.Errorf("conv: non-positive extents in %+v", p)
 	case p.PD < 0 || p.PH < 0 || p.PW < 0:
 		return fmt.Errorf("conv: negative padding in %+v", p)
+	case padOverflows(p.ID, p.PD) || padOverflows(p.IH, p.PH) || padOverflows(p.IW, p.PW):
+		return fmt.Errorf("conv: padded extent overflows in %+v", p)
 	case p.OD() < 1 || p.OH() < 1 || p.OW() < 1:
 		return fmt.Errorf("conv: empty output in %+v", p)
+	}
+	if what := sizeOverflow(
+		[]int{p.N, p.ID, p.IH, p.IW, p.IC},
+		[]int{p.N, p.OD(), p.OH(), p.OW(), p.OC},
+		[]int{p.OC, p.FD, p.FH, p.FW, p.IC},
+		[]int{2, p.OC, p.FD, p.FH, p.FW, p.IC, p.OD(), p.OH(), p.OW(), p.N}); what != "" {
+		return fmt.Errorf("conv: %s overflows in %+v", what, p)
 	}
 	return nil
 }

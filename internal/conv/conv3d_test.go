@@ -3,6 +3,7 @@ package conv
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"winrs/internal/tensor"
@@ -38,6 +39,25 @@ func TestParams3DValidateRejections(t *testing.T) {
 	for i, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("case %d should be invalid: %+v", i, p)
+		}
+	}
+	// Geometries whose shape arithmetic overflows, each rejected by the
+	// first check it fails: the 2-D N1 1²×2²⁰→2²⁰ F4096 P2048 layer at
+	// depth 1, then one case per product.
+	overflow := []struct {
+		p    Params3D
+		want string
+	}{
+		{Params3D{N: 1, ID: 1, IH: 1, IW: 1, FD: 1, FH: 4096, FW: 4096, IC: 1 << 20, OC: 1 << 20, PH: 2048, PW: 2048}, "∇W element count"},
+		{Params3D{N: 1 << 16, ID: 1, IH: 1 << 16, IW: 1 << 16, FD: 1, FH: 1, FW: 1, IC: 1 << 16, OC: 1}, "X element count"},
+		{Params3D{N: 1 << 16, ID: 1, IH: 1 << 16, IW: 1 << 16, FD: 1, FH: 1, FW: 1, IC: 1, OC: 1 << 16}, "∇Y element count"},
+		{Params3D{N: 1 << 15, ID: 1, IH: 1 << 15, IW: 1 << 15, FD: 1, FH: 1, FW: 1, IC: 1 << 16, OC: 1}, "FP32 data size"},
+		{Params3D{N: 1, ID: 1, IH: 1 << 12, IW: 1 << 12, FD: 1, FH: 1, FW: 1, IC: 1 << 20, OC: 1 << 20}, "FLOP count"},
+		{Params3D{N: 1, ID: 4, IH: 4, IW: 4, FD: 1, FH: 1, FW: 1, IC: 1, OC: 1, PD: math.MaxInt}, "padded extent"},
+	}
+	for _, tc := range overflow {
+		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one naming %q", tc.p, err, tc.want)
 		}
 	}
 }

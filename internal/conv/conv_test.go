@@ -3,6 +3,7 @@ package conv
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"winrs/internal/tensor"
@@ -68,6 +69,35 @@ func TestValidateRejections(t *testing.T) {
 		if p.Validate() == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, p)
 		}
+	}
+	// Geometries whose shape arithmetic overflows, each rejected by the
+	// first check it fails: N1 1²×2²⁰→2²⁰ F4096 P2048 has a 2⁶⁴-element
+	// ∇W (which wrapped to 0), then one case per product.
+	overflow := []struct {
+		p    Params
+		want string
+	}{
+		{Params{N: 1, IH: 1, IW: 1, FH: 4096, FW: 4096, IC: 1 << 20, OC: 1 << 20, PH: 2048, PW: 2048}, "∇W element count"},
+		{Params{N: 1 << 16, IH: 1 << 16, IW: 1 << 16, FH: 1, FW: 1, IC: 1 << 16, OC: 1}, "X element count"},
+		{Params{N: 1 << 16, IH: 1 << 16, IW: 1 << 16, FH: 1, FW: 1, IC: 1, OC: 1 << 16}, "∇Y element count"},
+		{Params{N: 1 << 15, IH: 1 << 15, IW: 1 << 15, FH: 1, FW: 1, IC: 1 << 16, OC: 1}, "FP32 data size"},
+		{Params{N: 1, IH: 1 << 12, IW: 1 << 12, FH: 1, FW: 1, IC: 1 << 20, OC: 1 << 20}, "FLOP count"},
+		{Params{N: 1, IH: 4, IW: 4, FH: 1, FW: 1, IC: 1, OC: 1, PH: math.MaxInt}, "padded extent"},
+	}
+	for _, tc := range overflow {
+		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one naming %q", tc.p, err, tc.want)
+		}
+	}
+	// The strided geometry runs the same checks.
+	sp := StridedParams{N: 1, IH: 1, IW: 1, FH: 4096, FW: 4096, IC: 1 << 20, OC: 1 << 20,
+		PH: 2048, PW: 2048, SH: 2, SW: 2}
+	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "∇W element count") {
+		t.Errorf("strided %+v: error %v, want a ∇W overflow", sp, err)
+	}
+	sp = StridedParams{N: 1, IH: 4, IW: 4, FH: 1, FW: 1, IC: 1, OC: 1, PW: math.MaxInt}
+	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "padded extent") {
+		t.Errorf("strided %+v: error %v, want a padded-extent overflow", sp, err)
 	}
 }
 

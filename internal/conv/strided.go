@@ -63,7 +63,8 @@ func (p StridedParams) OW() int {
 	return (p.IW+2*p.PW-p.FW)/p.StrideW() + 1
 }
 
-// Validate checks the geometry.
+// Validate checks the geometry, and that its shape arithmetic cannot
+// overflow (see sizeOverflow).
 func (p StridedParams) Validate() error {
 	switch {
 	case p.N < 1 || p.IC < 1 || p.OC < 1:
@@ -72,6 +73,8 @@ func (p StridedParams) Validate() error {
 		return fmt.Errorf("conv: non-positive extents in %+v", p)
 	case p.PH < 0 || p.PW < 0 || p.SH < 0 || p.SW < 0:
 		return fmt.Errorf("conv: negative padding or stride in %+v", p)
+	case padOverflows(p.IH, p.PH) || padOverflows(p.IW, p.PW):
+		return fmt.Errorf("conv: padded extent overflows in %+v", p)
 	case p.IH+2*p.PH < p.FH || p.IW+2*p.PW < p.FW:
 		return fmt.Errorf("conv: filter larger than padded input in %+v", p)
 	case p.Groups < 0:
@@ -79,6 +82,13 @@ func (p StridedParams) Validate() error {
 	case p.IC%p.G() != 0 || p.OC%p.G() != 0:
 		return fmt.Errorf("conv: groups %d must divide IC %d and OC %d",
 			p.G(), p.IC, p.OC)
+	}
+	if what := sizeOverflow(
+		[]int{p.N, p.IH, p.IW, p.IC},
+		[]int{p.N, p.OH(), p.OW(), p.OC},
+		[]int{p.OC, p.FH, p.FW, p.ICG()},
+		[]int{2, p.OC, p.FH, p.FW, p.ICG(), p.OH(), p.OW(), p.N}); what != "" {
+		return fmt.Errorf("conv: %s overflows in %+v", what, p)
 	}
 	return nil
 }

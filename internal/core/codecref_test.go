@@ -17,6 +17,9 @@ import (
 // replaced — must produce bit-identical gradients to ExecuteHalf on every
 // differential-sweep shape, inline and through the pool.
 
+// halfMats returns the transform matrices of the FP16 path.
+func halfMats(tr *winograd.Transform) (g, d, a *winograd.Mat) { return halfStorage.mats(tr) }
+
 // fillRowHalfScalar is the FP16 Ŵ-cache fill with the per-element scalar
 // codec: decode the ∇Y unit, filter-transform in FP32, encode to binary16.
 func fillRowHalfScalar(p conv.Params, seg Segment, oh int, dy *tensor.Half,

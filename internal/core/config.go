@@ -403,42 +403,26 @@ type Config struct {
 	// configs may leave it nil; schedule then derives it per call.
 	unitOff []int
 
-	// group is the per-group execution plan when Params.Groups > 1: the
-	// WinRS pipeline for one group's channel slice (I_C/G inputs, O_C/G
-	// outputs). Grouped layers with wider groups run it G times over
-	// channel-sliced operands staged in group-sized slot arenas;
-	// Pair/Segments mirror it so inspection of the outer config reports
-	// the plan that actually runs. Nil for ungrouped layers.
+	// group is the adapted per-group plan when Params.Groups > 1: the WinRS
+	// problem of one group's channel slice (I_C/G inputs, O_C/G outputs),
+	// whose segments and kernels fix the bits of every group. Pair and
+	// Segments mirror it; execution runs them on the whole layer. Nil for
+	// ungrouped layers.
 	group *Config
 
 	// dwBlock is the channel block cb of a depthwise plan (I_C/G = O_C/G
-	// = 1), 0 otherwise. Depthwise plans take the per-group plan's
-	// segments and kernels but run them channel-wide: one unit grid over
-	// (segment, width tile, block of cb channels) on the whole layer, and
-	// unitOff above is that grid (see depthwise.go).
+	// = 1), 0 otherwise. Depthwise plans run channel-wide: one unit grid
+	// over (segment, width tile, block of cb channels), and unitOff above
+	// is that grid (see depthwise.go). Every other plan runs the dense grid
+	// of G·F_H·(F_W/n) units per segment.
 	dwBlock int
 }
 
-// exec returns the plan execution operates on: the per-group plan for
-// grouped layers that run it group by group, the config itself otherwise
-// (ungrouped layers, and depthwise layers, whose units span every
-// channel of the layer).
-func (c *Config) exec() *Config {
-	if c.group != nil && c.dwBlock == 0 {
-		return c.group
-	}
-	return c
-}
-
-// Units returns the number of work units one execution runs: the unit
-// grid of an ungrouped or depthwise plan, the per-group grid times G for
-// other grouped plans.
+// Units returns the number of work units one execution runs: the dense
+// grid, whose segments run G·F_H·(F_W/n) units each, or the channel-wide
+// grid of a depthwise plan.
 func (c *Config) Units() int {
-	e := c.exec()
-	_, n := schedule(e)
-	if e != c {
-		n *= c.Params.G()
-	}
+	_, n := schedule(c)
 	return n
 }
 
@@ -449,48 +433,23 @@ func (c *Config) GroupConfig() *Config { return c.group }
 // Z returns the realized segment count.
 func (c *Config) Z() int { return len(c.Segments) }
 
-// WorkspaceBytes returns the bucket workspace the plan executes with.
-// Ungrouped and depthwise: (Z−1) × sizeof(∇W), the paper's figure — there
-// bucket 0 is the output buffer itself. The host arena holds one bucket
-// more: NewWorkspace allocates all Z buckets, phase 3 reduces them into a
-// separate destination, and Workspace.Bytes counts all Z. Buckets are
-// FP32 on both precision paths: accumulators and the Kahan reduction run
-// in FP32 (paper §5.2). A depthwise ∇W is G× smaller than the ungrouped
-// layer's of the same outer geometry, so at equal Z so is its workspace.
-// Other grouped layers report GroupRing() × the per-group arena: the
-// grouped dispatch keeps one per-group bucket set per possible
-// participant, each WorkspaceSeqBytes — G² below the ungrouped layer at
-// equal Z (1/G from the sliced C-reduction, 1/G from the sliced O_C).
+// WorkspaceBytes returns the bucket workspace the plan executes with,
+// (Z−1) × sizeof(∇W): the paper's figure, where bucket 0 is the output
+// buffer itself. The host arena holds one bucket more: NewWorkspace
+// allocates all Z buckets, phase 3 reduces them into a separate
+// destination, and Workspace.Bytes counts all Z. Buckets are FP32 on both
+// precision paths: accumulators and the Kahan reduction run in FP32
+// (paper §5.2). A grouped ∇W carries I_C/G channels per filter, so at
+// equal Z a grouped plan's workspace is G× below the ungrouped layer's of
+// the same outer geometry.
 func (c *Config) WorkspaceBytes() int64 {
-	return c.WorkspaceSeqBytes() * int64(c.GroupRing())
+	return int64(c.Z()-1) * int64(c.Params.DWShape().Elems()) * 4
 }
-
-// WorkspaceSeqBytes returns one grouped slot's bucket arena, (Z−1) × the
-// per-group ∇W slab. For ungrouped and depthwise plans it equals
-// WorkspaceBytes.
-func (c *Config) WorkspaceSeqBytes() int64 {
-	e := c.exec()
-	return int64(e.Z()-1) * int64(e.Params.DWShape().Elems()) * 4
-}
-
-// GroupRing returns the number of slot arenas the plan's grouped dispatch
-// holds, min(G, pool width); 1 for ungrouped and depthwise plans.
-func (c *Config) GroupRing() int {
-	if c.exec() == c {
-		return 1
-	}
-	return groupSlots(c.Params.G())
-}
-
-// groupSlots is the slot count of a G-group dispatch: one per possible
-// participant, since sched runs at most one per chunk and at most the
-// pool's width at once.
-func groupSlots(g int) int { return min(g, execPool().Workers()) }
 
 // WHatCacheBytes returns the exact footprint of the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels the execution computes once per
 // (segment row, width tile, batch image) and reuses across all
-// F_H·(F_W/n) units of a segment:
+// G·F_H·(F_W/n) units of a segment:
 //
 //	Σ_seg Rows(seg) · (Cols(seg)/r_seg) · N · α_seg · O_C  elements,
 //
@@ -501,17 +460,17 @@ func groupSlots(g int) int { return min(g, execPool().Workers()) }
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not
 // counted against WithWorkspaceLimit, which budgets the Z-dependent
-// buckets. Depthwise plans hold no cache: each channel-wide unit uses
+// buckets. A grouped plan fills one cache at width O_C for all its
+// groups. Depthwise plans hold no cache: each channel-wide unit uses
 // every Ŵ panel it computes at once, in all F_H filter rows.
 func (c *Config) WHatCacheBytes() int64 {
 	if c.dwBlock > 0 {
 		return 0
 	}
-	e := c.exec()
 	var elems int64
-	for _, seg := range e.Segments {
+	for _, seg := range c.Segments {
 		elems += int64(seg.Rows()) * int64(seg.Cols()/seg.K.R) *
-			int64(e.Params.N) * int64(seg.K.Alpha) * int64(e.Params.OC)
+			int64(c.Params.N) * int64(seg.K.Alpha) * int64(c.Params.OC)
 	}
 	return elems * 4
 }
@@ -548,10 +507,10 @@ func WithCoefficients(coeffs map[string]float64) Option {
 
 // WithWorkspaceLimit caps the bucket workspace at the given byte budget
 // (the cuDNN-style workspace-limit knob): the segment count is clamped so
-// WorkspaceBytes never exceeds it — (Z−1)·sizeof(∇W), or for grouped
-// layers other than depthwise the per-group figure times the slot count.
-// A zero limit forces single-segment execution — always correct, at
-// reduced parallelism.
+// WorkspaceBytes, (Z−1)·sizeof(∇W), never exceeds it. A grouped layer
+// adapts its per-group problem against 1/G of the budget, since its
+// buckets hold G per-group slabs. A zero limit forces single-segment
+// execution — always correct, at reduced parallelism.
 func WithWorkspaceLimit(bytes int64) Option {
 	return func(o *configOpts) { o.wsLimit, o.wsLimitSet = bytes, true }
 }
@@ -567,21 +526,14 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 		f(&o)
 	}
 	if p.G() > 1 {
-		// Grouped layer: adapt the pipeline for one group's channel slice
-		// and wrap it. Its segments fix the bits of every group. A
-		// depthwise plan runs them channel-wide with Z buckets of the
-		// whole ∇W, G per-group slabs each; other grouped plans run the
-		// per-group plan G times in group-sized slot arenas, each with its
-		// own buckets. Either way the workspace budget splits accordingly.
+		// Grouped layer: adapt the pipeline for one group's channel slice.
+		// Its segments fix the bits of every group; execution runs them on
+		// the whole layer, with Z buckets of the whole ∇W, G per-group
+		// slabs each, so the workspace budget splits G ways.
 		pg := p
 		pg.IC, pg.OC, pg.Groups = p.ICG(), p.OCG(), 0
-		dw := p.ICG() == 1 && p.OCG() == 1
 		if o.wsLimitSet {
-			split := groupSlots(p.G())
-			if dw {
-				split = p.G()
-			}
-			opts = append(opts[:len(opts):len(opts)], WithWorkspaceLimit(o.wsLimit/int64(split)))
+			opts = append(opts[:len(opts):len(opts)], WithWorkspaceLimit(o.wsLimit/int64(p.G())))
 		}
 		gcfg, err := Configure(pg, opts...)
 		if err != nil {
@@ -591,9 +543,9 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 			Params: p, FP16: gcfg.FP16, Pair: gcfg.Pair,
 			ZTarget: gcfg.ZTarget, SegH: gcfg.SegH, SegW: gcfg.SegW,
 			Segments: gcfg.Segments, Hardware: gcfg.Hardware,
-			unitOff: gcfg.unitOff, group: gcfg,
+			unitOff: unitOffsets(p.FW, p.G()*p.FH, gcfg.Segments), group: gcfg,
 		}
-		if dw {
+		if p.ICG() == 1 && p.OCG() == 1 {
 			cfg.dwBlock = channelBlock(p.IC, execPool().Workers())
 			cfg.unitOff = unitOffsets(p.FW, ceilDiv(p.IC, cfg.dwBlock), gcfg.Segments)
 		}

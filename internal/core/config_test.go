@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"winrs/internal/conv"
@@ -301,9 +302,9 @@ func TestWorkspaceLimit(t *testing.T) {
 	if capped.Z() <= zero.Z() || capped.Z() >= free.Z() {
 		t.Errorf("capped Z=%d should sit between 1 and %d", capped.Z(), free.Z())
 	}
-	// A grouped plan holds one bucket arena per slot, so the budget must
-	// cover all of them: one per-group ∇W slab (16·3·3·16·4 = 9216 B) fits
-	// one slot at Z = 2, but not two slots.
+	// A grouped plan's buckets hold the whole ∇W, all G per-group slabs,
+	// so the budget must cover G of them per extra bucket: one per-group
+	// ∇W slab (16·3·3·16·4 = 9216 B) is a quarter of one bucket.
 	pg := conv.Params{N: 8, IH: 64, IW: 66, FH: 3, FW: 3, IC: 64, OC: 64,
 		PH: 1, PW: 1, Groups: 4}
 	const slab = 9216
@@ -312,8 +313,8 @@ func TestWorkspaceLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if grouped.WorkspaceBytes() > slab {
-		t.Errorf("grouped workspace %d exceeds budget %d (Z=%d, %d slots)",
-			grouped.WorkspaceBytes(), slab, grouped.Z(), grouped.GroupRing())
+		t.Errorf("grouped workspace %d exceeds budget %d (Z=%d, whole-layer buckets of %d B)",
+			grouped.WorkspaceBytes(), slab, grouped.Z(), pg.DWShape().Elems()*4)
 	}
 	// A depthwise plan runs channel-wide on buckets of the whole ∇W
 	// (64·3·3 floats = 2304 B) whatever the pool width: a budget of one
@@ -347,6 +348,35 @@ func TestWorkspaceLimit(t *testing.T) {
 	got := Execute(cfg, x64.ToFloat32(), dy64.ToFloat32())
 	if m := tensor.MARE(got, want); m > 1e-5 {
 		t.Errorf("zero-workspace execution MARE %v", m)
+	}
+}
+
+// A grouped plan does not depend on the pool width: the workspace budget
+// splits G ways whatever the width, so the same call realizes the same
+// segments and workspace at widths 1 and 8. The budget of four per-group
+// slabs (4·9216 B, one whole-layer bucket) fits Z = 2.
+func TestGroupedPlanIndependentOfPoolWidth(t *testing.T) {
+	p := conv.Params{N: 8, IH: 64, IW: 66, FH: 3, FW: 3, IC: 64, OC: 64,
+		PH: 1, PW: 1, Groups: 4}
+	const budget = 36864
+	var segs [2][]Segment
+	var ws [2]int64
+	for i, width := range []int{1, 8} {
+		withTestPool(t, width, func() {
+			cfg, err := Configure(p, WithSegments(8), WithWorkspaceLimit(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[i], ws[i] = cfg.Segments, cfg.WorkspaceBytes()
+		})
+	}
+	if !reflect.DeepEqual(segs[0], segs[1]) || ws[0] != ws[1] {
+		t.Errorf("width 1: Z=%d, %d B; width 8: Z=%d, %d B — want the same plan",
+			len(segs[0]), ws[0], len(segs[1]), ws[1])
+	}
+	if len(segs[0]) != 2 || ws[0] != budget {
+		t.Errorf("Z=%d, WorkspaceBytes %d; want Z = 2 and one whole-layer bucket (%d B)",
+			len(segs[0]), ws[0], budget)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestChannelBlockRule(t *testing.T) {
 
 // Traced depthwise units record their stages like ungrouped units: one
 // segment_tile and one epilogue per unit of the channel-wide grid, one
-// reduce per call, and no Ŵ fill or group gather — inline and pooled.
+// reduce per call, and no Ŵ fill — inline and pooled.
 func TestDepthwiseExecuteRecordsStages(t *testing.T) {
 	p := conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 24, OC: 24, PH: 1, PW: 1, Groups: 24}
 	x, dy := poolLayer(t, 93, p)
@@ -103,7 +103,6 @@ func TestDepthwiseExecuteRecordsStages(t *testing.T) {
 				{obs.StageEpilogue, units},
 				{obs.StageReduce, 1},
 				{obs.StageWHat, 0},
-				{obs.StageGroupGather, 0},
 			} {
 				if got := snap[c.stage].Count; got != c.want {
 					t.Errorf("width %d: %s count = %d, want %d", width, c.stage, got, c.want)

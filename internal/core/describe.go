@@ -29,15 +29,9 @@ type Description struct {
 	Segments        int     `json:"segments"`
 	WorkspaceBytes  int64   `json:"workspaceBytes"`
 	WorkspaceRatio  float64 `json:"workspaceRatio"`
-	// Grouped-dispatch attribution (grouped plans only): the budgeted
-	// staging-slot ring depth and one slot's per-group arena —
-	// WorkspaceBytes is WorkspaceSeqBytes × GroupRing. Depthwise plans
-	// run channel-wide with no slots: ring 1, one arena of the whole ∇W.
-	GroupRing         int     `json:"groupRing,omitempty"`
-	WorkspaceSeqBytes int64   `json:"workspaceSeqBytes,omitempty"`
-	WHatCacheBytes    int64   `json:"wHatCacheBytes"`
-	WHatCacheRatio    float64 `json:"wHatCacheRatio"`
-	TotalBlocks       int     `json:"totalBlocks"`
+	WHatCacheBytes  int64   `json:"wHatCacheBytes"`
+	WHatCacheRatio  float64 `json:"wHatCacheRatio"`
+	TotalBlocks     int     `json:"totalBlocks"`
 	// EWMKernel is the chunk kernel the plan's dense units resolve to
 	// ("block4x4" or "avx2"), or "diag" for a depthwise plan's
 	// channel-wide units.
@@ -55,8 +49,6 @@ func (c *Config) Describe() Description {
 	d.Layer.OH, d.Layer.OW = p.OH(), p.OW()
 	if p.G() > 1 {
 		d.Layer.Groups = p.G()
-		d.GroupRing = c.GroupRing()
-		d.WorkspaceSeqBytes = c.WorkspaceSeqBytes()
 	}
 	d.Layer.DirectGFLOPs = float64(p.FLOPs()) / 1e9
 	d.Layer.DataMB = float64(p.DataBytes32()) / (1 << 20)

@@ -1,19 +1,5 @@
 package core
 
-// ewmPanels accumulates the α-batched outer products of one fused unit:
-// v[e] += Ŵ[e] ⊗ X̂[e] for e in [0, α), with v laid out [α][OC][IC], wHat
-// [α][OC] and xHat [α][IC]. This is the emulated Tensor-Core MMA shared by
-// the FP32, FP16 (operands pre-decoded to float32) and quantized paths.
-//
-// Each v element receives exactly one fused add per e, in the same (e, a,
-// b) order as a naive triple loop, so register blocking leaves the
-// accumulation bit-identical per element.
-func ewmPanels(v, wHat, xHat []float32, alpha, oc, ic int) {
-	for e := 0; e < alpha; e++ {
-		ewmPanel(v[e*oc*ic:(e+1)*oc*ic], wHat[e*oc:(e+1)*oc], xHat[e*ic:(e+1)*ic], oc, ic)
-	}
-}
-
 // ewmPanel computes ve[a][b] += we[a]·xe[b] with 4×4 register blocking:
 // four Ŵ values and four X̂ values are held across a 16-FMA inner body, so
 // each Ŵ load amortizes over 4 columns and each X̂ load over 4 rows. Row

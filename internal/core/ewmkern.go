@@ -61,7 +61,7 @@ func (c *Config) EWMKernel() string {
 	if c.dwBlock > 0 {
 		return "diag"
 	}
-	return selectEWM(c.exec().Params.IC).name // grouped plans: the per-group I_C
+	return selectEWM(c.Params.ICG()).name
 }
 
 // ewmChunkGo is the portable chunk kernel: the Go 4×4 panel applied tile

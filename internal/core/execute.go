@@ -16,7 +16,7 @@ import (
 // transforms every ∇Y unit once into the workspace's Ŵ cache, every
 // segment then executes the fused Ω_α(n,r) kernel into its own ∇W bucket,
 // and the buckets are reduced with Kahan summation. Work units
-// (segment × f_h × width-tile) schedule onto the persistent sched pool
+// (segment × group·f_h × width-tile) schedule onto the persistent sched pool
 // the way block groups map to SMs; no two units touch the same
 // accumulator, so the execution is lock-free. Each call allocates fresh
 // buckets and a fresh result; see ExecuteIn for the reusing variant.
@@ -36,7 +36,7 @@ func ExecuteHalf(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 // unitOffsets builds the prefix table of per-segment work-unit counts:
 // entry i is the first global unit index of segment i, and the final entry
 // is the total unit count. Segment si contributes rows·(F_W/n_si) units:
-// rows is F_H, or the channel-block count of a depthwise plan.
+// rows is G·F_H, or the channel-block count of a depthwise plan.
 func unitOffsets(fw, rows int, segs []Segment) []int {
 	off := make([]int, len(segs)+1)
 	for i, seg := range segs {
@@ -50,7 +50,7 @@ func unitOffsets(fw, rows int, segs []Segment) []int {
 func schedule(cfg *Config) ([]int, int) {
 	off := cfg.unitOff
 	if off == nil {
-		off = unitOffsets(cfg.Params.FW, cfg.Params.FH, cfg.Segments)
+		off = unitOffsets(cfg.Params.FW, cfg.Params.G()*cfg.Params.FH, cfg.Segments)
 	}
 	return off, off[len(off)-1]
 }
@@ -143,9 +143,6 @@ func (s storage) mats(tr *winograd.Transform) (g, d, a *winograd.Mat) {
 	return bal.G, bal.D, bal.A
 }
 
-// halfMats returns the transform matrices of the FP16 path.
-func halfMats(tr *winograd.Transform) (g, d, a *winograd.Mat) { return halfStorage.mats(tr) }
-
 // rowMap addresses X along the flattened row axis of §3 Level 2: output
 // row o_d·O_H + o_h at filter row f_d·F_H + f_h reads X row
 // (o_d+f_d−p_D)·I_H + (o_h+f_h−p_H) of its image, clipped per axis
@@ -226,18 +223,17 @@ const (
 )
 
 // execJob is the pooled task of one execution's phases: the Ŵ-cache fill
-// and the unit grid (or a depthwise plan's channel-wide grid), then the
-// bucket reduce. It lives inside the Workspace so the steady-state
+// and the dense unit grid (or a depthwise plan's channel-wide grid), then
+// the bucket reduce. It lives inside the Workspace so the steady-state
 // dispatch allocates nothing: the fields are rewritten per call and the
-// same *execJob is handed to the sched pool as a Task. The grouped
-// dispatch calls fillRows/units inline per group against its slot arenas.
+// same *execJob is handed to the sched pool as a Task.
 type execJob struct {
 	cfg     *Config
 	ws      *Workspace
 	ops     operands // the call's operands (staged per tile by depthwise units)
 	st      storage
-	x, dy   []float32 // float32 operand sources (ungrouped executions)
-	dst     []float32 // the reduce target (ungrouped and depthwise executions)
+	x, dy   []float32 // whole-layer float32 operand sources of the dense grid
+	dst     []float32 // the reduce target
 	traceOn bool
 	phase   execPhase
 }
@@ -247,9 +243,9 @@ type execJob struct {
 func (j *execJob) Run(lo, hi int) {
 	switch j.phase {
 	case phaseFill:
-		j.fillRows(lo, hi, j.dy, j.ws.what32)
+		j.fillRows(lo, hi)
 	case phaseUnits:
-		j.units(lo, hi, j.x, j.ws.what32, j.ws.buckets)
+		j.units(lo, hi)
 	case phaseChannels:
 		j.channelUnits(lo, hi)
 	default:
@@ -257,9 +253,9 @@ func (j *execJob) Run(lo, hi int) {
 	}
 }
 
-// fillRows fills global segment rows [lo, hi) of the Ŵ cache what from dy.
-func (j *execJob) fillRows(lo, hi int, dy, what []float32) {
-	cfg, ws := j.cfg, j.ws
+// fillRows fills global segment rows [lo, hi) of the Ŵ cache.
+func (j *execJob) fillRows(lo, hi int) {
+	cfg, ws, what := j.cfg, j.ws, j.ws.what32
 	si := 0
 	for i := lo; i < hi; i++ {
 		for i >= ws.rowOff[si+1] {
@@ -267,16 +263,16 @@ func (j *execJob) fillRows(lo, hi int, dy, what []float32) {
 		}
 		seg := cfg.Segments[si]
 		fillRow(cfg.Params, seg, seg.Row0+i-ws.rowOff[si], ws.plans[si], j.st.round,
-			dy, what[ws.whatOff[si]:ws.whatOff[si+1]])
+			j.dy, what[ws.whatOff[si]:ws.whatOff[si+1]])
 	}
 }
 
-// units runs global (segment, f_h, width-tile) units [lo, hi) against the
-// X source x, the Ŵ cache what and the segment buckets, recording each
-// unit's stage durations when tracing.
-func (j *execJob) units(lo, hi int, x, what []float32, buckets [][]float32) {
+// units runs global (segment, g·F_H + f_h, width-tile) units [lo, hi)
+// against the X source, the Ŵ cache and the segment buckets, recording
+// each unit's stage durations when tracing.
+func (j *execJob) units(lo, hi int) {
 	cfg, ws := j.cfg, j.ws
-	off := ws.unitOff
+	off, what := ws.unitOff, ws.what32
 	si := 0
 	for i := lo; i < hi; i++ {
 		for i >= off[si+1] {
@@ -287,12 +283,12 @@ func (j *execJob) units(lo, hi int, x, what []float32, buckets [][]float32) {
 		local := i - off[si]
 		w := what[ws.whatOff[si]:ws.whatOff[si+1]]
 		if !j.traceOn {
-			segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], nil)
+			segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, j.x, w, ws.buckets[si], nil)
 			continue
 		}
 		var ut obs.UnitTimes
 		t0 := time.Now()
-		segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, x, w, buckets[si], &ut)
+		segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, j.x, w, ws.buckets[si], &ut)
 		obs.RecordUnit(time.Since(t0), ut)
 	}
 }
@@ -304,7 +300,9 @@ func (j *execJob) units(lo, hi int, x, what []float32, buckets [][]float32) {
 // contiguous [r][O_C] block — ∇Y is unpadded and segments tile O_W
 // exactly, so the unit never clips and needs no gather copy. The panels
 // depend only on (oh, ow0, nb), so one fill amortizes across all
-// F_H·(F_W/n) units of the segment.
+// G·F_H·(F_W/n) units of the segment: the panel plans run one chain per
+// column, so one fill at width O_C equals G per-group fills column for
+// column, and group g's units read columns [g·O_C/G, (g+1)·O_C/G).
 func fillRow(p conv.Params, seg Segment, oh int, pl unitPlan, round func([]float32),
 	dy, what []float32) {
 	r, oc, ow := seg.K.R, p.OC, p.OW()
@@ -388,40 +386,47 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 	ut.EWM += span - tr
 }
 
-// segmentTile is the dense Ω_α(n,r) unit kernel of every precision and
-// dimension: for one (segment, f_h, width-tile) unit it produces the ∇W
-// rows [j·n, (j+1)·n) at (flattened) filter row fh for all (oc, ic). Its
-// EWM is one GEMM per α-plane over the unit's tiles,
-// v[e] += Σ_t Ŵ_t[e] ⊗ X̂_t[e], accumulated over the segment's rows, width
-// tiles and the batch in that order. The unit walks its valid (row, tile,
-// image) iterations in chunks of up to chunkTiles tiles (see
-// denseChunk.run); per unit, the output transform Aᵀ stores the bucket
-// rows. p is the plan's 2-D (flattened) geometry; x is the float32 X
-// source in (N, rm rows, I_W, I_C) layout and what the segment's Ŵ cache
-// (filled once per (oh, ow0, nb) by fillRow).
+// segmentTile is the dense Ω_α(n,r) unit kernel of every precision,
+// dimension and group count: for one (segment, g·F_H + fh, width-tile)
+// unit it produces group g's ∇W rows [j·n, (j+1)·n) at (flattened) filter
+// row fh for all of the group's O_C/G × I_C/G (oc, ic) pairs. Its EWM is
+// one GEMM per α-plane over the unit's tiles, v[e] += Σ_t Ŵ_t[e] ⊗ X̂_t[e],
+// accumulated over the segment's rows, width tiles and the batch in that
+// order. The unit walks its valid (row, tile, image) iterations in chunks
+// of up to chunkTiles tiles (see denseChunk.run); per unit, the output
+// transform Aᵀ stores the bucket rows. p is the plan's 2-D (flattened)
+// geometry; x is the float32 X source in (N, rm rows, I_W, I_C) layout and
+// what the segment's Ŵ cache (filled once per (oh, ow0, nb) by fillRow).
+// Group g gathers X channels [g·I_C/G, (g+1)·I_C/G) at stride I_C, takes
+// the matching O_C/G Ŵ columns and stores into its contiguous slab of the
+// whole-layer bucket, so its operation sequence is that of the per-group
+// plan; an ungrouped unit is the g = 0, G = 1 case.
 //
 // ut, when non-nil, accumulates sampled, scaled intra-unit transform and
 // EWM durations and the timed epilogue for the observability layer; the
 // nil path adds only predictable never-taken branches.
-func segmentTile(p conv.Params, rm rowMap, seg Segment, fh, j int, pl unitPlan, st storage,
+func segmentTile(p conv.Params, rm rowMap, seg Segment, row, j int, pl unitPlan, st storage,
 	x, what, bucket []float32, ut *obs.UnitTimes) {
 	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
-	oc, ic := p.OC, p.IC
+	g, fh := row/p.FH, row%p.FH
+	oc, ic := p.OCG(), p.ICG()
+	slab := p.DWShape().Elems() / p.G()
+	bucket = bucket[g*slab : (g+1)*slab]
 	tcMax := chunkTiles(alpha, oc, ic)
 
 	s := getTileScratch()
 	defer putTileScratch(s)
 	c := denseChunk{
 		p: p, pl: pl, round: st.round, kernel: selectEWM(ic).chunk,
-		x: x, what: what, alpha: alpha,
-		v:    growF32(&s.v, alpha*oc*ic), // accumulators [α][OC][IC]: the register tile of Algorithm 3
+		x: x[g*ic:], what: what, alpha: alpha, oc: oc, ic: ic, w0: g * oc,
+		v:    growF32(&s.v, alpha*oc*ic), // accumulators [α][oc][ic]: the register tile of Algorithm 3
 		xRaw: growF32(&s.xRaw, alpha*tcMax*ic),
 		xHat: growF32(&s.xHatF, alpha*tcMax*ic),
 		wHat: growF32(&s.wHatF, alpha*tcMax*oc),
 	}
 	its := s.iters[:0]
 	colBase := j * n
-	entry := alpha * oc
+	entry := alpha * p.OC
 	tiles := seg.Cols() / r
 	xRows := rm.id * rm.ih
 
@@ -502,22 +507,24 @@ type tileIter struct {
 
 // denseChunk is the per-unit state of segmentTile's chunk loop: the
 // operands, the storage policy's transforms and rounding, the selected
-// chunk kernel, and the chunk panels, all sized for chunkTiles tiles.
+// chunk kernel, and the chunk panels, all sized for chunkTiles tiles. x
+// starts at the group's first input channel and w0 is its first Ŵ
+// column; oc and ic are the group's widths, O_C/G and I_C/G.
 type denseChunk struct {
 	p                   conv.Params
 	pl                  unitPlan
 	round               func([]float32)
 	kernel              ewmChunkFunc
 	x, what             []float32
-	alpha               int
-	v, xRaw, xHat, wHat []float32 // [α][OC][IC], [α][T_c·IC] twice, [α][T_c][OC]
+	alpha, oc, ic, w0   int
+	v, xRaw, xHat, wHat []float32 // [α][oc][ic], [α][T_c·ic] twice, [α][T_c][oc]
 }
 
 // run accumulates one chunk of a unit's iterations into the accumulators.
-// It gathers the α X rows of every tile plane-major into xRaw, [α][tc·IC],
+// It gathers the α X rows of every tile plane-major into xRaw, [α][tc·ic],
 // with implicit zero padding for width-clipped columns, and packs the
-// tiles' Ŵ panels plane-major into wHat, [α][tc][OC]. One input transform
-// X̂ = Dᵀ·X at width tc·IC covers the chunk, since the panel plans run
+// tiles' Ŵ panels plane-major into wHat, [α][tc][oc]. One input transform
+// X̂ = Dᵀ·X at width tc·ic covers the chunk, since the panel plans run
 // one independent chain per column, and one rounding call stores it under
 // the storage policy, element by element. Then each α-plane runs the
 // chunk kernel, which adds the chunk's tiles in iteration order; the
@@ -526,7 +533,7 @@ type denseChunk struct {
 // kernel calls its EWM span.
 func (c *denseChunk) run(its []tileIter, first bool, smp *unitSampler, ut *obs.UnitTimes) {
 	p, x, alpha := c.p, c.x, c.alpha
-	oc, ic := p.OC, p.IC
+	oc, ic, xs, ws := c.oc, c.ic, p.IC, p.OC // group widths, whole-layer strides
 	tc := len(its)
 	width := tc * ic
 	smp.begin(ut)
@@ -534,14 +541,14 @@ func (c *denseChunk) run(its []tileIter, first bool, smp *unitSampler, ut *obs.U
 		for u := 0; u < alpha; u++ {
 			dst := c.xRaw[u*width+t*ic:][:ic]
 			if iw := it.iw0 + u; iw >= 0 && iw < p.IW {
-				copy(dst, x[(it.pix+iw)*ic:][:ic])
+				copy(dst, x[(it.pix+iw)*xs:][:ic])
 			} else {
 				clear(dst)
 			}
 		}
-		w := c.what[it.what:][:alpha*oc]
+		w := c.what[it.what+c.w0:]
 		for e := 0; e < alpha; e++ {
-			copy(c.wHat[(e*tc+t)*oc:][:oc], w[e*oc:][:oc])
+			copy(c.wHat[(e*tc+t)*oc:][:oc], w[e*ws:][:oc])
 		}
 	}
 	xRaw, xHat := c.xRaw[:alpha*width], c.xHat[:alpha*width]

@@ -12,7 +12,9 @@ import (
 
 // groupedSweepCases is the grouped differential grid: split and depthwise
 // variants of the standard sweep shapes, including strides-unfriendly
-// channel counts, padding, batching and a 5×5 filter.
+// channel counts, padding, batching and a 5×5 filter, and two groups wide
+// enough for the AVX2 chunk kernel (I_C/G = 12: 8 lanes plus a Go tail;
+// I_C/G = 16) on strided group gathers.
 var groupedSweepCases = []struct {
 	name string
 	p    conv.Params
@@ -24,6 +26,8 @@ var groupedSweepCases = []struct {
 	{"3x3_depthwise", conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 4}, []int{0, 2}},
 	{"3x3_depthwise_mult", conv.Params{N: 2, IH: 9, IW: 13, FH: 3, FW: 3, IC: 3, OC: 6, Groups: 3}, []int{0}},
 	{"2x2_G2_nopad", conv.Params{N: 1, IH: 11, IW: 15, FH: 2, FW: 2, IC: 4, OC: 4, Groups: 2}, []int{0, 1}},
+	{"3x3_G2_icg12", conv.Params{N: 1, IH: 10, IW: 12, FH: 3, FW: 3, IC: 24, OC: 16, PH: 1, PW: 1, Groups: 2}, []int{0, 3}},
+	{"5x5_G3_icg16", conv.Params{N: 1, IH: 8, IW: 8, FH: 5, FW: 5, IC: 48, OC: 12, PH: 2, PW: 2, Groups: 3}, []int{0, 2}},
 }
 
 func groupedLayer64(t testing.TB, seed int64, p conv.Params) (*tensor.Float64, *tensor.Float64) {
@@ -42,7 +46,8 @@ func groupedLayer64(t testing.TB, seed int64, p conv.Params) (*tensor.Float64, *
 
 // Grouped FP32 BFC must match the grouped float64 direct oracle on every
 // sweep shape, across forced segment counts, inline and through a width-4
-// pool (run under -race, this is the grouped co-scheduling differential).
+// pool (run under -race, this is the grouped co-scheduling differential),
+// and report the paper's (Z−1)·|∇W| workspace at either width.
 func TestGroupedMatchesDirect(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
@@ -64,6 +69,10 @@ func TestGroupedMatchesDirect(t *testing.T) {
 					}
 					if cfg.GroupConfig() == nil {
 						t.Fatalf("%s: grouped geometry planned without a per-group config", tc.name)
+					}
+					if want := int64(cfg.Z()-1) * int64(tc.p.DWShape().Elems()) * 4; cfg.WorkspaceBytes() != want {
+						t.Errorf("%s width=%d z=%d: WorkspaceBytes %d, want (Z−1)·|∇W|·4 = %d",
+							tc.name, width, z, cfg.WorkspaceBytes(), want)
 					}
 					got := Execute(cfg, x, dy)
 					if m := tensor.MARE(got, want); m > 1e-5 {
@@ -189,15 +198,12 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	// The channel-wide units run on Z buckets of the whole depthwise ∇W,
 	// O_C·F_H·F_W·(I_C/G), the paper's (Z−1)·|∇W|: G× below the ungrouped
 	// layer at equal Z (both sides round Z the same way under
-	// WithSegments), with no slot ring and no Ŵ cache.
+	// WithSegments), with no Ŵ cache.
 	if want := int64(cfg.Z()-1) * int64(p.DWShape().Elems()) * 4; gw != want {
 		t.Errorf("WorkspaceBytes %d, want (Z−1)·|∇W| = %d", gw, want)
 	}
 	if cfg.Z() == ucfg.Z() && uw != gw*int64(p.G()) {
 		t.Errorf("workspace shrink %d/%d, want exactly G=%d at equal Z", uw, gw, p.G())
-	}
-	if ring, sw := cfg.GroupRing(), cfg.WorkspaceSeqBytes(); ring != 1 || sw != gw {
-		t.Errorf("GroupRing %d, WorkspaceSeqBytes %d; want 1 and WorkspaceBytes %d", ring, sw, gw)
 	}
 	if wh := cfg.WHatCacheBytes(); wh != 0 {
 		t.Errorf("WHatCacheBytes %d, want 0 (channel-wide units keep no Ŵ cache)", wh)
@@ -282,9 +288,8 @@ func TestGroupedCtxCancellable(t *testing.T) {
 	}
 }
 
-// A shared workspace must be reusable across grouped runs and across
-// grouped/ungrouped plans of matching per-group size (every pass stores
-// each bucket element afresh), and grouped execution must stay
+// A shared workspace must be reusable across grouped runs (every pass
+// stores each bucket element afresh), and grouped execution must stay
 // deterministic.
 func TestGroupedWorkspaceReuseDeterministic(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 2}

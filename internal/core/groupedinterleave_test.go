@@ -36,11 +36,12 @@ func perGroupRef(cfg *Config, x, dy *tensor.Float32, half bool) *tensor.Float32 
 	return dst
 }
 
-// The grouped dispatch must be bit-identical to the sequential per-group
-// reference on every grouped sweep shape, FP32 and FP16, across forced
-// segmentations, inline and through a width-4 pool — and stay within the
-// oracle band. Run under -race this is the grouped co-scheduling
-// differential.
+// Grouped execution — the dense grid with a group axis, or the
+// channel-wide depthwise grid — must be bit-identical to the sequential
+// per-group reference on every grouped sweep shape, FP32 and FP16, across
+// forced segmentations, inline and through a width-4 pool, and stay
+// within the oracle band. Run under -race this is the grouped
+// co-scheduling differential.
 func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
@@ -118,11 +119,20 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 }
 
 // Cancellation mid-run must never leave partial-group bytes in the
-// destination: a group's ∇W slab is written only by the reduce that ends
-// a fully executed group, so every slab is either untouched (the sentinel
-// prefill survives) or bit-identical to the uncancelled result.
+// destination: dst is written only by phase 3, which reduces whole group
+// slabs per chunk, so every slab is either untouched (the sentinel
+// prefill survives) or bit-identical to the uncancelled result. Depthwise
+// (channel-wide grid) and G = 2, I_C/G = 4 (dense grid) plans.
 func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
-	p := conv.Params{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8}
+	for _, p := range []conv.Params{
+		{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
+		{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 2},
+	} {
+		cancelNoPartialGroups(t, p)
+	}
+}
+
+func cancelNoPartialGroups(t *testing.T, p conv.Params) {
 	cfg, err := Configure(p, WithSegments(3))
 	if err != nil {
 		t.Fatal(err)
@@ -170,18 +180,27 @@ func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
 				equalBits(t, "cancelled-complete-group", slab, want.Data[gi*n:(gi+1)*n])
 			}
 		}
-		t.Logf("caught %d cancelled runs out of 40", cancelled)
+		t.Logf("G=%d: caught %d cancelled runs out of 40", p.G(), cancelled)
 	})
 }
 
-// Steady-state grouped dispatch through a warm pool must not allocate:
-// the groupJob is embedded in the Workspace, the slot arenas are grown
-// once, and batch descriptors are pooled.
+// Steady-state grouped execution through a warm pool must not allocate:
+// the execJob is embedded in the Workspace, the buckets, Ŵ cache and
+// operand mirrors are grown once, and batch descriptors are pooled.
+// Depthwise (channel-wide grid) and G = 2, I_C/G = 4 (dense grid) plans.
 func TestGroupedInterleavedAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
 	}
-	p := conv.Params{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8}
+	for _, p := range []conv.Params{
+		{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
+		{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 2},
+	} {
+		groupedAllocsZero(t, p)
+	}
+}
+
+func groupedAllocsZero(t *testing.T, p conv.Params) {
 	cfg, err := Configure(p, WithSegments(2))
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +223,11 @@ func TestGroupedInterleavedAllocsZeroWithPool(t *testing.T) {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		allocs := testing.AllocsPerRun(50, func() { ExecuteIn(cfg, ws, x, dy, dst) })
 		if allocs != 0 {
-			t.Errorf("steady-state interleaved ExecuteIn allocates %v per run, want 0", allocs)
+			t.Errorf("G=%d: steady-state ExecuteIn allocates %v per run, want 0", p.G(), allocs)
 		}
 		allocs16 := testing.AllocsPerRun(50, func() { ExecuteHalfIn(cfg16, ws16, xh, dyh, dst) })
 		if allocs16 != 0 {
-			t.Errorf("steady-state interleaved ExecuteHalfIn allocates %v per run, want 0", allocs16)
+			t.Errorf("G=%d: steady-state ExecuteHalfIn allocates %v per run, want 0", p.G(), allocs16)
 		}
 	})
 }
@@ -287,39 +306,6 @@ func TestSliceDecodeChannelsMatchesUnfused(t *testing.T) {
 					tc.off, tc.width, i, fused[i], unfused[i])
 			}
 		}
-	}
-}
-
-// Describe must attribute the slot count — one per possible participant,
-// min(G, pool width) — and one slot's per-group arena on grouped plans,
-// and stay silent on ungrouped ones.
-func TestDescribeGroupDispatch(t *testing.T) {
-	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
-	cfg, err := Configure(p, WithSegments(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ width, slots int }{{1, 1}, {3, 3}, {8, 4}} {
-		withTestPool(t, tc.width, func() {
-			d := cfg.Describe()
-			if d.GroupRing != tc.slots {
-				t.Errorf("width %d: GroupRing = %d, want %d", tc.width, d.GroupRing, tc.slots)
-			}
-			if d.WorkspaceSeqBytes <= 0 || d.WorkspaceBytes != d.WorkspaceSeqBytes*int64(d.GroupRing) {
-				t.Errorf("workspace accounting: total %d, per-slot %d, slots %d",
-					d.WorkspaceBytes, d.WorkspaceSeqBytes, d.GroupRing)
-			}
-		})
-	}
-
-	pu := p
-	pu.Groups = 0
-	ucfg, err := Configure(pu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if du := ucfg.Describe(); du.GroupRing != 0 || du.WorkspaceSeqBytes != 0 {
-		t.Errorf("ungrouped plan carries group attribution: %+v", du)
 	}
 }
 

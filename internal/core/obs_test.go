@@ -153,10 +153,10 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// A traced grouped execution attributes every group's stages: two gathers,
-// one Ŵ fill and one reduce per group, and one segment_tile and one
-// epilogue record per fused unit of every group — inline and through a
-// width-4 pool.
+// A traced grouped execution runs one dense grid over its groups: one Ŵ
+// fill and one reduce per call, and one segment_tile and one epilogue
+// record per fused unit of every group — inline and through a width-4
+// pool.
 func TestGroupedExecuteRecordsStages(t *testing.T) {
 	p := conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
 	cfg, err := Configure(p, WithSegments(2))
@@ -178,9 +178,8 @@ func TestGroupedExecuteRecordsStages(t *testing.T) {
 				stage obs.Stage
 				want  uint64
 			}{
-				{obs.StageWHat, g},
-				{obs.StageReduce, g},
-				{obs.StageGroupGather, 2 * g},
+				{obs.StageWHat, 1},
+				{obs.StageReduce, 1},
 				{obs.StageSegmentTile, g * units},
 				{obs.StageEpilogue, g * units},
 			} {

@@ -72,10 +72,12 @@ func QuantInt8(absmax float32) Quantizer {
 // x and dy are float32 tensors whose values are quantized on load (a
 // pre-quantized tensor passes through unchanged because Round is
 // idempotent). The result is FP32, like the FP16 path. It runs the same
-// pipeline as Execute — Ŵ cache, EWM kernel tier, pooled units, grouped
-// dispatch — with the format's storage policy: X and ∇Y are copied and
-// rounded once per call into the workspace mirrors, and every stored
-// panel is rounded in place.
+// pipeline as Execute — Ŵ cache, EWM kernel tier, pooled units, the
+// group axis of grouped plans and the channel-wide grid of depthwise
+// ones — with the format's storage policy: X and ∇Y are copied and
+// rounded once per call into whole-operand workspace mirrors (depthwise
+// units round each staged tile instead), and every stored panel is
+// rounded in place.
 func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
 	ops := planar(cfg.Params, x.Shape, dy.Shape, operand{f32: x.Data}, operand{f32: dy.Data}, "ExecuteQuantized")
 	if q.Round == nil {

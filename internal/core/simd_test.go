@@ -44,6 +44,7 @@ func TestBitwiseSuitesGoKernels(t *testing.T) {
 		{"EWMPanelVariantsMatchBase", TestEWMPanelVariantsMatchBase},
 		{"EWMForcedVariantsMatchBaseFP32", TestEWMForcedVariantsMatchBaseFP32},
 		{"DepthwiseChannelWideMatchesPerGroup", TestDepthwiseChannelWideMatchesPerGroup},
+		{"GroupedInterleavedMatchesSequential", TestGroupedInterleavedMatchesSequential},
 	} {
 		t.Run(s.name, s.run)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"winrs/internal/kahan"
@@ -15,7 +14,9 @@ import (
 // buckets of the paper's partitioning phase plus the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels that every fused unit reads (one
 // α·O_C panel per (segment row, width tile, batch image), filled once per
-// execution and reused across all F_H·(F_W/n) units of a segment).
+// execution and reused across all G·F_H·(F_W/n) units of a segment). A
+// grouped plan's buckets and cache span the whole layer, like an
+// ungrouped plan's: each bucket holds the G per-group ∇W slabs.
 // Executions through ExecuteIn reuse it across steps, so a steady-state
 // caller (the serving runtime's workspace pool, a training loop) pays the
 // allocations once instead of per gradient.
@@ -48,65 +49,20 @@ type Workspace struct {
 	// Per-segment transforms under the current call's storage policy.
 	plans []unitPlan
 
-	// Grouped dispatch state (grouped.go): one slot arena per possible
-	// participant, each holding its own buckets, staging operands and Ŵ
-	// cache so groups execute concurrently. Grown lazily on the first
-	// grouped execution, then reused. Empty for ungrouped plans.
-	ring []groupSlot
-
-	// Reusable pool tasks: rewritten per call so the steady-state dispatch
+	// Reusable pool task: rewritten per call so the steady-state dispatch
 	// passes a pointer-to-field as sched.Task without boxing allocations.
-	job  execJob
-	gjob groupJob
-}
-
-// groupSlot is one slot arena of the grouped dispatch: the complete
-// per-group arena (Z buckets, staging operands, Ŵ cache) of one
-// participant, claimed through busy for a chunk of groups whose units
-// overwrite every bucket element. Slot 0 runs on the workspace's own
-// bucket arena.
-type groupSlot struct {
-	x, dy   []float32 // the group's float32 operand staging (see operand.stage)
-	what32  []float32
-	buckets [][]float32
-	busy    atomic.Bool
-}
-
-// ensureBuckets sizes the slot's bucket set to z buckets of elems each.
-// Contents are unspecified — the group's units store every element before
-// its reduce reads them.
-func (s *groupSlot) ensureBuckets(z, elems int) {
-	if len(s.buckets) == z && (z == 0 || len(s.buckets[0]) == elems) {
-		return
-	}
-	s.buckets = make([][]float32, z)
-	for i := range s.buckets {
-		s.buckets[i] = make([]float32, elems)
-	}
-}
-
-// ensureRing sizes the slot set to n entries, keeping existing arenas.
-func (ws *Workspace) ensureRing(n int) {
-	if cap(ws.ring) < n {
-		r := make([]groupSlot, n)
-		copy(r, ws.ring)
-		ws.ring = r
-	}
-	ws.ring = ws.ring[:n]
+	job execJob
 }
 
 // NewWorkspace allocates the bucket arena for cfg and binds its schedule
-// tables. For a grouped plan other than depthwise the geometry is ONE
-// group's ∇W slab: slot 0 of the grouped dispatch runs on this arena and
-// further slots size theirs from it (see Config.WorkspaceBytes).
+// tables.
 func NewWorkspace(cfg *Config) *Workspace {
-	e := cfg.exec()
-	elems := e.Params.DWShape().Elems()
-	ws := &Workspace{z: e.Z(), elems: elems, buckets: make([][]float32, e.Z())}
+	elems := cfg.Params.DWShape().Elems()
+	ws := &Workspace{z: cfg.Z(), elems: elems, buckets: make([][]float32, cfg.Z())}
 	for i := range ws.buckets {
 		ws.buckets[i] = make([]float32, elems)
 	}
-	ws.rebind(e)
+	ws.rebind(cfg)
 	return ws
 }
 
@@ -135,29 +91,18 @@ func (ws *Workspace) rebind(cfg *Config) {
 }
 
 // Fits reports whether the workspace matches cfg's bucket geometry (same
-// segment count and gradient size; the per-group geometry for grouped
-// plans other than depthwise). Schedule tables rebind automatically.
+// segment count and gradient size). Schedule tables rebind automatically.
 func (ws *Workspace) Fits(cfg *Config) bool {
-	e := cfg.exec()
-	return ws != nil && ws.z == e.Z() && ws.elems == e.Params.DWShape().Elems()
+	return ws != nil && ws.z == cfg.Z() && ws.elems == cfg.Params.DWShape().Elems()
 }
 
 // Bytes returns the arena footprint: buckets plus whatever Ŵ-cache and
-// operand-mirror arenas the executed storage policies have materialized,
-// plus the grouped-dispatch slots when grouped executions grew them (slot
-// 0 shares the bucket arena, so it is counted once). The cache
-// stays within the analytic bound documented on Config.WHatCacheBytes.
+// operand-mirror arenas the executed storage policies have materialized.
+// The cache stays within the analytic bound documented on
+// Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
-	b := int64(ws.z)*int64(ws.elems)*4 +
+	return int64(ws.z)*int64(ws.elems)*4 +
 		int64(cap(ws.what32)+cap(ws.xMirror)+cap(ws.dyMirror))*4
-	for i := range ws.ring {
-		s := &ws.ring[i]
-		if i > 0 {
-			b += int64(len(s.buckets)) * int64(ws.elems) * 4
-		}
-		b += int64(cap(s.x)+cap(s.dy)+cap(s.what32)) * 4
-	}
-	return b
 }
 
 // ensureWorkspace returns a workspace for cfg: the caller's if it fits
@@ -222,25 +167,21 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 
 // execute is the one execution path behind every BFC entry point — FP32, FP16,
 // quantized, grouped and 3-D: bring the operands into float32 form, fill
-// the Ŵ cache, run the unit grid, Kahan-reduce the buckets into dst
+// the Ŵ cache, run the dense unit grid, Kahan-reduce the buckets into dst
 // (allocated when nil). Depthwise plans run the channel-wide unit grid of
-// depthwise.go instead of the fill and the unit grid; other grouped plans
-// take the group-item batch of grouped.go.
+// depthwise.go instead of the fill and the dense grid.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial
-// results, and no result is produced. A cancelled depthwise run leaves
-// every channel's ∇W slab complete or untouched, as the group-item batch
-// does for every group's.
+// results, and no result is produced. On a grouped plan phase 3 reduces
+// whole group slabs per chunk, so a cancelled run leaves every group's
+// ∇W slab complete or untouched.
 func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	p := cfg.Params
 	if dst == nil {
 		dst = tensor.NewFloat32(p.DWShape())
 	} else if dst.Shape != p.DWShape() {
 		panic("core: reduce destination shape mismatch")
-	}
-	if cfg.exec() != cfg {
-		return executeGroupedIn(cfg, ws, ops, st, dst, cancel)
 	}
 	ws = ensureWorkspace(cfg, ws)
 	ws.bindPlans(cfg, st)
@@ -251,13 +192,15 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	// chunks per participant), floored at reduceGrain.
 	w := 4 * pool.Workers()
 	grain := max(reduceGrain, (ws.elems+w-1)/w)
+	if g := p.G(); g > 1 {
+		// Whole group slabs per reduce chunk, so cancellation between
+		// chunks leaves each slab complete or untouched.
+		slab := ws.elems / g
+		grain = (grain + slab - 1) / slab * slab
+	}
 	if cfg.dwBlock > 0 {
 		ws.job.phase = phaseChannels
 		pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
-		// Whole channel slabs per reduce chunk, so cancellation between
-		// chunks leaves each slab complete or untouched.
-		slab := p.FH * p.FW
-		grain = (grain + slab - 1) / slab * slab
 	} else {
 		growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
 		ws.job.x = ops.x.resident(&ws.xMirror, p.IC, st.round)

@@ -176,10 +176,10 @@ func BenchmarkExecuteInPooled(b *testing.B) {
 	}
 }
 
-// A grouped workspace holds exactly its ring slots' arenas: slot 0 runs
-// on the workspace's own Z-bucket arena instead of leaving it dead next to
-// the slots' copies, and Bytes counts every arena once — ring × (Z·slab +
-// staging + Ŵ elements) × 4 after one grouped execution at width 4.
+// A grouped workspace has the ungrouped layout and Bytes counts every
+// arena once: after one FP32 execution (no operand mirrors) it holds Z
+// whole-layer buckets and the whole-layer Ŵ cache, whatever the pool
+// width.
 func TestGroupedWorkspaceBytesCountsArenasOnce(t *testing.T) {
 	p := conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 2}
 	cfg, err := Configure(p, WithSegments(2))
@@ -190,20 +190,15 @@ func TestGroupedWorkspaceBytesCountsArenasOnce(t *testing.T) {
 		t.Fatalf("Z = %d, want 2", cfg.Z())
 	}
 	x, dy := poolLayer(t, 44, p)
-	withTestPool(t, 4, func() {
-		ws := NewWorkspace(cfg)
-		ExecuteIn(cfg, ws, x, dy, nil)
-		pg := cfg.GroupConfig().Params
-		slab := pg.DWShape().Elems()
-		staging := pg.XShape().Elems() + pg.DYShape().Elems()
-		what := int(cfg.GroupConfig().WHatCacheBytes() / 4)
-		ring := cfg.GroupRing()
-		if want := int64(ring*(cfg.Z()*slab+staging+what)) * 4; ws.Bytes() != want {
-			t.Errorf("grouped workspace Bytes() = %d, want %d (ring %d × (Z·slab %d + staging %d + Ŵ %d) × 4)",
-				ws.Bytes(), want, ring, cfg.Z()*slab, staging, what)
-		}
-		if &ws.ring[0].buckets[0][0] != &ws.buckets[0][0] {
-			t.Error("ring slot 0 does not run on the workspace bucket arena")
-		}
-	})
+	for _, width := range []int{1, 4} {
+		withTestPool(t, width, func() {
+			ws := NewWorkspace(cfg)
+			ExecuteIn(cfg, ws, x, dy, nil)
+			dw := int64(p.DWShape().Elems())
+			if want := int64(cfg.Z())*dw*4 + cfg.WHatCacheBytes(); ws.Bytes() != want {
+				t.Errorf("width %d: grouped workspace Bytes() = %d, want %d (Z·|∇W| %d × 4 + Ŵ cache %d)",
+					width, ws.Bytes(), want, int64(cfg.Z())*dw, cfg.WHatCacheBytes())
+			}
+		})
+	}
 }

@@ -26,16 +26,10 @@ const (
 	StageEWM
 	// StageWHat is the Ŵ-cache pre-pass of one execution: gathering and
 	// filter-transforming every ∇Y unit once before the fused units run.
-	// Recorded once per execution (once per group on grouped plans), like
-	// StageReduce.
+	// Recorded once per execution, like StageReduce.
 	StageWHat
-	// StageReduce is the Kahan bucket reduction of one execution (of one
-	// group on grouped plans).
+	// StageReduce is the Kahan bucket reduction of one execution.
 	StageReduce
-	// StageGroupGather is one grouped-execution channel gather: slicing a
-	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Each
-	// group records two, one per operand.
-	StageGroupGather
 	// StageEpilogue is one unit's output transform Aᵀ into its bucket, the
 	// last step of a fused unit; like StageTransform and StageEWM it is
 	// nested in StageSegmentTile.
@@ -44,7 +38,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"segment_tile", "transform", "ewm", "what_transform", "reduce", "group_gather", "epilogue"}
+var stageNames = [NumStages]string{"segment_tile", "transform", "ewm", "what_transform", "reduce", "epilogue"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {

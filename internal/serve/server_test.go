@@ -245,6 +245,19 @@ func TestServeBadRequests(t *testing.T) {
 	if code := post("/v1/backward_filter", body); code != http.StatusBadRequest {
 		t.Errorf("invalid params: status %d", code)
 	}
+	// A geometry whose ∇W element count overflows (2⁶⁴ elements, which
+	// wrapped to 0) is refused by validation, before the payload is sized.
+	huge := winrs.Params{N: 1, IH: 1, IW: 1, FH: 4096, FW: 4096, IC: 1 << 20, OC: 1 << 20, PH: 2048, PW: 2048}
+	body, _ = serve.EncodeRequest(serve.RequestHeader{Params: huge}, okA, okB)
+	if resp, err := http.Post(ts.URL+"/v1/backward_filter", "application/octet-stream", bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	} else {
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "overflows") {
+			t.Errorf("overflowing geometry: status %d, body %q; want 400 naming the overflow", resp.StatusCode, msg)
+		}
+	}
 	// f16 is only a backward_filter dtype.
 	body, _ = serve.EncodeRequest(serve.RequestHeader{Params: p, DType: serve.F16},
 		okA[:p.XShape().Elems()*2], make([]byte, p.DWShape().Elems()*2))
@@ -271,8 +284,8 @@ func TestServeBadRequests(t *testing.T) {
 	if n := s.Runtime().Cache().Len(); n != 0 {
 		t.Errorf("rejected requests left %d plans in the cache", n)
 	}
-	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, "winrs_client_errors_total 8\n") {
-		t.Errorf("winrs_client_errors_total does not count all 8 rejections:\n%s", m)
+	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, "winrs_client_errors_total 9\n") {
+		t.Errorf("winrs_client_errors_total does not count all 9 rejections:\n%s", m)
 	}
 }
 
