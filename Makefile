@@ -96,10 +96,13 @@ grouped-smoke:
 # and 4: each chunk kernel against the Go 4×4 panel, the AVX2 chunk kernel
 # against its per-tile oracle over chunked tile sequences, the panel
 # transforms' column independence (one chunk-wide call equals per-tile
-# calls), every forced EWM mode against the forced 4×4 tier, the
-# streaming epilogue against its per-element oracle, poisoned (NaN)
-# workspaces against fresh ones (every bucket element is stored once per
-# run; nothing zeroes them), pool-vs-inline and shared-pool concurrency,
+# calls), every forced EWM mode against the forced 4×4 tier, the one-pass
+# AVX2 output kernel against its Go loop at every row count it takes, the
+# epilogue against its per-element oracle, the in-place Kahan reduce
+# (bucket 0 is the destination of an ungrouped plan) against the
+# out-of-place one, poisoned (NaN) workspaces against fresh ones (every
+# bucket element is stored once per run; nothing zeroes them),
+# pool-vs-inline and shared-pool concurrency,
 # mid-run cancellation, the FP16, quantized and 3-D reference executors,
 # and the channel-wide depthwise grid (pool widths 1–8) and the grouped
 # dense grid (widths 1 and 4) against the per-group reference. On
@@ -112,8 +115,8 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestWriteOutputMatchesRef|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels' \
-			./internal/core ./internal/winograd || exit 1; \
+			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels' \
+			./internal/core ./internal/winograd ./internal/kahan || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16
 

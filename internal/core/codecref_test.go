@@ -114,6 +114,7 @@ func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half
 // codec everywhere: binary16 Ŵ-cache fill, fused units, Kahan reduction.
 func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 	ws := NewWorkspace(cfg)
+	buckets := refBuckets(cfg)
 	what16 := make([]fp16.Bits, ws.whatOff[len(ws.whatOff)-1])
 	s := getTileScratch()
 	for si, seg := range cfg.Segments {
@@ -130,11 +131,11 @@ func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 		jTiles := fw / seg.K.N
 		for fh := 0; fh < cfg.Params.FH; fh++ {
 			for jt := 0; jt < jTiles; jt++ {
-				segmentTileHalfScalar(cfg.Params, seg, fh, jt, x, what, ws.buckets[si])
+				segmentTileHalfScalar(cfg.Params, seg, fh, jt, x, what, buckets[si])
 			}
 		}
 	}
-	return reduceRef(cfg, ws.buckets, nil)
+	return reduceRef(cfg, buckets, nil)
 }
 
 // halfLayer builds binary16 operands with a value mix that exercises the

@@ -435,10 +435,12 @@ func (c *Config) Z() int { return len(c.Segments) }
 
 // WorkspaceBytes returns the bucket workspace the plan executes with,
 // (Z−1) × sizeof(∇W): the paper's figure, where bucket 0 is the output
-// buffer itself. The host arena holds one bucket more: NewWorkspace
-// allocates all Z buckets, phase 3 reduces them into a separate
-// destination, and Workspace.Bytes counts all Z. Buckets are FP32 on both
-// precision paths: accumulators and the Kahan reduction run in FP32
+// buffer itself. An ungrouped plan's host arena is exactly this: its
+// segment-0 units store into the destination. A grouped plan's arena
+// holds one bucket more, because phase 3 alone writes its destination
+// (see ownedBuckets); Workspace.Bytes counts the buckets the arena holds.
+// Buckets are FP32 on both precision paths: accumulators and the Kahan
+// reduction run in FP32
 // (paper §5.2). A grouped ∇W carries I_C/G channels per filter, so at
 // equal Z a grouped plan's workspace is G× below the ungrouped layer's of
 // the same outer geometry.

@@ -18,10 +18,10 @@ import (
 //
 // No channel's operation sequence changes. The panel transforms run one
 // chain per column at any width, rounding is element-wise, the EWM keeps
-// the per-element Ŵ zero skip of the blocked panels, the output row runs
-// the per-element sum in every lane, and the phase-3 Kahan reduce visits
-// the buckets in order for every element. So the gradient is bit-identical
-// to running the per-group plan once per group.
+// the per-element Ŵ zero skip of the blocked panels, the output kernel
+// runs the per-element sum in every lane, and the phase-3 Kahan reduce
+// visits the buckets in order for every element. So the gradient is
+// bit-identical to running the per-group plan once per group.
 //
 // A unit covers every filter row of its channel block: it computes each Ŵ
 // panel once per (row, tile, image) and uses it at once in all F_H rows,
@@ -141,7 +141,7 @@ func (u channelUnit) run(p conv.Params, pl unitPlan, st storage, ops operands, b
 	if ut != nil {
 		t0 = time.Now()
 	}
-	u.writeOutput(p, pl, v, bucket, growF32(&s.acc, alpha*n+cb))
+	u.writeOutput(p, pl, v, bucket, growF32(&s.acc, n*(alpha+cb)))
 	if ut != nil {
 		ut.Epilogue += time.Since(t0)
 	}
@@ -160,21 +160,22 @@ func ewmDiag(v, w, x []float32) {
 }
 
 // writeOutput applies the output transform Aᵀ to the unit's accumulators
-// and stores its ∇W entries: for each filter row fh and output column i,
-// outputRow builds the cb-wide row over the block, and each channel's
-// value lands in its own ∇W slab, at stride F_H·F_W. Like the ungrouped
-// epilogue it stores rather than adds, so buckets need no zeroing. acc is
-// α·n + cb floats of scratch: Aᵀ in float32, then the row.
+// and stores its ∇W entries: for each filter row fh, one outputRows call
+// builds the n cb-wide rows over the block in scratch, reading each
+// accumulator once, and each channel's value lands in its own ∇W slab, at
+// stride F_H·F_W. Like the ungrouped epilogue it stores rather than adds,
+// so buckets need no zeroing. acc is α·n + n·cb floats of scratch: A in
+// float32, then the rows.
 func (u channelUnit) writeOutput(p conv.Params, pl unitPlan, v, bucket, acc []float32) {
 	n, alpha, cb := u.seg.K.N, u.seg.K.Alpha, u.cb
-	aT := transposeA(pl.a, acc, n, alpha)
-	row := acc[alpha*n : alpha*n+cb]
+	a := outputMatrix(pl.a, acc, n, alpha)
+	rows := acc[alpha*n : alpha*n+n*cb]
 	taps := p.FH * p.FW
 	for fh := 0; fh < p.FH; fh++ {
+		outputRows(rows, a, v[fh*alpha*cb:], n, cb, cb)
 		for i := 0; i < n; i++ {
-			outputRow(row, aT[i*alpha:(i+1)*alpha], v[fh*alpha*cb:], cb)
 			out := bucket[u.c0*taps+fh*p.FW+u.j*n+i:]
-			for k, val := range row {
+			for k, val := range rows[i*cb : (i+1)*cb] {
 				out[k*taps] = val
 			}
 		}

@@ -55,6 +55,16 @@ func reduceRef(cfg *Config, buckets [][]float32, dst *tensor.Float32) *tensor.Fl
 	return dst
 }
 
+// refBuckets returns Z fresh zeroed ∇W-sized buckets for the serial
+// reference executors, which add into them (writeOutputRef).
+func refBuckets(cfg *Config) [][]float32 {
+	buckets := make([][]float32, cfg.Z())
+	for i := range buckets {
+		buckets[i] = make([]float32, cfg.Params.DWShape().Elems())
+	}
+	return buckets
+}
+
 // sameBits fails unless got and want hold identical bit patterns (so +0
 // and −0 differ, and NaN never matches a number).
 func sameBits(t *testing.T, name string, got, want []float32) {

@@ -564,81 +564,75 @@ func (c *denseChunk) run(its []tileIter, first bool, smp *unitSampler, ut *obs.U
 }
 
 // writeOutput applies the FP32 output transform Aᵀ to the accumulators and
-// stores the n output columns into the bucket at (·, fh, colBase…, ·): for
-// each (oc, column i), outputRow builds the I_C-wide bucket row in place.
-// The segment's units together cover every bucket element exactly once,
-// so a store (not an add) is the whole epilogue: buckets need no zeroing,
-// and since each element is produced from +0 it is never −0, so the
-// stored bits equal the +0 + s of an add into a zeroed bucket. acc is at
-// least α·n floats of scratch, for Aᵀ in float32.
+// stores the n output columns into the bucket at (·, fh, colBase…, ·). The
+// n I_C-wide rows of one o_c are contiguous in the bucket, so one
+// outputRows call per o_c builds them in place, reading each accumulator
+// once. The segment's units together cover every bucket element exactly
+// once, so a store (not an add) is the whole epilogue: buckets need no
+// zeroing, and since each element is produced from +0 it is never −0, so
+// the stored bits equal the +0 + s of an add into a zeroed bucket. acc is
+// at least α·n floats of scratch, for A in float32.
 func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float32,
 	fh, colBase, n, alpha, oc, ic int, acc []float32) {
-	aT := transposeA(aMat, acc, n, alpha)
+	a := outputMatrix(aMat, acc, n, alpha)
 	dwShape := p.DWShape()
-	for a := 0; a < oc; a++ {
+	for o := 0; o < oc; o++ {
+		off := dwShape.Index(o, fh, colBase, 0)
+		outputRows(bucket[off:off+n*ic], a, v[o*ic:], n, ic, oc*ic)
+	}
+}
+
+// outputMatrix writes the α×n output matrix A in float32 to acc[:α·n],
+// row e holding A's row e, and returns it.
+func outputMatrix(aMat *winograd.Mat, acc []float32, n, alpha int) []float32 {
+	a := acc[:alpha*n]
+	for e := 0; e < alpha; e++ {
 		for i := 0; i < n; i++ {
-			off := dwShape.Index(a, fh, colBase+i, 0)
-			outputRow(bucket[off:off+ic], aT[i*alpha:(i+1)*alpha], v[a*ic:], oc*ic)
+			a[e*n+i] = float32(aMat.At(e, i))
 		}
+	}
+	return a
+}
+
+// maxOutputRows is the most rows the AVX2 output kernel keeps in
+// registers: n sums, the accumulator vector, a broadcast and a product
+// fill the 16 YMM registers.
+const maxOutputRows = 13
+
+// outputRows sets out[i·width + b] = Σ_e a[e·n + i]·v[e·stride + b] for
+// rows i < n and columns b < width, where a is the α×n output matrix
+// (α = len(a)/n) and v holds α accumulator rows at stride stride. Each
+// element starts at +0 and adds its terms in ascending e, multiply then
+// add — the operation sequence of a per-element dot product over the α
+// accumulators. On an AVX2 host the kernel produces the largest multiple
+// of 8 columns, loading each accumulator vector once for all n rows, and
+// outputRowsGo the rest.
+func outputRows(out, a, v []float32, n, width, stride int) {
+	alpha, lo := len(a)/n, 0
+	if n8 := width &^ 7; cpufeat.HasAVX2 && n8 > 0 && alpha > 0 && n <= maxOutputRows {
+		// The kernel checks no bounds; these slicings do.
+		_ = out[:(n-1)*width+n8]
+		_ = v[:(alpha-1)*stride+n8]
+		outputRowsAVX2(&out[0], &a[0], &v[0], n, alpha, width, stride)
+		lo = n8
+	}
+	if lo < width {
+		outputRowsGo(out, a, v, n, lo, width, stride)
 	}
 }
 
-// transposeA writes Aᵀ in float32 to acc[:n·α], row i holding column i of
-// the α×n output matrix A, and returns it.
-func transposeA(aMat *winograd.Mat, acc []float32, n, alpha int) []float32 {
-	aT := acc[:alpha*n]
+// outputRowsGo is outputRows over columns [lo, width): the portable path,
+// the AVX2 kernel's tail and its oracle.
+func outputRowsGo(out, a, v []float32, n, lo, width, stride int) {
+	alpha := len(a) / n
 	for i := 0; i < n; i++ {
+		row := out[i*width+lo : (i+1)*width]
+		clear(row)
 		for e := 0; e < alpha; e++ {
-			aT[i*alpha+e] = float32(aMat.At(e, i))
-		}
-	}
-	return aT
-}
-
-// outputRow sets row[b] = Σ_e cs[e]·v[e·stride + b]: each element starts at
-// +0 and adds its terms in ascending e — the operation sequence of a
-// per-element dot product over the α accumulators. On an AVX2 host the
-// AVX2 kernel produces the largest multiple of 8 elements, eight lanes
-// per register with the same per-lane sequence, and outputRowGo the rest.
-func outputRow(row, cs, v []float32, stride int) {
-	if n8 := len(row) &^ 7; cpufeat.HasAVX2 && n8 > 0 && len(cs) > 0 {
-		_ = v[(len(cs)-1)*stride : (len(cs)-1)*stride+len(row)] // the kernel checks no bounds
-		outputRowAVX2(&row[0], &cs[0], &v[0], n8, len(cs), stride)
-		if n8 == len(row) {
-			return
-		}
-		row, v = row[n8:], v[n8:]
-	}
-	outputRowGo(row, cs, v, stride)
-}
-
-// outputRowGo is the portable outputRow and the AVX2 kernel's oracle. Four
-// terms are added per pass over the row, so each element stays in a
-// register across them.
-func outputRowGo(row, cs, v []float32, stride int) {
-	for b := range row {
-		row[b] = 0
-	}
-	e := 0
-	for ; e+4 <= len(cs); e += 4 {
-		c0, c1, c2, c3 := cs[e], cs[e+1], cs[e+2], cs[e+3]
-		v0 := v[e*stride:][:len(row)]
-		v1 := v[(e+1)*stride:][:len(row)]
-		v2 := v[(e+2)*stride:][:len(row)]
-		v3 := v[(e+3)*stride:][:len(row)]
-		for b := range row {
-			s := row[b]
-			s += c0 * v0[b]
-			s += c1 * v1[b]
-			s += c2 * v2[b]
-			s += c3 * v3[b]
-			row[b] = s
-		}
-	}
-	for ; e < len(cs); e++ {
-		c := cs[e]
-		for b, x := range v[e*stride:][:len(row)] {
-			row[b] += c * x
+			c := a[e*n+i]
+			for b, x := range v[e*stride+lo:][:len(row)] {
+				row[b] += c * x
+			}
 		}
 	}
 }

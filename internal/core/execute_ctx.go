@@ -12,9 +12,12 @@ import (
 // claim of the shared sched pool — the pre-pass, the unit grid and the
 // reduction all abandon their remaining work — and ctx.Err() is returned.
 // The partial result is discarded (the returned tensor is nil; a supplied
-// dst may be partly overwritten) and the workspace is quiescent on return:
-// no pool participant still touches it, so pooled callers may recycle it
-// immediately (the next execution stores every bucket element afresh).
+// dst may be partly overwritten — an ungrouped plan's segment-0 units store
+// into it as they finish, and its phase 3 reduces into it in place, while
+// a grouped plan leaves each group's ∇W slab complete or untouched) and
+// the workspace is quiescent on return: no pool participant still touches
+// it, so pooled callers may recycle it immediately (the next execution
+// stores every bucket element afresh).
 //
 // An uncancelled ExecuteInCtx produces a result bit-identical to
 // ExecuteIn. Unlike ExecuteIn, each call arms one context watcher, so the

@@ -184,6 +184,29 @@ func cancelNoPartialGroups(t *testing.T, p conv.Params) {
 	})
 }
 
+// Phase 3 of a grouped plan must start every chunk on a group slab
+// boundary at every pool width, so cancellation between chunks leaves
+// each slab complete or untouched. The plan's ∇W spans more than four
+// reduceGrain ranges and its slabs are not multiples of the automatic
+// grain, so an unrounded grain would split slabs at every width.
+func TestGroupedReduceChunksWholeSlabs(t *testing.T) {
+	p := conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 2}
+	elems := p.DWShape().Elems()
+	if elems < 4*reduceGrain {
+		t.Fatalf("|∇W| = %d, want ≥ %d", elems, 4*reduceGrain)
+	}
+	slab := elems / p.G()
+	for _, width := range []int{1, 2, 4, 8} {
+		grain := reduceChunk(elems, p.G(), width)
+		for lo := 0; lo < elems; lo += grain {
+			if lo%slab != 0 {
+				t.Fatalf("width %d: chunk [%d, %d) starts inside a %d-element slab",
+					width, lo, min(lo+grain, elems), slab)
+			}
+		}
+	}
+}
+
 // Steady-state grouped execution through a warm pool must not allocate:
 // the execJob is embedded in the Workspace, the buckets, Ŵ cache and
 // operand mirrors are grown once, and batch descriptors are pooled.

@@ -9,8 +9,9 @@ package core
 //go:noescape
 func ewmBlockAVX2(v, w, x *float32, oc, ic, n8, tc, first int)
 
-// outputRowAVX2 is the AVX2 body of outputRow: row[b] = Σ_e cs[e]·v[e·stride+b]
-// for b < n8, a positive multiple of 8, over alpha ≥ 1 terms.
+// outputRowsAVX2 is the AVX2 body of outputRows: out[i·width+b] =
+// Σ_e a[e·n+i]·v[e·stride+b] for rows i < n (1 ≤ n ≤ maxOutputRows) and
+// columns b < width&^7, over alpha ≥ 1 terms.
 //
 //go:noescape
-func outputRowAVX2(row, cs, v *float32, n8, alpha, stride int)
+func outputRowsAVX2(out, a, v *float32, n, alpha, width, stride int)

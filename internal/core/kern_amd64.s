@@ -30,10 +30,14 @@ TEXT ·ewmBlockAVX2(SB), NOSPLIT, $0-64
 	SHLQ $2, R9                    // bytes per row the kernel covers
 	SHLQ $2, R11                   // w tile stride, bytes
 
+	PCALIGN $32
+
 quad:
 	CMPQ CX, $4
 	JLT  single
 	XORQ BX, BX                    // byte offset of the current column block
+
+	PCALIGN $32
 
 q16:
 	LEAQ 64(BX), AX
@@ -67,6 +71,8 @@ q16go:
 	MOVQ SI, R12
 	LEAQ (DX)(BX*1), R13
 	MOVQ tc+48(FP), R10
+
+	PCALIGN $32
 
 q16tile:
 	VMOVUPS (R13), Y8
@@ -140,6 +146,8 @@ q8go:
 	LEAQ (DX)(BX*1), R13
 	MOVQ tc+48(FP), R10
 
+	PCALIGN $32
+
 q8tile:
 	VMOVUPS (R13), Y8
 	TESTL $0x7fffffff, (R12)
@@ -183,10 +191,14 @@ qnext:
 	SUBQ $4, CX
 	JMP  quad
 
+	PCALIGN $32
+
 single:
 	TESTQ CX, CX
 	JZ   done
 	XORQ BX, BX
+
+	PCALIGN $32
 
 s16:
 	LEAQ 64(BX), AX
@@ -206,6 +218,8 @@ s16go:
 	MOVQ SI, R12
 	LEAQ (DX)(BX*1), R13
 	MOVQ tc+48(FP), R10
+
+	PCALIGN $32
 
 s16tile:
 	TESTL $0x7fffffff, (R12)
@@ -242,6 +256,8 @@ s8go:
 	LEAQ (DX)(BX*1), R13
 	MOVQ tc+48(FP), R10
 
+	PCALIGN $32
+
 s8tile:
 	TESTL $0x7fffffff, (R12)
 	JZ   s8t
@@ -266,74 +282,290 @@ done:
 	VZEROUPPER
 	RET
 
-// func outputRowAVX2(row, cs, v *float32, n8, alpha, stride int)
+// func outputRowsAVX2(out, a, v *float32, n, alpha, width, stride int)
 //
-// Each lane starts at +0 and adds cs[e]·v[e·stride+b] in ascending e.
-// Chunks go four 8-lane registers at a time, then one at a time.
-TEXT ·outputRowAVX2(SB), NOSPLIT, $0-48
-	MOVQ row+0(FP), DI
-	MOVQ cs+8(FP), SI
-	MOVQ v+16(FP), DX
-	MOVQ n8+24(FP), R9
-	MOVQ alpha+32(FP), CX
-	MOVQ stride+40(FP), R8
-	SHLQ $2, R9                    // bytes to produce
-	SHLQ $2, R8                    // stride, bytes
-	MOVQ R9, R10
-	ANDQ $-128, R10                // bytes covered by 32-lane steps
-	XORQ BX, BX                    // byte offset of the current chunk
+// a is the output matrix, [alpha][n]; out is n rows of width floats and v
+// alpha rows at stride floats. The row sums of a column block stay in
+// registers across all alpha terms, and each term loads v[e][block] once
+// for all n rows. Each lane starts at +0 and adds a[e][i]·v[e][b] in
+// ascending e. With n ≤ 6 the blocks are 16 columns wide: row i's sums
+// are Y(2i) and Y(2i+1), Y12/Y13 hold v[e][block], Y14 the broadcast
+// a[e][i] and Y15 a product. Then, and for every block when n > 6, the
+// blocks are 8 columns wide: row i's sum is Yi (n ≤ 13) and Y13 holds
+// v[e][block]. The compare ladders stop after row n−1; their branches go
+// the same way for a whole call. R13 walks v[e][block] and R14 a[e]
+// across the terms, up to the end of a in R9.
 
-loop32:
-	CMPQ BX, R10
-	JEQ  loop8
+// ROW adds row i's term to its sum S, ROW2 to its sums S0 and S1; OFF is
+// 4·i, the coefficient's byte offset in a[e].
+#define ROW(OFF, S) VBROADCASTSS OFF(R14), Y14; VMULPS Y13, Y14, Y15; VADDPS Y15, S, S
+#define ROW2(OFF, S0, S1) VBROADCASTSS OFF(R14), Y14; VMULPS Y12, Y14, Y15; VADDPS Y15, S0, S0; VMULPS Y13, Y14, Y15; VADDPS Y15, S1, S1
+
+TEXT ·outputRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ alpha+32(FP), R9
+	MOVQ width+40(FP), R8
+	MOVQ stride+48(FP), R10
+	MOVQ CX, R11
+	SHLQ $2, R11                   // a row stride, bytes
+	IMULQ R11, R9
+	ADDQ SI, R9                    // end of a
+	SHLQ $2, R8                    // out row stride, bytes
+	SHLQ $2, R10                   // v row stride, bytes
+	XORQ BX, BX                    // byte offset of the current block
+	XORQ R12, R12                  // bytes of 16-column blocks: none when n > 6
+	CMPQ CX, $6
+	JGT  pairs
+	MOVQ R8, R12
+	ANDQ $-64, R12
+
+	PCALIGN $32
+
+pairs:
+	CMPQ BX, R12
+	JEQ  singles
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
+	CMPQ CX, $1
+	JEQ  zeroed16
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	LEAQ (DX)(BX*1), R11           // &v[e·stride+b], e = 0
-	MOVQ SI, R12
-	MOVQ CX, R13
+	CMPQ CX, $2
+	JEQ  zeroed16
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	CMPQ CX, $3
+	JEQ  zeroed16
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	CMPQ CX, $4
+	JEQ  zeroed16
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	CMPQ CX, $5
+	JEQ  zeroed16
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
 
-term32:
-	VBROADCASTSS (R12), Y4
-	VMULPS (R11), Y4, Y5
-	VMULPS 32(R11), Y4, Y6
-	VMULPS 64(R11), Y4, Y7
-	VMULPS 96(R11), Y4, Y8
-	VADDPS Y5, Y0, Y0
-	VADDPS Y6, Y1, Y1
-	VADDPS Y7, Y2, Y2
-	VADDPS Y8, Y3, Y3
-	ADDQ $4, R12
-	ADDQ R8, R11
-	DECQ R13
-	JNZ  term32
-	VMOVUPS Y0, (DI)(BX*1)
-	VMOVUPS Y1, 32(DI)(BX*1)
-	VMOVUPS Y2, 64(DI)(BX*1)
-	VMOVUPS Y3, 96(DI)(BX*1)
-	ADDQ $128, BX
-	JMP  loop32
+zeroed16:
+	LEAQ (DX)(BX*1), R13
+	MOVQ SI, R14
 
-loop8:
-	CMPQ BX, R9
+	PCALIGN $32
+
+term16:
+	VMOVUPS (R13), Y12
+	VMOVUPS 32(R13), Y13
+	ROW2(0, Y0, Y1)
+	CMPQ CX, $1
+	JEQ  next16
+	ROW2(4, Y2, Y3)
+	CMPQ CX, $2
+	JEQ  next16
+	ROW2(8, Y4, Y5)
+	CMPQ CX, $3
+	JEQ  next16
+	ROW2(12, Y6, Y7)
+	CMPQ CX, $4
+	JEQ  next16
+	ROW2(16, Y8, Y9)
+	CMPQ CX, $5
+	JEQ  next16
+	ROW2(20, Y10, Y11)
+
+next16:
+	ADDQ R11, R14
+	ADDQ R10, R13
+	CMPQ R14, R9
+	JNE  term16
+	LEAQ (DI)(BX*1), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	CMPQ CX, $1
+	JEQ  stored16
+	ADDQ R8, AX
+	VMOVUPS Y2, (AX)
+	VMOVUPS Y3, 32(AX)
+	CMPQ CX, $2
+	JEQ  stored16
+	ADDQ R8, AX
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, 32(AX)
+	CMPQ CX, $3
+	JEQ  stored16
+	ADDQ R8, AX
+	VMOVUPS Y6, (AX)
+	VMOVUPS Y7, 32(AX)
+	CMPQ CX, $4
+	JEQ  stored16
+	ADDQ R8, AX
+	VMOVUPS Y8, (AX)
+	VMOVUPS Y9, 32(AX)
+	CMPQ CX, $5
+	JEQ  stored16
+	ADDQ R8, AX
+	VMOVUPS Y10, (AX)
+	VMOVUPS Y11, 32(AX)
+
+stored16:
+	ADDQ $64, BX
+	JMP  pairs
+
+singles:
+	MOVQ R8, R12
+	ANDQ $-32, R12                 // bytes of whole 8-column blocks
+
+	PCALIGN $32
+
+block:
+	CMPQ BX, R12
 	JEQ  done
 	VXORPS Y0, Y0, Y0
-	LEAQ (DX)(BX*1), R11
-	MOVQ SI, R12
-	MOVQ CX, R13
+	CMPQ CX, $1
+	JEQ  zeroed
+	VXORPS Y1, Y1, Y1
+	CMPQ CX, $2
+	JEQ  zeroed
+	VXORPS Y2, Y2, Y2
+	CMPQ CX, $3
+	JEQ  zeroed
+	VXORPS Y3, Y3, Y3
+	CMPQ CX, $4
+	JEQ  zeroed
+	VXORPS Y4, Y4, Y4
+	CMPQ CX, $5
+	JEQ  zeroed
+	VXORPS Y5, Y5, Y5
+	CMPQ CX, $6
+	JEQ  zeroed
+	VXORPS Y6, Y6, Y6
+	CMPQ CX, $7
+	JEQ  zeroed
+	VXORPS Y7, Y7, Y7
+	CMPQ CX, $8
+	JEQ  zeroed
+	VXORPS Y8, Y8, Y8
+	CMPQ CX, $9
+	JEQ  zeroed
+	VXORPS Y9, Y9, Y9
+	CMPQ CX, $10
+	JEQ  zeroed
+	VXORPS Y10, Y10, Y10
+	CMPQ CX, $11
+	JEQ  zeroed
+	VXORPS Y11, Y11, Y11
+	CMPQ CX, $12
+	JEQ  zeroed
+	VXORPS Y12, Y12, Y12
 
-term8:
-	VBROADCASTSS (R12), Y4
-	VMULPS (R11), Y4, Y5
-	VADDPS Y5, Y0, Y0
-	ADDQ $4, R12
-	ADDQ R8, R11
-	DECQ R13
-	JNZ  term8
-	VMOVUPS Y0, (DI)(BX*1)
+zeroed:
+	LEAQ (DX)(BX*1), R13
+	MOVQ SI, R14
+
+	PCALIGN $32
+
+term:
+	VMOVUPS (R13), Y13
+	ROW(0, Y0)
+	CMPQ CX, $1
+	JEQ  next
+	ROW(4, Y1)
+	CMPQ CX, $2
+	JEQ  next
+	ROW(8, Y2)
+	CMPQ CX, $3
+	JEQ  next
+	ROW(12, Y3)
+	CMPQ CX, $4
+	JEQ  next
+	ROW(16, Y4)
+	CMPQ CX, $5
+	JEQ  next
+	ROW(20, Y5)
+	CMPQ CX, $6
+	JEQ  next
+	ROW(24, Y6)
+	CMPQ CX, $7
+	JEQ  next
+	ROW(28, Y7)
+	CMPQ CX, $8
+	JEQ  next
+	ROW(32, Y8)
+	CMPQ CX, $9
+	JEQ  next
+	ROW(36, Y9)
+	CMPQ CX, $10
+	JEQ  next
+	ROW(40, Y10)
+	CMPQ CX, $11
+	JEQ  next
+	ROW(44, Y11)
+	CMPQ CX, $12
+	JEQ  next
+	ROW(48, Y12)
+
+next:
+	ADDQ R11, R14
+	ADDQ R10, R13
+	CMPQ R14, R9
+	JNE  term
+	LEAQ (DI)(BX*1), AX
+	VMOVUPS Y0, (AX)
+	CMPQ CX, $1
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y1, (AX)
+	CMPQ CX, $2
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y2, (AX)
+	CMPQ CX, $3
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y3, (AX)
+	CMPQ CX, $4
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y4, (AX)
+	CMPQ CX, $5
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y5, (AX)
+	CMPQ CX, $6
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y6, (AX)
+	CMPQ CX, $7
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y7, (AX)
+	CMPQ CX, $8
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y8, (AX)
+	CMPQ CX, $9
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y9, (AX)
+	CMPQ CX, $10
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y10, (AX)
+	CMPQ CX, $11
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y11, (AX)
+	CMPQ CX, $12
+	JEQ  stored
+	ADDQ R8, AX
+	VMOVUPS Y12, (AX)
+
+stored:
 	ADDQ $32, BX
-	JMP  loop8
+	JMP  block
 
 done:
 	VZEROUPPER

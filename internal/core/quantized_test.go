@@ -323,15 +323,15 @@ func quantizeSlice(vs []float32, q Quantizer) {
 // over channel slices into the group's ∇W slab.
 func executeQuantizedRef(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
 	pass := func(cfg *Config, x, dy, dst *tensor.Float32) *tensor.Float32 {
-		ws := NewWorkspace(cfg)
+		buckets := refBuckets(cfg)
 		for si, seg := range cfg.Segments {
 			for fh := 0; fh < cfg.Params.FH; fh++ {
 				for j := 0; j < cfg.Params.FW/seg.K.N; j++ {
-					segmentTileQuantizedRef(cfg.Params, seg, fh, j, x, dy, ws.buckets[si], q)
+					segmentTileQuantizedRef(cfg.Params, seg, fh, j, x, dy, buckets[si], q)
 				}
 			}
 		}
-		return reduceRef(cfg, ws.buckets, dst)
+		return reduceRef(cfg, buckets, dst)
 	}
 	gcfg := cfg.GroupConfig()
 	if gcfg == nil {

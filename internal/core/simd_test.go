@@ -231,29 +231,85 @@ func FuzzEWMPanelAVX2(f *testing.F) {
 	})
 }
 
-// The AVX2 output row must match outputRowGo bit for bit (NaN equal to
-// NaN) at every row length from 0 to 80, α from 1 to 16 terms, strides
-// beyond the row, unaligned starts, and ±0, subnormal, 1e±30, ±Inf and
-// NaN operands.
+// The AVX2 output kernel must match outputRowsGo bit for bit (NaN equal
+// to NaN) for every row count it takes (1 to maxOutputRows), α from 1 to
+// 16, widths on and off the 8-column blocks, with ±0, subnormal, ±Inf
+// and NaN accumulators and ±0 coefficients (0·Inf must stay NaN). Its
+// rows start from stale NaN, and the row after the n it owns stays
+// untouched.
+func TestOutputRowsMatchesGo(t *testing.T) {
+	if !cpufeat.HasAVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(53))
+	special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	value := func() float32 {
+		if rng.Intn(8) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+	}
+	const sentinel = float32(-12345.5)
+	for n := 1; n <= maxOutputRows; n++ {
+		for _, alpha := range []int{1, 2, 3, 4, 6, 8, 16} {
+			for _, width := range []int{1, 7, 8, 9, 16, 23, 40, 64} {
+				stride := width + rng.Intn(9)
+				a := make([]float32, alpha*n)
+				for i := range a {
+					a[i] = value()
+				}
+				v := make([]float32, (alpha-1)*stride+width)
+				for i := range v {
+					v[i] = value()
+				}
+				want := make([]float32, n*width)
+				got := make([]float32, (n+1)*width)
+				for i := range got {
+					got[i] = float32(math.NaN())
+				}
+				for i := n * width; i < len(got); i++ {
+					got[i] = sentinel
+				}
+				outputRowsGo(want, a, v, n, 0, width, stride)
+				outputRows(got[:n*width], a, v, n, width, stride)
+				if i := sameBitsOrNaN(got, want); i >= 0 {
+					t.Fatalf("n=%d α=%d width=%d stride=%d: element %d = %v, want %v",
+						n, alpha, width, stride, i, got[i], want[i])
+				}
+				for i, g := range got[n*width:] {
+					if g != sentinel {
+						t.Fatalf("n=%d α=%d width=%d: row %d column %d overwritten with %v", n, alpha, width, n, i, g)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The AVX2 output kernel must match outputRowsGo bit for bit (NaN equal
+// to NaN) at n from 1 to 12 rows, α from 1 to 16 terms, every width from
+// 0 to 80, strides beyond the width, unaligned starts, and ±0, subnormal,
+// 1e±30, ±Inf and NaN operands.
 func FuzzOutputRowAVX2(f *testing.F) {
-	f.Add([]byte{0x10, 0x40, 0x80, 0x01, 0x3c, 0x07}, uint8(17), uint8(8), uint8(0), uint8(1))
-	f.Add([]byte{0x06, 0x22, 0x99, 0x07}, uint8(80), uint8(16), uint8(5), uint8(0))
-	f.Add([]byte{0x00, 0x02, 0x03}, uint8(40), uint8(3), uint8(2), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, nB, alphaB, padB, shift uint8) {
+	f.Add([]byte{0x10, 0x40, 0x80, 0x01, 0x3c, 0x07}, uint8(3), uint8(17), uint8(8), uint8(0), uint8(1))
+	f.Add([]byte{0x06, 0x22, 0x99, 0x07}, uint8(9), uint8(80), uint8(16), uint8(5), uint8(0))
+	f.Add([]byte{0x00, 0x02, 0x03}, uint8(12), uint8(40), uint8(3), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, rowsB, widthB, alphaB, padB, shift uint8) {
 		if !cpufeat.HasAVX2 {
 			t.Skip("no AVX2")
 		}
-		n, alpha, sh := int(nB%81), 1+int(alphaB%16), int(shift%8)
-		stride := n + int(padB%9)
-		cs := fuzzFloats(data, sh+alpha, 0, true)[sh:]
-		v := fuzzFloats(data, sh+(alpha-1)*stride+n, 5, true)[sh:]
-		want := make([]float32, sh+n)[sh:]
-		got := fuzzFloats(data, sh+n, 11, true)[sh:] // stale contents
-		outputRowGo(want, cs, v, stride)
-		outputRow(got, cs, v, stride)
+		n, width, alpha, sh := 1+int(rowsB%12), int(widthB%81), 1+int(alphaB%16), int(shift%8)
+		stride := width + int(padB%9)
+		a := fuzzFloats(data, sh+alpha*n, 0, true)[sh:]
+		v := fuzzFloats(data, sh+(alpha-1)*stride+width, 5, true)[sh:]
+		want := make([]float32, sh+n*width)[sh:]
+		got := fuzzFloats(data, sh+n*width, 11, true)[sh:] // stale contents
+		outputRowsGo(want, a, v, n, 0, width, stride)
+		outputRows(got, a, v, n, width, stride)
 		if i := sameBitsOrNaN(got, want); i >= 0 {
-			t.Fatalf("n=%d α=%d stride=%d shift=%d: element %d = %v, want %v",
-				n, alpha, stride, sh, i, got[i], want[i])
+			t.Fatalf("n=%d width=%d α=%d stride=%d shift=%d: element %d = %v, want %v",
+				n, width, alpha, stride, sh, i, got[i], want[i])
 		}
 	})
 }

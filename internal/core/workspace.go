@@ -10,12 +10,14 @@ import (
 	"winrs/internal/tensor"
 )
 
-// Workspace is the reusable scratch arena of one plan: the Z ∇W-sized FP32
+// Workspace is the reusable scratch arena of one plan: the ∇W-sized FP32
 // buckets of the paper's partitioning phase plus the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels that every fused unit reads (one
 // α·O_C panel per (segment row, width tile, batch image), filled once per
-// execution and reused across all G·F_H·(F_W/n) units of a segment). A
-// grouped plan's buckets and cache span the whole layer, like an
+// execution and reused across all G·F_H·(F_W/n) units of a segment). An
+// ungrouped plan's bucket 0 is the call's destination, as in the paper's
+// Table 2, so its arena holds Z−1 buckets. A grouped plan's arena holds
+// all Z, and its buckets and cache span the whole layer, like an
 // ungrouped plan's: each bucket holds the G per-group ∇W slabs.
 // Executions through ExecuteIn reuse it across steps, so a steady-state
 // caller (the serving runtime's workspace pool, a training loop) pays the
@@ -24,8 +26,14 @@ import (
 // A Workspace is NOT safe for concurrent use; the Config it was built for
 // is read-only and may be shared freely.
 type Workspace struct {
-	z, elems int
-	buckets  [][]float32
+	z, owned, elems int
+
+	// buckets is the call's bucket list, Z entries; the workspace owns the
+	// last owned of them. When it owns Z−1 (an ungrouped plan), entry 0 is
+	// bound to the call's destination by execute and cleared before it
+	// returns, so a pooled workspace never keeps a caller's result
+	// reachable.
+	buckets [][]float32
 
 	// Schedule tables of the bound config: global unit, Ŵ-cache element
 	// and global segment-row prefixes per segment. Rebuilt only when the
@@ -54,12 +62,25 @@ type Workspace struct {
 	job execJob
 }
 
-// NewWorkspace allocates the bucket arena for cfg and binds its schedule
-// tables.
+// ownedBuckets returns how many of cfg's Z buckets its workspace holds.
+// An ungrouped plan's bucket 0 is the destination: Z−1. A grouped plan,
+// depthwise included, keeps its own bucket 0, so that phase 3 alone
+// writes the destination and a cancelled run leaves each group's ∇W slab
+// complete or untouched: Z.
+func ownedBuckets(cfg *Config) int {
+	if cfg.Params.G() == 1 {
+		return cfg.Z() - 1
+	}
+	return cfg.Z()
+}
+
+// NewWorkspace allocates the bucket arena for cfg — the buckets it owns,
+// see ownedBuckets — and binds its schedule tables.
 func NewWorkspace(cfg *Config) *Workspace {
+	z, owned := cfg.Z(), ownedBuckets(cfg)
 	elems := cfg.Params.DWShape().Elems()
-	ws := &Workspace{z: cfg.Z(), elems: elems, buckets: make([][]float32, cfg.Z())}
-	for i := range ws.buckets {
+	ws := &Workspace{z: z, owned: owned, elems: elems, buckets: make([][]float32, z)}
+	for i := z - owned; i < z; i++ {
 		ws.buckets[i] = make([]float32, elems)
 	}
 	ws.rebind(cfg)
@@ -90,26 +111,32 @@ func (ws *Workspace) rebind(cfg *Config) {
 	}
 }
 
-// Fits reports whether the workspace matches cfg's bucket geometry (same
-// segment count and gradient size). Schedule tables rebind automatically.
+// Fits reports whether the workspace matches cfg's bucket geometry: the
+// same segment count, gradient size and owned-bucket count, so a
+// workspace built for an ungrouped plan never serves a grouped one of
+// equal Z and |∇W|. Schedule tables rebind automatically.
 func (ws *Workspace) Fits(cfg *Config) bool {
-	return ws != nil && ws.z == cfg.Z() && ws.elems == cfg.Params.DWShape().Elems()
+	return ws != nil && ws.z == cfg.Z() && ws.owned == ownedBuckets(cfg) &&
+		ws.elems == cfg.Params.DWShape().Elems()
 }
 
-// Bytes returns the arena footprint: buckets plus whatever Ŵ-cache and
-// operand-mirror arenas the executed storage policies have materialized.
-// The cache stays within the analytic bound documented on
+// Bytes returns the arena footprint: the owned buckets plus whatever
+// Ŵ-cache and operand-mirror arenas the executed storage policies have
+// materialized. For an ungrouped plan the buckets are exactly
+// Config.WorkspaceBytes, (Z−1)·|∇W|; a grouped plan holds one bucket
+// more. The cache stays within the analytic bound documented on
 // Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
-	return int64(ws.z)*int64(ws.elems)*4 +
+	return int64(ws.owned)*int64(ws.elems)*4 +
 		int64(cap(ws.what32)+cap(ws.xMirror)+cap(ws.dyMirror))*4
 }
 
 // ensureWorkspace returns a workspace for cfg: the caller's if it fits
 // (rebinding its schedule tables when cfg changed), a fresh one when ws is
 // nil. Bucket contents are never cleared: every execution's units store
-// each bucket element exactly once (see writeOutput) before phase 3 reads
-// it, so whatever a previous — possibly cancelled — run left there is
+// each bucket element exactly once (see writeOutput) — segment 0 of an
+// ungrouped plan straight into the destination — before phase 3 reads
+// it, so whatever a previous, possibly cancelled, run left there is
 // overwritten.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
@@ -126,10 +153,28 @@ func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 // it, recruiting a pool helper costs more than the Kahan loop it shares.
 const reduceGrain = 4096
 
+// reduceChunk returns phase 3's chunk length over the elems ∇W elements of
+// a plan with g groups on a pool of the given width: RunBatch's automatic
+// grain (≈4 chunks per participant), floored at reduceGrain. A grouped
+// plan rounds it up to whole group slabs, so every chunk boundary is a
+// slab boundary and cancellation between chunks leaves each slab complete
+// or untouched.
+func reduceChunk(elems, g, workers int) int {
+	w := 4 * workers
+	grain := max(reduceGrain, (elems+w-1)/w)
+	if g > 1 {
+		slab := elems / g
+		grain = (grain + slab - 1) / slab * slab
+	}
+	return grain
+}
+
 // reduceRange is phase 3 over ∇W elements [lo, hi): the Kahan-compensated
 // sum of the Z buckets into dst, each element visiting the buckets in
-// bucket order, or a plain copy when Z = 1. Any split of the element range
-// therefore produces the same bits.
+// bucket order, or a plain copy of a grouped plan's one bucket when Z = 1.
+// Any split of the element range therefore produces the same bits. For an
+// ungrouped plan buckets[0] is dst itself; the reduce reads every bucket
+// of an element before its one store, so running in place changes no bit.
 func reduceRange(dst []float32, buckets [][]float32, lo, hi int) {
 	if len(buckets) == 1 {
 		copy(dst[lo:hi], buckets[0][lo:hi])
@@ -140,15 +185,18 @@ func reduceRange(dst []float32, buckets [][]float32, lo, hi int) {
 
 // ExecuteIn runs the configured FP32 plan with caller-provided scratch: ws
 // supplies the buckets and Ŵ cache (nil allocates fresh) and dst receives
-// the gradient (nil allocates fresh). With both provided, the steady-state
-// execution allocates nothing — the serving runtime's zero-allocation hot
-// path: the pre-pass and the unit grid both schedule onto the persistent
-// sched pool through the task embedded in the workspace.
+// the gradient (nil allocates fresh). An ungrouped plan's segment-0 units
+// store straight into dst, so dst must not overlap x or dy. With both
+// provided, the steady-state execution allocates nothing — the serving
+// runtime's zero-allocation hot path: the pre-pass and the unit grid both
+// schedule onto the persistent sched pool through the task embedded in
+// the workspace. The workspace keeps no reference to dst once the call
+// returns.
 //
 // When obs.TraceEnabled, the pre-pass records the what_transform stage,
 // every fused unit records segment-tile plus sampled transform and EWM
-// durations, and the reduction records the reduce stage; the disabled path
-// costs one atomic load per call.
+// durations, and phase 3, where the plan runs one, records the reduce
+// stage; the disabled path costs one atomic load per call.
 func ExecuteIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) *tensor.Float32 {
 	out, _ := execute(cfg, ws, planar(cfg.Params, x.Shape, dy.Shape,
 		operand{f32: x.Data}, operand{f32: dy.Data}, "Execute"), fp32Storage, dst, nil)
@@ -169,13 +217,16 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // quantized, grouped and 3-D: bring the operands into float32 form, fill
 // the Ŵ cache, run the dense unit grid, Kahan-reduce the buckets into dst
 // (allocated when nil). Depthwise plans run the channel-wide unit grid of
-// depthwise.go instead of the fill and the dense grid.
+// depthwise.go instead of the fill and the dense grid. An ungrouped plan
+// binds dst as bucket 0 for the call: segment 0's units store into it,
+// phase 3 reduces buckets 1…Z−1 into it in place, and a Z = 1 plan runs
+// no phase 3. A grouped plan's units store only into its own buckets.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial
-// results, and no result is produced. On a grouped plan phase 3 reduces
-// whole group slabs per chunk, so a cancelled run leaves every group's
-// ∇W slab complete or untouched.
+// results, and no result is produced. On a grouped plan phase 3 alone
+// writes dst and reduces whole group slabs per chunk, so a cancelled run
+// leaves every group's ∇W slab complete or untouched.
 func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	p := cfg.Params
 	if dst == nil {
@@ -186,18 +237,17 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	ws = ensureWorkspace(cfg, ws)
 	ws.bindPlans(cfg, st)
 	ws.job = execJob{cfg: cfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled(), dst: dst.Data}
-	defer func() { ws.job = execJob{} }()
-	pool := execPool()
-	// Phase 3 runs over element ranges: RunBatch's automatic grain (≈4
-	// chunks per participant), floored at reduceGrain.
-	w := 4 * pool.Workers()
-	grain := max(reduceGrain, (ws.elems+w-1)/w)
-	if g := p.G(); g > 1 {
-		// Whole group slabs per reduce chunk, so cancellation between
-		// chunks leaves each slab complete or untouched.
-		slab := ws.elems / g
-		grain = (grain + slab - 1) / slab * slab
+	dstIsBucket0 := ws.owned < ws.z
+	if dstIsBucket0 {
+		ws.buckets[0] = dst.Data
 	}
+	defer func() {
+		ws.job = execJob{}
+		if dstIsBucket0 {
+			ws.buckets[0] = nil
+		}
+	}()
+	pool := execPool()
 	if cfg.dwBlock > 0 {
 		ws.job.phase = phaseChannels
 		pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
@@ -213,8 +263,11 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	if cancel.Cancelled() {
 		return nil, false
 	}
+	if dstIsBucket0 && ws.z == 1 {
+		return dst, true
+	}
 	ws.job.phase = phaseReduce
-	ws.runPhase(pool, ws.elems, grain, obs.StageReduce, cancel)
+	ws.runPhase(pool, ws.elems, reduceChunk(ws.elems, p.G(), pool.Workers()), obs.StageReduce, cancel)
 	if cancel.Cancelled() {
 		return nil, false
 	}

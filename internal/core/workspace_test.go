@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"winrs/internal/conv"
 	"winrs/internal/tensor"
@@ -24,8 +26,8 @@ func TestExecuteInMatchesExecute(t *testing.T) {
 	if !ws.Fits(cfg) {
 		t.Fatal("fresh workspace should fit its config")
 	}
-	// The arena holds Z buckets; the paper's workspace figure counts the
-	// Z−1 extra copies beyond ∇W itself.
+	// The arena holds the Z−1 buckets of the paper's workspace figure:
+	// bucket 0 is the destination itself.
 	if ws.Bytes() < cfg.WorkspaceBytes() {
 		t.Errorf("workspace %d bytes, below config's %d", ws.Bytes(), cfg.WorkspaceBytes())
 	}
@@ -200,5 +202,82 @@ func TestGroupedWorkspaceBytesCountsArenasOnce(t *testing.T) {
 					width, ws.Bytes(), want, int64(cfg.Z())*dw, cfg.WHatCacheBytes())
 			}
 		})
+	}
+}
+
+// zLayer realizes Z = 1, 2 and 3 under WithSegments(z): one Ω8(3,6) tile
+// per row, no residual column.
+var zLayer = conv.Params{N: 1, IH: 12, IW: 6, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1}
+
+func configureZ(t *testing.T, p conv.Params, z int) *Config {
+	t.Helper()
+	cfg, err := Configure(p, WithSegments(z))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Z() != z {
+		t.Fatalf("realized Z = %d, want %d", cfg.Z(), z)
+	}
+	return cfg
+}
+
+// An ungrouped plan's bucket 0 is its destination, so after one FP32
+// execution (no operand mirrors) the workspace holds exactly the paper's
+// (Z−1)·|∇W| buckets plus the Ŵ cache.
+func TestWorkspaceBytesUngroupedIsPaperFigure(t *testing.T) {
+	x, dy := poolLayer(t, 45, zLayer)
+	for _, z := range []int{1, 2, 3} {
+		cfg := configureZ(t, zLayer, z)
+		ws := NewWorkspace(cfg)
+		ExecuteIn(cfg, ws, x, dy, nil)
+		if want := cfg.WorkspaceBytes() + cfg.WHatCacheBytes(); ws.Bytes() != want {
+			t.Errorf("Z=%d: Bytes() = %d, want %d (buckets %d + Ŵ cache %d)",
+				z, ws.Bytes(), want, cfg.WorkspaceBytes(), cfg.WHatCacheBytes())
+		}
+	}
+}
+
+// A workspace built for an ungrouped plan owns one bucket fewer than a
+// grouped plan of the same Z and |∇W| needs, so it must not fit one.
+func TestWorkspaceUngroupedDoesNotFitGrouped(t *testing.T) {
+	pg := zLayer
+	pg.Groups, pg.IC = 2, 2*zLayer.IC // I_C/G = I_C: the same ∇W size
+	cfg, cfgG := configureZ(t, zLayer, 2), configureZ(t, pg, 2)
+	if cfg.Params.DWShape().Elems() != cfgG.Params.DWShape().Elems() {
+		t.Fatal("the two plans' gradients differ in size")
+	}
+	if NewWorkspace(cfg).Fits(cfgG) || NewWorkspace(cfgG).Fits(cfg) {
+		t.Error("a workspace fits a plan with a different owned-bucket count")
+	}
+}
+
+// After ExecuteIn returns, the workspace keeps no reference to the
+// destination it bound as bucket 0: a finalizer on dst's data runs while
+// the workspace stays live. A pooled workspace that kept one would hold
+// a caller's whole result per plan.
+func TestExecuteInReleasesDestination(t *testing.T) {
+	x, dy := poolLayer(t, 46, zLayer)
+	for _, z := range []int{1, 2} {
+		cfg := configureZ(t, zLayer, z)
+		ws := NewWorkspace(cfg)
+		freed := make(chan struct{})
+		func() {
+			dst := tensor.NewFloat32(zLayer.DWShape())
+			runtime.SetFinalizer(&dst.Data[0], func(*float32) { close(freed) })
+			ExecuteIn(cfg, ws, x, dy, dst)
+		}()
+		released := false
+		for i := 0; i < 100 && !released; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				released = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !released {
+			t.Errorf("Z=%d: destination still reachable after ExecuteIn returned", z)
+		}
+		runtime.KeepAlive(ws)
 	}
 }

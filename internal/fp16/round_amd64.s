@@ -15,6 +15,8 @@ TEXT ·roundF16C(SB), NOSPLIT, $0-16
 	ANDQ $-128, R10                // bytes covered by 32-lane steps
 	XORQ BX, BX
 
+	PCALIGN $32
+
 loop32:
 	CMPQ BX, R10
 	JEQ  loop8
@@ -36,6 +38,8 @@ loop32:
 	VMOVUPS Y3, 96(DI)(BX*1)
 	ADDQ $128, BX
 	JMP  loop32
+
+	PCALIGN $32
 
 loop8:
 	CMPQ BX, CX

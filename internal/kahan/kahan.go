@@ -124,7 +124,9 @@ const reduceBlock = 256
 // yields the same bits. On an AVX2 host the AVX2 kernel takes the largest
 // multiple of 8 elements and reduceRangeGo the rest; each lane runs the
 // scalar sequence, so the bits do not depend on the host. Every bucket
-// and dst must hold at least hi elements.
+// and dst must hold at least hi elements. dst may be buckets[0]: both
+// kernels read every bucket of an element block before the block's one
+// store, so reducing in place gives the same bits as into a separate dst.
 func ReduceBucketsRange(dst []float32, buckets [][]float32, lo, hi int) {
 	if n8 := (hi - lo) &^ 7; cpufeat.HasAVX2 && n8 > 0 && len(buckets) > 0 {
 		// The kernel checks no bounds; these slicings do.

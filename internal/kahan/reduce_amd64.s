@@ -18,6 +18,8 @@ TEXT ·reduceAVX2(SB), NOSPLIT, $0-40
 	ANDQ $-128, R10                // bytes covered by 32-lane steps
 	XORQ BX, BX                    // byte offset of the current chunk
 
+	PCALIGN $32
+
 loop32:
 	CMPQ BX, R10
 	JEQ  loop8
@@ -31,6 +33,8 @@ loop32:
 	VXORPS Y7, Y7, Y7
 	MOVQ SI, R11                   // bucket slice header
 	MOVQ CX, R12
+
+	PCALIGN $32
 
 bucket32:
 	MOVQ (R11), R13                // bucket data pointer
@@ -70,6 +74,8 @@ bucket32:
 	ADDQ $128, BX
 	JMP  loop32
 
+	PCALIGN $32
+
 loop8:
 	CMPQ BX, R9
 	JEQ  done
@@ -77,6 +83,8 @@ loop8:
 	VXORPS Y4, Y4, Y4
 	MOVQ SI, R11
 	MOVQ CX, R12
+
+	PCALIGN $32
 
 bucket8:
 	MOVQ (R11), R13

@@ -2,6 +2,7 @@ package kahan
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"winrs/internal/cpufeat"
@@ -70,4 +71,51 @@ func FuzzReduceAVX2(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ReduceBucketsRange runs in place, with dst = buckets[0]: both kernels
+// read every bucket of an element block before the block's one store.
+// The in-place reduce must equal the out-of-place one bit for bit (NaN
+// equal to NaN), leaving elements outside [lo, hi) untouched, on the AVX2
+// kernel and on reduceRangeGo, for Z ∈ {2, 3, 5}, unaligned ranges with
+// 1–7-element tails, and ±0, subnormal, ±Inf and NaN operands.
+func TestReduceInPlaceMatchesOutOfPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(3),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	kernels := map[string]func([]float32, [][]float32, int, int){"go": reduceRangeGo}
+	if cpufeat.HasAVX2 {
+		kernels["avx2"] = ReduceBucketsRange
+	}
+	for _, z := range []int{2, 3, 5} {
+		for _, lo := range []int{0, 1, 3, 6} {
+			for _, n := range []int{1, 2, 3, 7, 9, 10, 15, 33, 35, 62, 300, 517} {
+				hi := lo + n
+				buckets := make([][]float32, z)
+				for k := range buckets {
+					buckets[k] = make([]float32, hi+5)
+					for i := range buckets[k] {
+						if rng.Intn(5) == 0 {
+							buckets[k][i] = special[rng.Intn(len(special))]
+						} else {
+							buckets[k][i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+						}
+					}
+				}
+				for name, run := range kernels {
+					want := append([]float32(nil), buckets[0]...)
+					run(want, buckets, lo, hi)
+					inPlace := append([][]float32{append([]float32(nil), buckets[0]...)}, buckets[1:]...)
+					run(inPlace[0], inPlace, lo, hi)
+					for i, w := range want {
+						g := inPlace[0][i]
+						if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+							t.Fatalf("%s z=%d lo=%d hi=%d: element %d = %v in place, want %v",
+								name, z, lo, hi, i, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -127,8 +127,10 @@ func NewPlan(p Params, opts ...PlanOption) (*Plan, error) {
 // Segments returns the segment count Z the plan realized.
 func (pl *Plan) Segments() int { return pl.cfg.Z() }
 
-// WorkspaceBytes returns the bucket workspace the plan allocates per
-// execution: (Z−1) × sizeof(∇W), the paper's "tiny workspace".
+// WorkspaceBytes returns the bucket workspace the plan executes with:
+// (Z−1) × sizeof(∇W), the paper's "tiny workspace". Bucket 0 is the
+// result tensor itself, so an ungrouped plan's pooled arena is exactly
+// this; a grouped plan's holds one bucket more.
 func (pl *Plan) WorkspaceBytes() int64 { return pl.cfg.WorkspaceBytes() }
 
 // WHatCacheBytes returns the footprint of the transformed-∇Y cache the
