@@ -91,12 +91,15 @@ grouped-smoke:
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
 	done
 
-# bitwise-smoke repeats the bitwise suites of the EWM kernels, the unit
-# epilogue and the pooled reduce under the race detector at GOMAXPROCS 1
-# and 4: each chunk kernel against the Go 4×4 panel, the AVX2 chunk kernel
-# against its per-tile oracle over chunked tile sequences, the panel
-# transforms' column independence (one chunk-wide call equals per-tile
-# calls), every forced EWM mode against the forced 4×4 tier, the one-pass
+# bitwise-smoke repeats the bitwise suites of the EWM kernels, the panel
+# transforms, the unit epilogue and the pooled reduce under the race
+# detector at GOMAXPROCS 1 and 4: each chunk kernel against the Go 4×4
+# panel, the AVX2 chunk kernel against its per-tile oracle over chunked
+# tile sequences, the AVX2 transform kernel against its Go loop over every
+# plan a unit runs, the panel transforms' column independence (one
+# chunk-wide call equals per-tile calls) on both paths, the AVX2 diagonal
+# EWM of depthwise units against its Go loop, every forced EWM mode
+# against the forced 4×4 tier, the one-pass
 # AVX2 output kernel against its Go loop at every row count it takes, the
 # epilogue against its per-element oracle, the in-place Kahan reduce
 # (bucket 0 is the destination of an ungrouped plan) against the
@@ -115,7 +118,7 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels' \
+			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels' \
 			./internal/core ./internal/winograd ./internal/kahan || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16
@@ -123,14 +126,27 @@ bitwise-smoke:
 # cross-build compiles the non-amd64 fallbacks of the AVX2 and F16C
 # kernels and the CPU feature detection, which no amd64 build touches: vet
 # on arm64 and 386, and the arm64 test binaries of the packages that carry
-# them.
+# them. It then fails if the arm64 code of the Go loops in NOFMA_FUNCS
+# holds a fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB): those loops
+# are the AVX2 kernels' oracles, and a fused product rounds once where
+# amd64 rounds twice. Each function must be found, so a rename cannot
+# empty the check.
+NOFMA_FUNCS := 'winograd.(*SymPlan).MulPanel' 'winograd.(*SymPlan).mulPanelGo' core.ewmDiag core.channelUnit.run
 cross-build:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/core
-	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/kahan
-	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/cpufeat
-	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/fp16
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for pkg in core kahan cpufeat fp16 winograd; do \
+		echo "GOARCH=arm64 $(GO) test -c ./internal/$$pkg"; \
+		GOARCH=arm64 $(GO) test -c -o "$$tmp/$$pkg.test" ./internal/$$pkg; \
+	done; \
+	for fn in $(NOFMA_FUNCS); do \
+		re="^winrs/internal/$$(printf '%s' "$$fn" | sed 's/[.()*]/\\&/g')$$"; \
+		$(GO) tool objdump -s "$$re" "$$tmp/$${fn%%.*}.test" > "$$tmp/dis"; \
+		grep -q '^TEXT' "$$tmp/dis" || { echo "cross-build: $$fn not found in the arm64 build"; exit 1; }; \
+		if grep -E '\bFN?M(ADD|SUB)' "$$tmp/dis"; then echo "cross-build: fused multiply-add in $$fn (arm64)"; exit 1; fi; \
+	done; \
+	echo "cross-build: no fused multiply-add in $(NOFMA_FUNCS)"
 
 # bench-smoke runs the end-to-end benchmark's own tests (about 10 s).
 # bench/ is a separate Go module, so the root `go test ./...` never
@@ -147,6 +163,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzExecuteMatchesDirect$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEWMPanelAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOutputRowAVX2$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEWMDiagAVX2$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/winograd -run '^$$' -fuzz '^FuzzMulPanelAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kahan -run '^$$' -fuzz '^FuzzReduceAVX2$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzConversion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzOrdering$$' -fuzztime $(FUZZTIME)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"winrs/internal/conv"
+	"winrs/internal/cpufeat"
 	"winrs/internal/obs"
 )
 
@@ -149,12 +150,26 @@ func (u channelUnit) run(p conv.Params, pl unitPlan, st storage, ops operands, b
 
 // ewmDiag is the EWM of a channel-wide unit: v[i] += ŵ[i]·x̂[i] for every
 // i with ŵ[i] ≠ ±0 — per channel, the one-column product of the blocked
-// panels, with their zero skip.
+// panels, with their zero skip. On an AVX2 host the kernel covers the
+// largest multiple of 8 elements and ewmDiagGo the rest.
 func ewmDiag(v, w, x []float32) {
+	v, x = v[:len(w)], x[:len(w)]
+	lo := 0
+	if n8 := len(w) &^ 7; cpufeat.HasAVX2 && n8 > 0 {
+		ewmDiagAVX2(&v[0], &w[0], &x[0], n8)
+		lo = n8
+	}
+	ewmDiagGo(v[lo:], w[lo:], x[lo:])
+}
+
+// ewmDiagGo is ewmDiag's portable path, the AVX2 kernel's tail and its
+// oracle. The float32 conversion rounds the product, which keeps the
+// compiler from fusing it into the sum on FMA targets.
+func ewmDiagGo(v, w, x []float32) {
 	v, x = v[:len(w)], x[:len(w)]
 	for i, wv := range w {
 		if wv != 0 {
-			v[i] += wv * x[i]
+			v[i] += float32(wv * x[i])
 		}
 	}
 }

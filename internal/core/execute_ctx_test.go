@@ -81,12 +81,14 @@ func TestExecuteInCtxPreCancelled(t *testing.T) {
 // reduce reads it, whatever a cancelled run left there — that lets the
 // serving runtime recycle arenas after a cancelled request).
 func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
-	// Geometry sized so a warm run takes ~60ms across 10 grid units: on a
-	// single-CPU host a parked timer goroutine only gets scheduled at an
+	// Geometry sized so a warm run takes ~60ms or more: on a single-CPU
+	// host a parked timer goroutine only gets scheduled at an
 	// async-preemption point (~10-25ms in), so the run must comfortably
 	// outlast that latency for the cancel to land mid-grid with units left
-	// to skip.
-	p := conv.Params{N: 8, IH: 64, IW: 64, FH: 5, FW: 5, IC: 16, OC: 16, PH: 2, PW: 2}
+	// to skip. With the AVX2 transforms a warm run of N = 32 takes about
+	// 80ms under the race detector at GOMAXPROCS 1 on a 2-vCPU host (N = 8
+	// took 19ms there and never got cancelled) and 20-30ms without it.
+	p := conv.Params{N: 32, IH: 64, IW: 64, FH: 5, FW: 5, IC: 16, OC: 16, PH: 2, PW: 2}
 	cfg, err := Configure(p)
 	if err != nil {
 		t.Fatal(err)

@@ -15,3 +15,9 @@ func ewmBlockAVX2(v, w, x *float32, oc, ic, n8, tc, first int)
 //
 //go:noescape
 func outputRowsAVX2(out, a, v *float32, n, alpha, width, stride int)
+
+// ewmDiagAVX2 is the AVX2 body of ewmDiag: v[i] += w[i]·x[i] for every
+// i < n8 (a positive multiple of 8) with w[i] ≠ ±0.
+//
+//go:noescape
+func ewmDiagAVX2(v, w, x *float32, n8 int)

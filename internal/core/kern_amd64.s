@@ -570,3 +570,59 @@ stored:
 done:
 	VZEROUPPER
 	RET
+
+// func ewmDiagAVX2(v, w, x *float32, n8 int)
+//
+// For i < n8 (a positive multiple of 8): v[i] += w[i]·x[i] where w[i] is
+// not ±0, ewmDiagGo's sequence in every lane. P = w·x (VMULPS) and
+// S = v + P (VADDPS) run in every lane; a mask of w ≠ +0 (VCMPPS NEQ_UQ,
+// true for a NaN w as Go's != is, false for ±0) then picks S over v
+// (VBLENDVPS), so a skipped lane keeps v's bits and 0·Inf never lands.
+// Steps cover 32 elements, then 8. Y15 holds +0.
+
+// DIAG updates the 8 elements at byte offset OFF of the step; W, P and V
+// hold w (then the mask), the product (then S) and v.
+#define DIAG(OFF, W, P, V) \
+	VMOVUPS   OFF(SI)(BX*1), W; \
+	VMULPS    OFF(DX)(BX*1), W, P; \
+	VMOVUPS   OFF(DI)(BX*1), V; \
+	VADDPS    P, V, P; \
+	VCMPPS    $4, Y15, W, W; \
+	VBLENDVPS W, P, V, V; \
+	VMOVUPS   V, OFF(DI)(BX*1)
+
+TEXT ·ewmDiagAVX2(SB), NOSPLIT, $0-32
+	MOVQ v+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ n8+24(FP), R9
+	SHLQ $2, R9                    // bytes the kernel covers
+	MOVQ R9, R10
+	ANDQ $-128, R10                // bytes of 32-element steps
+	XORQ BX, BX                    // byte offset of the current step
+	VXORPS Y15, Y15, Y15
+
+	PCALIGN $32
+
+diag32:
+	CMPQ BX, R10
+	JEQ  diag8
+	DIAG(0, Y0, Y1, Y2)
+	DIAG(32, Y3, Y4, Y5)
+	DIAG(64, Y6, Y7, Y8)
+	DIAG(96, Y9, Y10, Y11)
+	ADDQ $128, BX
+	JMP  diag32
+
+	PCALIGN $32
+
+diag8:
+	CMPQ BX, R9
+	JEQ  diagdone
+	DIAG(0, Y0, Y1, Y2)
+	ADDQ $32, BX
+	JMP  diag8
+
+diagdone:
+	VZEROUPPER
+	RET

@@ -9,9 +9,10 @@ import (
 )
 
 // forceGoKernels clears cpufeat.HasAVX2 and cpufeat.HasF16C for the
-// duration of the test, so the EWM kernel selection, the output row, the
-// bucket reduce and the binary16 rounding run their Go loops on an
-// AVX2/F16C host. Like forceEWM it is a test-only hook.
+// duration of the test, so the EWM kernel selection, the panel transforms,
+// the diagonal EWM, the output rows, the bucket reduce and the binary16
+// rounding run their Go loops on an AVX2/F16C host. Like forceEWM it is a
+// test-only hook.
 func forceGoKernels(t testing.TB) {
 	t.Helper()
 	avx2, f16c := cpufeat.HasAVX2, cpufeat.HasF16C
@@ -312,4 +313,78 @@ func FuzzOutputRowAVX2(f *testing.F) {
 				n, width, alpha, stride, sh, i, got[i], want[i])
 		}
 	})
+}
+
+// checkEWMDiag runs ewmDiag (the AVX2 kernel on the largest multiple of 8
+// elements, the Go loop on the tail) and ewmDiagGo on copies of v and
+// fails on the first element whose bits differ, NaN equal to NaN.
+func checkEWMDiag(t *testing.T, v, w, x []float32) {
+	t.Helper()
+	got, want := append([]float32(nil), v...), append([]float32(nil), v...)
+	ewmDiag(got, w, x)
+	ewmDiagGo(want, w, x)
+	if i := sameBitsOrNaN(got, want); i >= 0 {
+		t.Fatalf("n=%d elem %d: v=%v w=%v x=%v: kernel %v, Go %v", len(w), i, v[i], w[i], x[i], got[i], want[i])
+	}
+}
+
+// The AVX2 diagonal EWM must match its Go loop bit for bit (NaN equal to
+// NaN) at every length from 0 to 80 (the 32-element steps, the 8-element
+// steps and the Go tail), with ±0, subnormal, ±Inf and NaN values in v,
+// ŵ and x̂, and planted ±0 ŵ over ±Inf x̂, which must leave v untouched.
+func TestEWMDiagMatchesGo(t *testing.T) {
+	if !cpufeat.HasAVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(59))
+	r := func() byte { return byte(rng.Intn(256)) }
+	for n := 0; n <= 80; n++ {
+		for trial := 0; trial < 4; trial++ {
+			v, w, x := make([]float32, n), make([]float32, n), make([]float32, n)
+			for i := range w {
+				v[i], w[i], x[i] = fuzzFloat(r(), r(), r(), true), fuzzFloat(r(), r(), r(), true), fuzzFloat(r(), r(), r(), true)
+				if i%5 == trial {
+					w[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+					x[i] = float32(math.Inf(rng.Intn(2)*2 - 1))
+					v[i] = rng.Float32()
+				}
+			}
+			checkEWMDiag(t, v, w, x)
+		}
+	}
+}
+
+// FuzzEWMDiagAVX2 compares the diagonal EWM kernel path with its Go loop
+// on fuzzed v, ŵ and x̂ of lengths 0–80.
+func FuzzEWMDiagAVX2(f *testing.F) {
+	if !cpufeat.HasAVX2 {
+		f.Skip("no AVX2")
+	}
+	f.Add(uint8(41), []byte{0, 9, 4, 4, 200, 7, 5, 13, 1, 6, 80, 3})
+	f.Add(uint8(80), []byte{1, 0, 0, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		l := int(n) % 81
+		checkEWMDiag(t, fuzzFloats(data, l, 0, true), fuzzFloats(data, l, l, true), fuzzFloats(data, l, 2*l, true))
+	})
+}
+
+// BenchmarkEWMDiag times the diagonal EWM on one depthwise panel (α = 8,
+// cb = 32); the go variant clears cpufeat.HasAVX2, so it times the Go
+// loop.
+func BenchmarkEWMDiag(b *testing.B) {
+	const n = 8 * 32
+	v, w, x := make([]float32, n), make([]float32, n), make([]float32, n)
+	for i := range w {
+		w[i], x[i] = float32(i%7-3)*0.25, float32(i%5)-2
+	}
+	for _, path := range []string{"kernel", "go"} {
+		b.Run(path, func(b *testing.B) {
+			if path == "go" {
+				forceGoKernels(b)
+			}
+			for i := 0; i < b.N; i++ {
+				ewmDiag(v, w, x)
+			}
+		})
+	}
 }

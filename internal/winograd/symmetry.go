@@ -3,6 +3,8 @@ package winograd
 import (
 	"math"
 	"sync"
+
+	"winrs/internal/cpufeat"
 )
 
 // SymPlan is the paper's §5.2 "Transform Simplification": with
@@ -20,6 +22,26 @@ type SymPlan struct {
 	m       *Mat
 	pairs   [][2]int // row index pairs with even/odd ± symmetry
 	singles []int    // rows without a partner
+
+	// groups and ops are the MulPanel chains compiled for the AVX2
+	// kernel: one group per pair, then one per single, each taking its
+	// chains' ops from ops in turn.
+	groups []panelGroup
+	ops    []panelOp
+}
+
+// panelOp is one term of a compiled chain: input row in times c.
+type panelOp struct {
+	in int32
+	c  float32
+}
+
+// panelGroup is one pair or single of a compiled plan: output rows u and
+// v (v = −1 for a single) and the op counts of its even and odd chains,
+// whose ops follow in that order (a single has one chain, counted in
+// even).
+type panelGroup struct {
+	u, v, even, odd int32
 }
 
 // NewSymPlan analyses the matrix rows and returns the shared-product
@@ -50,6 +72,7 @@ func NewSymPlan(m *Mat) *SymPlan {
 			used[i] = true
 		}
 	}
+	sp.compile()
 	return sp
 }
 
@@ -61,7 +84,33 @@ func NewSinglesPlan(m *Mat) *SymPlan {
 	for i := range sp.singles {
 		sp.singles[i] = i
 	}
+	sp.compile()
 	return sp
+}
+
+// compile builds the plan's groups and ops: a pair's even chain holds row
+// u's non-zero coefficients at even input rows and its odd chain those at
+// odd input rows, a single's chain all of its row's non-zero coefficients,
+// each in ascending input row. Zero coefficients are dropped here, so no
+// lane tests them.
+func (sp *SymPlan) compile() {
+	m := sp.m
+	chain := func(i, first, step int) int32 {
+		n := len(sp.ops)
+		for c := first; c < m.Cols; c += step {
+			if cv := float32(m.At(i, c)); cv != 0 {
+				sp.ops = append(sp.ops, panelOp{int32(c), cv})
+			}
+		}
+		return int32(len(sp.ops) - n)
+	}
+	for _, pr := range sp.pairs {
+		even := chain(pr[0], 0, 2)
+		sp.groups = append(sp.groups, panelGroup{int32(pr[0]), int32(pr[1]), even, chain(pr[0], 1, 2)})
+	}
+	for _, i := range sp.singles {
+		sp.groups = append(sp.groups, panelGroup{int32(i), -1, chain(i, 0, 1), 0})
+	}
 }
 
 // Mat returns the matrix the plan evaluates.
@@ -177,17 +226,41 @@ func MaxPairableRows(alpha int) int {
 // shared even/odd products accumulated in ascending input row with zero
 // coefficients skipped, then the ±combine (one chain per single row). No
 // column reads another, so one call at width k·w gives the bits of k calls
-// at width w on the column blocks.
+// at width w on the column blocks. On an AVX2 host the kernel produces the
+// largest multiple of 8 columns from the compiled chains, and mulPanelGo
+// the rest. in and out must not overlap.
 func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
 	m := sp.m
 	if rows != m.Cols {
 		panic("winograd: MulPanel dimension mismatch")
 	}
+	lo := 0
+	if n8 := width &^ 7; cpufeat.HasAVX2 && n8 > 0 {
+		// The kernel checks no bounds; these slicings do.
+		_ = in[:(rows-1)*width+n8]
+		_ = out[:(m.Rows-1)*width+n8]
+		mulPanelAVX2(&out[0], &in[0], sp.groups, sp.ops, width, n8)
+		lo = n8
+	}
+	if lo < width {
+		sp.mulPanelGo(in[lo:], out[lo:], width-lo, width)
+	}
+}
+
+// mulPanelGo is MulPanel on the first n columns of panels whose rows lie
+// stride floats apart: the portable path (n = stride = width), the AVX2
+// kernel's tail (the panels sliced from its first column) and its oracle.
+// It reads the matrix rows, not the compiled ops, so the two paths are
+// independent encodings of one plan. Every product is rounded by an
+// explicit float32 conversion, which keeps the compiler from fusing it
+// into the sum on FMA targets.
+func (sp *SymPlan) mulPanelGo(in, out []float32, n, stride int) {
+	m := sp.m
 	for _, pr := range sp.pairs {
 		u := pr[0]
 		row := m.Data[u*m.Cols : (u+1)*m.Cols]
-		dstU := out[pr[0]*width : (pr[0]+1)*width : (pr[0]+1)*width]
-		dstV := out[pr[1]*width : (pr[1]+1)*width : (pr[1]+1)*width]
+		dstU := out[pr[0]*stride : pr[0]*stride+n : pr[0]*stride+n]
+		dstV := out[pr[1]*stride : pr[1]*stride+n : pr[1]*stride+n]
 		for x := range dstU {
 			dstU[x] = 0
 			dstV[x] = 0 // reused below as the odd accumulator
@@ -196,35 +269,35 @@ func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
 		// accumulation chains, so one pass can carry an (even, odd) column
 		// pair at a time — same per-chain ascending-column order, so the
 		// bits match the one-column-at-a-time walk exactly, at twice the
-		// FMA-level parallelism.
+		// instruction-level parallelism.
 		c := 0
 		for ; c+2 <= len(row); c += 2 {
 			c0, c1 := float32(row[c]), float32(row[c+1])
-			s0 := in[c*width : (c+1)*width : (c+1)*width]
+			s0 := in[c*stride : c*stride+n : c*stride+n]
 			switch {
 			case c0 != 0 && c1 != 0:
-				s1 := in[(c+1)*width : (c+2)*width : (c+2)*width]
+				s1 := in[(c+1)*stride : (c+1)*stride+n : (c+1)*stride+n]
 				dU, dV := dstU[:len(s0)], dstV[:len(s0)]
 				s1 = s1[:len(s0)]
 				for x, sv := range s0 {
-					dU[x] += c0 * sv
-					dV[x] += c1 * s1[x]
+					dU[x] += float32(c0 * sv)
+					dV[x] += float32(c1 * s1[x])
 				}
 			case c0 != 0:
 				for x, sv := range s0 {
-					dstU[x] += c0 * sv
+					dstU[x] += float32(c0 * sv)
 				}
 			case c1 != 0:
-				s1 := in[(c+1)*width : (c+2)*width : (c+2)*width]
+				s1 := in[(c+1)*stride : (c+1)*stride+n : (c+1)*stride+n]
 				for x, sv := range s1 {
-					dstV[x] += c1 * sv
+					dstV[x] += float32(c1 * sv)
 				}
 			}
 		}
 		if c < len(row) {
 			if cv := float32(row[c]); cv != 0 {
-				for x, sv := range in[c*width : (c+1)*width] {
-					dstU[x] += cv * sv
+				for x, sv := range in[c*stride : c*stride+n] {
+					dstU[x] += float32(cv * sv)
 				}
 			}
 		}
@@ -237,7 +310,7 @@ func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
 	}
 	for _, i := range sp.singles {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		dst := out[i*width : (i+1)*width : (i+1)*width]
+		dst := out[i*stride : i*stride+n : i*stride+n]
 		for x := range dst {
 			dst[x] = 0
 		}
@@ -249,28 +322,28 @@ func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
 			c0, c1 := float32(row[c]), float32(row[c+1])
 			switch {
 			case c0 != 0 && c1 != 0:
-				s0 := in[c*width : (c+1)*width : (c+1)*width]
-				s1 := in[(c+1)*width : (c+2)*width : (c+2)*width]
+				s0 := in[c*stride : c*stride+n : c*stride+n]
+				s1 := in[(c+1)*stride : (c+1)*stride+n : (c+1)*stride+n]
 				d := dst[:len(s0)]
 				s1 = s1[:len(s0)]
 				for x, sv := range s0 {
-					d[x] += c0 * sv
-					d[x] += c1 * s1[x]
+					d[x] += float32(c0 * sv)
+					d[x] += float32(c1 * s1[x])
 				}
 			case c0 != 0:
-				for x, sv := range in[c*width : (c+1)*width] {
-					dst[x] += c0 * sv
+				for x, sv := range in[c*stride : c*stride+n] {
+					dst[x] += float32(c0 * sv)
 				}
 			case c1 != 0:
-				for x, sv := range in[(c+1)*width : (c+2)*width] {
-					dst[x] += c1 * sv
+				for x, sv := range in[(c+1)*stride : (c+1)*stride+n] {
+					dst[x] += float32(c1 * sv)
 				}
 			}
 		}
 		if c < len(row) {
 			if cv := float32(row[c]); cv != 0 {
-				for x, sv := range in[c*width : (c+1)*width] {
-					dst[x] += cv * sv
+				for x, sv := range in[c*stride : c*stride+n] {
+					dst[x] += float32(cv * sv)
 				}
 			}
 		}
