@@ -108,7 +108,11 @@ grouped-smoke:
 # pool-vs-inline and shared-pool concurrency,
 # mid-run cancellation, the FP16, quantized and 3-D reference executors,
 # and the channel-wide depthwise grid (pool widths 1–8) and the grouped
-# dense grid (widths 1 and 4) against the per-group reference. On
+# dense grid (widths 1 and 4) against the per-group reference, depthwise
+# units on NaN-filled and foreign pooled scratch (a ring slot read before
+# its fill), the F16C binary16 decode against the LUT loop at every
+# length 0–40 and start offset 0–7, and all 65,536 halves decoded on both
+# paths (F16C cleared for the second). On
 # an AVX2 or F16C host TestBitwiseSuitesGoKernels runs the suites again on
 # the Go kernels, so both kernel paths are pinned. Pool workers share the
 # reduce, so each suite runs 5 times. Last, both binary16 rounding paths
@@ -118,8 +122,8 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels' \
-			./internal/core ./internal/winograd ./internal/kahan || exit 1; \
+			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive' \
+			./internal/core ./internal/winograd ./internal/kahan ./internal/fp16 || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16
 
@@ -128,10 +132,13 @@ bitwise-smoke:
 # on arm64 and 386, and the arm64 test binaries of the packages that carry
 # them. It then fails if the arm64 code of the Go loops in NOFMA_FUNCS
 # holds a fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB): those loops
-# are the AVX2 kernels' oracles, and a fused product rounds once where
-# amd64 rounds twice. Each function must be found, so a rename cannot
-# empty the check.
-NOFMA_FUNCS := 'winograd.(*SymPlan).MulPanel' 'winograd.(*SymPlan).mulPanelGo' core.ewmDiag core.channelUnit.run
+# are the portable kernels (the AVX2 kernels' oracles and tails) and the
+# test oracles that pin them, and a fused product rounds once where amd64
+# rounds twice. Each function must be found, so a rename cannot empty the
+# check.
+NOFMA_FUNCS := 'winograd.(*SymPlan).MulPanel' 'winograd.(*SymPlan).mulPanelGo' 'winograd.(*SymPlan).MulVec32' \
+	core.ewmDiag core.channelUnit.run core.ewmPanel core.ewmChunkAVX2 core.outputRowsGo core.matTMulF32 \
+	core.ewmChunkRef core.writeOutputRef core.segmentTile3DRef core.matMulF32
 cross-build:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
@@ -170,5 +177,6 @@ fuzz-smoke:
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzOrdering$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzEncodeMatchesScalar$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzRoundSliceF16C$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fp16 -run '^$$' -fuzz '^FuzzDecodeSliceF16C$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzProtoRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fp16 -count 1 -run '^TestDecodeSliceExhaustive$$|^TestEncodeSliceBoundarySweep$$'

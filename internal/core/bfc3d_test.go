@@ -226,7 +226,7 @@ func segmentTile3DRef(p conv.Params3D, seg Segment, fd, fh, j int,
 			for i := 0; i < n; i++ {
 				var s float32
 				for e := 0; e < alpha; e++ {
-					s += float32(tr.A.At(e, i)) * acc[e]
+					s += float32(float32(tr.A.At(e, i)) * acc[e])
 				}
 				bucket[dwShape.Index(a, fd, fh, colBase+i, b)] += s
 			}

@@ -238,7 +238,7 @@ func matMulF32(m *winograd.Mat, in, out []float32, rows, width int) {
 			var s float32
 			for k := 0; k < rows; k++ {
 				if c := float32(m.At(i, k)); c != 0 {
-					s += c * in[k]
+					s += float32(c * in[k])
 				}
 			}
 			out[i] = s
@@ -257,7 +257,7 @@ func matMulF32(m *winograd.Mat, in, out []float32, rows, width int) {
 			}
 			src := in[k*width : (k+1)*width]
 			for x, sv := range src {
-				dst[x] += c * sv
+				dst[x] += float32(c * sv)
 			}
 		}
 	}

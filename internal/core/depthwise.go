@@ -26,9 +26,12 @@ import (
 //
 // A unit covers every filter row of its channel block: it computes each Ŵ
 // panel once per (row, tile, image) and uses it at once in all F_H rows,
-// so the plan needs no Ŵ cache. X and ∇Y tiles are staged straight from
-// the caller's operands (decoded or rounded on the way), so it needs no
-// operand mirrors either; the workspace is the Z buckets of the whole ∇W.
+// so the plan needs no Ŵ cache, and it transforms each X tile once into a
+// ring of the last F_H X rows' X̂ panels, which every filter row reads.
+// X and ∇Y tiles are staged straight from the caller's operands (decoded
+// or rounded on the way), so it needs no operand mirrors either; the
+// workspace is the Z buckets of the whole ∇W, and the ring, 4·F_H·
+// ⌈cols/r⌉·N·α·cb bytes, is per-unit tile scratch.
 
 // channelBlock is the channel block cb of a depthwise plan of c channels
 // on a pool of w workers: ⌊c/w⌋ rounded down to a multiple of 8, so every
@@ -74,17 +77,22 @@ type channelUnit struct {
 
 // run produces the unit's ∇W entries — every filter row, the n output
 // columns of width tile j, every channel of the block — into bucket, which
-// holds the whole layer's ∇W. Per (row, tile, image) it stages the ∇Y
-// panel and transforms it to Ŵ = G·∇Y; then, for each filter row whose X
-// row lies inside the image, it stages the X tile, transforms it to
-// X̂ = Dᵀ·X and adds the diagonal EWM into that row's accumulators. Both
-// transformed panels are rounded under the storage policy. ut, when
-// non-nil, collects the sampled transform/EWM split and the epilogue.
+// holds the whole layer's ∇W. The unit keeps the X̂ panels of the last F_H
+// X rows in a ring (fillRing): each X row of the segment is staged,
+// transformed to X̂ = Dᵀ·X and rounded once, when the first output row
+// that reads it comes up. Per (row, tile, image) it stages the ∇Y panel
+// and transforms it to Ŵ = G·∇Y; then, for each filter row whose X row
+// lies inside the image, it adds the diagonal EWM of Ŵ and that X row's
+// ring panel into the filter row's accumulators. Both transformed panels
+// are rounded under the storage policy. ut, when non-nil, collects the
+// transform/EWM split (ring fills timed whole, tile iterations sampled)
+// and the epilogue.
 func (u channelUnit) run(p conv.Params, pl unitPlan, st storage, ops operands, bucket []float32, ut *obs.UnitTimes) {
 	seg, cb, round := u.seg, u.cb, st.round
 	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
 	c, oh, ow := p.IC, p.OH(), p.OW()
 	panel := alpha * cb
+	slot := ceilDiv(seg.Cols(), r) * p.N * panel
 
 	s := getTileScratch()
 	defer putTileScratch(s)
@@ -92,48 +100,50 @@ func (u channelUnit) run(p conv.Params, pl unitPlan, st storage, ops operands, b
 	wRaw := growF32(&s.wRaw, r*cb)
 	wHat := growF32(&s.wHatF, panel)
 	xRaw := growF32(&s.xRaw, panel)
-	xHat := growF32(&s.xHatF, panel)
-	colBase := u.j * n
+	ring := growF32(&s.xHatF, p.FH*slot) // X row ih in slot ih mod F_H, [tile][image][α][cb]
 
 	// Each accumulator sums over (row, tile, image) in the order of the
-	// per-group unit, so the sums round the same way.
+	// per-group unit, from the X̂ panels that unit computes, so the sums
+	// round the same way.
 	var smp unitSampler
 	for row := seg.Row0; row < seg.Row1; row++ {
-		for ow0 := seg.Col0; ow0 < seg.Col1; ow0 += r {
-			// Tile columns [lo, hi) lie inside the image; the rest are the
-			// implicit zero padding (Figure 7), which staging never writes.
-			iw0 := ow0 + colBase - p.PW
-			lo := min(alpha, max(0, -iw0))
-			hi := max(lo, min(alpha, p.IW-iw0))
-			clear(xRaw[:lo*cb])
-			clear(xRaw[hi*cb:])
+		// Output row `row` reads X rows [row−P_H, row−P_H+F_H) inside
+		// the image: fill them all at the segment's first row, then the
+		// one new row per row, over the slot of the row it retires.
+		last := row - p.PH + p.FH - 1
+		first := last
+		if row == seg.Row0 {
+			first = row - p.PH
+		}
+		for ih := max(first, 0); ih <= min(last, p.IH-1); ih++ {
+			var t0 time.Time
+			if ut != nil {
+				t0 = time.Now()
+			}
+			u.fillRing(p, pl, ops.x, round, ring[ih%p.FH*slot:][:slot], xRaw, ih)
+			if ut != nil {
+				smp.directSince(t0)
+			}
+		}
+		fh0, fh1 := max(0, p.PH-row), min(p.FH, p.IH+p.PH-row)
+		if fh0 >= fh1 {
+			continue // height-axis clipping of every filter row
+		}
+		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
 			for nb := 0; nb < p.N; nb++ {
-				filled := false
-				for fh := 0; fh < p.FH; fh++ {
-					ih := row + fh - p.PH
-					if ih < 0 || ih >= p.IH {
-						continue // height-axis clipping
-					}
-					smp.begin(ut)
-					if !filled {
-						ops.dy.stage(wRaw, (nb*oh+row)*ow+ow0, r, c, u.c0, cb, round)
-						pl.g.MulPanel(wRaw, wHat, r, cb)
-						if round != nil {
-							round(wHat)
-						}
-						filled = true
-					}
-					if lo < hi {
-						ops.x.stage(xRaw[lo*cb:], (nb*p.IH+ih)*p.IW+iw0+lo, hi-lo, c, u.c0, cb, round)
-					}
-					pl.dt.MulPanel(xRaw, xHat, alpha, cb)
-					if round != nil {
-						round(xHat)
-					}
-					smp.mark()
-					ewmDiag(v[fh*panel:(fh+1)*panel], wHat, xHat)
-					smp.end()
+				smp.begin(ut)
+				ops.dy.stage(wRaw, (nb*oh+row)*ow+ow0, r, c, u.c0, cb, round)
+				pl.g.MulPanel(wRaw, wHat, r, cb)
+				if round != nil {
+					round(wHat)
 				}
+				smp.mark()
+				tile := (t*p.N + nb) * panel
+				for fh := fh0; fh < fh1; fh++ {
+					ih := row + fh - p.PH
+					ewmDiag(v[fh*panel:(fh+1)*panel], wHat, ring[ih%p.FH*slot+tile:][:panel])
+				}
+				smp.end()
 			}
 		}
 	}
@@ -145,6 +155,35 @@ func (u channelUnit) run(p conv.Params, pl unitPlan, st storage, ops operands, b
 	u.writeOutput(p, pl, v, bucket, growF32(&s.acc, n*(alpha+cb)))
 	if ut != nil {
 		ut.Epilogue += time.Since(t0)
+	}
+}
+
+// fillRing fills dst, X row ih's ring slot, [tile][image][α][cb]: per
+// tile and image it stages the row's X tile into xRaw, transforms it to
+// X̂ = Dᵀ·X into its place in dst and rounds it there.
+func (u channelUnit) fillRing(p conv.Params, pl unitPlan, x operand, round func([]float32), dst, xRaw []float32, ih int) {
+	seg, cb := u.seg, u.cb
+	alpha, panel := seg.K.Alpha, seg.K.Alpha*u.cb
+	colBase := u.j * seg.K.N
+	for ow0 := seg.Col0; ow0 < seg.Col1; ow0 += seg.K.R {
+		// Tile columns [lo, hi) lie inside the image; the rest are the
+		// implicit zero padding (Figure 7), which staging never writes.
+		iw0 := ow0 + colBase - p.PW
+		lo := min(alpha, max(0, -iw0))
+		hi := max(lo, min(alpha, p.IW-iw0))
+		clear(xRaw[:lo*cb])
+		clear(xRaw[hi*cb:])
+		for nb := 0; nb < p.N; nb++ {
+			if lo < hi {
+				x.stage(xRaw[lo*cb:], (nb*p.IH+ih)*p.IW+iw0+lo, hi-lo, p.IC, u.c0, cb, round)
+			}
+			xHat := dst[:panel]
+			pl.dt.MulPanel(xRaw, xHat, alpha, cb)
+			if round != nil {
+				round(xHat)
+			}
+			dst = dst[panel:]
+		}
 	}
 }
 

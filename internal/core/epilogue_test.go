@@ -32,7 +32,7 @@ func writeOutputRef(p conv.Params, aMat *winograd.Mat, v []float32, bucket []flo
 			for i := 0; i < n; i++ {
 				var s float32
 				for e := 0; e < alpha; e++ {
-					s += float32(aMat.At(e, i)) * acc[e]
+					s += float32(float32(aMat.At(e, i)) * acc[e])
 				}
 				idx := dwShape.Index(a, fh, colBase+i, b)
 				bucket[idx] += s

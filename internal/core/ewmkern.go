@@ -106,7 +106,7 @@ func ewmChunkAVX2(ve, we, xe []float32, oc, ic, tc int, first bool) {
 			}
 			for t := 0; t < tc; t++ {
 				if wv := we[t*oc+a]; wv != 0 {
-					s += wv * xe[t*ic+n8+b]
+					s += float32(wv * xe[t*ic+n8+b])
 				}
 			}
 			row[b] = s

@@ -334,26 +334,39 @@ const traceSampleEvery = 8
 // only split that span between transform and EWM. Scaling the sampled
 // spans up by the iteration/sample ratio instead multiplied the cold
 // first iteration and any stall inside a sample by up to N, so the two
-// stages could add up to more than the unit that encloses them. The zero
+// stages could add up to more than the unit that encloses them. Work that
+// runs outside the iterations (a depthwise unit's X̂ ring fills) is timed
+// whole through directSince and counted once, as transform. The zero
 // value is ready to use; all state stays on the caller's stack.
 type unitSampler struct {
-	iters          int
-	transform, ewm time.Duration
-	start, t0      time.Time
-	sampling       bool
+	iters                  int
+	transform, ewm, direct time.Duration
+	start, t0              time.Time
+	sampling               bool
 }
 
 // begin starts one inner iteration, arming the timers on sampled ones.
-// The first iteration is always sampled and also starts the loop span.
+// The first iteration is always sampled, and it starts the loop span if
+// no direct span has.
 func (u *unitSampler) begin(ut *obs.UnitTimes) {
 	u.sampling = ut != nil && u.iters&(traceSampleEvery-1) == 0
 	if u.sampling {
 		u.t0 = time.Now()
-		if u.iters == 0 {
+		if u.start.IsZero() {
 			u.start = u.t0
 		}
 	}
 	u.iters++
+}
+
+// directSince adds the transform span that began at t0 and ends now,
+// timed whole rather than sampled; the first one also starts the loop
+// span.
+func (u *unitSampler) directSince(t0 time.Time) {
+	if u.start.IsZero() {
+		u.start = t0
+	}
+	u.direct += time.Since(t0)
 }
 
 // mark records the transform span of a sampled iteration and re-arms for
@@ -373,15 +386,19 @@ func (u *unitSampler) end() {
 	}
 }
 
-// flush splits the loop span between transform and EWM in the sampled
-// ratio and adds both shares to ut; they sum to the span exactly.
+// flush adds the direct spans to the transform share, splits the rest of
+// the loop span between transform and EWM in the sampled ratio (all of it
+// to transform when no iteration ran) and adds both shares to ut; they
+// sum to the span exactly.
 func (u *unitSampler) flush(ut *obs.UnitTimes) {
-	sampled := u.transform + u.ewm
-	if ut == nil || sampled <= 0 {
+	if ut == nil || u.start.IsZero() {
 		return
 	}
 	span := time.Since(u.start)
-	tr := time.Duration(float64(span) * float64(u.transform) / float64(sampled))
+	tr := span
+	if sampled := u.transform + u.ewm; sampled > 0 {
+		tr = u.direct + time.Duration(float64(span-u.direct)*float64(u.transform)/float64(sampled))
+	}
 	ut.Transform += tr
 	ut.EWM += span - tr
 }
@@ -631,7 +648,7 @@ func outputRowsGo(out, a, v []float32, n, lo, width, stride int) {
 		for e := 0; e < alpha; e++ {
 			c := a[e*n+i]
 			for b, x := range v[e*stride+lo:][:len(row)] {
-				row[b] += c * x
+				row[b] += float32(c * x)
 			}
 		}
 	}
@@ -658,7 +675,7 @@ func matTMulF32(m *winograd.Mat, in, out []float32, rows, width int) {
 			}
 			dst := out[i*width : (i+1)*width]
 			for x, sv := range src {
-				dst[x] += c * sv
+				dst[x] += float32(c * sv)
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // forceGoKernels clears cpufeat.HasAVX2 and cpufeat.HasF16C for the
 // duration of the test, so the EWM kernel selection, the panel transforms,
 // the diagonal EWM, the output rows, the bucket reduce and the binary16
-// rounding run their Go loops on an AVX2/F16C host. Like forceEWM it is a
-// test-only hook.
+// rounding and decode run their Go loops on an AVX2/F16C host. Like
+// forceEWM it is a test-only hook.
 func forceGoKernels(t testing.TB) {
 	t.Helper()
 	avx2, f16c := cpufeat.HasAVX2, cpufeat.HasF16C
@@ -120,7 +120,7 @@ func ewmChunkRef(ve, we, xe []float32, oc, ic, tc int, first bool) {
 			}
 			row := ve[a*ic : (a+1)*ic]
 			for b, xv := range xe[t*ic : (t+1)*ic] {
-				row[b] += wv * xv
+				row[b] += float32(wv * xv)
 			}
 		}
 	}

@@ -297,8 +297,9 @@ func (ws *Workspace) bindPlans(cfg *Config, st storage) {
 
 // tileScratch holds the per-unit scratch of one unit kernel invocation:
 // the accumulators v, the gather/transform panels (a dense unit's chunk
-// panels), a dense unit's chunk of iterations and the output-transform
-// scratch (float32 Aᵀ, plus one bucket row for a depthwise unit). Units
+// panels; a depthwise unit's tile panels, with its X̂ ring in xHatF), a
+// dense unit's chunk of iterations and the output-transform scratch
+// (float32 Aᵀ, plus the bucket rows of a depthwise unit). Units
 // borrow it from a process-wide pool so steady-state executions allocate
 // no transform scratch at all; the slices grow to the largest geometry
 // seen and are then reused as-is.

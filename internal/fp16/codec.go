@@ -13,10 +13,13 @@ package fp16
 //   - Decoding uses a 65536-entry float32 LUT (256 KiB): every binary16
 //     pattern maps to exactly one float32, so ToFloat32 becomes a single
 //     indexed load. The LUT is built lazily, once, on first use — an
-//     FP32-only process never pays the 256 KiB or the build. The rounding
-//     kernels instead decode arithmetically (decodeBits): their half
-//     patterns are data-dependent transform outputs, where the indexed
-//     load misses L1 and a handful of ALU ops wins.
+//     FP32-only process never pays the 256 KiB or the build. On a host
+//     with F16C and AVX2 an F16C kernel (round_amd64.s) decodes 8 halves
+//     per instruction group and the LUT only the last len mod 8; the
+//     kernel restores the signalling NaNs that VCVTPH2PS quiets. The
+//     rounding kernels instead decode arithmetically (decodeBits): their
+//     half patterns are data-dependent transform outputs, where the
+//     indexed load misses L1 and a handful of ALU ops wins.
 //   - Encoding uses the Giesen-style class-table scheme: the 9-bit
 //     sign+exponent field of the float32 picks a base pattern, a mantissa
 //     shift and an implicit-bit OR from three 512-entry tables, followed by
@@ -27,9 +30,11 @@ package fp16
 // Both kernels are bit-for-bit identical to the scalar pair across the
 // full input domain; codec_test.go proves decode exhaustively and encode
 // by exhaustive half-domain round-trip plus midpoint/tie sweeps and fuzz.
-// The fused encode+decode, RoundSlice, also has an F16C kernel
-// (round_amd64.s) that matches the scalar round trip on every float32
-// pattern (roundsweep_test.go).
+// The decode kernel matches the oracle on all 65536 patterns and the LUT
+// loop at every length and alignment (decode_test.go). The fused
+// encode+decode, RoundSlice, also has an F16C kernel (round_amd64.s) that
+// matches the scalar round trip on every float32 pattern
+// (roundsweep_test.go).
 
 import (
 	"math"
@@ -119,12 +124,28 @@ func encodeTables() (*[512]uint16, *[512]uint8, *[512]uint32) {
 }
 
 // DecodeSlice converts binary16 src into float32 dst element-wise,
-// bit-identical to the scalar ToFloat32. len(dst) must equal len(src).
+// bit-identical to the scalar ToFloat32. len(dst) must equal len(src). On
+// a host with F16C and AVX2 the F16C kernel decodes the largest multiple
+// of 8 elements and decodeSliceGo the rest.
 func DecodeSlice(dst []float32, src []Bits) {
 	if len(dst) != len(src) {
 		panic("fp16: DecodeSlice length mismatch")
 	}
+	if n8 := len(src) &^ 7; cpufeat.HasF16C && cpufeat.HasAVX2 && n8 > 0 {
+		decodeF16C(&dst[0], &src[0], n8)
+		dst, src = dst[n8:], src[n8:]
+	}
+	decodeSliceGo(dst, src)
+}
+
+// decodeSliceGo is the LUT loop: the portable DecodeSlice, the F16C
+// kernel's tail and its oracle. An empty slice never builds the table.
+func decodeSliceGo(dst []float32, src []Bits) {
+	if len(src) == 0 {
+		return
+	}
 	lut := decodeTable()
+	dst = dst[:len(src)]
 	for i, h := range src {
 		dst[i] = lut[h]
 	}

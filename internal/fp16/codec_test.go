@@ -21,15 +21,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The LUT must be built exactly once even under concurrent first use.
+// The LUT must be built exactly once even under concurrent first use. 19
+// elements leave a 3-element tail, so the goroutines reach the table on
+// an F16C host too, where the kernel decodes the first 16.
 func TestDecodeLUTBuiltLazilyOnce(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make([]float32, 16)
-			src := make([]Bits, 16)
+			dst := make([]float32, 19)
+			src := make([]Bits, 19)
 			for i := range src {
 				src[i] = Bits(i * 257)
 			}
@@ -190,6 +192,7 @@ func TestSliceWrappersMatchKernels(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeSliceLUT runs the LUT loop, the portable DecodeSlice.
 func BenchmarkDecodeSliceLUT(b *testing.B) {
 	src := make([]Bits, 4096)
 	for i := range src {
@@ -199,7 +202,39 @@ func BenchmarkDecodeSliceLUT(b *testing.B) {
 	b.SetBytes(int64(len(src) * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		decodeSliceGo(dst, src)
+	}
+}
+
+// BenchmarkDecodeSliceF16C runs DecodeSlice as the host selects it: the
+// F16C kernel on a host with F16C and AVX2.
+func BenchmarkDecodeSliceF16C(b *testing.B) {
+	src := make([]Bits, 4096)
+	for i := range src {
+		src[i] = Bits(i * 13)
+	}
+	dst := make([]float32, len(src))
+	b.SetBytes(int64(len(src) * 2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		DecodeSlice(dst, src)
+	}
+}
+
+// BenchmarkDecodeSliceBits runs the arithmetic decode of the rounding
+// kernels over the same halves.
+func BenchmarkDecodeSliceBits(b *testing.B) {
+	src := make([]Bits, 4096)
+	for i := range src {
+		src[i] = Bits(i * 13)
+	}
+	dst := make([]float32, len(src))
+	b.SetBytes(int64(len(src) * 2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, h := range src {
+			dst[j] = decodeBits(uint32(h))
+		}
 	}
 }
 

@@ -5,3 +5,10 @@ package fp16
 //
 //go:noescape
 func roundF16C(vs *float32, n8 int)
+
+// decodeF16C is the F16C body of DecodeSlice: it decodes src[0:n8] into
+// dst[0:n8], eight lanes per YMM register, bit-identical to ToFloat32; n8
+// is a positive multiple of 8. It needs AVX2 as well as F16C.
+//
+//go:noescape
+func decodeF16C(dst *float32, src *Bits, n8 int)

@@ -161,7 +161,7 @@ func (sp *SymPlan) MulVec32(x []float32) []float32 {
 		row := m.Data[u*m.Cols : (u+1)*m.Cols]
 		var even, odd float32
 		for c, v := range row {
-			p := float32(v) * x[c]
+			p := float32(float32(v) * x[c])
 			if c%2 == 0 {
 				even += p
 			} else {
@@ -175,7 +175,7 @@ func (sp *SymPlan) MulVec32(x []float32) []float32 {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float32
 		for c, v := range row {
-			s += float32(v) * x[c]
+			s += float32(float32(v) * x[c])
 		}
 		y[i] = s
 	}
