@@ -54,10 +54,13 @@ dispatch-smoke:
 # faults runs the request-lifecycle robustness suite under the race
 # detector: the fault-injection harness (forced panics, slow computes,
 # client disconnects), dispatcher panic/cancel isolation, and the
-# cancellable-execution tests in core and sched.
+# cancellable-execution tests in core and sched. The mid-run cancel test
+# runs once more at GOMAXPROCS 1 without the race detector, the leg where
+# a cancel that waited for a watcher goroutine used to miss the grid.
 faults:
 	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestRunBatch' \
 		./internal/serve ./internal/core ./internal/sched
+	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtxCancelMidRunWorkspaceReusable$$' ./internal/core
 
 # router-smoke runs the sharding topology suites under the race detector:
 # the consistent-hash ring's remapping bounds and the in-process router
@@ -80,15 +83,20 @@ saturate:
 # strided, forward, data gradient, serve round-trip, mid-run
 # cancellation) is pinned against the grouped float64 direct oracle and
 # the sequential per-group reference, plus the depthwise planned-path and
-# workspace-shrinkage acceptance checks. The in-test width-{1,4} pools
-# cover pool shape; the GOMAXPROCS legs cover the unforced default pool
-# the serve tests run on.
+# workspace-shrinkage acceptance checks. The grouped dense-grid
+# differential runs again on forced O_C blocks of 1, 2, 3 and 5 filters
+# (ragged last blocks). The in-test width-{1,4} pools cover pool shape;
+# the GOMAXPROCS legs cover the unforced default pool the serve tests
+# run on.
 grouped-smoke:
 	@for procs in 1 4; do \
 		echo "grouped-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
 			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
+		GOMAXPROCS=$$procs \
+			$(GO) test -race -count 1 -run '^TestBitwiseSuitesBlockedUnits$$/^ob/^GroupedInterleavedMatchesSequential$$' \
+			./internal/core || exit 1; \
 	done
 
 # bitwise-smoke repeats the bitwise suites of the EWM kernels, the panel
@@ -112,7 +120,11 @@ grouped-smoke:
 # units on NaN-filled and foreign pooled scratch (a ring slot read before
 # its fill), the F16C binary16 decode against the LUT loop at every
 # length 0–40 and start offset 0–7, and all 65,536 halves decoded on both
-# paths (F16C cleared for the second). On
+# paths (F16C cleared for the second). The reference-executor, grouped,
+# poisoned-workspace and pool suites run again on forced O_C blocks with
+# ragged last blocks, a layer the production rule splits is pinned to its
+# unblocked plan, and the block rule to its VGG16 table, its 1 MiB
+# accumulator bound and the unsplit serving keys. On
 # an AVX2 or F16C host TestBitwiseSuitesGoKernels runs the suites again on
 # the Go kernels, so both kernel paths are pinned. Pool workers share the
 # reduce, so each suite runs 5 times. Last, both binary16 rounding paths
@@ -122,7 +134,7 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive' \
+			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive|TestBitwiseSuitesBlockedUnits|TestBlockedUnitsMatchUnblocked|TestDenseBlockRule' \
 			./internal/core ./internal/winograd ./internal/kahan ./internal/fp16 || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16

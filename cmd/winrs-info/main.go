@@ -107,6 +107,7 @@ func main() {
 	fmt.Printf("segment target     %d (Algorithm 1)\n", cfg.ZTarget)
 	fmt.Printf("segment shape      %dx%d (Algorithm 2)\n", cfg.SegH, cfg.SegW)
 	fmt.Printf("segments realized  %d\n", cfg.Z())
+	desc := cfg.Describe()
 	if p.G() > 1 {
 		depthwise := p.ICG() == 1 && p.OCG() == 1
 		fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
@@ -115,8 +116,8 @@ func main() {
 		if depthwise {
 			grid = "channel-wide"
 		}
-		fmt.Printf("workspace          %.3f MB ((Z-1) x dW; %d %s units)\n",
-			float64(cfg.WorkspaceBytes())/(1<<20), cfg.Units(), grid)
+		fmt.Printf("workspace          %.3f MB ((Z-1) x dW; %d %s units, channel block %d)\n",
+			float64(cfg.WorkspaceBytes())/(1<<20), desc.Units, grid, desc.ChannelBlock)
 		// The paper's headline quantity under grouping: a grouped dW is G
 		// times smaller, so at the grouped plan's Z the workspace is G
 		// times below the ungrouped layer's, (Z-1) x its dW. Configuring
@@ -128,8 +129,8 @@ func main() {
 				float64(ub)/(1<<20), cfg.Z(), float64(ub)/float64(maxI64(1, cfg.WorkspaceBytes())))
 		}
 	} else {
-		fmt.Printf("workspace          %.2f MB ((Z-1) x dW)\n",
-			float64(cfg.WorkspaceBytes())/(1<<20))
+		fmt.Printf("workspace          %.2f MB ((Z-1) x dW; %d dense units, channel block %d)\n",
+			float64(cfg.WorkspaceBytes())/(1<<20), desc.Units, desc.ChannelBlock)
 	}
 	fmt.Printf("what cache         %.2f MB (transformed-dY reuse, <= (max a/r) x dY)\n",
 		float64(cfg.WHatCacheBytes())/(1<<20))

@@ -398,10 +398,12 @@ type Config struct {
 	Segments []Segment
 	Hardware Hardware
 
-	// unitOff is the precomputed work-unit schedule (see unitOffsets),
-	// built by Configure so executions need not re-derive it. Hand-built
-	// configs may leave it nil; schedule then derives it per call.
+	// unitOff is the precomputed work-unit schedule (see unitOffsets) and
+	// ocBlock the O_C block ob of a dense plan's units (see denseBlock),
+	// built by Configure so executions need not re-derive them. Hand-built
+	// configs may leave both zero; schedule then derives them per call.
 	unitOff []int
+	ocBlock int
 
 	// group is the adapted per-group plan when Params.Groups > 1: the WinRS
 	// problem of one group's channel slice (I_C/G inputs, O_C/G outputs),
@@ -414,16 +416,26 @@ type Config struct {
 	// = 1), 0 otherwise. Depthwise plans run channel-wide: one unit grid
 	// over (segment, width tile, block of cb channels), and unitOff above
 	// is that grid (see depthwise.go). Every other plan runs the dense grid
-	// of G·F_H·(F_W/n) units per segment.
+	// of G·F_H·B·(F_W/n) units per segment, B = ⌈(O_C/G)/ob⌉.
 	dwBlock int
 }
 
 // Units returns the number of work units one execution runs: the dense
-// grid, whose segments run G·F_H·(F_W/n) units each, or the channel-wide
-// grid of a depthwise plan.
+// grid, whose segments run G·F_H·B·(F_W/n) units each, or the
+// channel-wide grid of a depthwise plan.
 func (c *Config) Units() int {
-	_, n := schedule(c)
-	return n
+	off, _ := schedule(c)
+	return off[len(off)-1]
+}
+
+// unitBlock returns the channel block of the plan's units: the O_C block
+// ob of a dense plan, or the channel block cb of a depthwise one.
+func (c *Config) unitBlock() int {
+	if c.dwBlock > 0 {
+		return c.dwBlock
+	}
+	_, ob := schedule(c)
+	return ob
 }
 
 // GroupConfig returns the per-group plan for grouped layers (nil for
@@ -451,7 +463,7 @@ func (c *Config) WorkspaceBytes() int64 {
 // WHatCacheBytes returns the exact footprint of the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels the execution computes once per
 // (segment row, width tile, batch image) and reuses across all
-// G·F_H·(F_W/n) units of a segment:
+// G·F_H·B·(F_W/n) units of a segment:
 //
 //	Σ_seg Rows(seg) · (Cols(seg)/r_seg) · N · α_seg · O_C  elements,
 //
@@ -544,12 +556,13 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 		cfg := &Config{
 			Params: p, FP16: gcfg.FP16, Pair: gcfg.Pair,
 			ZTarget: gcfg.ZTarget, SegH: gcfg.SegH, SegW: gcfg.SegW,
-			Segments: gcfg.Segments, Hardware: gcfg.Hardware,
-			unitOff: unitOffsets(p.FW, p.G()*p.FH, gcfg.Segments), group: gcfg,
+			Segments: gcfg.Segments, Hardware: gcfg.Hardware, group: gcfg,
 		}
 		if p.ICG() == 1 && p.OCG() == 1 {
 			cfg.dwBlock = channelBlock(p.IC, execPool().Workers())
 			cfg.unitOff = unitOffsets(p.FW, ceilDiv(p.IC, cfg.dwBlock), gcfg.Segments)
+		} else {
+			cfg.unitOff, cfg.ocBlock = denseSchedule(p, gcfg.Segments)
 		}
 		return cfg, nil
 	}
@@ -588,7 +601,7 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 		Hardware: o.hw,
 	}
 	cfg.Segments = segs
-	cfg.unitOff = unitOffsets(p.FW, p.FH, segs)
+	cfg.unitOff, cfg.ocBlock = denseSchedule(p, segs)
 	return cfg, nil
 }
 

@@ -137,9 +137,9 @@ func TestDepthwiseExecuteRecordsStages(t *testing.T) {
 	}
 }
 
-// seedStaleScratch fills the tile-scratch pool with buffers larger than
-// any ring of these tests, every element NaN, so a unit that reads a ring
-// slot (or any scratch) before writing it returns NaN.
+// seedStaleScratch replaces the tile-scratch free list with buffers
+// larger than any ring of these tests, every element NaN, so a unit that
+// reads a ring slot (or any scratch) before writing it returns NaN.
 func seedStaleScratch() {
 	stale := func() []float32 {
 		b := make([]float32, 1<<16)
@@ -148,6 +148,10 @@ func seedStaleScratch() {
 		}
 		return b
 	}
+	scratchFree.Lock()
+	clear(scratchFree.list)
+	scratchFree.list = scratchFree.list[:0]
+	scratchFree.Unlock()
 	for i := 0; i < 8; i++ {
 		putTileScratch(&tileScratch{v: stale(), wRaw: stale(), wHatF: stale(), xRaw: stale(), xHatF: stale(), acc: stale()})
 	}

@@ -32,6 +32,11 @@ type Description struct {
 	WHatCacheBytes  int64   `json:"wHatCacheBytes"`
 	WHatCacheRatio  float64 `json:"wHatCacheRatio"`
 	TotalBlocks     int     `json:"totalBlocks"`
+	// Units is the work-unit count of one execution (Config.Units) and
+	// ChannelBlock the channel block of each unit: the O_C block ob of a
+	// dense plan's units, or the channel block cb of a depthwise plan's.
+	Units        int `json:"units"`
+	ChannelBlock int `json:"channelBlock"`
 	// EWMKernel is the chunk kernel the plan's dense units resolve to
 	// ("block4x4" or "avx2"), or "diag" for a depthwise plan's
 	// channel-wide units.
@@ -75,6 +80,7 @@ func (c *Config) Describe() Description {
 	for _, s := range e.Segments {
 		d.TotalBlocks += BlocksPerSegment(s.K, e.Params, c.FP16) * p.G()
 	}
+	d.Units, d.ChannelBlock = c.Units(), c.unitBlock()
 	d.EWMKernel = c.EWMKernel()
 	return d
 }

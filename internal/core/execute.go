@@ -16,7 +16,7 @@ import (
 // transforms every ∇Y unit once into the workspace's Ŵ cache, every
 // segment then executes the fused Ω_α(n,r) kernel into its own ∇W bucket,
 // and the buckets are reduced with Kahan summation. Work units
-// (segment × group·f_h × width-tile) schedule onto the persistent sched pool
+// (segment × group·f_h × O_C block × width-tile) schedule onto the persistent sched pool
 // the way block groups map to SMs; no two units touch the same
 // accumulator, so the execution is lock-free. Each call allocates fresh
 // buckets and a fresh result; see ExecuteIn for the reusing variant.
@@ -36,7 +36,8 @@ func ExecuteHalf(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 // unitOffsets builds the prefix table of per-segment work-unit counts:
 // entry i is the first global unit index of segment i, and the final entry
 // is the total unit count. Segment si contributes rows·(F_W/n_si) units:
-// rows is G·F_H, or the channel-block count of a depthwise plan.
+// rows is G·F_H·B for B O_C blocks, or the channel-block count of a
+// depthwise plan.
 func unitOffsets(fw, rows int, segs []Segment) []int {
 	off := make([]int, len(segs)+1)
 	for i, seg := range segs {
@@ -45,14 +46,56 @@ func unitOffsets(fw, rows int, segs []Segment) []int {
 	return off
 }
 
-// schedule returns the unit prefix table and total unit count for cfg,
-// deriving them locally for hand-built configs (tests).
+// schedule returns cfg's unit prefix table and the O_C block of its dense
+// units, deriving both for hand-built configs (the 3-D path's flat plan).
 func schedule(cfg *Config) ([]int, int) {
-	off := cfg.unitOff
-	if off == nil {
-		off = unitOffsets(cfg.Params.FW, cfg.Params.G()*cfg.Params.FH, cfg.Segments)
+	if cfg.unitOff != nil {
+		return cfg.unitOff, cfg.ocBlock
 	}
-	return off, off[len(off)-1]
+	return denseSchedule(cfg.Params, cfg.Segments)
+}
+
+// denseSchedule returns the dense unit grid of plan geometry p over segs:
+// its unit prefix table and the O_C block ob of its units. Each segment
+// runs G·F_H·B·(F_W/n) units, B = ⌈(O_C/G)/ob⌉ blocks per filter row.
+func denseSchedule(p conv.Params, segs []Segment) ([]int, int) {
+	ob := denseBlock(p, segs)
+	return unitOffsets(p.FW, p.G()*p.FH*ceilDiv(p.OCG(), ob), segs), ob
+}
+
+// unitAccBytes bounds the accumulators of one dense unit, α·ob·(I_C/G)
+// float32 values (see denseBlock). In a sweep of the bound on the VGG16
+// step, 512 KiB and 1 MiB tied, 2 MiB was slower and no bound slower
+// still; the larger of the two runs fewer units and repeats less X̂ work
+// (EXPERIMENTS.md, "Dense units split by output-channel block").
+const unitAccBytes = 1 << 20
+
+// blockForce, when positive, replaces the O_C block of every dense plan
+// configured while it is set by min(blockForce, O_C/G): a test-only hook
+// that runs the bitwise suites, whose shapes the rule never splits, on
+// ragged blocks. Production leaves it 0.
+var blockForce int
+
+// denseBlock returns the O_C block ob of a dense plan's units: O_C/G,
+// halved and rounded up to a multiple of 8 while the α_max·ob·(I_C/G)
+// accumulators of a unit exceed unitAccBytes, where α_max is the largest
+// α of the plan's segments. It never goes below 8 filters, so a layer
+// with more than unitAccBytes of accumulators per 8 filters keeps larger
+// units (none in any workload). The rule reads only the plan, so a plan
+// does not depend on the pool width.
+func denseBlock(p conv.Params, segs []Segment) int {
+	ob, ic := p.OCG(), p.ICG()
+	if blockForce > 0 {
+		return min(blockForce, ob)
+	}
+	alpha := 0
+	for _, seg := range segs {
+		alpha = max(alpha, seg.K.Alpha)
+	}
+	for ob > 8 && 4*alpha*ob*ic > unitAccBytes {
+		ob = (ceilDiv(ob, 2) + 7) &^ 7
+	}
+	return ob
 }
 
 // testPool, when non-nil, overrides the shared scheduling pool; the
@@ -232,8 +275,9 @@ type execJob struct {
 	ws      *Workspace
 	ops     operands // the call's operands (staged per tile by depthwise units)
 	st      storage
-	x, dy   []float32 // whole-layer float32 operand sources of the dense grid
-	dst     []float32 // the reduce target
+	x, dy   []float32    // whole-layer float32 operand sources of the dense grid
+	dst     []float32    // the reduce target
+	cancel  *sched.Batch // the call's cancellation handle, for testUnitDone
 	traceOn bool
 	phase   execPhase
 }
@@ -267,12 +311,14 @@ func (j *execJob) fillRows(lo, hi int) {
 	}
 }
 
-// units runs global (segment, g·F_H + f_h, width-tile) units [lo, hi)
-// against the X source, the Ŵ cache and the segment buckets, recording
-// each unit's stage durations when tracing.
+// units runs global (segment, g·F_H + f_h, O_C block, width-tile) units
+// [lo, hi) against the X source, the Ŵ cache and the segment buckets,
+// recording each unit's stage durations when tracing.
 func (j *execJob) units(lo, hi int) {
 	cfg, ws := j.cfg, j.ws
-	off, what := ws.unitOff, ws.what32
+	off, what, ob := ws.unitOff, ws.what32, ws.ob
+	ocg := cfg.Params.OCG()
+	blocks := ceilDiv(ocg, ob)
 	si := 0
 	for i := lo; i < hi; i++ {
 		for i >= off[si+1] {
@@ -281,15 +327,21 @@ func (j *execJob) units(lo, hi int) {
 		seg := cfg.Segments[si]
 		jTiles := cfg.Params.FW / seg.K.N
 		local := i - off[si]
+		rb := local / jTiles // row·B + block
+		o0 := rb % blocks * ob
+		u := denseUnit{seg: seg, row: rb / blocks, o0: o0, ob: min(ob, ocg-o0), j: local % jTiles}
 		w := what[ws.whatOff[si]:ws.whatOff[si+1]]
 		if !j.traceOn {
-			segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, j.x, w, ws.buckets[si], nil)
-			continue
+			segmentTile(cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x, w, ws.buckets[si], nil)
+		} else {
+			var ut obs.UnitTimes
+			t0 := time.Now()
+			segmentTile(cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x, w, ws.buckets[si], &ut)
+			obs.RecordUnit(time.Since(t0), ut)
 		}
-		var ut obs.UnitTimes
-		t0 := time.Now()
-		segmentTile(cfg.Params, j.ops.rows, seg, local/jTiles, local%jTiles, ws.plans[si], j.st, j.x, w, ws.buckets[si], &ut)
-		obs.RecordUnit(time.Since(t0), ut)
+		if testUnitDone != nil {
+			testUnitDone(j.cancel)
+		}
 	}
 }
 
@@ -300,9 +352,10 @@ func (j *execJob) units(lo, hi int) {
 // contiguous [r][O_C] block — ∇Y is unpadded and segments tile O_W
 // exactly, so the unit never clips and needs no gather copy. The panels
 // depend only on (oh, ow0, nb), so one fill amortizes across all
-// G·F_H·(F_W/n) units of the segment: the panel plans run one chain per
+// G·F_H·B·(F_W/n) units of the segment: the panel plans run one chain per
 // column, so one fill at width O_C equals G per-group fills column for
-// column, and group g's units read columns [g·O_C/G, (g+1)·O_C/G).
+// column, and group g's units read columns [g·O_C/G, (g+1)·O_C/G), each
+// unit the ob of its O_C block.
 func fillRow(p conv.Params, seg Segment, oh int, pl unitPlan, round func([]float32),
 	dy, what []float32) {
 	r, oc, ow := seg.K.R, p.OC, p.OW()
@@ -403,46 +456,59 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 	ut.EWM += span - tr
 }
 
+// denseUnit is one unit of the dense grid: width tile j of a segment, at
+// row = g·F_H + fh (group g's filter row fh), over the group's filters
+// [o0, o0+ob) — the last O_C block of a row may be narrower than the
+// plan's.
+type denseUnit struct {
+	seg            Segment
+	row, o0, ob, j int
+}
+
 // segmentTile is the dense Ω_α(n,r) unit kernel of every precision,
-// dimension and group count: for one (segment, g·F_H + fh, width-tile)
-// unit it produces group g's ∇W rows [j·n, (j+1)·n) at (flattened) filter
-// row fh for all of the group's O_C/G × I_C/G (oc, ic) pairs. Its EWM is
-// one GEMM per α-plane over the unit's tiles, v[e] += Σ_t Ŵ_t[e] ⊗ X̂_t[e],
-// accumulated over the segment's rows, width tiles and the batch in that
-// order. The unit walks its valid (row, tile, image) iterations in chunks
-// of up to chunkTiles tiles (see denseChunk.run); per unit, the output
-// transform Aᵀ stores the bucket rows. p is the plan's 2-D (flattened)
-// geometry; x is the float32 X source in (N, rm rows, I_W, I_C) layout and
-// what the segment's Ŵ cache (filled once per (oh, ow0, nb) by fillRow).
-// Group g gathers X channels [g·I_C/G, (g+1)·I_C/G) at stride I_C, takes
-// the matching O_C/G Ŵ columns and stores into its contiguous slab of the
-// whole-layer bucket, so its operation sequence is that of the per-group
-// plan; an ungrouped unit is the g = 0, G = 1 case.
+// dimension and group count: for unit u it produces group g's ∇W rows
+// [j·n, (j+1)·n) at (flattened) filter row fh for the ob × I_C/G (oc, ic)
+// pairs of its O_C block. Its EWM is one GEMM per α-plane over the unit's
+// tiles, v[e] += Σ_t Ŵ_t[e] ⊗ X̂_t[e], accumulated over the segment's rows,
+// width tiles and the batch in that order. The unit walks its valid (row,
+// tile, image) iterations in chunks of up to chunkTiles tiles (see
+// denseChunk.run); per unit, the output transform Aᵀ stores the bucket
+// rows. p is the plan's 2-D (flattened) geometry; x is the float32 X
+// source in (N, rm rows, I_W, I_C) layout and what the segment's Ŵ cache
+// (filled once per (oh, ow0, nb) by fillRow). Group g gathers X channels
+// [g·I_C/G, (g+1)·I_C/G) at stride I_C, takes the block's ob Ŵ columns and
+// stores into its contiguous slab of the whole-layer bucket, so its
+// operation sequence is that of the per-group plan; an ungrouped unit is
+// the g = 0, G = 1 case. Every O_C block gathers and transforms the same X
+// tiles, and the panel plans run one chain per column, so each
+// accumulator's terms are those of an unblocked unit, in the same order.
 //
 // ut, when non-nil, accumulates sampled, scaled intra-unit transform and
 // EWM durations and the timed epilogue for the observability layer; the
 // nil path adds only predictable never-taken branches.
-func segmentTile(p conv.Params, rm rowMap, seg Segment, row, j int, pl unitPlan, st storage,
+func segmentTile(p conv.Params, rm rowMap, u denseUnit, pl unitPlan, st storage,
 	x, what, bucket []float32, ut *obs.UnitTimes) {
+	seg := u.seg
 	n, r, alpha := seg.K.N, seg.K.R, seg.K.Alpha
-	g, fh := row/p.FH, row%p.FH
-	oc, ic := p.OCG(), p.ICG()
+	g, fh := u.row/p.FH, u.row%p.FH
+	oc, ic := u.ob, p.ICG()
 	slab := p.DWShape().Elems() / p.G()
-	bucket = bucket[g*slab : (g+1)*slab]
+	// The block's filters are contiguous in the group's slab.
+	bucket = bucket[g*slab+u.o0*(slab/p.OCG()) : (g+1)*slab]
 	tcMax := chunkTiles(alpha, oc, ic)
 
 	s := getTileScratch()
 	defer putTileScratch(s)
 	c := denseChunk{
 		p: p, pl: pl, round: st.round, kernel: selectEWM(ic).chunk,
-		x: x[g*ic:], what: what, alpha: alpha, oc: oc, ic: ic, w0: g * oc,
-		v:    growF32(&s.v, alpha*oc*ic), // accumulators [α][oc][ic]: the register tile of Algorithm 3
+		x: x[g*ic:], what: what, alpha: alpha, oc: oc, ic: ic, w0: g*p.OCG() + u.o0,
+		v:    growF32(&s.v, alpha*oc*ic), // accumulators [α][ob][ic]: the register tile of Algorithm 3
 		xRaw: growF32(&s.xRaw, alpha*tcMax*ic),
 		xHat: growF32(&s.xHatF, alpha*tcMax*ic),
 		wHat: growF32(&s.wHatF, alpha*tcMax*oc),
 	}
 	its := s.iters[:0]
-	colBase := j * n
+	colBase := u.j * n
 	entry := alpha * p.OC
 	tiles := seg.Cols() / r
 	xRows := rm.id * rm.ih
@@ -506,8 +572,9 @@ const (
 )
 
 // chunkTiles returns the chunk length T_c of a dense unit with α-point
-// tiles, I_C input and O_C output channels: 1 under the test-only
-// ewmTileFused force, which moves every chunk boundary of the default.
+// tiles, ic input channels and an O_C block of oc filters: 1 under the
+// test-only ewmTileFused force, which moves every chunk boundary of the
+// default.
 func chunkTiles(alpha, oc, ic int) int {
 	if ewmForce == ewmTileFused {
 		return 1
@@ -525,8 +592,8 @@ type tileIter struct {
 // denseChunk is the per-unit state of segmentTile's chunk loop: the
 // operands, the storage policy's transforms and rounding, the selected
 // chunk kernel, and the chunk panels, all sized for chunkTiles tiles. x
-// starts at the group's first input channel and w0 is its first Ŵ
-// column; oc and ic are the group's widths, O_C/G and I_C/G.
+// starts at the group's first input channel and w0 is the unit's first Ŵ
+// column; oc is the unit's O_C block and ic the group's I_C/G.
 type denseChunk struct {
 	p                   conv.Params
 	pl                  unitPlan
@@ -580,8 +647,9 @@ func (c *denseChunk) run(its []tileIter, first bool, smp *unitSampler, ut *obs.U
 	smp.end()
 }
 
-// writeOutput applies the FP32 output transform Aᵀ to the accumulators and
-// stores the n output columns into the bucket at (·, fh, colBase…, ·). The
+// writeOutput applies the FP32 output transform Aᵀ to the accumulators of
+// oc filters and stores the n output columns into the bucket, which starts
+// at the first of them, at (·, fh, colBase…, ·). The
 // n I_C-wide rows of one o_c are contiguous in the bucket, so one
 // outputRows call per o_c builds them in place, reading each accumulator
 // once. The segment's units together cover every bucket element exactly

@@ -34,6 +34,13 @@ func ExecuteHalfInCtx(ctx context.Context, cfg *Config, ws *Workspace, x, dy *te
 		operand{f16: x.Data}, operand{f16: dy.Data}, "ExecuteHalf"), halfStorage, dst)
 }
 
+// testUnitDone, when non-nil, runs after every dense unit with the
+// execution's cancellation handle (nil when it has none): the mid-run
+// cancellation test cancels from inside the grid through it, so the
+// cancel lands after the first unit however the goroutines are scheduled.
+// Production leaves it nil.
+var testUnitDone func(*sched.Batch)
+
 // executeCtx runs execute under a context watcher.
 func executeCtx(ctx context.Context, cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32) (*tensor.Float32, error) {
 	if err := ctx.Err(); err != nil {

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"winrs/internal/conv"
+	"winrs/internal/sched"
 )
 
 // An uncancelled ExecuteInCtx must be bit-identical to ExecuteIn on every
@@ -81,13 +83,6 @@ func TestExecuteInCtxPreCancelled(t *testing.T) {
 // reduce reads it, whatever a cancelled run left there — that lets the
 // serving runtime recycle arenas after a cancelled request).
 func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
-	// Geometry sized so a warm run takes ~60ms or more: on a single-CPU
-	// host a parked timer goroutine only gets scheduled at an
-	// async-preemption point (~10-25ms in), so the run must comfortably
-	// outlast that latency for the cancel to land mid-grid with units left
-	// to skip. With the AVX2 transforms a warm run of N = 32 takes about
-	// 80ms under the race detector at GOMAXPROCS 1 on a 2-vCPU host (N = 8
-	// took 19ms there and never got cancelled) and 20-30ms without it.
 	p := conv.Params{N: 32, IH: 64, IW: 64, FH: 5, FW: 5, IC: 16, OC: 16, PH: 2, PW: 2}
 	cfg, err := Configure(p)
 	if err != nil {
@@ -98,15 +93,29 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 	ws := NewWorkspace(cfg)
 	ExecuteIn(cfg, ws, x, dy, nil) // warm the workspace and caches
 
+	// The cancel fires from inside the grid, after the first unit of the
+	// attempt: a context watcher or a timer goroutine would have to be
+	// scheduled mid-grid, which at GOMAXPROCS 1 waits for an asynchronous
+	// preemption that a fast run can outlast.
+	var cancel context.CancelFunc
+	var armed atomic.Bool
+	prev := testUnitDone
+	testUnitDone = func(b *sched.Batch) {
+		if armed.CompareAndSwap(true, false) {
+			cancel()
+			b.Cancel()
+		}
+	}
+	defer func() { testUnitDone = prev }()
+
 	const maxAttempts = 10
 	cancelled, attempts := 0, 0
 	for ; attempts < maxAttempts && cancelled < 2; attempts++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(time.Millisecond)
-			cancel()
-		}()
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		armed.Store(true)
 		out, err := ExecuteInCtx(ctx, cfg, ws, x, dy, nil)
+		armed.Store(false)
 		cancel()
 		switch {
 		case err == nil:

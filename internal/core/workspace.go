@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // buckets of the paper's partitioning phase plus the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels that every fused unit reads (one
 // α·O_C panel per (segment row, width tile, batch image), filled once per
-// execution and reused across all G·F_H·(F_W/n) units of a segment). An
+// execution and reused across all G·F_H·B·(F_W/n) units of a segment). An
 // ungrouped plan's bucket 0 is the call's destination, as in the paper's
 // Table 2, so its arena holds Z−1 buckets. A grouped plan's arena holds
 // all Z, and its buckets and cache span the whole layer, like an
@@ -36,12 +37,14 @@ type Workspace struct {
 	buckets [][]float32
 
 	// Schedule tables of the bound config: global unit, Ŵ-cache element
-	// and global segment-row prefixes per segment. Rebuilt only when the
-	// workspace is used with a different *Config (rebind).
+	// and global segment-row prefixes per segment, and the O_C block of its
+	// dense units. Rebuilt only when the workspace is used with a different
+	// *Config (rebind).
 	cfg     *Config
 	unitOff []int
 	whatOff []int
 	rowOff  []int
+	ob      int
 
 	// Ŵ cache arena, grown lazily and shared by every storage policy (one
 	// workspace may serve ExecuteIn and ExecuteHalfIn alike): rounded
@@ -94,8 +97,7 @@ func (ws *Workspace) rebind(cfg *Config) {
 		return
 	}
 	ws.cfg = cfg
-	off, _ := schedule(cfg)
-	ws.unitOff = off
+	ws.unitOff, ws.ob = schedule(cfg)
 	nseg := len(cfg.Segments)
 	if cap(ws.whatOff) < nseg+1 {
 		ws.whatOff = make([]int, nseg+1)
@@ -236,7 +238,7 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	}
 	ws = ensureWorkspace(cfg, ws)
 	ws.bindPlans(cfg, st)
-	ws.job = execJob{cfg: cfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled(), dst: dst.Data}
+	ws.job = execJob{cfg: cfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled(), dst: dst.Data, cancel: cancel}
 	dstIsBucket0 := ws.owned < ws.z
 	if dstIsBucket0 {
 		ws.buckets[0] = dst.Data
@@ -300,18 +302,48 @@ func (ws *Workspace) bindPlans(cfg *Config, st storage) {
 // panels; a depthwise unit's tile panels, with its X̂ ring in xHatF), a
 // dense unit's chunk of iterations and the output-transform scratch
 // (float32 Aᵀ, plus the bucket rows of a depthwise unit). Units
-// borrow it from a process-wide pool so steady-state executions allocate
-// no transform scratch at all; the slices grow to the largest geometry
-// seen and are then reused as-is.
+// borrow it from a process-wide free list so steady-state executions
+// allocate no transform scratch at all; the slices grow to the largest
+// geometry seen and are then reused as-is.
 type tileScratch struct {
 	v, wRaw, wHatF, xRaw, xHatF, acc []float32
 	iters                            []tileIter
 }
 
-var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
+// scratchFree is the free list of unit scratch, last in first out. Unlike
+// a sync.Pool, garbage collection does not empty it, so a steady-state
+// caller allocates no scratch across GC cycles either. It keeps at most
+// maxIdleScratch entries, four per GOMAXPROCS at start-up and at least
+// eight: one unit runs per pool participant, and concurrent callers add a
+// participant each. A scratch returned to a full list is left to the
+// collector.
+var scratchFree struct {
+	sync.Mutex
+	list []*tileScratch
+}
 
-func getTileScratch() *tileScratch  { return tileScratchPool.Get().(*tileScratch) }
-func putTileScratch(s *tileScratch) { tileScratchPool.Put(s) }
+var maxIdleScratch = 4 * max(2, runtime.GOMAXPROCS(0))
+
+func getTileScratch() *tileScratch {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	n := len(scratchFree.list)
+	if n == 0 {
+		return new(tileScratch)
+	}
+	s := scratchFree.list[n-1]
+	scratchFree.list[n-1] = nil
+	scratchFree.list = scratchFree.list[:n-1]
+	return s
+}
+
+func putTileScratch(s *tileScratch) {
+	scratchFree.Lock()
+	if len(scratchFree.list) < maxIdleScratch {
+		scratchFree.list = append(scratchFree.list, s)
+	}
+	scratchFree.Unlock()
+}
 
 // growF32 resizes *buf to length n, reusing its backing array when large
 // enough. Contents are unspecified; callers overwrite or zero as needed.

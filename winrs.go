@@ -28,6 +28,7 @@ package winrs
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"winrs/internal/conv"
 	"winrs/internal/core"
@@ -62,12 +63,18 @@ type Hardware = core.Hardware
 
 // Plan is an adapted, reusable WinRS execution plan for one layer
 // geometry: the fastest kernel pair, the segment partition and the bucket
-// workspace size are all fixed at construction. A Plan is immutable and
-// safe for concurrent Execute calls from multiple goroutines; each call
-// borrows a private bucket arena from the plan's workspace pool.
+// workspace size are all fixed at construction. A Plan is safe for
+// concurrent Execute calls from multiple goroutines; each call borrows a
+// private bucket arena: the one the plan keeps, or, while another call
+// holds that, one from the plan's workspace pool.
 type Plan struct {
 	cfg   *core.Config
 	entry *serve.Entry // plan-cache entry carrying the workspace pool
+	// arena is the workspace the plan keeps between calls. The entry's
+	// pool drops whatever sits idle through two garbage-collection cycles,
+	// so without it a plan executed step after step would re-allocate its
+	// buckets and Ŵ cache after every other cycle.
+	arena atomic.Pointer[core.Workspace]
 }
 
 // defaultPlans is the process-wide plan cache behind NewPlan and the
@@ -109,6 +116,15 @@ func WithSegments(z int) PlanOption { return func(o *planOpts) { o.segments = z 
 // precision, hardware, forced segments): a repeated NewPlan for the same
 // layer returns the already-adapted plan without re-running §4.
 func NewPlan(p Params, opts ...PlanOption) (*Plan, error) {
+	e, err := planEntry(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{cfg: e.Cfg, entry: e}, nil
+}
+
+// planEntry returns the process-wide plan-cache entry for p under opts.
+func planEntry(p Params, opts []PlanOption) (*serve.Entry, error) {
 	var o planOpts
 	for _, f := range opts {
 		f(&o)
@@ -118,10 +134,24 @@ func NewPlan(p Params, opts ...PlanOption) (*Plan, error) {
 		key.NSM = o.hw.NSM
 	}
 	e, _, err := defaultPlans.Get(key)
-	if err != nil {
-		return nil, err
+	return e, err
+}
+
+// acquire borrows the plan's arena, or a pooled one while another call
+// holds it.
+func (pl *Plan) acquire() *core.Workspace {
+	if ws := pl.arena.Swap(nil); ws != nil {
+		return ws
 	}
-	return &Plan{cfg: e.Cfg, entry: e}, nil
+	return pl.entry.AcquireWorkspace()
+}
+
+// release keeps ws as the plan's arena if the slot is free, else returns
+// it to the pool.
+func (pl *Plan) release(ws *core.Workspace) {
+	if !pl.arena.CompareAndSwap(nil, ws) {
+		pl.entry.ReleaseWorkspace(ws)
+	}
 }
 
 // Segments returns the segment count Z the plan realized.
@@ -144,22 +174,23 @@ func (pl *Plan) KernelPair() string { return pl.cfg.Pair.String() }
 
 // Execute computes ∇W in FP32. x must have shape N×I_H×I_W×I_C and dy
 // N×O_H×O_W×O_C; the result is a freshly-allocated O_C×F_H×F_W×I_C tensor
-// owned by the caller. The bucket workspace comes from the plan's pool, so
-// steady-state calls do not re-allocate it; concurrent calls are safe and
-// each borrow their own arena.
+// owned by the caller. The bucket workspace is the one the plan keeps, so
+// steady-state calls do not re-allocate it, garbage collections between
+// them included; concurrent calls are safe and each borrow their own
+// arena.
 func (pl *Plan) Execute(x, dy *Tensor) *Tensor {
-	ws := pl.entry.AcquireWorkspace()
-	defer pl.entry.ReleaseWorkspace(ws)
+	ws := pl.acquire()
+	defer pl.release(ws)
 	return core.ExecuteIn(pl.cfg, ws, x, dy, nil)
 }
 
 // ExecuteHalf computes ∇W on the emulated FP16 Tensor-Core path. The
 // result is FP32 (accumulators and bucket reduction stay FP32, per the
-// paper's accuracy design). Like Execute, it reuses the plan's pooled
-// workspace and is safe for concurrent use.
+// paper's accuracy design). Like Execute, it reuses the plan's workspace
+// and is safe for concurrent use.
 func (pl *Plan) ExecuteHalf(x, dy *HalfTensor) *Tensor {
-	ws := pl.entry.AcquireWorkspace()
-	defer pl.entry.ReleaseWorkspace(ws)
+	ws := pl.acquire()
+	defer pl.release(ws)
 	return core.ExecuteHalfIn(pl.cfg, ws, x, dy, nil)
 }
 
@@ -169,13 +200,16 @@ func (pl *Plan) ExecuteHalf(x, dy *HalfTensor) *Tensor {
 // for any registered Winograd kernel, the plan transparently uses a direct-
 // convolution unit for the residual columns, so small outputs still work;
 // an error is returned only for invalid parameters or geometries no
-// execution path covers.
+// execution path covers. The workspace comes from the cached plan's pool:
+// no Plan outlives the call to keep one.
 func BackwardFilter(p Params, x, dy *Tensor, opts ...PlanOption) (*Tensor, error) {
-	plan, err := NewPlan(p, opts...)
+	e, err := planEntry(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute(x, dy), nil
+	ws := e.AcquireWorkspace()
+	defer e.ReleaseWorkspace(ws)
+	return core.ExecuteIn(e.Cfg, ws, x, dy, nil), nil
 }
 
 // BackwardFilterHalf is the one-shot FP16 path.
@@ -183,11 +217,13 @@ func BackwardFilterHalf(p Params, x, dy *HalfTensor, opts ...PlanOption) (*Tenso
 	// Clone before appending: appending to the caller's variadic slice in
 	// place would clobber its backing array when it has spare capacity.
 	opts = append(append([]PlanOption(nil), opts...), WithFP16())
-	plan, err := NewPlan(p, opts...)
+	e, err := planEntry(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return plan.ExecuteHalf(x, dy), nil
+	ws := e.AcquireWorkspace()
+	defer e.ReleaseWorkspace(ws)
+	return core.ExecuteHalfIn(e.Cfg, ws, x, dy, nil), nil
 }
 
 // MARE computes the paper's accuracy metric (mean absolute relative error)

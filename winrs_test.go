@@ -2,6 +2,7 @@ package winrs
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -185,5 +186,46 @@ func TestStridedTriadPublicAPI(t *testing.T) {
 	dw, err := BackwardFilterStrided(p, x, dy)
 	if err != nil || dw.Shape != p.DWShape() {
 		t.Fatalf("backward-filter: %v", err)
+	}
+}
+
+// A plan keeps its workspace through garbage collection: after two GC
+// cycles, which empty every sync.Pool, an Execute allocates its result and
+// less than 1 KiB besides — neither buckets, Ŵ cache nor unit scratch.
+// The result, 72 KiB, is a whole number of pages, so the allocator rounds
+// nothing onto it. The calls run inline (GOMAXPROCS 1): on the pool, a
+// call on which more units overlap than on any before it takes one more
+// scratch from the heap, whatever the collector does.
+func TestPlanExecuteAfterGCAllocatesOnlyResult(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(3))
+	p := Params{N: 1, IH: 14, IW: 14, FH: 3, FW: 3, IC: 32, OC: 64, PH: 1, PW: 1}
+	plan, err := NewPlan(p, WithSegments(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Segments() < 2 {
+		t.Fatalf("setup: Z = %d holds no bucket", plan.Segments())
+	}
+	x, dy := NewTensor(p.XShape()), NewTensor(p.DYShape())
+	x.FillUniform(rng, 0, 1)
+	dy.FillUniform(rng, 0, 1)
+	want := plan.Execute(x, dy)
+	result := uint64(p.DWShape().Elems()) * 4
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := plan.Execute(x, dy)
+		runtime.ReadMemStats(&after)
+		if extra := after.TotalAlloc - before.TotalAlloc - result; extra > 1<<10 {
+			t.Errorf("call %d after two GCs allocated %d bytes beyond its %d-byte result", i, extra, result)
+		}
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("call %d: result differs at %d", i, j)
+			}
+		}
 	}
 }
