@@ -54,13 +54,14 @@ dispatch-smoke:
 # faults runs the request-lifecycle robustness suite under the race
 # detector: the fault-injection harness (forced panics, slow computes,
 # client disconnects), dispatcher panic/cancel isolation, and the
-# cancellable-execution tests in core and sched. The mid-run cancel test
-# runs once more at GOMAXPROCS 1 without the race detector, the leg where
-# a cancel that waited for a watcher goroutine used to miss the grid.
+# cancellable-execution tests in core and sched. The mid-run cancel tests,
+# on a plan with separate segments and on a merged one, run once more at
+# GOMAXPROCS 1 without the race detector, the leg where a cancel that
+# waited for a watcher goroutine used to miss the grid.
 faults:
 	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestRunBatch' \
 		./internal/serve ./internal/core ./internal/sched
-	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtxCancelMidRunWorkspaceReusable$$' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtxCancelMidRun(WorkspaceReusable|Merged)$$' ./internal/core
 
 # router-smoke runs the sharding topology suites under the race detector:
 # the consistent-hash ring's remapping bounds and the in-process router
@@ -124,7 +125,11 @@ grouped-smoke:
 # poisoned-workspace and pool suites run again on forced O_C blocks with
 # ragged last blocks, a layer the production rule splits is pinned to its
 # unblocked plan, and the block rule to its VGG16 table, its 1 MiB
-# accumulator bound and the unsplit serving keys. On
+# accumulator bound and the unsplit serving keys. The same suites run
+# again with the residual units merged into the fast units on every plan
+# that can take it, the merged VGG16 plans are pinned to the same plans
+# run with separate segments, the merged epilogue's Kahan fold to the
+# two-bucket reduce, and the merge rule to its VGG16 layers. On
 # an AVX2 or F16C host TestBitwiseSuitesGoKernels runs the suites again on
 # the Go kernels, so both kernel paths are pinned. Pool workers share the
 # reduce, so each suite runs 5 times. Last, both binary16 rounding paths
@@ -134,7 +139,7 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive|TestBitwiseSuitesBlockedUnits|TestBlockedUnitsMatchUnblocked|TestDenseBlockRule' \
+			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive|TestBitwiseSuitesBlockedUnits|TestBlockedUnitsMatchUnblocked|TestDenseBlockRule|TestMergeRule|TestMergedResidualMatchesSeparate|TestBitwiseSuitesMergedResidual|TestWriteOutputFoldMatchesReduce' \
 			./internal/core ./internal/winograd ./internal/kahan ./internal/fp16 || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16

@@ -106,8 +106,12 @@ func main() {
 	fmt.Printf("width split        %d columns fast + %d residual\n", fastW, residW)
 	fmt.Printf("segment target     %d (Algorithm 1)\n", cfg.ZTarget)
 	fmt.Printf("segment shape      %dx%d (Algorithm 2)\n", cfg.SegH, cfg.SegW)
-	fmt.Printf("segments realized  %d\n", cfg.Z())
 	desc := cfg.Describe()
+	merged := ""
+	if desc.ResidualMerged {
+		merged = "; residual units run inside the fast units"
+	}
+	fmt.Printf("segments realized  %d (buckets: %d%s)\n", cfg.Z(), desc.Buckets, merged)
 	if p.G() > 1 {
 		depthwise := p.ICG() == 1 && p.OCG() == 1
 		fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
@@ -116,7 +120,7 @@ func main() {
 		if depthwise {
 			grid = "channel-wide"
 		}
-		fmt.Printf("workspace          %.3f MB ((Z-1) x dW; %d %s units, channel block %d)\n",
+		fmt.Printf("workspace          %.3f MB ((buckets-1) x dW; %d %s units, channel block %d)\n",
 			float64(cfg.WorkspaceBytes())/(1<<20), desc.Units, grid, desc.ChannelBlock)
 		// The paper's headline quantity under grouping: a grouped dW is G
 		// times smaller, so at the grouped plan's Z the workspace is G
@@ -129,7 +133,7 @@ func main() {
 				float64(ub)/(1<<20), cfg.Z(), float64(ub)/float64(maxI64(1, cfg.WorkspaceBytes())))
 		}
 	} else {
-		fmt.Printf("workspace          %.2f MB ((Z-1) x dW; %d dense units, channel block %d)\n",
+		fmt.Printf("workspace          %.2f MB ((buckets-1) x dW; %d dense units, channel block %d)\n",
 			float64(cfg.WorkspaceBytes())/(1<<20), desc.Units, desc.ChannelBlock)
 	}
 	fmt.Printf("what cache         %.2f MB (transformed-dY reuse, <= (max a/r) x dY)\n",

@@ -42,7 +42,7 @@ func main() {
 	}
 	fmt.Printf("kernel pair:      %s\n", plan.KernelPair())
 	fmt.Printf("segments (Z):     %d\n", plan.Segments())
-	fmt.Printf("workspace:        %d bytes (Z-1 gradient buckets)\n",
+	fmt.Printf("workspace:        %d bytes (gradient buckets beyond the result)\n",
 		plan.WorkspaceBytes())
 
 	// Validate against the float64 direct-convolution ground truth.

@@ -103,10 +103,11 @@ func (winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 	// whose dense grid spans its groups, and the channel-wide grid of a
 	// depthwise plan.
 	grains := cfg.Units()
-	// Z × the full ∇W: every plan's buckets are whole-layer, a grouped
-	// plan's holding its G per-group slabs.
+	// A pass over each bucket the units write, the full ∇W each: every
+	// plan's buckets are whole-layer, a grouped plan's holding its G
+	// per-group slabs, and a merged plan writes one.
 	dwBytes := float64(p.DWShape().Elems()) * 4
-	bytes := operandBytes32(p) + float64(cfg.Z())*dwBytes
+	bytes := operandBytes32(p) + float64(cfg.Buckets())*dwBytes
 	// Larger transforms spend more non-GEMM instructions (the footnote-3
 	// trade-off), so the efficiency falls with the fast kernel's α. Plans
 	// on the Go 4×4 panel (I_C < 8, hosts without AVX2) keep the values

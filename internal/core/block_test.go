@@ -25,7 +25,10 @@ func forceBlock(t testing.TB, ob int) {
 // vgg16Blocks is the 13 VGG16 convolutions at N = 1 and a quarter of the
 // spatial extent (the vgg16-fp32 benchmark step), with the O_C block and
 // unit count of each FP32 plan. Up to conv3_1 the rule splits nothing: a
-// plan keeps one unit per (filter row, width tile), 6 in all.
+// plan keeps one unit per (filter row, width tile) of each of its two
+// segments, 6 in all. From conv3_2 on, the blocks split the fast segment,
+// so the residual units run inside the fast ones (see residMergeable) and
+// the count is the fast segment's.
 var vgg16Blocks = []struct {
 	name       string
 	hw, ic, oc int
@@ -33,11 +36,11 @@ var vgg16Blocks = []struct {
 }{
 	{"conv1_1", 56, 3, 64, 64, 6}, {"conv1_2", 56, 64, 64, 64, 6},
 	{"conv2_1", 28, 64, 128, 128, 6}, {"conv2_2", 28, 128, 128, 128, 6},
-	{"conv3_1", 14, 128, 256, 256, 6}, {"conv3_2", 14, 256, 256, 128, 12},
-	{"conv3_3", 14, 256, 256, 128, 12}, {"conv4_1", 7, 256, 512, 128, 48},
-	{"conv4_2", 7, 512, 512, 64, 96}, {"conv4_3", 7, 512, 512, 64, 96},
-	{"conv5_1", 3, 512, 512, 128, 48}, {"conv5_2", 3, 512, 512, 128, 48},
-	{"conv5_3", 3, 512, 512, 128, 48},
+	{"conv3_1", 14, 128, 256, 256, 6}, {"conv3_2", 14, 256, 256, 128, 6},
+	{"conv3_3", 14, 256, 256, 128, 6}, {"conv4_1", 7, 256, 512, 128, 12},
+	{"conv4_2", 7, 512, 512, 64, 24}, {"conv4_3", 7, 512, 512, 64, 24},
+	{"conv5_1", 3, 512, 512, 128, 12}, {"conv5_2", 3, 512, 512, 128, 12},
+	{"conv5_3", 3, 512, 512, 128, 12},
 }
 
 func vgg16Params(hw, ic, oc int) conv.Params {
@@ -156,47 +159,61 @@ func TestBlockedUnitsMatchUnblocked(t *testing.T) {
 	}
 }
 
+// bitwiseSuites are the bitwise suites the forced-plan tests rerun: each
+// pins the production executors against a reference that runs the plan's
+// segments separately, or against themselves across pool widths and
+// workspaces.
+var bitwiseSuites = []struct {
+	name string
+	run  func(*testing.T)
+}{
+	{"ExecuteHalfMatchesScalarCodecRef", TestExecuteHalfMatchesScalarCodecRef},
+	{"QuantizedMatchesRef", TestQuantizedMatchesRef},
+	{"Execute3DMatchesRef", TestExecute3DMatchesRef},
+	{"GroupedInterleavedMatchesSequential", TestGroupedInterleavedMatchesSequential},
+	{"ExecuteInPoisonedWorkspaceMatchesFresh", TestExecuteInPoisonedWorkspaceMatchesFresh},
+	{"PoolMatchesInline2D", TestPoolMatchesInline2D},
+	{"PoolMatchesInlineStrided", TestPoolMatchesInlineStrided},
+	{"PoolMatchesInline3D", TestPoolMatchesInline3D},
+}
+
+// kernelLegs are the kernel paths the forced-plan tests run the suites on:
+// the host's, and on an AVX2 or F16C host the Go kernel loops too (the
+// _go leg).
+func kernelLegs() []string {
+	if cpufeat.HasAVX2 || cpufeat.HasF16C {
+		return []string{"", "_go"}
+	}
+	return []string{""}
+}
+
 // The bitwise suites again on forced O_C blocks: every dense shape of
 // theirs with more than ob filters per group runs ragged blocks, and the
 // reference executors, which run whole filter rows, must still match bit
 // for bit. ob = 1 gives every filter its own unit. On an AVX2 or F16C
 // host the suites run once more on the Go kernel loops (the _go legs).
 func TestBitwiseSuitesBlockedUnits(t *testing.T) {
-	suites := []struct {
-		name string
-		run  func(*testing.T)
-	}{
-		{"ExecuteHalfMatchesScalarCodecRef", TestExecuteHalfMatchesScalarCodecRef},
-		{"QuantizedMatchesRef", TestQuantizedMatchesRef},
-		{"Execute3DMatchesRef", TestExecute3DMatchesRef},
-		{"GroupedInterleavedMatchesSequential", TestGroupedInterleavedMatchesSequential},
-		{"ExecuteInPoisonedWorkspaceMatchesFresh", TestExecuteInPoisonedWorkspaceMatchesFresh},
-		{"PoolMatchesInline2D", TestPoolMatchesInline2D},
-		{"PoolMatchesInlineStrided", TestPoolMatchesInlineStrided},
-		{"PoolMatchesInline3D", TestPoolMatchesInline3D},
-	}
-	legs := []string{""}
-	if cpufeat.HasAVX2 || cpufeat.HasF16C {
-		legs = append(legs, "_go")
-	}
-	for _, leg := range legs {
+	for _, leg := range kernelLegs() {
 		for _, ob := range []int{1, 2, 3, 5} {
 			t.Run(fmt.Sprintf("ob%d%s", ob, leg), func(t *testing.T) {
 				if leg != "" {
 					forceGoKernels(t)
 				}
 				forceBlock(t, ob)
-				// The force reaches the plans: 7 filters run ⌈7/ob⌉ blocks.
+				// The force reaches the plans: 7 filters run ⌈7/ob⌉ blocks,
+				// and since the blocks split the fast segment, the rule
+				// runs the residual units inside the fast ones.
 				p := conv.Params{N: 1, IH: 13, IW: 17, FH: 3, FW: 3, IC: 5, OC: 7, PH: 1, PW: 1}
 				cfg, err := Configure(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				off := unitOffsets(p.FW, p.FH*ceilDiv(p.OC, ob), cfg.Segments)
-				if cfg.unitBlock() != ob || cfg.Units() != off[len(off)-1] {
-					t.Fatalf("forced ob %d: block %d, %d units; want %d units", ob, cfg.unitBlock(), cfg.Units(), off[len(off)-1])
+				if cfg.unitBlock() != ob || !cfg.residMerged || cfg.Units() != off[1] {
+					t.Fatalf("forced ob %d: block %d, %d units, merged %v; want %d merged units",
+						ob, cfg.unitBlock(), cfg.Units(), cfg.residMerged, off[1])
 				}
-				for _, s := range suites {
+				for _, s := range bitwiseSuites {
 					t.Run(s.name, s.run)
 				}
 			})
@@ -207,10 +224,11 @@ func TestBitwiseSuitesBlockedUnits(t *testing.T) {
 // BenchmarkUnitProbe is the unit-time probe of the VGG16 plans: on one
 // worker, each layer's whole execution and then each of its units alone
 // are timed, best of 9. It logs per layer the units (fast + residual
-// segments), the paper's block count, the one-worker time, the largest
-// unit's time, the cap — the one-worker time over the largest unit, which
-// no pool width can beat — and the accumulator bytes of a unit. Run it
-// with -v, which keeps the table whole:
+// segments, or the fast units of a merged plan, each of which runs its
+// residual sub-units), the paper's block count, the one-worker time, the
+// largest unit's time, the cap — the one-worker time over the largest
+// unit, which no pool width can beat — and the accumulator bytes of a
+// unit. Run it with -v, which keeps the table whole:
 //
 //	go test -v -run '^$' -bench '^BenchmarkUnitProbe$' -benchtime 1x ./internal/core
 func BenchmarkUnitProbe(b *testing.B) {
@@ -223,7 +241,7 @@ func BenchmarkUnitProbe(b *testing.B) {
 		}
 		return d
 	}
-	rows := []string{"| layer | units (fast + residual) | paper blocks | one-worker ms | largest unit ms | cap | accumulators per unit |",
+	rows := []string{"| layer | units (fast + residual, or merged) | paper blocks | one-worker ms | largest unit ms | cap | accumulators per unit |",
 		"|---|---|---|---|---|---|---|"}
 	withTestPool(b, 1, func() {
 		for _, l := range vgg16Blocks {
@@ -256,8 +274,12 @@ func BenchmarkUnitProbe(b *testing.B) {
 				}
 			}
 			ws.job, ws.buckets[0] = execJob{}, nil
-			rows = append(rows, fmt.Sprintf("| %s | %d + %d | %d | %.2f | %.2f | %.1f× | %.3g MiB |",
-				l.name, fast, resid, cfg.Describe().TotalBlocks, layer.Seconds()*1e3, largest.Seconds()*1e3,
+			units := fmt.Sprintf("%d + %d", fast, resid)
+			if cfg.residMerged {
+				units = fmt.Sprintf("%d merged", fast)
+			}
+			rows = append(rows, fmt.Sprintf("| %s | %s | %d | %.2f | %.2f | %.1f× | %.3g MiB |",
+				l.name, units, cfg.Describe().TotalBlocks, layer.Seconds()*1e3, largest.Seconds()*1e3,
 				float64(layer)/float64(largest), float64(unitAccumulatorBytes(cfg))/(1<<20)))
 		}
 	})

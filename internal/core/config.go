@@ -418,11 +418,17 @@ type Config struct {
 	// is that grid (see depthwise.go). Every other plan runs the dense grid
 	// of G·F_H·B·(F_W/n) units per segment, B = ⌈(O_C/G)/ob⌉.
 	dwBlock int
+
+	// residMerged marks a plan whose residual units run inside its fast
+	// units (see residMergeable): the residual segment schedules no units
+	// of its own, and the plan owns no bucket and runs no phase 3.
+	residMerged bool
 }
 
 // Units returns the number of work units one execution runs: the dense
-// grid, whose segments run G·F_H·B·(F_W/n) units each, or the
-// channel-wide grid of a depthwise plan.
+// grid, whose segments run G·F_H·B·(F_W/n) units each (none for the
+// residual segment of a merged plan), or the channel-wide grid of a
+// depthwise plan.
 func (c *Config) Units() int {
 	off, _ := schedule(c)
 	return off[len(off)-1]
@@ -445,19 +451,29 @@ func (c *Config) GroupConfig() *Config { return c.group }
 // Z returns the realized segment count.
 func (c *Config) Z() int { return len(c.Segments) }
 
+// Buckets returns the number of ∇W buckets the plan's units write: Z, or
+// 1 for a merged plan, whose residual units fold their output into the
+// rows their fast unit stored.
+func (c *Config) Buckets() int {
+	if c.residMerged {
+		return 1
+	}
+	return c.Z()
+}
+
 // WorkspaceBytes returns the bucket workspace the plan executes with,
-// (Z−1) × sizeof(∇W): the paper's figure, where bucket 0 is the output
-// buffer itself. An ungrouped plan's host arena is exactly this: its
-// segment-0 units store into the destination. A grouped plan's arena
-// holds one bucket more, because phase 3 alone writes its destination
-// (see ownedBuckets); Workspace.Bytes counts the buckets the arena holds.
-// Buckets are FP32 on both precision paths: accumulators and the Kahan
-// reduction run in FP32
+// (Buckets−1) × sizeof(∇W): the paper's (Z−1)·|∇W| on the buckets the
+// host runs, where bucket 0 is the output buffer itself. An ungrouped
+// plan's host arena is exactly this: its segment-0 units store into the
+// destination. A grouped plan's arena holds one bucket more, because
+// phase 3 alone writes its destination (see ownedBuckets);
+// Workspace.Bytes counts the buckets the arena holds. Buckets are FP32 on
+// both precision paths: accumulators and the Kahan reduction run in FP32
 // (paper §5.2). A grouped ∇W carries I_C/G channels per filter, so at
 // equal Z a grouped plan's workspace is G× below the ungrouped layer's of
 // the same outer geometry.
 func (c *Config) WorkspaceBytes() int64 {
-	return int64(c.Z()-1) * int64(c.Params.DWShape().Elems()) * 4
+	return int64(c.Buckets()-1) * int64(c.Params.DWShape().Elems()) * 4
 }
 
 // WHatCacheBytes returns the exact footprint of the Ŵ cache — the
@@ -521,10 +537,14 @@ func WithCoefficients(coeffs map[string]float64) Option {
 
 // WithWorkspaceLimit caps the bucket workspace at the given byte budget
 // (the cuDNN-style workspace-limit knob): the segment count is clamped so
-// WorkspaceBytes, (Z−1)·sizeof(∇W), never exceeds it. A grouped layer
-// adapts its per-group problem against 1/G of the budget, since its
-// buckets hold G per-group slabs. A zero limit forces single-segment
-// execution — always correct, at reduced parallelism.
+// WorkspaceBytes, (Buckets−1)·sizeof(∇W), does not exceed it, and a plan
+// whose residual column would still need a bucket runs its residual units
+// inside its fast units. A grouped layer adapts its per-group problem
+// against 1/G of the budget, since its buckets hold G per-group slabs. A
+// zero limit forces single-segment execution — always correct, at reduced
+// parallelism. The floor is one bucket: a residual column the merge cannot
+// take (a grouped plan, or a residual n that does not divide the fast n)
+// keeps its own bucket whatever the budget.
 func WithWorkspaceLimit(bytes int64) Option {
 	return func(o *configOpts) { o.wsLimit, o.wsLimitSet = bytes, true }
 }
@@ -587,7 +607,7 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 		// Algorithm 2 realizes Z ≈ Ẑ, which can overshoot the byte budget;
 		// walk the target down until the realized partition fits. zHat = 1
 		// always fits a single-kernel layout; a residual column can force a
-		// second segment, in which case the final fallback merges rows.
+		// second segment, whose bucket the merge below removes where it can.
 		dwBytes := int64(p.DWShape().Elems()) * 4
 		for zHat > 1 && int64(len(segs)-1)*dwBytes > o.wsLimit {
 			zHat--
@@ -602,7 +622,40 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 	}
 	cfg.Segments = segs
 	cfg.unitOff, cfg.ocBlock = denseSchedule(p, segs)
+	if residMergeable(p, pr, segs) {
+		// The rule: merge where the O_C block split the fast segment, or
+		// where the residual column's bucket would break the budget.
+		merge := cfg.ocBlock < p.OC || o.wsLimitSet && int64(p.DWShape().Elems())*4 > o.wsLimit
+		if residMergeForce != 0 {
+			merge = residMergeForce > 0
+		}
+		if merge {
+			cfg.residMerged = true
+			cfg.unitOff[2] = cfg.unitOff[1] // the residual segment runs no units of its own
+		}
+	}
 	return cfg, nil
+}
+
+// residMergeForce, when nonzero, replaces the merge rule for every plan
+// configured while it is set: positive merges every plan residMergeable
+// admits, negative merges none. A test-only hook; production leaves it 0.
+var residMergeForce int
+
+// residMergeable reports whether the residual units of an ungrouped plan
+// over segs can run inside its fast units: the plan realizes Z = 2 as one
+// row chunk, the fast column [0, fastW) beside the residual column
+// [fastW, O_W), and n_resid divides n_fast. Then the residual sub-units
+// j′ = j·n_f/n_r … (j+1)·n_f/n_r − 1, at the same filter row and O_C
+// block, write only ∇W columns of fast unit j: [j·n_f, (j+1)·n_f).
+// Configure merges such a plan when its O_C block split the fast segment:
+// there the fast units are many enough that the longer units do not
+// stretch the critical path. With only F_H fast units (the early VGG16
+// layers on two workers) merging was measured slower.
+func residMergeable(p conv.Params, pr Pair, segs []Segment) bool {
+	// With a residual column, two segments are one fast and one residual
+	// column of one row chunk (see layoutSegments).
+	return p.G() == 1 && pr.ResidUnits > 0 && len(segs) == 2 && pr.Fast.N%pr.Resid.N == 0
 }
 
 // layoutSegments materializes the partition: the fast region [0, a·r0) is

@@ -233,7 +233,12 @@ func TestLayoutSegmentsPartition(t *testing.T) {
 					t.Fatalf("%v forceZ=%d: cell %d covered %d times", p, forceZ, i, c)
 				}
 			}
-			if cfg.WorkspaceBytes() != int64(cfg.Z()-1)*int64(p.DWShape().Elems())*4 {
+			// A merged plan realizes Z = 2 on one bucket.
+			buckets := cfg.Z()
+			if cfg.residMerged && cfg.Z() == 2 {
+				buckets = 1
+			}
+			if cfg.Buckets() != buckets || cfg.WorkspaceBytes() != int64(buckets-1)*int64(p.DWShape().Elems())*4 {
 				t.Errorf("%v: workspace accounting mismatch", p)
 			}
 		}
@@ -272,8 +277,9 @@ func mustKernel(t *testing.T, n, r int) winograd.Kernel {
 }
 
 // The workspace-limit knob must clamp segmentation: a zero budget forces
-// single-segment execution (plus any residual column), and the realized
-// workspace never exceeds the budget.
+// single-segment execution (plus any residual column, whose units then
+// run inside the fast ones where they can), and the realized workspace
+// never exceeds the budget above the one-bucket floor.
 func TestWorkspaceLimit(t *testing.T) {
 	p := conv.Params{N: 32, IH: 224, IW: 222, FH: 3, FW: 3, IC: 64, OC: 64,
 		PH: 1, PW: 1} // OW multiple of 6: no residual column
@@ -348,6 +354,45 @@ func TestWorkspaceLimit(t *testing.T) {
 	got := Execute(cfg, x64.ToFloat32(), dy64.ToFloat32())
 	if m := tensor.MARE(got, want); m > 1e-5 {
 		t.Errorf("zero-workspace execution MARE %v", m)
+	}
+
+	// A residual column (O_W = 14: Ω8(3,6) beside Ω4(3,2)) forces a second
+	// segment at any budget. Under a zero budget its residual units run
+	// inside the fast ones, so the plan owns no bucket, and the result
+	// equals the unlimited plan's, which keeps the bucket, bit for bit.
+	pr := conv.Params{N: 1, IH: 14, IW: 14, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
+	unlimited, err := Configure(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limited, err := Configure(pr, WithWorkspaceLimit(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unlimited.Z() != 2 || unlimited.WorkspaceBytes() == 0 {
+		t.Fatalf("setup: unlimited plan Z=%d, ws=%d; want a residual bucket", unlimited.Z(), unlimited.WorkspaceBytes())
+	}
+	if limited.Z() != 2 || limited.WorkspaceBytes() != 0 {
+		t.Errorf("zero budget, residual column: Z=%d ws=%d, want 2 and 0", limited.Z(), limited.WorkspaceBytes())
+	}
+	xr, dyr := poolLayer(t, 10, pr)
+	sameBits(t, "zero-budget residual plan", Execute(limited, xr, dyr).Data, Execute(unlimited, xr, dyr).Data)
+
+	// The floor: where the merge cannot take the residual column, the plan
+	// keeps one bucket whatever the budget — when n_resid does not divide
+	// n_fast (F_W = 2, O_W = 7: Ω2(1,2) beside Ω4(2,3)), and on a grouped
+	// plan.
+	pf := conv.Params{N: 1, IH: 12, IW: 8, FH: 3, FW: 2, IC: 4, OC: 4, PH: 1}
+	pgr := pr
+	pgr.Groups = 2
+	for _, fp := range []conv.Params{pf, pgr} {
+		floor, err := Configure(fp, WithWorkspaceLimit(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bucket := int64(fp.DWShape().Elems()) * 4; floor.Z() != 2 || floor.WorkspaceBytes() != bucket {
+			t.Errorf("%v, zero budget: Z=%d ws=%d, want Z = 2 on the %d-byte floor", fp, floor.Z(), floor.WorkspaceBytes(), bucket)
+		}
 	}
 }
 

@@ -32,6 +32,11 @@ type Description struct {
 	WHatCacheBytes  int64   `json:"wHatCacheBytes"`
 	WHatCacheRatio  float64 `json:"wHatCacheRatio"`
 	TotalBlocks     int     `json:"totalBlocks"`
+	// Buckets is the ∇W bucket count the plan's units write
+	// (Config.Buckets), and ResidualMerged reports a plan whose residual
+	// units run inside its fast units, so its Z = 2 segments write one.
+	Buckets        int  `json:"buckets"`
+	ResidualMerged bool `json:"residualMerged"`
 	// Units is the work-unit count of one execution (Config.Units) and
 	// ChannelBlock the channel block of each unit: the O_C block ob of a
 	// dense plan's units, or the channel block cb of a depthwise plan's.
@@ -66,6 +71,7 @@ func (c *Config) Describe() Description {
 	d.SegmentTarget = c.ZTarget
 	d.SegmentHeight, d.SegmentWidth = c.SegH, c.SegW
 	d.Segments = c.Z()
+	d.Buckets, d.ResidualMerged = c.Buckets(), c.residMerged
 	d.WorkspaceBytes = c.WorkspaceBytes()
 	d.WHatCacheBytes = c.WHatCacheBytes()
 	if data := p.DataBytes32(); data > 0 {

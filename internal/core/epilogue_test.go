@@ -130,7 +130,7 @@ func TestWriteOutputMatchesRef(t *testing.T) {
 								}
 							}
 							writeOutputRef(p, aMat, v, want, fh, j*n, n, alpha, oc, ic, accRef)
-							writeOutput(p, aMat, v, got, fh, j*n, n, alpha, oc, ic, acc)
+							writeOutput(p, aMat, v, got, fh, j*n, n, alpha, oc, ic, acc, nil)
 						}
 					}
 					sameBits(t, k.String()+"/"+p.DWShape().String(), got, want)

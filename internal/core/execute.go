@@ -6,6 +6,7 @@ import (
 	"winrs/internal/conv"
 	"winrs/internal/cpufeat"
 	"winrs/internal/fp16"
+	"winrs/internal/kahan"
 	"winrs/internal/obs"
 	"winrs/internal/sched"
 	"winrs/internal/tensor"
@@ -313,10 +314,12 @@ func (j *execJob) fillRows(lo, hi int) {
 
 // units runs global (segment, g·F_H + f_h, O_C block, width-tile) units
 // [lo, hi) against the X source, the Ŵ cache and the segment buckets,
-// recording each unit's stage durations when tracing.
+// recording each unit's stage durations when tracing. A merged plan's
+// fast unit then runs its residual sub-units (see residMergeable), which
+// fold into the bucket rows it stored; the trace counts them as one unit.
 func (j *execJob) units(lo, hi int) {
 	cfg, ws := j.cfg, j.ws
-	off, what, ob := ws.unitOff, ws.what32, ws.ob
+	off, ob := ws.unitOff, ws.ob
 	ocg := cfg.Params.OCG()
 	blocks := ceilDiv(ocg, ob)
 	si := 0
@@ -330,19 +333,37 @@ func (j *execJob) units(lo, hi int) {
 		rb := local / jTiles // row·B + block
 		o0 := rb % blocks * ob
 		u := denseUnit{seg: seg, row: rb / blocks, o0: o0, ob: min(ob, ocg-o0), j: local % jTiles}
-		w := what[ws.whatOff[si]:ws.whatOff[si+1]]
-		if !j.traceOn {
-			segmentTile(cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x, w, ws.buckets[si], nil)
-		} else {
-			var ut obs.UnitTimes
-			t0 := time.Now()
-			segmentTile(cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x, w, ws.buckets[si], &ut)
-			obs.RecordUnit(time.Since(t0), ut)
+		var times obs.UnitTimes
+		var ut *obs.UnitTimes
+		var t0 time.Time
+		if j.traceOn {
+			ut, t0 = &times, time.Now()
+		}
+		j.tile(u, si, ws.buckets[si], ut)
+		if cfg.residMerged {
+			// Residual sub-units j·per … (j+1)·per − 1 write the ∇W
+			// columns of fast unit j.
+			per := seg.K.N / cfg.Segments[1].K.N
+			ru := u
+			ru.seg, ru.fold = cfg.Segments[1], true
+			for ru.j = u.j * per; ru.j < (u.j+1)*per; ru.j++ {
+				j.tile(ru, 1, ws.buckets[0], ut)
+			}
+		}
+		if ut != nil {
+			obs.RecordUnit(time.Since(t0), times)
 		}
 		if testUnitDone != nil {
 			testUnitDone(j.cancel)
 		}
 	}
+}
+
+// tile runs dense unit u of segment si into bucket.
+func (j *execJob) tile(u denseUnit, si int, bucket []float32, ut *obs.UnitTimes) {
+	ws := j.ws
+	segmentTile(j.cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x,
+		ws.what32[ws.whatOff[si]:ws.whatOff[si+1]], bucket, ut)
 }
 
 // fillRow computes the Ŵ panels of one segment row: for every width tile
@@ -459,10 +480,12 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 // denseUnit is one unit of the dense grid: width tile j of a segment, at
 // row = g·F_H + fh (group g's filter row fh), over the group's filters
 // [o0, o0+ob) — the last O_C block of a row may be narrower than the
-// plan's.
+// plan's. fold marks a residual sub-unit of a merged plan, whose epilogue
+// folds into the bucket rows its fast unit stored (see writeOutput).
 type denseUnit struct {
 	seg            Segment
 	row, o0, ob, j int
+	fold           bool
 }
 
 // segmentTile is the dense Ω_α(n,r) unit kernel of every precision,
@@ -555,7 +578,13 @@ func segmentTile(p conv.Params, rm rowMap, u denseUnit, pl unitPlan, st storage,
 	if ut != nil {
 		t0 = time.Now()
 	}
-	writeOutput(p, pl.a, c.v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha*n))
+	acc := growF32(&s.acc, alpha*n)
+	var fold []float32
+	if u.fold {
+		acc = growF32(&s.acc, alpha*n+n*ic) // A, then the sub-unit's rows
+		fold = acc[alpha*n:]
+	}
+	writeOutput(p, pl.a, c.v, bucket, fh, colBase, n, alpha, oc, ic, acc, fold)
 	if ut != nil {
 		ut.Epilogue += time.Since(t0)
 	}
@@ -657,13 +686,27 @@ func (c *denseChunk) run(its []tileIter, first bool, smp *unitSampler, ut *obs.U
 // zeroing, and since each element is produced from +0 it is never −0, so
 // the stored bits equal the +0 + s of an add into a zeroed bucket. acc is
 // at least α·n floats of scratch, for A in float32.
+//
+// A residual sub-unit of a merged plan passes fold, n·I_C floats of
+// scratch: each o_c's rows are built there and then folded into the
+// bucket rows the fast unit stored, by kahan.ReduceBucketsRange in place
+// over (bucket rows, fold). Those are the two Kahan steps phase 3 runs on
+// the element for a Z = 2 plan, from (+0, +0), the fast segment's value
+// first, so the bits are phase 3's.
 func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float32,
-	fh, colBase, n, alpha, oc, ic int, acc []float32) {
+	fh, colBase, n, alpha, oc, ic int, acc, fold []float32) {
 	a := outputMatrix(aMat, acc, n, alpha)
 	dwShape := p.DWShape()
 	for o := 0; o < oc; o++ {
 		off := dwShape.Index(o, fh, colBase, 0)
-		outputRows(bucket[off:off+n*ic], a, v[o*ic:], n, ic, oc*ic)
+		rows := bucket[off : off+n*ic]
+		if fold == nil {
+			outputRows(rows, a, v[o*ic:], n, ic, oc*ic)
+			continue
+		}
+		outputRows(fold, a, v[o*ic:], n, ic, oc*ic)
+		pair := [2][]float32{rows, fold}
+		kahan.ReduceBucketsRange(rows, pair[:], 0, len(rows))
 	}
 }
 

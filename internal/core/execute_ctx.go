@@ -13,8 +13,9 @@ import (
 // reduction all abandon their remaining work — and ctx.Err() is returned.
 // The partial result is discarded (the returned tensor is nil; a supplied
 // dst may be partly overwritten — an ungrouped plan's segment-0 units store
-// into it as they finish, and its phase 3 reduces into it in place, while
-// a grouped plan leaves each group's ∇W slab complete or untouched) and
+// into it as they finish, and its phase 3 reduces into it in place, or a
+// merged plan's units fold their residual sub-units into it, while a
+// grouped plan leaves each group's ∇W slab complete or untouched) and
 // the workspace is quiescent on return: no pool participant still touches
 // it, so pooled callers may recycle it immediately (the next execution
 // stores every bucket element afresh).

@@ -9,6 +9,7 @@ import (
 
 	"winrs/internal/conv"
 	"winrs/internal/sched"
+	"winrs/internal/tensor"
 )
 
 // An uncancelled ExecuteInCtx must be bit-identical to ExecuteIn on every
@@ -89,9 +90,17 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, dy := poolLayer(t, 93, p)
+	cancelMidRun(t, cfg, x, dy, nil)
+}
+
+// cancelMidRun cancels runs of cfg from inside the unit grid and checks
+// each cancelled run's workspace, and dst when given, on the next run: it
+// must produce the uncancelled result bit for bit.
+func cancelMidRun(t *testing.T, cfg *Config, x, dy, dst *tensor.Float32) {
+	t.Helper()
 	want := ExecuteIn(cfg, nil, x, dy, nil)
 	ws := NewWorkspace(cfg)
-	ExecuteIn(cfg, ws, x, dy, nil) // warm the workspace and caches
+	ExecuteIn(cfg, ws, x, dy, dst) // warm the workspace and caches
 
 	// The cancel fires from inside the grid, after the first unit of the
 	// attempt: a context watcher or a timer goroutine would have to be
@@ -114,7 +123,7 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 		var ctx context.Context
 		ctx, cancel = context.WithCancel(context.Background())
 		armed.Store(true)
-		out, err := ExecuteInCtx(ctx, cfg, ws, x, dy, nil)
+		out, err := ExecuteInCtx(ctx, cfg, ws, x, dy, dst)
 		armed.Store(false)
 		cancel()
 		switch {
@@ -129,7 +138,7 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 			// away: the next run on it must match the uncancelled result
 			// bit for bit (the write-once contract the serving runtime
 			// relies on to recycle arenas after a cancelled request).
-			got, err := ExecuteInCtx(context.Background(), cfg, ws, x, dy, nil)
+			got, err := ExecuteInCtx(context.Background(), cfg, ws, x, dy, dst)
 			if err != nil {
 				t.Fatalf("attempt %d: reuse after cancel: %v", attempts, err)
 			}

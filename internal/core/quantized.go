@@ -79,11 +79,18 @@ func QuantInt8(absmax float32) Quantizer {
 // units round each staged tile instead), and every stored panel is
 // rounded in place.
 func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
+	return ExecuteQuantizedIn(cfg, nil, x, dy, q)
+}
+
+// ExecuteQuantizedIn is ExecuteQuantized on the caller's workspace (nil
+// allocates fresh), like ExecuteIn: a caller that keeps one pays for its
+// buckets, Ŵ cache and operand mirrors once.
+func ExecuteQuantizedIn(cfg *Config, ws *Workspace, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
 	ops := planar(cfg.Params, x.Shape, dy.Shape, operand{f32: x.Data}, operand{f32: dy.Data}, "ExecuteQuantized")
 	if q.Round == nil {
 		panic("core: ExecuteQuantized requires a Round function")
 	}
-	out, _ := execute(cfg, nil, ops, quantStorage(q), nil, nil)
+	out, _ := execute(cfg, ws, ops, quantStorage(q), nil, nil)
 	return out
 }
 

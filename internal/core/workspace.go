@@ -17,8 +17,9 @@ import (
 // α·O_C panel per (segment row, width tile, batch image), filled once per
 // execution and reused across all G·F_H·B·(F_W/n) units of a segment). An
 // ungrouped plan's bucket 0 is the call's destination, as in the paper's
-// Table 2, so its arena holds Z−1 buckets. A grouped plan's arena holds
-// all Z, and its buckets and cache span the whole layer, like an
+// Table 2, so its arena holds Buckets−1 buckets: Z−1, or none for a plan
+// whose residual units run inside its fast units. A grouped plan's arena
+// holds all Z, and its buckets and cache span the whole layer, like an
 // ungrouped plan's: each bucket holds the G per-group ∇W slabs.
 // Executions through ExecuteIn reuse it across steps, so a steady-state
 // caller (the serving runtime's workspace pool, a training loop) pays the
@@ -29,8 +30,9 @@ import (
 type Workspace struct {
 	z, owned, elems int
 
-	// buckets is the call's bucket list, Z entries; the workspace owns the
-	// last owned of them. When it owns Z−1 (an ungrouped plan), entry 0 is
+	// buckets is the call's bucket list, one entry per bucket the plan's
+	// units write (Config.Buckets); the workspace owns the last owned of
+	// them. When it owns all but one (an ungrouped plan), entry 0 is
 	// bound to the call's destination by execute and cleared before it
 	// returns, so a pooled workspace never keeps a caller's result
 	// reachable.
@@ -65,14 +67,14 @@ type Workspace struct {
 	job execJob
 }
 
-// ownedBuckets returns how many of cfg's Z buckets its workspace holds.
-// An ungrouped plan's bucket 0 is the destination: Z−1. A grouped plan,
-// depthwise included, keeps its own bucket 0, so that phase 3 alone
-// writes the destination and a cancelled run leaves each group's ∇W slab
-// complete or untouched: Z.
+// ownedBuckets returns how many of cfg's buckets its workspace holds. An
+// ungrouped plan's bucket 0 is the destination: Buckets−1, which is none
+// for a merged plan. A grouped plan, depthwise included, keeps its own
+// bucket 0, so that phase 3 alone writes the destination and a cancelled
+// run leaves each group's ∇W slab complete or untouched: Z.
 func ownedBuckets(cfg *Config) int {
 	if cfg.Params.G() == 1 {
-		return cfg.Z() - 1
+		return cfg.Buckets() - 1
 	}
 	return cfg.Z()
 }
@@ -80,7 +82,7 @@ func ownedBuckets(cfg *Config) int {
 // NewWorkspace allocates the bucket arena for cfg — the buckets it owns,
 // see ownedBuckets — and binds its schedule tables.
 func NewWorkspace(cfg *Config) *Workspace {
-	z, owned := cfg.Z(), ownedBuckets(cfg)
+	z, owned := cfg.Buckets(), ownedBuckets(cfg)
 	elems := cfg.Params.DWShape().Elems()
 	ws := &Workspace{z: z, owned: owned, elems: elems, buckets: make([][]float32, z)}
 	for i := z - owned; i < z; i++ {
@@ -114,18 +116,18 @@ func (ws *Workspace) rebind(cfg *Config) {
 }
 
 // Fits reports whether the workspace matches cfg's bucket geometry: the
-// same segment count, gradient size and owned-bucket count, so a
-// workspace built for an ungrouped plan never serves a grouped one of
-// equal Z and |∇W|. Schedule tables rebind automatically.
+// same bucket count, gradient size and owned-bucket count, so a workspace
+// built for an ungrouped plan never serves a grouped one of equal Z and
+// |∇W|. Schedule tables rebind automatically.
 func (ws *Workspace) Fits(cfg *Config) bool {
-	return ws != nil && ws.z == cfg.Z() && ws.owned == ownedBuckets(cfg) &&
+	return ws != nil && ws.z == cfg.Buckets() && ws.owned == ownedBuckets(cfg) &&
 		ws.elems == cfg.Params.DWShape().Elems()
 }
 
 // Bytes returns the arena footprint: the owned buckets plus whatever
 // Ŵ-cache and operand-mirror arenas the executed storage policies have
 // materialized. For an ungrouped plan the buckets are exactly
-// Config.WorkspaceBytes, (Z−1)·|∇W|; a grouped plan holds one bucket
+// Config.WorkspaceBytes, (Buckets−1)·|∇W|; a grouped plan holds one bucket
 // more. The cache stays within the analytic bound documented on
 // Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
@@ -137,9 +139,9 @@ func (ws *Workspace) Bytes() int64 {
 // (rebinding its schedule tables when cfg changed), a fresh one when ws is
 // nil. Bucket contents are never cleared: every execution's units store
 // each bucket element exactly once (see writeOutput) — segment 0 of an
-// ungrouped plan straight into the destination — before phase 3 reads
-// it, so whatever a previous, possibly cancelled, run left there is
-// overwritten.
+// ungrouped plan straight into the destination — before phase 3 or a
+// merged plan's residual fold reads it, so whatever a previous, possibly
+// cancelled, run left there is overwritten.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
 		return NewWorkspace(cfg)
@@ -197,7 +199,8 @@ func reduceRange(dst []float32, buckets [][]float32, lo, hi int) {
 //
 // When obs.TraceEnabled, the pre-pass records the what_transform stage,
 // every fused unit records segment-tile plus sampled transform and EWM
-// durations, and phase 3, where the plan runs one, records the reduce
+// durations (a merged plan's fast unit with its residual sub-units and
+// their fold), and phase 3, where the plan runs one, records the reduce
 // stage; the disabled path costs one atomic load per call.
 func ExecuteIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) *tensor.Float32 {
 	out, _ := execute(cfg, ws, planar(cfg.Params, x.Shape, dy.Shape,
@@ -221,8 +224,10 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // (allocated when nil). Depthwise plans run the channel-wide unit grid of
 // depthwise.go instead of the fill and the dense grid. An ungrouped plan
 // binds dst as bucket 0 for the call: segment 0's units store into it,
-// phase 3 reduces buckets 1…Z−1 into it in place, and a Z = 1 plan runs
-// no phase 3. A grouped plan's units store only into its own buckets.
+// phase 3 reduces buckets 1…Z−1 into it in place, and a plan with one
+// bucket runs no phase 3 — a Z = 1 plan, or a merged one, whose fast
+// units fold their residual sub-units into dst themselves. A grouped
+// plan's units store only into its own buckets.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial

@@ -137,7 +137,9 @@ func ReduceBucketsRange(dst []float32, buckets [][]float32, lo, hi int) {
 		reduceAVX2(&dst[lo], &buckets[0], len(buckets), lo, n8)
 		lo += n8
 	}
-	reduceRangeGo(dst, buckets, lo, hi)
+	if lo < hi { // reduceRangeGo zeroes 2 KiB of block sums on entry
+		reduceRangeGo(dst, buckets, lo, hi)
+	}
 }
 
 // reduceRangeGo is the portable ReduceBucketsRange and the AVX2 kernel's

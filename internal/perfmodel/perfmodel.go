@@ -104,10 +104,13 @@ func winRSPlan(p conv.Params, d gpusim.Device, fp16 bool, forceZ int) (gpusim.Pl
 			Intensity: 1,
 		})
 	}
+	// The paper's per-segment buckets, (Z−1)·|∇W|, and their reduce
+	// launch above: the GPU kernels write one bucket per segment, whether
+	// or not the host plan runs its residual units inside its fast units.
 	return gpusim.Plan{
 		Algorithm:      "WinRS",
 		Launches:       launches,
-		WorkspaceBytes: cfg.WorkspaceBytes(),
+		WorkspaceBytes: int64(cfg.Z()-1) * int64(p.DWShape().Elems()) * 4,
 	}, cfg, nil
 }
 

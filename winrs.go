@@ -158,9 +158,10 @@ func (pl *Plan) release(ws *core.Workspace) {
 func (pl *Plan) Segments() int { return pl.cfg.Z() }
 
 // WorkspaceBytes returns the bucket workspace the plan executes with:
-// (Z−1) × sizeof(∇W), the paper's "tiny workspace". Bucket 0 is the
-// result tensor itself, so an ungrouped plan's pooled arena is exactly
-// this; a grouped plan's holds one bucket more.
+// (buckets−1) × sizeof(∇W), the paper's "tiny workspace". Bucket 0 is
+// the result tensor itself, so an ungrouped plan's pooled arena is
+// exactly this; a grouped plan's holds one bucket more. A plan has Z
+// buckets, or one when its fast units run its residual units.
 func (pl *Plan) WorkspaceBytes() int64 { return pl.cfg.WorkspaceBytes() }
 
 // WHatCacheBytes returns the footprint of the transformed-∇Y cache the
@@ -260,9 +261,12 @@ func Int8(absmax float32) Quantizer { return core.QuantInt8(absmax) }
 
 // ExecuteQuantized computes ∇W with operands and transformed tiles stored
 // in the given format and FP32 accumulation — the generalization of the
-// FP16 Tensor-Core path.
+// FP16 Tensor-Core path. Like Execute, it reuses the plan's workspace and
+// is safe for concurrent use.
 func (pl *Plan) ExecuteQuantized(x, dy *Tensor, q Quantizer) *Tensor {
-	return core.ExecuteQuantized(pl.cfg, x, dy, q)
+	ws := pl.acquire()
+	defer pl.release(ws)
+	return core.ExecuteQuantizedIn(pl.cfg, ws, x, dy, q)
 }
 
 // Forward computes the forward convolution Y = X ⊛ W with fused 1-D

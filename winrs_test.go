@@ -229,3 +229,40 @@ func TestPlanExecuteAfterGCAllocatesOnlyResult(t *testing.T) {
 		}
 	}
 }
+
+// Plan.ExecuteQuantized borrows the plan's workspace like Execute: a
+// steady-state call, and a call after two GC cycles, allocate the result
+// and less than 1 KiB besides — neither buckets, Ŵ cache nor the rounded
+// operand mirrors. Inline, for the reason TestPlanExecuteAfterGC gives.
+func TestPlanExecuteQuantizedAllocatesOnlyResult(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(4))
+	p := Params{N: 1, IH: 14, IW: 14, FH: 3, FW: 3, IC: 32, OC: 64, PH: 1, PW: 1}
+	plan, err := NewPlan(p, WithSegments(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, dy := NewTensor(p.XShape()), NewTensor(p.DYShape())
+	x.FillUniform(rng, 0, 1)
+	dy.FillUniform(rng, 0, 1)
+	want := plan.ExecuteQuantized(x, dy, BF16)
+	result := uint64(p.DWShape().Elems()) * 4
+	for i, gc := range []bool{false, true, true} {
+		if gc {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := plan.ExecuteQuantized(x, dy, BF16)
+		runtime.ReadMemStats(&after)
+		if extra := after.TotalAlloc - before.TotalAlloc - result; extra > 1<<10 {
+			t.Errorf("call %d (after GC: %v) allocated %d bytes beyond its %d-byte result", i, gc, extra, result)
+		}
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("call %d: result differs at %d", i, j)
+			}
+		}
+	}
+}
