@@ -55,13 +55,14 @@ dispatch-smoke:
 # detector: the fault-injection harness (forced panics, slow computes,
 # client disconnects), dispatcher panic/cancel isolation, and the
 # cancellable-execution tests in core and sched. The mid-run cancel tests,
-# on a plan with separate segments and on a merged one, run once more at
-# GOMAXPROCS 1 without the race detector, the leg where a cancel that
-# waited for a watcher goroutine used to miss the grid.
+# on a plan with separate segments, on a merged one and on a depthwise and
+# a G = 2 grouped plan, run once more at GOMAXPROCS 1 without the race
+# detector, the leg where a cancel that waited for a watcher goroutine
+# used to miss the grid.
 faults:
 	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestRunBatch' \
 		./internal/serve ./internal/core ./internal/sched
-	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtxCancelMidRun(WorkspaceReusable|Merged)$$' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtxCancelMidRun(WorkspaceReusable|Merged|Grouped)$$' ./internal/core
 
 # router-smoke runs the sharding topology suites under the race detector:
 # the consistent-hash ring's remapping bounds and the in-process router
@@ -83,17 +84,18 @@ saturate:
 # race detector at GOMAXPROCS 1 and 4. Every grouped path (FP32, FP16,
 # strided, forward, data gradient, serve round-trip, mid-run
 # cancellation) is pinned against the grouped float64 direct oracle and
-# the sequential per-group reference, plus the depthwise planned-path and
-# workspace-shrinkage acceptance checks. The grouped dense-grid
-# differential runs again on forced O_C blocks of 1, 2, 3 and 5 filters
-# (ragged last blocks). The in-test width-{1,4} pools cover pool shape;
-# the GOMAXPROCS legs cover the unforced default pool the serve tests
-# run on.
+# the sequential per-group reference (mid-run cancellation against the
+# uncancelled result on a reused workspace and destination), plus the
+# depthwise planned-path and workspace-shrinkage acceptance checks. The
+# grouped dense-grid differential runs again on forced O_C blocks of 1,
+# 2, 3 and 5 filters (ragged last blocks). The in-test width-{1,4} pools
+# cover pool shape; the GOMAXPROCS legs cover the unforced default pool
+# the serve tests run on.
 grouped-smoke:
 	@for procs in 1 4; do \
 		echo "grouped-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
+			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel|TestExecuteInCtxCancelMidRunGrouped' \
 			./internal/conv ./internal/core ./internal/serve || exit 1; \
 		GOMAXPROCS=$$procs \
 			$(GO) test -race -count 1 -run '^TestBitwiseSuitesBlockedUnits$$/^ob/^GroupedInterleavedMatchesSequential$$' \
@@ -111,7 +113,7 @@ grouped-smoke:
 # against the forced 4×4 tier, the one-pass
 # AVX2 output kernel against its Go loop at every row count it takes, the
 # epilogue against its per-element oracle, the in-place Kahan reduce
-# (bucket 0 is the destination of an ungrouped plan) against the
+# (bucket 0 is the destination of every plan) against the
 # out-of-place one, poisoned (NaN) workspaces against fresh ones (every
 # bucket element is stored once per run; nothing zeroes them),
 # pool-vs-inline and shared-pool concurrency,

@@ -7,7 +7,6 @@
 //
 //	winrs-info -n 32 -hw 224 -f 3 -c 64
 //	winrs-info -n 32 -hw 56 -f 5 -c 256 -fp16 -gpu l40s
-//	winrs-info -tune          # microbenchmark-tuned kernel coefficients
 //	winrs-info -dispatch -n 1 -hw 32 -f 3 -c 8   # host backend ranking
 package main
 
@@ -18,16 +17,13 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
-	"winrs/internal/autotune"
 	"winrs/internal/backend"
 	"winrs/internal/conv"
 	"winrs/internal/core"
 	"winrs/internal/gpusim"
 	"winrs/internal/perfmodel"
 	"winrs/internal/report"
-	"winrs/internal/winograd"
 )
 
 func main() {
@@ -44,17 +40,10 @@ func main() {
 	groups := flag.Int("groups", 1, "channel groups (IC and OC must divide; IC = depthwise)")
 	fp16 := flag.Bool("fp16", false, "FP16 Tensor-Core path")
 	gpu := flag.String("gpu", "4090", "device model: 4090, 3090, l40s, a5000")
-	tune := flag.Bool("tune", false, "microbenchmark kernel coefficients on this host")
-	tuneDur := flag.Duration("tune-dur", 20*time.Millisecond, "per-kernel tuning duration")
 	asJSON := flag.Bool("json", false, "emit the plan description as JSON")
 	dispatch := flag.Bool("dispatch", false, "print the host backend ranking (per-backend workspace + predicted time) instead of the GPU plan")
 	procs := flag.Int("procs", 0, "worker count the dispatch prediction assumes (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	if *tune {
-		runTune(*tuneDur)
-		return
-	}
 
 	p := conv.Params{N: *n, IH: pick(*ih, *hw), IW: pick(*iw, *hw),
 		FH: pick(*fh, *f), FW: pick(*fw, *f),
@@ -210,19 +199,6 @@ func runDispatch(p conv.Params, fp16 bool, procs int, asJSON bool) error {
 		}
 	}
 	return nil
-}
-
-func runTune(dur time.Duration) {
-	fmt.Printf("microbenchmarking %d kernels (%v each)...\n",
-		len(winograd.Kernels), dur)
-	coeffs := autotune.Coefficients(dur)
-	t := report.NewTable("host-tuned kernel coefficients",
-		"kernel", "static coeff", "tuned coeff")
-	for _, k := range winograd.Kernels {
-		t.AddRow(k.String(), k.Coeff, coeffs[k.String()])
-	}
-	t.Write(os.Stdout)
-	fmt.Println("\npass these to core.WithCoefficients to adapt pair selection")
 }
 
 func pick(override, def int) int {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"time"
 
-	"winrs/internal/autotune"
 	"winrs/internal/conv"
 	"winrs/internal/tensor"
 )
@@ -64,9 +64,9 @@ const defaultMaxMeasureFLOPs = 1e8
 
 // Dispatch scores every eligible backend for (p, prec) and returns the
 // decision. With o.Measure set and the geometry under the measurement
-// bound, the top-K predicted candidates are each executed once on
-// synthetic operands (timed through internal/autotune) and the fastest
-// measured one is chosen; otherwise the best-predicted candidate wins.
+// bound, the top-K predicted candidates are each executed and timed once
+// on synthetic operands and the fastest measured one is chosen; otherwise
+// the best-predicted candidate wins.
 func (r *Registry) Dispatch(p conv.Params, prec Precision, o Options) (Decision, error) {
 	if err := p.Validate(); err != nil {
 		return Decision{}, err
@@ -104,13 +104,13 @@ func (r *Registry) Dispatch(p conv.Params, prec Precision, o Options) (Decision,
 	for i := 0; i < topK; i++ {
 		b, _ := r.Get(cands[i].Name)
 		var err error
-		dur := autotune.MeasureOnce(func() {
-			if prec == FP16 {
-				err = b.ExecuteHalfCtx(context.Background(), p, xh, dyh, dst)
-			} else {
-				err = b.ExecuteCtx(context.Background(), p, x, dy, dst)
-			}
-		})
+		start := time.Now()
+		if prec == FP16 {
+			err = b.ExecuteHalfCtx(context.Background(), p, xh, dyh, dst)
+		} else {
+			err = b.ExecuteCtx(context.Background(), p, x, dy, dst)
+		}
+		dur := time.Since(start)
 		if err != nil {
 			continue // an unmeasurable candidate just keeps its prediction
 		}

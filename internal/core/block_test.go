@@ -256,7 +256,7 @@ func BenchmarkUnitProbe(b *testing.B) {
 
 			// The unit grid as execute sets it up, on a filled Ŵ cache.
 			ws.bindPlans(cfg, fp32Storage)
-			ws.job = execJob{cfg: cfg, ws: ws, st: fp32Storage, x: x.Data, dy: dy.Data, dst: dst.Data,
+			ws.job = execJob{cfg: cfg, ws: ws, st: fp32Storage, x: x.Data, dy: dy.Data,
 				ops: planar(p, x.Shape, dy.Shape, operand{f32: x.Data}, operand{f32: dy.Data}, "probe")}
 			ws.buckets[0] = dst.Data
 			growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])

@@ -79,21 +79,15 @@ func (pr Pair) String() string {
 // O_W, the search falls back to the full registry (the FP32 kernels then
 // run in emulated mixed precision).
 func SelectPair(p conv.Params, fp16 bool) (Pair, error) {
-	return selectPairCoeff(p, fp16, nil)
-}
-
-// selectPairCoeff is SelectPair with optional per-kernel coefficient
-// overrides (host-measured autotuning).
-func selectPairCoeff(p conv.Params, fp16 bool, coeffs map[string]float64) (Pair, error) {
 	ow := p.OW()
 	if ow < 1 {
 		return Pair{}, fmt.Errorf("core: empty output width for %v", p)
 	}
-	if pr, ok := searchPair(p.FW, ow, fp16, coeffs); ok {
+	if pr, ok := searchPair(p.FW, ow, fp16); ok {
 		return pr, nil
 	}
 	if fp16 {
-		if pr, ok := searchPair(p.FW, ow, false, coeffs); ok {
+		if pr, ok := searchPair(p.FW, ow, false); ok {
 			return pr, nil
 		}
 	}
@@ -144,7 +138,7 @@ func fallbackPair(fw, ow int, fp16 bool) (Pair, bool) {
 		Resid: winograd.DirectKernel(rem), ResidUnits: 1}, true
 }
 
-func searchPair(fw, ow int, fp16Only bool, coeffs map[string]float64) (Pair, bool) {
+func searchPair(fw, ow int, fp16Only bool) (Pair, bool) {
 	var best Pair
 	found := false
 	candidates := make([]winograd.Kernel, 0, len(winograd.Kernels))
@@ -154,9 +148,6 @@ func searchPair(fw, ow int, fp16Only bool, coeffs map[string]float64) (Pair, boo
 		}
 		if fp16Only && !k.FP16 {
 			continue
-		}
-		if c, ok := coeffs[k.String()]; ok {
-			k.Coeff = c // tuned coefficient (Kernel is a value copy)
 		}
 		candidates = append(candidates, k)
 	}
@@ -463,15 +454,12 @@ func (c *Config) Buckets() int {
 
 // WorkspaceBytes returns the bucket workspace the plan executes with,
 // (Buckets−1) × sizeof(∇W): the paper's (Z−1)·|∇W| on the buckets the
-// host runs, where bucket 0 is the output buffer itself. An ungrouped
-// plan's host arena is exactly this: its segment-0 units store into the
-// destination. A grouped plan's arena holds one bucket more, because
-// phase 3 alone writes its destination (see ownedBuckets);
-// Workspace.Bytes counts the buckets the arena holds. Buckets are FP32 on
-// both precision paths: accumulators and the Kahan reduction run in FP32
-// (paper §5.2). A grouped ∇W carries I_C/G channels per filter, so at
-// equal Z a grouped plan's workspace is G× below the ungrouped layer's of
-// the same outer geometry.
+// host runs, where bucket 0 is the output buffer itself. Every plan's host
+// arena holds exactly these buckets, since its segment-0 units store into
+// the destination. Buckets are FP32 on both precision paths: accumulators
+// and the Kahan reduction run in FP32 (paper §5.2). A grouped ∇W carries
+// I_C/G channels per filter, so at equal Z a grouped plan's workspace is
+// G× below the ungrouped layer's of the same outer geometry.
 func (c *Config) WorkspaceBytes() int64 {
 	return int64(c.Buckets()-1) * int64(c.Params.DWShape().Elems()) * 4
 }
@@ -489,10 +477,10 @@ func (c *Config) WorkspaceBytes() int64 {
 // and Σ_seg Rows·Cols·N·O_C = |∇Y|, the cache is bounded by
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not
-// counted against WithWorkspaceLimit, which budgets the Z-dependent
-// buckets. A grouped plan fills one cache at width O_C for all its
-// groups. Depthwise plans hold no cache: each channel-wide unit uses
-// every Ŵ panel it computes at once, in all F_H filter rows.
+// counted in WorkspaceBytes, which holds the Z-dependent buckets. A
+// grouped plan fills one cache at width O_C for all its groups. Depthwise
+// plans hold no cache: each channel-wide unit uses every Ŵ panel it
+// computes at once, in all F_H filter rows.
 func (c *Config) WHatCacheBytes() int64 {
 	if c.dwBlock > 0 {
 		return 0
@@ -509,12 +497,9 @@ func (c *Config) WHatCacheBytes() int64 {
 type Option func(*configOpts)
 
 type configOpts struct {
-	hw         Hardware
-	fp16       bool
-	forceZ     int
-	coeffs     map[string]float64
-	wsLimit    int64
-	wsLimitSet bool
+	hw     Hardware
+	fp16   bool
+	forceZ int
 }
 
 // WithHardware overrides the device model used by Algorithm 1.
@@ -526,28 +511,6 @@ func WithFP16() Option { return func(o *configOpts) { o.fp16 = true } }
 // WithSegments forces the segment count, bypassing Algorithm 1 — used by
 // the segmentation ablation.
 func WithSegments(z int) Option { return func(o *configOpts) { o.forceZ = z } }
-
-// WithCoefficients overrides the kernel throughput coefficients used by
-// the fastest-pair selection, keyed by kernel name (Ω-notation). Pass the
-// output of autotune.Coefficients to adapt selection to measured host
-// throughput instead of the static table.
-func WithCoefficients(coeffs map[string]float64) Option {
-	return func(o *configOpts) { o.coeffs = coeffs }
-}
-
-// WithWorkspaceLimit caps the bucket workspace at the given byte budget
-// (the cuDNN-style workspace-limit knob): the segment count is clamped so
-// WorkspaceBytes, (Buckets−1)·sizeof(∇W), does not exceed it, and a plan
-// whose residual column would still need a bucket runs its residual units
-// inside its fast units. A grouped layer adapts its per-group problem
-// against 1/G of the budget, since its buckets hold G per-group slabs. A
-// zero limit forces single-segment execution — always correct, at reduced
-// parallelism. The floor is one bucket: a residual column the merge cannot
-// take (a grouped plan, or a residual n that does not divide the fast n)
-// keeps its own bucket whatever the budget.
-func WithWorkspaceLimit(bytes int64) Option {
-	return func(o *configOpts) { o.wsLimit, o.wsLimitSet = bytes, true }
-}
 
 // Configure runs the full adaptation pipeline of §4 and returns an
 // executable plan.
@@ -562,13 +525,10 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 	if p.G() > 1 {
 		// Grouped layer: adapt the pipeline for one group's channel slice.
 		// Its segments fix the bits of every group; execution runs them on
-		// the whole layer, with Z buckets of the whole ∇W, G per-group
-		// slabs each, so the workspace budget splits G ways.
+		// the whole layer, with buckets of the whole ∇W, G per-group slabs
+		// each.
 		pg := p
 		pg.IC, pg.OC, pg.Groups = p.ICG(), p.OCG(), 0
-		if o.wsLimitSet {
-			opts = append(opts[:len(opts):len(opts)], WithWorkspaceLimit(o.wsLimit/int64(p.G())))
-		}
 		gcfg, err := Configure(pg, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: grouped plan (G=%d): %w", p.G(), err)
@@ -586,7 +546,7 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 		}
 		return cfg, nil
 	}
-	pr, err := selectPairCoeff(p, o.fp16, o.coeffs)
+	pr, err := SelectPair(p, o.fp16)
 	if err != nil {
 		return nil, err
 	}
@@ -594,27 +554,8 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 	if zHat <= 0 {
 		zHat = EstimateZ(p, pr, o.hw, o.fp16)
 	}
-	if o.wsLimitSet {
-		dwBytes := int64(p.DWShape().Elems()) * 4
-		zCap := 1 + int(o.wsLimit/maxI64(1, dwBytes))
-		if zHat > zCap {
-			zHat = zCap
-		}
-	}
 	sh, sw := SegmentShape(p, pr, zHat)
 	segs := layoutSegments(p, pr, sh, sw)
-	if o.wsLimitSet {
-		// Algorithm 2 realizes Z ≈ Ẑ, which can overshoot the byte budget;
-		// walk the target down until the realized partition fits. zHat = 1
-		// always fits a single-kernel layout; a residual column can force a
-		// second segment, whose bucket the merge below removes where it can.
-		dwBytes := int64(p.DWShape().Elems()) * 4
-		for zHat > 1 && int64(len(segs)-1)*dwBytes > o.wsLimit {
-			zHat--
-			sh, sw = SegmentShape(p, pr, zHat)
-			segs = layoutSegments(p, pr, sh, sw)
-		}
-	}
 	cfg := &Config{
 		Params: p, FP16: o.fp16, Pair: pr,
 		ZTarget: zHat, SegH: sh, SegW: sw,
@@ -623,9 +564,8 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 	cfg.Segments = segs
 	cfg.unitOff, cfg.ocBlock = denseSchedule(p, segs)
 	if residMergeable(p, pr, segs) {
-		// The rule: merge where the O_C block split the fast segment, or
-		// where the residual column's bucket would break the budget.
-		merge := cfg.ocBlock < p.OC || o.wsLimitSet && int64(p.DWShape().Elems())*4 > o.wsLimit
+		// The rule: merge where the O_C block split the fast segment.
+		merge := cfg.ocBlock < p.OC
 		if residMergeForce != 0 {
 			merge = residMergeForce > 0
 		}
@@ -651,7 +591,9 @@ var residMergeForce int
 // Configure merges such a plan when its O_C block split the fast segment:
 // there the fast units are many enough that the longer units do not
 // stretch the critical path. With only F_H fast units (the early VGG16
-// layers on two workers) merging was measured slower.
+// layers on two workers) merging was measured slower. A grouped layer is
+// never mergeable: the grouped branch of Configure builds its plan from
+// the per-group plan's segments and does not carry the merge.
 func residMergeable(p conv.Params, pr Pair, segs []Segment) bool {
 	// With a residual column, two segments are one fast and one residual
 	// column of one row chunk (see layoutSegments).

@@ -59,12 +59,15 @@ func (j *execJob) channelUnits(lo, hi int) {
 		u := channelUnit{seg: cfg.Segments[si], j: local / blocks, c0: c0, cb: min(cb, p.IC-c0)}
 		if !j.traceOn {
 			u.run(p, ws.plans[si], j.st, j.ops, ws.buckets[si], nil)
-			continue
+		} else {
+			var ut obs.UnitTimes
+			t0 := time.Now()
+			u.run(p, ws.plans[si], j.st, j.ops, ws.buckets[si], &ut)
+			obs.RecordUnit(time.Since(t0), ut)
 		}
-		var ut obs.UnitTimes
-		t0 := time.Now()
-		u.run(p, ws.plans[si], j.st, j.ops, ws.buckets[si], &ut)
-		obs.RecordUnit(time.Since(t0), ut)
+		if testUnitDone != nil {
+			testUnitDone(j.cancel)
+		}
 	}
 }
 

@@ -277,7 +277,6 @@ type execJob struct {
 	ops     operands // the call's operands (staged per tile by depthwise units)
 	st      storage
 	x, dy   []float32    // whole-layer float32 operand sources of the dense grid
-	dst     []float32    // the reduce target
 	cancel  *sched.Batch // the call's cancellation handle, for testUnitDone
 	traceOn bool
 	phase   execPhase
@@ -293,8 +292,8 @@ func (j *execJob) Run(lo, hi int) {
 		j.units(lo, hi)
 	case phaseChannels:
 		j.channelUnits(lo, hi)
-	default:
-		reduceRange(j.dst, j.ws.buckets, lo, hi)
+	default: // in place: bucket 0 is the destination
+		kahan.ReduceBucketsRange(j.ws.buckets[0], j.ws.buckets, lo, hi)
 	}
 }
 

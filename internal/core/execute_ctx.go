@@ -12,13 +12,12 @@ import (
 // claim of the shared sched pool — the pre-pass, the unit grid and the
 // reduction all abandon their remaining work — and ctx.Err() is returned.
 // The partial result is discarded (the returned tensor is nil; a supplied
-// dst may be partly overwritten — an ungrouped plan's segment-0 units store
-// into it as they finish, and its phase 3 reduces into it in place, or a
-// merged plan's units fold their residual sub-units into it, while a
-// grouped plan leaves each group's ∇W slab complete or untouched) and
-// the workspace is quiescent on return: no pool participant still touches
-// it, so pooled callers may recycle it immediately (the next execution
-// stores every bucket element afresh).
+// dst may be partly overwritten — the plan's segment-0 units store into it
+// as they finish, and its phase 3 reduces into it in place, or a merged
+// plan's units fold their residual sub-units into it) and the workspace is
+// quiescent on return: no pool participant still touches it, so pooled
+// callers may recycle it immediately (the next execution stores every
+// bucket element, dst's included, afresh).
 //
 // An uncancelled ExecuteInCtx produces a result bit-identical to
 // ExecuteIn. Unlike ExecuteIn, each call arms one context watcher, so the
@@ -35,11 +34,11 @@ func ExecuteHalfInCtx(ctx context.Context, cfg *Config, ws *Workspace, x, dy *te
 		operand{f16: x.Data}, operand{f16: dy.Data}, "ExecuteHalf"), halfStorage, dst)
 }
 
-// testUnitDone, when non-nil, runs after every dense unit with the
-// execution's cancellation handle (nil when it has none): the mid-run
-// cancellation test cancels from inside the grid through it, so the
-// cancel lands after the first unit however the goroutines are scheduled.
-// Production leaves it nil.
+// testUnitDone, when non-nil, runs after every unit, dense or
+// channel-wide, with the execution's cancellation handle (nil when it has
+// none): the mid-run cancellation tests cancel from inside the grid
+// through it, so the cancel lands after the first unit however the
+// goroutines are scheduled. Production leaves it nil.
 var testUnitDone func(*sched.Batch)
 
 // executeCtx runs execute under a context watcher.

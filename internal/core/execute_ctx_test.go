@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,6 +92,31 @@ func TestExecuteInCtxCancelMidRunWorkspaceReusable(t *testing.T) {
 	}
 	x, dy := poolLayer(t, 93, p)
 	cancelMidRun(t, cfg, x, dy, nil)
+}
+
+// Cancelling a grouped plan mid-run — a depthwise plan on its
+// channel-wide grid and a G = 2 plan on the dense grid — must leave its
+// workspace and a reused destination, into which its segment-0 units
+// store, fit for the next run, which must match the uncancelled result
+// bit for bit; inline and through a width-4 pool.
+func TestExecuteInCtxCancelMidRunGrouped(t *testing.T) {
+	for _, p := range []conv.Params{
+		{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
+		{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 2},
+	} {
+		x, dy := poolLayer(t, 73, p)
+		for _, width := range []int{1, 4} {
+			t.Run(fmt.Sprintf("G%d_width%d", p.G(), width), func(t *testing.T) {
+				withTestPool(t, width, func() {
+					cfg, err := Configure(p, WithSegments(3))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cancelMidRun(t, cfg, x, dy, tensor.NewFloat32(p.DWShape()))
+				})
+			})
+		}
+	}
 }
 
 // cancelMidRun cancels runs of cfg from inside the unit grid and checks

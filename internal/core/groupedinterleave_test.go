@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"winrs/internal/conv"
 	"winrs/internal/fp16"
@@ -115,95 +112,6 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 				forceEWM(t, ewmAuto)
 			}
 		})
-	}
-}
-
-// Cancellation mid-run must never leave partial-group bytes in the
-// destination: dst is written only by phase 3, which reduces whole group
-// slabs per chunk, so every slab is either untouched (the sentinel
-// prefill survives) or bit-identical to the uncancelled result. Depthwise
-// (channel-wide grid) and G = 2, I_C/G = 4 (dense grid) plans.
-func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
-	for _, p := range []conv.Params{
-		{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
-		{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 2},
-	} {
-		cancelNoPartialGroups(t, p)
-	}
-}
-
-func cancelNoPartialGroups(t *testing.T, p conv.Params) {
-	cfg, err := Configure(p, WithSegments(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, dy := poolLayer(t, 73, p)
-	want := ExecuteIn(cfg, nil, x, dy, nil)
-	n := cfg.GroupConfig().Params.DWShape().Elems()
-	const sentinel = float32(-12345.5)
-
-	withTestPool(t, 4, func() {
-		ws := NewWorkspace(cfg)
-		dst := tensor.NewFloat32(p.DWShape())
-		cancelled := 0
-		for attempt := 0; attempt < 40; attempt++ {
-			for i := range dst.Data {
-				dst.Data[i] = sentinel
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			go func(delay time.Duration) {
-				time.Sleep(delay)
-				cancel()
-			}(time.Duration(attempt%8) * 20 * time.Microsecond)
-			out, err := ExecuteInCtx(ctx, cfg, ws, x, dy, dst)
-			cancel()
-			if err == nil {
-				// Cancel arrived too late: the run completed and must be
-				// bit-identical to the plain path.
-				equalBits(t, "late-cancel", out.Data, want.Data)
-				continue
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			cancelled++
-			for gi := 0; gi < p.G(); gi++ {
-				slab := dst.Data[gi*n : (gi+1)*n]
-				if slab[0] == sentinel {
-					for i, v := range slab {
-						if v != sentinel {
-							t.Fatalf("group %d: partial slab — sentinel at 0 but %v at %d", gi, v, i)
-						}
-					}
-					continue
-				}
-				equalBits(t, "cancelled-complete-group", slab, want.Data[gi*n:(gi+1)*n])
-			}
-		}
-		t.Logf("G=%d: caught %d cancelled runs out of 40", p.G(), cancelled)
-	})
-}
-
-// Phase 3 of a grouped plan must start every chunk on a group slab
-// boundary at every pool width, so cancellation between chunks leaves
-// each slab complete or untouched. The plan's ∇W spans more than four
-// reduceGrain ranges and its slabs are not multiples of the automatic
-// grain, so an unrounded grain would split slabs at every width.
-func TestGroupedReduceChunksWholeSlabs(t *testing.T) {
-	p := conv.Params{N: 1, IH: 12, IW: 12, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 2}
-	elems := p.DWShape().Elems()
-	if elems < 4*reduceGrain {
-		t.Fatalf("|∇W| = %d, want ≥ %d", elems, 4*reduceGrain)
-	}
-	slab := elems / p.G()
-	for _, width := range []int{1, 2, 4, 8} {
-		grain := reduceChunk(elems, p.G(), width)
-		for lo := 0; lo < elems; lo += grain {
-			if lo%slab != 0 {
-				t.Fatalf("width %d: chunk [%d, %d) starts inside a %d-element slab",
-					width, lo, min(lo+grain, elems), slab)
-			}
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"winrs/internal/kahan"
 	"winrs/internal/obs"
 	"winrs/internal/sched"
 	"winrs/internal/tensor"
@@ -15,12 +14,11 @@ import (
 // buckets of the paper's partitioning phase plus the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels that every fused unit reads (one
 // α·O_C panel per (segment row, width tile, batch image), filled once per
-// execution and reused across all G·F_H·B·(F_W/n) units of a segment). An
-// ungrouped plan's bucket 0 is the call's destination, as in the paper's
-// Table 2, so its arena holds Buckets−1 buckets: Z−1, or none for a plan
-// whose residual units run inside its fast units. A grouped plan's arena
-// holds all Z, and its buckets and cache span the whole layer, like an
-// ungrouped plan's: each bucket holds the G per-group ∇W slabs.
+// execution and reused across all G·F_H·B·(F_W/n) units of a segment).
+// Bucket 0 is the call's destination, as in the paper's Table 2, so the
+// arena holds Buckets−1 buckets: Z−1, or none for a plan whose residual
+// units run inside its fast units. A grouped plan's buckets and cache span
+// the whole layer: each bucket holds the G per-group ∇W slabs.
 // Executions through ExecuteIn reuse it across steps, so a steady-state
 // caller (the serving runtime's workspace pool, a training loop) pays the
 // allocations once instead of per gradient.
@@ -28,14 +26,13 @@ import (
 // A Workspace is NOT safe for concurrent use; the Config it was built for
 // is read-only and may be shared freely.
 type Workspace struct {
-	z, owned, elems int
+	z, elems int
 
 	// buckets is the call's bucket list, one entry per bucket the plan's
-	// units write (Config.Buckets); the workspace owns the last owned of
-	// them. When it owns all but one (an ungrouped plan), entry 0 is
-	// bound to the call's destination by execute and cleared before it
-	// returns, so a pooled workspace never keeps a caller's result
-	// reachable.
+	// units write (Config.Buckets); the workspace owns entries 1…z−1.
+	// Entry 0 is bound to the call's destination by execute and cleared
+	// before it returns, so a pooled workspace never keeps a caller's
+	// result reachable.
 	buckets [][]float32
 
 	// Schedule tables of the bound config: global unit, Ŵ-cache element
@@ -67,25 +64,12 @@ type Workspace struct {
 	job execJob
 }
 
-// ownedBuckets returns how many of cfg's buckets its workspace holds. An
-// ungrouped plan's bucket 0 is the destination: Buckets−1, which is none
-// for a merged plan. A grouped plan, depthwise included, keeps its own
-// bucket 0, so that phase 3 alone writes the destination and a cancelled
-// run leaves each group's ∇W slab complete or untouched: Z.
-func ownedBuckets(cfg *Config) int {
-	if cfg.Params.G() == 1 {
-		return cfg.Buckets() - 1
-	}
-	return cfg.Z()
-}
-
-// NewWorkspace allocates the bucket arena for cfg — the buckets it owns,
-// see ownedBuckets — and binds its schedule tables.
+// NewWorkspace allocates the bucket arena for cfg — buckets 1…Buckets−1 —
+// and binds its schedule tables.
 func NewWorkspace(cfg *Config) *Workspace {
-	z, owned := cfg.Buckets(), ownedBuckets(cfg)
-	elems := cfg.Params.DWShape().Elems()
-	ws := &Workspace{z: z, owned: owned, elems: elems, buckets: make([][]float32, z)}
-	for i := z - owned; i < z; i++ {
+	z, elems := cfg.Buckets(), cfg.Params.DWShape().Elems()
+	ws := &Workspace{z: z, elems: elems, buckets: make([][]float32, z)}
+	for i := 1; i < z; i++ {
 		ws.buckets[i] = make([]float32, elems)
 	}
 	ws.rebind(cfg)
@@ -116,32 +100,29 @@ func (ws *Workspace) rebind(cfg *Config) {
 }
 
 // Fits reports whether the workspace matches cfg's bucket geometry: the
-// same bucket count, gradient size and owned-bucket count, so a workspace
-// built for an ungrouped plan never serves a grouped one of equal Z and
-// |∇W|. Schedule tables rebind automatically.
+// same bucket count and gradient size. Schedule tables rebind
+// automatically.
 func (ws *Workspace) Fits(cfg *Config) bool {
-	return ws != nil && ws.z == cfg.Buckets() && ws.owned == ownedBuckets(cfg) &&
-		ws.elems == cfg.Params.DWShape().Elems()
+	return ws != nil && ws.z == cfg.Buckets() && ws.elems == cfg.Params.DWShape().Elems()
 }
 
-// Bytes returns the arena footprint: the owned buckets plus whatever
-// Ŵ-cache and operand-mirror arenas the executed storage policies have
-// materialized. For an ungrouped plan the buckets are exactly
-// Config.WorkspaceBytes, (Buckets−1)·|∇W|; a grouped plan holds one bucket
-// more. The cache stays within the analytic bound documented on
+// Bytes returns the arena footprint: the buckets, exactly
+// Config.WorkspaceBytes, (Buckets−1)·|∇W|, plus whatever Ŵ-cache and
+// operand-mirror arenas the executed storage policies have materialized.
+// The cache stays within the analytic bound documented on
 // Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
-	return int64(ws.owned)*int64(ws.elems)*4 +
+	return int64(ws.z-1)*int64(ws.elems)*4 +
 		int64(cap(ws.what32)+cap(ws.xMirror)+cap(ws.dyMirror))*4
 }
 
 // ensureWorkspace returns a workspace for cfg: the caller's if it fits
 // (rebinding its schedule tables when cfg changed), a fresh one when ws is
 // nil. Bucket contents are never cleared: every execution's units store
-// each bucket element exactly once (see writeOutput) — segment 0 of an
-// ungrouped plan straight into the destination — before phase 3 or a
-// merged plan's residual fold reads it, so whatever a previous, possibly
-// cancelled, run left there is overwritten.
+// each bucket element exactly once (see writeOutput) — segment 0 straight
+// into the destination — before phase 3 or a merged plan's residual fold
+// reads it, so whatever a previous, possibly cancelled, run left there is
+// overwritten.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
 		return NewWorkspace(cfg)
@@ -157,40 +138,18 @@ func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 // it, recruiting a pool helper costs more than the Kahan loop it shares.
 const reduceGrain = 4096
 
-// reduceChunk returns phase 3's chunk length over the elems ∇W elements of
-// a plan with g groups on a pool of the given width: RunBatch's automatic
-// grain (≈4 chunks per participant), floored at reduceGrain. A grouped
-// plan rounds it up to whole group slabs, so every chunk boundary is a
-// slab boundary and cancellation between chunks leaves each slab complete
-// or untouched.
-func reduceChunk(elems, g, workers int) int {
+// reduceChunk returns phase 3's chunk length over the elems ∇W elements on
+// a pool of the given width: RunBatch's automatic grain (≈4 chunks per
+// participant), floored at reduceGrain.
+func reduceChunk(elems, workers int) int {
 	w := 4 * workers
-	grain := max(reduceGrain, (elems+w-1)/w)
-	if g > 1 {
-		slab := elems / g
-		grain = (grain + slab - 1) / slab * slab
-	}
-	return grain
-}
-
-// reduceRange is phase 3 over ∇W elements [lo, hi): the Kahan-compensated
-// sum of the Z buckets into dst, each element visiting the buckets in
-// bucket order, or a plain copy of a grouped plan's one bucket when Z = 1.
-// Any split of the element range therefore produces the same bits. For an
-// ungrouped plan buckets[0] is dst itself; the reduce reads every bucket
-// of an element before its one store, so running in place changes no bit.
-func reduceRange(dst []float32, buckets [][]float32, lo, hi int) {
-	if len(buckets) == 1 {
-		copy(dst[lo:hi], buckets[0][lo:hi])
-		return
-	}
-	kahan.ReduceBucketsRange(dst, buckets, lo, hi)
+	return max(reduceGrain, (elems+w-1)/w)
 }
 
 // ExecuteIn runs the configured FP32 plan with caller-provided scratch: ws
 // supplies the buckets and Ŵ cache (nil allocates fresh) and dst receives
-// the gradient (nil allocates fresh). An ungrouped plan's segment-0 units
-// store straight into dst, so dst must not overlap x or dy. With both
+// the gradient (nil allocates fresh). The plan's segment-0 units store
+// straight into dst, so dst must not overlap x or dy. With both
 // provided, the steady-state execution allocates nothing — the serving
 // runtime's zero-allocation hot path: the pre-pass and the unit grid both
 // schedule onto the persistent sched pool through the task embedded in
@@ -222,18 +181,17 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // quantized, grouped and 3-D: bring the operands into float32 form, fill
 // the Ŵ cache, run the dense unit grid, Kahan-reduce the buckets into dst
 // (allocated when nil). Depthwise plans run the channel-wide unit grid of
-// depthwise.go instead of the fill and the dense grid. An ungrouped plan
-// binds dst as bucket 0 for the call: segment 0's units store into it,
-// phase 3 reduces buckets 1…Z−1 into it in place, and a plan with one
-// bucket runs no phase 3 — a Z = 1 plan, or a merged one, whose fast
-// units fold their residual sub-units into dst themselves. A grouped
-// plan's units store only into its own buckets.
+// depthwise.go instead of the fill and the dense grid. Every plan binds
+// dst as bucket 0 for the call: segment 0's units store into it, phase 3
+// reduces buckets 1…Z−1 into it in place — each element reads every
+// bucket, dst included, before its one store, so running in place changes
+// no bit — and a plan with one bucket runs no phase 3: a Z = 1 plan, or a
+// merged one, whose fast units fold their residual sub-units into dst
+// themselves.
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial
-// results, and no result is produced. On a grouped plan phase 3 alone
-// writes dst and reduces whole group slabs per chunk, so a cancelled run
-// leaves every group's ∇W slab complete or untouched.
+// results, and no result is produced.
 func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	p := cfg.Params
 	if dst == nil {
@@ -243,17 +201,9 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	}
 	ws = ensureWorkspace(cfg, ws)
 	ws.bindPlans(cfg, st)
-	ws.job = execJob{cfg: cfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled(), dst: dst.Data, cancel: cancel}
-	dstIsBucket0 := ws.owned < ws.z
-	if dstIsBucket0 {
-		ws.buckets[0] = dst.Data
-	}
-	defer func() {
-		ws.job = execJob{}
-		if dstIsBucket0 {
-			ws.buckets[0] = nil
-		}
-	}()
+	ws.job = execJob{cfg: cfg, ws: ws, ops: ops, st: st, traceOn: obs.TraceEnabled(), cancel: cancel}
+	ws.buckets[0] = dst.Data
+	defer func() { ws.job, ws.buckets[0] = execJob{}, nil }()
 	pool := execPool()
 	if cfg.dwBlock > 0 {
 		ws.job.phase = phaseChannels
@@ -270,11 +220,11 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	if cancel.Cancelled() {
 		return nil, false
 	}
-	if dstIsBucket0 && ws.z == 1 {
+	if ws.z == 1 {
 		return dst, true
 	}
 	ws.job.phase = phaseReduce
-	ws.runPhase(pool, ws.elems, reduceChunk(ws.elems, p.G(), pool.Workers()), obs.StageReduce, cancel)
+	ws.runPhase(pool, ws.elems, reduceChunk(ws.elems, pool.Workers()), obs.StageReduce, cancel)
 	if cancel.Cancelled() {
 		return nil, false
 	}

@@ -179,29 +179,41 @@ func BenchmarkExecuteInPooled(b *testing.B) {
 }
 
 // A grouped workspace has the ungrouped layout and Bytes counts every
-// arena once: after one FP32 execution (no operand mirrors) it holds Z
-// whole-layer buckets and the whole-layer Ŵ cache, whatever the pool
-// width.
+// arena once: after one FP32 execution (no operand mirrors) it holds the
+// paper's (Z−1) whole-layer buckets, bucket 0 being the destination, and
+// the whole-layer Ŵ cache, whatever the pool width. A G = 2 plan on the
+// dense grid, and a depthwise plan, which holds no Ŵ cache: MobileNet's
+// dw9 (7²×1024, G = 1024) realizes Z = 2 on one 36,864-byte bucket.
 func TestGroupedWorkspaceBytesCountsArenasOnce(t *testing.T) {
-	p := conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 2}
-	cfg, err := Configure(p, WithSegments(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Z() != 2 {
-		t.Fatalf("Z = %d, want 2", cfg.Z())
-	}
-	x, dy := poolLayer(t, 44, p)
-	for _, width := range []int{1, 4} {
-		withTestPool(t, width, func() {
-			ws := NewWorkspace(cfg)
-			ExecuteIn(cfg, ws, x, dy, nil)
-			dw := int64(p.DWShape().Elems())
-			if want := int64(cfg.Z())*dw*4 + cfg.WHatCacheBytes(); ws.Bytes() != want {
-				t.Errorf("width %d: grouped workspace Bytes() = %d, want %d (Z·|∇W| %d × 4 + Ŵ cache %d)",
-					width, ws.Bytes(), want, int64(cfg.Z())*dw, cfg.WHatCacheBytes())
-			}
-		})
+	for _, tc := range []struct {
+		p conv.Params
+		z int
+	}{
+		{conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 4, OC: 4, PH: 1, PW: 1, Groups: 2}, 2},
+		{conv.Params{N: 1, IH: 7, IW: 7, FH: 3, FW: 3, IC: 1024, OC: 1024, PH: 1, PW: 1, Groups: 1024}, 0},
+	} {
+		x, dy := poolLayer(t, 44, tc.p)
+		for _, width := range []int{1, 4} {
+			withTestPool(t, width, func() {
+				var opts []Option
+				if tc.z > 0 {
+					opts = append(opts, WithSegments(tc.z))
+				}
+				cfg, err := Configure(tc.p, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.Z() != 2 || cfg.WorkspaceBytes() != int64(tc.p.DWShape().Elems())*4 {
+					t.Fatalf("G=%d: Z = %d, %d workspace bytes; want Z = 2 on one bucket", tc.p.G(), cfg.Z(), cfg.WorkspaceBytes())
+				}
+				ws := NewWorkspace(cfg)
+				ExecuteIn(cfg, ws, x, dy, nil)
+				if want := cfg.WorkspaceBytes() + cfg.WHatCacheBytes(); ws.Bytes() != want {
+					t.Errorf("G=%d width %d: Bytes() = %d, want %d (buckets %d + Ŵ cache %d)",
+						tc.p.G(), width, ws.Bytes(), want, cfg.WorkspaceBytes(), cfg.WHatCacheBytes())
+				}
+			})
+		}
 	}
 }
 
@@ -237,32 +249,50 @@ func TestWorkspaceBytesUngroupedIsPaperFigure(t *testing.T) {
 	}
 }
 
-// A workspace built for an ungrouped plan owns one bucket fewer than a
-// grouped plan of the same Z and |∇W| needs, so it must not fit one.
-func TestWorkspaceUngroupedDoesNotFitGrouped(t *testing.T) {
+// Every plan holds buckets 1…Z−1 of its ∇W, so a workspace last used by
+// an ungrouped plan serves a grouped plan of equal bucket count and |∇W|,
+// and the reverse, with results bit-equal to fresh workspaces.
+func TestWorkspaceFitsAcrossGrouping(t *testing.T) {
 	pg := zLayer
 	pg.Groups, pg.IC = 2, 2*zLayer.IC // I_C/G = I_C: the same ∇W size
 	cfg, cfgG := configureZ(t, zLayer, 2), configureZ(t, pg, 2)
 	if cfg.Params.DWShape().Elems() != cfgG.Params.DWShape().Elems() {
 		t.Fatal("the two plans' gradients differ in size")
 	}
-	if NewWorkspace(cfg).Fits(cfgG) || NewWorkspace(cfgG).Fits(cfg) {
-		t.Error("a workspace fits a plan with a different owned-bucket count")
+	x, dy := poolLayer(t, 47, zLayer)
+	xg, dyg := poolLayer(t, 48, pg)
+	want, wantG := ExecuteIn(cfg, nil, x, dy, nil), ExecuteIn(cfgG, nil, xg, dyg, nil)
+	for _, first := range []*Config{cfg, cfgG} {
+		ws := NewWorkspace(first)
+		if !ws.Fits(cfg) || !ws.Fits(cfgG) {
+			t.Fatalf("a workspace for the G=%d plan does not fit both plans", first.Params.G())
+		}
+		for i := 0; i < 2; i++ {
+			equalBits(t, "ungrouped", ExecuteIn(cfg, ws, x, dy, nil).Data, want.Data)
+			equalBits(t, "grouped", ExecuteIn(cfgG, ws, xg, dyg, nil).Data, wantG.Data)
+		}
 	}
 }
 
 // After ExecuteIn returns, the workspace keeps no reference to the
 // destination it bound as bucket 0: a finalizer on dst's data runs while
 // the workspace stays live. A pooled workspace that kept one would hold
-// a caller's whole result per plan.
+// a caller's whole result per plan. Ungrouped plans at Z = 1 and 2, and
+// a depthwise and a G = 2 plan at Z = 2.
 func TestExecuteInReleasesDestination(t *testing.T) {
-	x, dy := poolLayer(t, 46, zLayer)
-	for _, z := range []int{1, 2} {
-		cfg := configureZ(t, zLayer, z)
+	pd, pg := zLayer, zLayer
+	pd.OC, pd.Groups = zLayer.IC, zLayer.IC
+	pg.Groups = 2
+	for _, tc := range []struct {
+		p conv.Params
+		z int
+	}{{zLayer, 1}, {zLayer, 2}, {pd, 2}, {pg, 2}} {
+		cfg := configureZ(t, tc.p, tc.z)
+		x, dy := poolLayer(t, 46, tc.p)
 		ws := NewWorkspace(cfg)
 		freed := make(chan struct{})
 		func() {
-			dst := tensor.NewFloat32(zLayer.DWShape())
+			dst := tensor.NewFloat32(tc.p.DWShape())
 			runtime.SetFinalizer(&dst.Data[0], func(*float32) { close(freed) })
 			ExecuteIn(cfg, ws, x, dy, dst)
 		}()
@@ -276,7 +306,7 @@ func TestExecuteInReleasesDestination(t *testing.T) {
 			}
 		}
 		if !released {
-			t.Errorf("Z=%d: destination still reachable after ExecuteIn returned", z)
+			t.Errorf("G=%d Z=%d: destination still reachable after ExecuteIn returned", tc.p.G(), tc.z)
 		}
 		runtime.KeepAlive(ws)
 	}

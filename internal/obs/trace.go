@@ -154,7 +154,7 @@ func StageShares() map[string]float64 {
 // their (empty) series so dashboards can discover the label set.
 func WriteTraceTo(w io.Writer) error {
 	cw := &countingWriter{w: w}
-	io.WriteString(cw, "# HELP winrs_stage_duration_seconds Duration of WinRS pipeline stages (per fused unit; reduce per execution, none for ungrouped single-segment plans).\n")
+	io.WriteString(cw, "# HELP winrs_stage_duration_seconds Duration of WinRS pipeline stages (per fused unit; reduce per execution, none for single-bucket plans).\n")
 	io.WriteString(cw, "# TYPE winrs_stage_duration_seconds histogram\n")
 	for s := Stage(0); s < NumStages; s++ {
 		r := &trace[s]

@@ -159,9 +159,9 @@ func (pl *Plan) Segments() int { return pl.cfg.Z() }
 
 // WorkspaceBytes returns the bucket workspace the plan executes with:
 // (buckets−1) × sizeof(∇W), the paper's "tiny workspace". Bucket 0 is
-// the result tensor itself, so an ungrouped plan's pooled arena is
-// exactly this; a grouped plan's holds one bucket more. A plan has Z
-// buckets, or one when its fast units run its residual units.
+// the result tensor itself, so the plan's pooled arena holds exactly
+// these buckets. A plan has Z buckets, or one when its fast units run its
+// residual units.
 func (pl *Plan) WorkspaceBytes() int64 { return pl.cfg.WorkspaceBytes() }
 
 // WHatCacheBytes returns the footprint of the transformed-∇Y cache the
@@ -298,12 +298,22 @@ func NewTensor5(s tensor.Shape5) *Tensor5 { return tensor.NewFloat325(s) }
 // clipped. The FP16 path is not implemented for volumetric layers:
 // passing WithFP16 returns an error rather than silently computing FP32.
 func BackwardFilter3D(p Params3D, x, dy *Tensor5, opts ...PlanOption) (*Tensor5, error) {
+	coreOpts, err := fp32Options("BackwardFilter3D", opts)
+	if err != nil {
+		return nil, err
+	}
+	return core.BackwardFilter3D(p, x, dy, coreOpts...)
+}
+
+// fp32Options translates opts into core options for the FP32-only entry
+// point fn, refusing WithFP16 with an error that names fn.
+func fp32Options(fn string, opts []PlanOption) ([]core.Option, error) {
 	var o planOpts
 	for _, f := range opts {
 		f(&o)
 	}
 	if o.fp16 {
-		return nil, fmt.Errorf("winrs: WithFP16 is not supported for BackwardFilter3D (FP32 only)")
+		return nil, fmt.Errorf("winrs: WithFP16 is not supported for %s (FP32 only)", fn)
 	}
 	var coreOpts []core.Option
 	if o.hw != nil {
@@ -312,7 +322,7 @@ func BackwardFilter3D(p Params3D, x, dy *Tensor5, opts ...PlanOption) (*Tensor5,
 	if o.segments > 0 {
 		coreOpts = append(coreOpts, core.WithSegments(o.segments))
 	}
-	return core.BackwardFilter3D(p, x, dy, coreOpts...)
+	return coreOpts, nil
 }
 
 // StridedParams describes a strided convolutional layer (downsampling
@@ -337,19 +347,9 @@ func BackwardDataStrided(p StridedParams, dy, w *Tensor) (*Tensor, error) {
 // path is not implemented for strided layers: passing WithFP16 returns an
 // error rather than silently computing FP32.
 func BackwardFilterStrided(p StridedParams, x, dy *Tensor, opts ...PlanOption) (*Tensor, error) {
-	var o planOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	if o.fp16 {
-		return nil, fmt.Errorf("winrs: WithFP16 is not supported for BackwardFilterStrided (FP32 only)")
-	}
-	var coreOpts []core.Option
-	if o.hw != nil {
-		coreOpts = append(coreOpts, core.WithHardware(*o.hw))
-	}
-	if o.segments > 0 {
-		coreOpts = append(coreOpts, core.WithSegments(o.segments))
+	coreOpts, err := fp32Options("BackwardFilterStrided", opts)
+	if err != nil {
+		return nil, err
 	}
 	return core.BackwardFilterStrided(p, x, dy, coreOpts...)
 }
