@@ -54,15 +54,18 @@ dispatch-smoke:
 # faults runs the request-lifecycle robustness suite under the race
 # detector: the fault-injection harness (forced panics, slow computes,
 # client disconnects), dispatcher panic/cancel isolation, and the
-# cancellable-execution tests in core and sched. The mid-run cancel tests,
-# on a plan with separate segments, on a merged one and on a depthwise and
-# a G = 2 grouped plan, run once more at GOMAXPROCS 1 without the race
+# cancellable-execution tests in core and sched, among them a cancel and a
+# deadline that stop a run before its next unit and a batch whose passed
+# deadline runs nothing. The mid-run cancel tests, on a plan with separate
+# segments, on a merged one and on a depthwise and a G = 2 grouped plan,
+# and the deadline test run once more at GOMAXPROCS 1 without the race
 # detector, the leg where a cancel that waited for a watcher goroutine
-# used to miss the grid.
+# used to miss the grid and where only the batch's own clock check sees a
+# deadline pass mid-unit.
 faults:
 	$(GO) test -race -run 'TestFault|TestServeBodyLimit|TestDispatcher|TestExecuteInCtx|TestRunBatch' \
 		./internal/serve ./internal/core ./internal/sched
-	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtxCancelMidRun(WorkspaceReusable|Merged|Grouped)$$' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count 3 -run '^TestExecuteInCtx(CancelMidRun(WorkspaceReusable|Merged|Grouped)|DeadlineStopsBeforeNextUnit)$$' ./internal/core
 
 # router-smoke runs the sharding topology suites under the race detector:
 # the consistent-hash ring's remapping bounds and the in-process router
@@ -86,11 +89,12 @@ saturate:
 # cancellation) is pinned against the grouped float64 direct oracle and
 # the sequential per-group reference (mid-run cancellation against the
 # uncancelled result on a reused workspace and destination), plus the
-# depthwise planned-path and workspace-shrinkage acceptance checks. The
-# grouped dense-grid differential runs again on forced O_C blocks of 1,
-# 2, 3 and 5 filters (ragged last blocks). The in-test width-{1,4} pools
-# cover pool shape; the GOMAXPROCS legs cover the unforced default pool
-# the serve tests run on.
+# depthwise planned-path and workspace-shrinkage acceptance checks and the
+# pin that a grouped plan's Ẑ and segments are those of one group's
+# channel slice. The grouped dense-grid differential runs again on forced
+# O_C blocks of 1, 2, 3 and 5 filters (ragged last blocks). The in-test
+# width-{1,4} pools cover pool shape; the GOMAXPROCS legs cover the
+# unforced default pool the serve tests run on.
 grouped-smoke:
 	@for procs in 1 4; do \
 		echo "grouped-smoke: GOMAXPROCS=$$procs"; \
@@ -117,7 +121,8 @@ grouped-smoke:
 # out-of-place one, poisoned (NaN) workspaces against fresh ones (every
 # bucket element is stored once per run; nothing zeroes them),
 # pool-vs-inline and shared-pool concurrency,
-# mid-run cancellation, the FP16, quantized and 3-D reference executors,
+# mid-run cancellation, the FP16, quantized and 3-D reference executors
+# (a merged 3-D plan too),
 # and the channel-wide depthwise grid (pool widths 1–8) and the grouped
 # dense grid (widths 1 and 4) against the per-group reference, depthwise
 # units on NaN-filled and foreign pooled scratch (a ring slot read before
@@ -141,7 +146,7 @@ bitwise-smoke:
 	@for procs in 1 4; do \
 		echo "bitwise-smoke: GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs \
-			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive|TestBitwiseSuitesBlockedUnits|TestBlockedUnitsMatchUnblocked|TestDenseBlockRule|TestMergeRule|TestMergedResidualMatchesSeparate|TestBitwiseSuitesMergedResidual|TestWriteOutputFoldMatchesReduce' \
+			$(GO) test -race -count 5 -run 'TestOutputRowsMatchesGo|TestWriteOutputMatchesRef|TestReduceInPlaceMatchesOutOfPlace|TestExecuteInPoisonedWorkspaceMatchesFresh|TestPoolMatchesInline|TestConcurrentExecuteSharedPool|TestExecuteInCtxCancelMidRun|TestExecuteHalfMatchesScalarCodecRef|TestQuantizedMatchesRef|TestExecute3DMatchesRef|TestExecute3DMergedMatchesRef|TestEWMPanelVariantsMatchBase|TestEWMBlockedMatchesPanel|TestMulPanelColumnsIndependent|TestMulPanelKernelMatchesGo|TestMulPanelGoLoop|TestEWMDiagMatchesGo|TestEWMForcedVariantsMatchBaseFP32|TestDepthwiseChannelWideMatchesPerGroup|TestDepthwiseStaleScratch|TestGroupedInterleavedMatchesSequential|TestBitwiseSuitesGoKernels|TestDecodeF16CMatchesLUT|TestDecodeSliceExhaustive|TestBitwiseSuitesBlockedUnits|TestBlockedUnitsMatchUnblocked|TestDenseBlockRule|TestMergeRule|TestMergedResidualMatchesSeparate|TestBitwiseSuitesMergedResidual|TestWriteOutputFoldMatchesReduce' \
 			./internal/core ./internal/winograd ./internal/kahan ./internal/fp16 || exit 1; \
 	done
 	$(GO) test -tags exhaustive -count 1 -run '^TestRoundSliceF16CSweep$$' ./internal/fp16

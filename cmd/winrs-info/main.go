@@ -128,15 +128,7 @@ func main() {
 	fmt.Printf("what cache         %.2f MB (transformed-dY reuse, <= (max a/r) x dY)\n",
 		float64(cfg.WHatCacheBytes())/(1<<20))
 	fmt.Printf("ewm kernel         %s (host kernel-tier selection)\n", cfg.EWMKernel())
-	blocksP := p
-	if g := cfg.GroupConfig(); g != nil {
-		blocksP = g.Params
-	}
-	blocks := 0
-	for _, s := range cfg.Segments {
-		blocks += core.BlocksPerSegment(s.K, blocksP, *fp16) * p.G()
-	}
-	fmt.Printf("total blocks       %d on %d SMs\n", blocks, d.NSM)
+	fmt.Printf("total blocks       %d on %d SMs\n", desc.TotalBlocks, d.NSM)
 
 	fmt.Println()
 	t := report.NewTable(fmt.Sprintf("modelled comparison on %s", d.Name),

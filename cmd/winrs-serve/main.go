@@ -103,8 +103,8 @@ func main() {
 		log.Printf("winrs-serve: shutting down (grace %s)", *drain)
 		// Two-phase drain: first let in-flight requests finish on their
 		// own within the grace budget; past it, srv.Close cancels their
-		// computes cooperatively (they abort at the next chunk claim and
-		// answer 503), so the drain is bounded by one chunk's work rather
+		// computes cooperatively (they abort before their next unit and
+		// answer 503), so the drain is bounded by one unit's work rather
 		// than by the slowest request.
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()

@@ -53,8 +53,8 @@ func (pr Precision) String() string {
 // histogram (obs.Default), so /metrics shows per-backend latency the same
 // way it shows per-stage WinRS timings.
 //
-// Cancellation is cooperative and backend-dependent: WinRS aborts between
-// chunk claims; the baseline backends check ctx only at the boundaries
+// Cancellation is cooperative and backend-dependent: WinRS aborts before
+// its next unit; the baseline backends check ctx only at the boundaries
 // (their inner loops are not cancellation-aware), mirroring the
 // forward/backward-data serve paths.
 type Backend interface {

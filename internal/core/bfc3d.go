@@ -16,21 +16,12 @@ import (
 // 3-D row map, which clips height- and depth-axis zero padding alike (the
 // Figure 7 optimization, applied per axis).
 
-// Config3D is the adapted plan for one volumetric layer.
+// Config3D is the adapted plan for one volumetric layer: its 3-D geometry
+// and the plan of its flattened 2-D geometry (see flat2D), built like any
+// other plan, whose segment rows span the flattened (o_d·O_H + o_h) axis.
 type Config3D struct {
-	Params   conv.Params3D
-	Pair     Pair
-	ZTarget  int
-	Segments []Segment // Row indices span the flattened (o_d·O_H + o_h) axis
-	Hardware Hardware
-}
-
-// Z returns the realized segment count.
-func (c *Config3D) Z() int { return len(c.Segments) }
-
-// WorkspaceBytes returns the bucket workspace (Z−1 × sizeof(∇W)).
-func (c *Config3D) WorkspaceBytes() int64 {
-	return int64(c.Z()-1) * int64(c.Params.DWShape().Elems()) * 4
+	Params conv.Params3D
+	*Config
 }
 
 // Configure3D runs configuration adaptation for a 3-D layer: the kernel
@@ -41,10 +32,7 @@ func Configure3D(p conv.Params3D, opts ...Option) (*Config3D, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	o := configOpts{hw: DefaultHardware}
-	for _, f := range opts {
-		f(&o)
-	}
+	o := options(opts)
 	p2 := flat2D(p)
 	pr, err := SelectPair(p2, o.fp16)
 	if err != nil {
@@ -63,13 +51,10 @@ func Configure3D(p conv.Params3D, opts ...Option) (*Config3D, error) {
 			flops:     p.FLOPs(), outputs: p.N * p.OD() * p.OH() * p.OW(),
 		}, o.hw)
 	}
-	// Segment-shape calculation on the flattened plane; padding rows are
-	// interleaved (each o_h strip repeats per o_d), so the minimum segment
-	// height guard uses p_H only.
-	sh, sw := SegmentShape(p2, pr, zHat)
-	cfg := &Config3D{Params: p, Pair: pr, ZTarget: zHat, Hardware: o.hw}
-	cfg.Segments = layoutSegments(p2, pr, sh, sw)
-	return cfg, nil
+	// The segment shape is computed on the flattened plane; padding rows
+	// are interleaved (each o_h strip repeats per o_d), so the minimum
+	// segment height guard uses p_H only.
+	return &Config3D{Params: p, Config: newPlan(p2, pr, zHat, o.fp16)}, nil
 }
 
 // flat2D is the 2-D plan geometry of a 3-D layer: O_D·O_H output rows,
@@ -95,18 +80,16 @@ func rows3D(p conv.Params3D) rowMap {
 }
 
 // Execute3D runs the fused FP32 3-D pipeline: the 2-D pipeline on the
-// flattened plan, its (segment, f_d·F_H + f_h, width-tile) units writing
-// disjoint bucket regions of the 3-D ∇W.
+// flattened plan, its (segment, f_d·F_H + f_h, O_C block, width-tile)
+// units writing disjoint bucket regions of the 3-D ∇W.
 func Execute3D(cfg *Config3D, x, dy *tensor.Float325) *tensor.Float325 {
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
 		panic("core: Execute3D operand shape mismatch")
 	}
-	flat := &Config{Params: flat2D(p), Pair: cfg.Pair, ZTarget: cfg.ZTarget,
-		Segments: cfg.Segments, Hardware: cfg.Hardware}
 	dw := tensor.NewFloat325(p.DWShape())
 	ops := operands{rows: rows3D(p), x: operand{f32: x.Data}, dy: operand{f32: dy.Data}}
-	execute(flat, nil, ops, fp32Storage, &tensor.Float32{Shape: flat.Params.DWShape(), Data: dw.Data}, nil)
+	execute(cfg.Config, nil, ops, fp32Storage, &tensor.Float32{Shape: cfg.Config.Params.DWShape(), Data: dw.Data}, nil)
 	return dw
 }
 

@@ -363,6 +363,12 @@ func TestBackwardFilter3DDepthOneMatches2D(t *testing.T) {
 						t.Fatalf("%s: Configure3D plan %v/%d/%v, Configure %v/%d/%v", name,
 							cfg3.Pair, cfg3.ZTarget, cfg3.Segments, cfg.Pair, cfg.ZTarget, cfg.Segments)
 					}
+					if cfg3.Units() != cfg.Units() || cfg3.Buckets() != cfg.Buckets() || cfg3.unitBlock() != cfg.unitBlock() ||
+						cfg3.WorkspaceBytes() != cfg.WorkspaceBytes() || cfg3.WHatCacheBytes() != cfg.WHatCacheBytes() {
+						t.Fatalf("%s: Configure3D schedule %d units, %d buckets, block %d, %d+%d B; Configure %d, %d, %d, %d+%d B",
+							name, cfg3.Units(), cfg3.Buckets(), cfg3.unitBlock(), cfg3.WorkspaceBytes(), cfg3.WHatCacheBytes(),
+							cfg.Units(), cfg.Buckets(), cfg.unitBlock(), cfg.WorkspaceBytes(), cfg.WHatCacheBytes())
+					}
 					got, err := BackwardFilter3D(p3, x3, dy3, opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -374,6 +380,40 @@ func TestBackwardFilter3DDepthOneMatches2D(t *testing.T) {
 					equalBits(t, name, got.Data, want.Data)
 				}
 			}
+		})
+	}
+}
+
+// A 3-D layer whose flattened plan the merge rule takes — two depth slices
+// of a 7²×512→512 layer, whose O_C block splits the fast segment — runs
+// its residual units inside its fast units and holds no bucket, with the
+// bits of the same plan run with separate segments and of the per-unit
+// 3-D reference, inline and at pool width 4.
+func TestExecute3DMergedMatchesRef(t *testing.T) {
+	p := conv.Params3D{N: 1, ID: 2, IH: 7, IW: 7, FD: 1, FH: 3, FW: 3, IC: 512, OC: 512, PH: 1, PW: 1}
+	cfg, err := Configure3D(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.residMerged || cfg.WorkspaceBytes() != 0 {
+		t.Fatalf("merged %v, workspace %d B; want a merged plan with no bucket", cfg.residMerged, cfg.WorkspaceBytes())
+	}
+	prev := residMergeForce
+	residMergeForce = -1
+	sep, err := Configure3D(p)
+	residMergeForce = prev
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(55))
+	x, dy := tensor.NewFloat325(p.XShape()), tensor.NewFloat325(p.DYShape())
+	x.FillUniform(rng, 0, 1)
+	dy.FillUniform(rng, 0, 1)
+	want := execute3DRef(cfg, x, dy).Data
+	for _, width := range []int{1, 4} {
+		withTestPool(t, width, func() {
+			equalBits(t, fmt.Sprintf("merged width=%d", width), Execute3D(cfg, x, dy).Data, want)
+			equalBits(t, fmt.Sprintf("separate width=%d", width), Execute3D(sep, x, dy).Data, want)
 		})
 	}
 }

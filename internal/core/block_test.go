@@ -259,15 +259,15 @@ func BenchmarkUnitProbe(b *testing.B) {
 			ws.job = execJob{cfg: cfg, ws: ws, st: fp32Storage, x: x.Data, dy: dy.Data,
 				ops: planar(p, x.Shape, dy.Shape, operand{f32: x.Data}, operand{f32: dy.Data}, "probe")}
 			ws.buckets[0] = dst.Data
-			growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
-			ws.job.fillRows(0, ws.rowOff[len(ws.rowOff)-1])
+			growF32(&ws.what32, cfg.whatOff[len(cfg.whatOff)-1])
+			ws.job.fillRows(0, cfg.rowOff[len(cfg.rowOff)-1])
 			var largest time.Duration
 			var fast, resid int
 			for si, seg := range cfg.Segments {
-				for i := ws.unitOff[si]; i < ws.unitOff[si+1]; i++ {
+				for i := cfg.unitOff[si]; i < cfg.unitOff[si+1]; i++ {
 					largest = max(largest, best(func() { ws.job.units(i, i+1) }))
 				}
-				if n := ws.unitOff[si+1] - ws.unitOff[si]; seg.K == cfg.Pair.Fast {
+				if n := cfg.unitOff[si+1] - cfg.unitOff[si]; seg.K == cfg.Pair.Fast {
 					fast += n
 				} else {
 					resid += n

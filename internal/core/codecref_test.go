@@ -113,12 +113,11 @@ func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half
 // executeHalfScalarRef runs the full FP16 plan serially with the scalar
 // codec everywhere: binary16 Ŵ-cache fill, fused units, Kahan reduction.
 func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
-	ws := NewWorkspace(cfg)
 	buckets := refBuckets(cfg)
-	what16 := make([]fp16.Bits, ws.whatOff[len(ws.whatOff)-1])
+	what16 := make([]fp16.Bits, cfg.whatOff[len(cfg.whatOff)-1])
 	s := getTileScratch()
 	for si, seg := range cfg.Segments {
-		what := what16[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := what16[cfg.whatOff[si]:cfg.whatOff[si+1]]
 		for oh := seg.Row0; oh < seg.Row1; oh++ {
 			fillRowHalfScalar(cfg.Params, seg, oh, dy, s, what)
 		}
@@ -127,7 +126,7 @@ func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 
 	fw := cfg.Params.FW
 	for si, seg := range cfg.Segments {
-		what := what16[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := what16[cfg.whatOff[si]:cfg.whatOff[si+1]]
 		jTiles := fw / seg.K.N
 		for fh := 0; fh < cfg.Params.FH; fh++ {
 			for jt := 0; jt < jTiles; jt++ {

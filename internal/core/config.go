@@ -378,7 +378,14 @@ func (s Segment) Rows() int { return s.Row1 - s.Row0 }
 // Cols returns the segment width.
 func (s Segment) Cols() int { return s.Col1 - s.Col0 }
 
-// Config is a fully-adapted WinRS execution plan for one layer.
+// Config is a fully-adapted WinRS execution plan for one layer, with the
+// schedule every execution runs: its segments, their unit grid and the
+// layout of the Ŵ cache. Every plan comes from newPlan, whatever the layer
+// kind: ungrouped, grouped, depthwise, or the flattened 2-D geometry of a
+// 3-D layer. A grouped plan's pair and segments are those of one group's
+// channel slice (I_C/G inputs, O_C/G outputs), which fix the bits of every
+// group; execution runs them on the whole layer. A Config is read-only and
+// may be shared by any number of concurrent executions.
 type Config struct {
 	Params   conv.Params
 	FP16     bool
@@ -387,27 +394,20 @@ type Config struct {
 	SegH     int // Algorithm 2 expected segment height
 	SegW     int // Algorithm 2 expected segment width
 	Segments []Segment
-	Hardware Hardware
 
-	// unitOff is the precomputed work-unit schedule (see unitOffsets) and
-	// ocBlock the O_C block ob of a dense plan's units (see denseBlock),
-	// built by Configure so executions need not re-derive them. Hand-built
-	// configs may leave both zero; schedule then derives them per call.
-	unitOff []int
+	// Schedule tables, per segment: the prefixes of its global work units
+	// (see unitOffsets), of its Ŵ-cache elements and of its global segment
+	// rows, each with the total as its final entry.
+	unitOff, whatOff, rowOff []int
+
+	// ocBlock is the O_C block ob of a dense plan's units (see denseBlock).
+	// Dense plans run G·F_H·B·(F_W/n) units per segment, B = ⌈(O_C/G)/ob⌉.
 	ocBlock int
-
-	// group is the adapted per-group plan when Params.Groups > 1: the WinRS
-	// problem of one group's channel slice (I_C/G inputs, O_C/G outputs),
-	// whose segments and kernels fix the bits of every group. Pair and
-	// Segments mirror it; execution runs them on the whole layer. Nil for
-	// ungrouped layers.
-	group *Config
 
 	// dwBlock is the channel block cb of a depthwise plan (I_C/G = O_C/G
 	// = 1), 0 otherwise. Depthwise plans run channel-wide: one unit grid
 	// over (segment, width tile, block of cb channels), and unitOff above
-	// is that grid (see depthwise.go). Every other plan runs the dense grid
-	// of G·F_H·B·(F_W/n) units per segment, B = ⌈(O_C/G)/ob⌉.
+	// is that grid (see depthwise.go).
 	dwBlock int
 
 	// residMerged marks a plan whose residual units run inside its fast
@@ -420,10 +420,7 @@ type Config struct {
 // grid, whose segments run G·F_H·B·(F_W/n) units each (none for the
 // residual segment of a merged plan), or the channel-wide grid of a
 // depthwise plan.
-func (c *Config) Units() int {
-	off, _ := schedule(c)
-	return off[len(off)-1]
-}
+func (c *Config) Units() int { return c.unitOff[len(c.unitOff)-1] }
 
 // unitBlock returns the channel block of the plan's units: the O_C block
 // ob of a dense plan, or the channel block cb of a depthwise one.
@@ -431,13 +428,8 @@ func (c *Config) unitBlock() int {
 	if c.dwBlock > 0 {
 		return c.dwBlock
 	}
-	_, ob := schedule(c)
-	return ob
+	return c.ocBlock
 }
-
-// GroupConfig returns the per-group plan for grouped layers (nil for
-// ungrouped ones).
-func (c *Config) GroupConfig() *Config { return c.group }
 
 // Z returns the realized segment count.
 func (c *Config) Z() int { return len(c.Segments) }
@@ -485,12 +477,7 @@ func (c *Config) WHatCacheBytes() int64 {
 	if c.dwBlock > 0 {
 		return 0
 	}
-	var elems int64
-	for _, seg := range c.Segments {
-		elems += int64(seg.Rows()) * int64(seg.Cols()/seg.K.R) *
-			int64(c.Params.N) * int64(seg.K.Alpha) * int64(c.Params.OC)
-	}
-	return elems * 4
+	return int64(c.whatOff[len(c.whatOff)-1]) * 4
 }
 
 // Option customizes Configure.
@@ -512,69 +499,43 @@ func WithFP16() Option { return func(o *configOpts) { o.fp16 = true } }
 // the segmentation ablation.
 func WithSegments(z int) Option { return func(o *configOpts) { o.forceZ = z } }
 
-// Configure runs the full adaptation pipeline of §4 and returns an
-// executable plan.
-func Configure(p conv.Params, opts ...Option) (*Config, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// options applies opts over the defaults.
+func options(opts []Option) configOpts {
 	o := configOpts{hw: DefaultHardware}
 	for _, f := range opts {
 		f(&o)
 	}
-	if p.G() > 1 {
-		// Grouped layer: adapt the pipeline for one group's channel slice.
-		// Its segments fix the bits of every group; execution runs them on
-		// the whole layer, with buckets of the whole ∇W, G per-group slabs
-		// each.
-		pg := p
-		pg.IC, pg.OC, pg.Groups = p.ICG(), p.OCG(), 0
-		gcfg, err := Configure(pg, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: grouped plan (G=%d): %w", p.G(), err)
-		}
-		cfg := &Config{
-			Params: p, FP16: gcfg.FP16, Pair: gcfg.Pair,
-			ZTarget: gcfg.ZTarget, SegH: gcfg.SegH, SegW: gcfg.SegW,
-			Segments: gcfg.Segments, Hardware: gcfg.Hardware, group: gcfg,
-		}
-		if p.ICG() == 1 && p.OCG() == 1 {
-			cfg.dwBlock = channelBlock(p.IC, execPool().Workers())
-			cfg.unitOff = unitOffsets(p.FW, ceilDiv(p.IC, cfg.dwBlock), gcfg.Segments)
-		} else {
-			cfg.unitOff, cfg.ocBlock = denseSchedule(p, gcfg.Segments)
-		}
-		return cfg, nil
+	return o
+}
+
+// Configure runs the full adaptation pipeline of §4 and returns an
+// executable plan. A grouped layer is adapted on one group's channel
+// slice: pair selection, Algorithm 2 and the segment layout read only F_W,
+// O_H, O_W and p_H, and Algorithm 1 reads the channel counts of one group.
+func Configure(p conv.Params, opts ...Option) (*Config, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
+	o := options(opts)
 	pr, err := SelectPair(p, o.fp16)
 	if err != nil {
+		if p.G() > 1 {
+			err = fmt.Errorf("core: grouped plan (G=%d): %w", p.G(), err)
+		}
 		return nil, err
 	}
 	zHat := o.forceZ
 	if zHat <= 0 {
-		zHat = EstimateZ(p, pr, o.hw, o.fp16)
+		zHat = EstimateZ(oneGroup(p), pr, o.hw, o.fp16)
 	}
-	sh, sw := SegmentShape(p, pr, zHat)
-	segs := layoutSegments(p, pr, sh, sw)
-	cfg := &Config{
-		Params: p, FP16: o.fp16, Pair: pr,
-		ZTarget: zHat, SegH: sh, SegW: sw,
-		Hardware: o.hw,
-	}
-	cfg.Segments = segs
-	cfg.unitOff, cfg.ocBlock = denseSchedule(p, segs)
-	if residMergeable(p, pr, segs) {
-		// The rule: merge where the O_C block split the fast segment.
-		merge := cfg.ocBlock < p.OC
-		if residMergeForce != 0 {
-			merge = residMergeForce > 0
-		}
-		if merge {
-			cfg.residMerged = true
-			cfg.unitOff[2] = cfg.unitOff[1] // the residual segment runs no units of its own
-		}
-	}
-	return cfg, nil
+	return newPlan(p, pr, zHat, o.fp16), nil
+}
+
+// oneGroup returns the geometry of one group's channel slice of p, I_C/G
+// inputs and O_C/G outputs, ungrouped: p itself for an ungrouped layer.
+func oneGroup(p conv.Params) conv.Params {
+	p.IC, p.OC, p.Groups = p.ICG(), p.OCG(), 0
+	return p
 }
 
 // residMergeForce, when nonzero, replaces the merge rule for every plan
@@ -582,18 +543,53 @@ func Configure(p conv.Params, opts ...Option) (*Config, error) {
 // admits, negative merges none. A test-only hook; production leaves it 0.
 var residMergeForce int
 
+// newPlan is the one plan builder behind Configure and Configure3D. On the
+// plan geometry p it lays out the segments of Ẑ = zHat for pair pr
+// (Algorithm 2) and builds the schedule every execution runs: the
+// channel-wide unit grid of a depthwise plan, or the dense grid with its
+// O_C block, whose residual units run inside its fast units where the
+// merge rule takes the plan; then the Ŵ-cache and segment-row tables.
+func newPlan(p conv.Params, pr Pair, zHat int, fp16 bool) *Config {
+	sh, sw := SegmentShape(p, pr, zHat)
+	segs := layoutSegments(p, pr, sh, sw)
+	c := &Config{Params: p, FP16: fp16, Pair: pr, ZTarget: zHat, SegH: sh, SegW: sw, Segments: segs}
+	if p.G() > 1 && p.ICG() == 1 && p.OCG() == 1 {
+		c.dwBlock = channelBlock(p.IC, execPool().Workers())
+		c.unitOff = unitOffsets(p.FW, ceilDiv(p.IC, c.dwBlock), segs)
+	} else {
+		c.ocBlock = denseBlock(p, segs)
+		c.unitOff = unitOffsets(p.FW, p.G()*p.FH*ceilDiv(p.OCG(), c.ocBlock), segs)
+		// The rule: merge where the O_C block split the fast segment.
+		merge := c.ocBlock < p.OC
+		if residMergeForce != 0 {
+			merge = residMergeForce > 0
+		}
+		if merge && residMergeable(p, pr, segs) {
+			c.residMerged = true
+			c.unitOff[2] = c.unitOff[1] // the residual segment runs no units of its own
+		}
+	}
+	c.whatOff = make([]int, len(segs)+1)
+	c.rowOff = make([]int, len(segs)+1)
+	for i, seg := range segs {
+		c.whatOff[i+1] = c.whatOff[i] + seg.Rows()*(seg.Cols()/seg.K.R)*p.N*seg.K.Alpha*p.OC
+		c.rowOff[i+1] = c.rowOff[i] + seg.Rows()
+	}
+	return c
+}
+
 // residMergeable reports whether the residual units of an ungrouped plan
 // over segs can run inside its fast units: the plan realizes Z = 2 as one
 // row chunk, the fast column [0, fastW) beside the residual column
 // [fastW, O_W), and n_resid divides n_fast. Then the residual sub-units
 // j′ = j·n_f/n_r … (j+1)·n_f/n_r − 1, at the same filter row and O_C
 // block, write only ∇W columns of fast unit j: [j·n_f, (j+1)·n_f).
-// Configure merges such a plan when its O_C block split the fast segment:
+// newPlan merges such a plan when its O_C block split the fast segment:
 // there the fast units are many enough that the longer units do not
 // stretch the critical path. With only F_H fast units (the early VGG16
 // layers on two workers) merging was measured slower. A grouped layer is
-// never mergeable: the grouped branch of Configure builds its plan from
-// the per-group plan's segments and does not carry the merge.
+// never mergeable: no workload or test has a grouped plan whose O_C block
+// splits.
 func residMergeable(p conv.Params, pr Pair, segs []Segment) bool {
 	// With a residual column, two segments are one fast and one residual
 	// column of one row chunk (see layoutSegments).

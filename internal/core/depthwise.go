@@ -44,17 +44,18 @@ func channelBlock(c, w int) int {
 
 // channelUnits runs global (segment, width-tile, channel-block) units
 // [lo, hi) of a depthwise plan, recording each unit's stage durations
-// when tracing.
+// when tracing, and stops before the next unit once the call is
+// cancelled.
 func (j *execJob) channelUnits(lo, hi int) {
 	cfg, ws := j.cfg, j.ws
 	p, cb := cfg.Params, cfg.dwBlock
 	blocks := ceilDiv(p.IC, cb)
 	si := 0
-	for i := lo; i < hi; i++ {
-		for i >= ws.unitOff[si+1] {
+	for i := lo; i < hi && !j.cancel.Cancelled(); i++ {
+		for i >= cfg.unitOff[si+1] {
 			si++
 		}
-		local := i - ws.unitOff[si]
+		local := i - cfg.unitOff[si]
 		c0 := local % blocks * cb
 		u := channelUnit{seg: cfg.Segments[si], j: local / blocks, c0: c0, cb: min(cb, p.IC-c0)}
 		if !j.traceOn {

@@ -78,13 +78,9 @@ func (c *Config) Describe() Description {
 		d.WorkspaceRatio = float64(c.WorkspaceBytes()) / float64(data)
 		d.WHatCacheRatio = float64(c.WHatCacheBytes()) / float64(data)
 	}
-	// Grouped plans count the per-group block grid once per group.
-	e := c
-	if c.group != nil {
-		e = c.group
-	}
-	for _, s := range e.Segments {
-		d.TotalBlocks += BlocksPerSegment(s.K, e.Params, c.FP16) * p.G()
+	// Grouped plans count the block grid of one group once per group.
+	for _, s := range c.Segments {
+		d.TotalBlocks += BlocksPerSegment(s.K, oneGroup(p), c.FP16) * p.G()
 	}
 	d.Units, d.ChannelBlock = c.Units(), c.unitBlock()
 	d.EWMKernel = c.EWMKernel()

@@ -47,23 +47,6 @@ func unitOffsets(fw, rows int, segs []Segment) []int {
 	return off
 }
 
-// schedule returns cfg's unit prefix table and the O_C block of its dense
-// units, deriving both for hand-built configs (the 3-D path's flat plan).
-func schedule(cfg *Config) ([]int, int) {
-	if cfg.unitOff != nil {
-		return cfg.unitOff, cfg.ocBlock
-	}
-	return denseSchedule(cfg.Params, cfg.Segments)
-}
-
-// denseSchedule returns the dense unit grid of plan geometry p over segs:
-// its unit prefix table and the O_C block ob of its units. Each segment
-// runs G·F_H·B·(F_W/n) units, B = ⌈(O_C/G)/ob⌉ blocks per filter row.
-func denseSchedule(p conv.Params, segs []Segment) ([]int, int) {
-	ob := denseBlock(p, segs)
-	return unitOffsets(p.FW, p.G()*p.FH*ceilDiv(p.OCG(), ob), segs), ob
-}
-
 // unitAccBytes bounds the accumulators of one dense unit, α·ob·(I_C/G)
 // float32 values (see denseBlock). In a sweep of the bound on the VGG16
 // step, 512 KiB and 1 MiB tied, 2 MiB was slower and no bound slower
@@ -277,7 +260,7 @@ type execJob struct {
 	ops     operands // the call's operands (staged per tile by depthwise units)
 	st      storage
 	x, dy   []float32    // whole-layer float32 operand sources of the dense grid
-	cancel  *sched.Batch // the call's cancellation handle, for testUnitDone
+	cancel  *sched.Batch // the call's cancellation handle, checked before each unit
 	traceOn bool
 	phase   execPhase
 }
@@ -302,27 +285,28 @@ func (j *execJob) fillRows(lo, hi int) {
 	cfg, ws, what := j.cfg, j.ws, j.ws.what32
 	si := 0
 	for i := lo; i < hi; i++ {
-		for i >= ws.rowOff[si+1] {
+		for i >= cfg.rowOff[si+1] {
 			si++ // i only grows, so si scans forward
 		}
 		seg := cfg.Segments[si]
-		fillRow(cfg.Params, seg, seg.Row0+i-ws.rowOff[si], ws.plans[si], j.st.round,
-			j.dy, what[ws.whatOff[si]:ws.whatOff[si+1]])
+		fillRow(cfg.Params, seg, seg.Row0+i-cfg.rowOff[si], ws.plans[si], j.st.round,
+			j.dy, what[cfg.whatOff[si]:cfg.whatOff[si+1]])
 	}
 }
 
 // units runs global (segment, g·F_H + f_h, O_C block, width-tile) units
 // [lo, hi) against the X source, the Ŵ cache and the segment buckets,
-// recording each unit's stage durations when tracing. A merged plan's
-// fast unit then runs its residual sub-units (see residMergeable), which
-// fold into the bucket rows it stored; the trace counts them as one unit.
+// recording each unit's stage durations when tracing, and stops before the
+// next unit once the call is cancelled. A merged plan's fast unit then
+// runs its residual sub-units (see residMergeable), which fold into the
+// bucket rows it stored; the trace counts them as one unit.
 func (j *execJob) units(lo, hi int) {
 	cfg, ws := j.cfg, j.ws
-	off, ob := ws.unitOff, ws.ob
+	off, ob := cfg.unitOff, cfg.ocBlock
 	ocg := cfg.Params.OCG()
 	blocks := ceilDiv(ocg, ob)
 	si := 0
-	for i := lo; i < hi; i++ {
+	for i := lo; i < hi && !j.cancel.Cancelled(); i++ {
 		for i >= off[si+1] {
 			si++
 		}
@@ -360,9 +344,9 @@ func (j *execJob) units(lo, hi int) {
 
 // tile runs dense unit u of segment si into bucket.
 func (j *execJob) tile(u denseUnit, si int, bucket []float32, ut *obs.UnitTimes) {
-	ws := j.ws
-	segmentTile(j.cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x,
-		ws.what32[ws.whatOff[si]:ws.whatOff[si+1]], bucket, ut)
+	cfg, ws := j.cfg, j.ws
+	segmentTile(cfg.Params, j.ops.rows, u, ws.plans[si], j.st, j.x,
+		ws.what32[cfg.whatOff[si]:cfg.whatOff[si+1]], bucket, ut)
 }
 
 // fillRow computes the Ŵ panels of one segment row: for every width tile

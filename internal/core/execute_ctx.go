@@ -8,9 +8,11 @@ import (
 )
 
 // ExecuteInCtx is ExecuteIn with cooperative cancellation: when ctx is
-// cancelled or its deadline expires, the execution stops at the next chunk
-// claim of the shared sched pool — the pre-pass, the unit grid and the
-// reduction all abandon their remaining work — and ctx.Err() is returned.
+// cancelled or its deadline expires, the execution stops before the next
+// unit — the pre-pass and the reduction at their next chunk claim of the
+// shared sched pool, the unit grid before its next unit — and ctx.Err()
+// is returned (context.DeadlineExceeded once the deadline has passed, even
+// before ctx's own timer has fired).
 // The partial result is discarded (the returned tensor is nil; a supplied
 // dst may be partly overwritten — the plan's segment-0 units store into it
 // as they finish, and its phase 3 reduces into it in place, or a merged
@@ -41,17 +43,23 @@ func ExecuteHalfInCtx(ctx context.Context, cfg *Config, ws *Workspace, x, dy *te
 // goroutines are scheduled. Production leaves it nil.
 var testUnitDone func(*sched.Batch)
 
-// executeCtx runs execute under a context watcher.
+// executeCtx runs execute under a context watcher and ctx's deadline: the
+// batch checks the clock itself, since the watcher and ctx's timer need a
+// free processor, and every one may be running units.
 func executeCtx(ctx context.Context, cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32) (*tensor.Float32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var cancel sched.Batch
+	cancel.Deadline, _ = ctx.Deadline()
 	stop := context.AfterFunc(ctx, cancel.Cancel)
 	defer stop()
 	out, ok := execute(cfg, ws, ops, st, dst, &cancel)
 	if !ok {
-		return nil, ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, context.DeadlineExceeded // the batch saw the deadline first
 	}
 	return out, nil
 }

@@ -119,6 +119,80 @@ func TestExecuteInCtxCancelMidRunGrouped(t *testing.T) {
 	}
 }
 
+// stopPlans are a dense and a depthwise plan, planned at pool width 1,
+// whose unit grids put several units in each chunk of an inline run.
+func stopPlans(t *testing.T) []*Config {
+	t.Helper()
+	var cfgs []*Config
+	for _, p := range []conv.Params{
+		{N: 1, IH: 14, IW: 14, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1},
+		{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 256, OC: 256, PH: 1, PW: 1, Groups: 256},
+	} {
+		cfg, err := Configure(p, WithSegments(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Units() < 8 {
+			t.Fatalf("%v: %d units, want at least 8 (two per chunk)", p, cfg.Units())
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// A call cancelled from inside the grid, after its first unit, runs no
+// further unit, though the rest of the unit's chunk is claimed: on a dense
+// and a depthwise plan at pool width 1.
+func TestExecuteInCtxCancelStopsBeforeNextUnit(t *testing.T) {
+	withTestPool(t, 1, func() {
+		for _, cfg := range stopPlans(t) {
+			x, dy := poolLayer(t, 74, cfg.Params)
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := 0
+			prev := testUnitDone
+			testUnitDone = func(b *sched.Batch) {
+				ran++
+				cancel()
+				b.Cancel()
+			}
+			_, err := ExecuteInCtx(ctx, cfg, nil, x, dy, nil)
+			testUnitDone = prev
+			cancel()
+			if !errors.Is(err, context.Canceled) || ran != 1 {
+				t.Errorf("%v: err %v after %d units, want context.Canceled after 1", cfg.Params, err, ran)
+			}
+		}
+	})
+}
+
+// A deadline that passes while a unit runs stops the call before the next
+// unit even when nothing else can run: at pool width and GOMAXPROCS 1 the
+// first unit spins past the deadline without yielding, so neither the
+// context's timer nor its watcher gets the processor to cancel the batch.
+// The call returns context.DeadlineExceeded; dense and depthwise plans.
+func TestExecuteInCtxDeadlineStopsBeforeNextUnit(t *testing.T) {
+	withTestPool(t, 1, func() {
+		for _, cfg := range stopPlans(t) {
+			x, dy := poolLayer(t, 75, cfg.Params)
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			deadline, _ := ctx.Deadline()
+			ran := 0
+			prev := testUnitDone
+			testUnitDone = func(*sched.Batch) {
+				ran++
+				for !time.Now().After(deadline) {
+				}
+			}
+			_, err := ExecuteInCtx(ctx, cfg, nil, x, dy, nil)
+			testUnitDone = prev
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) || ran != 1 {
+				t.Errorf("%v: err %v after %d units, want context.DeadlineExceeded after 1", cfg.Params, err, ran)
+			}
+		}
+	})
+}
+
 // cancelMidRun cancels runs of cfg from inside the unit grid and checks
 // each cancelled run's workspace, and dst when given, on the next run: it
 // must produce the uncancelled result bit for bit.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"winrs/internal/conv"
@@ -67,8 +68,8 @@ func TestGroupedMatchesDirect(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s z=%d: %v", tc.name, z, err)
 					}
-					if cfg.GroupConfig() == nil {
-						t.Fatalf("%s: grouped geometry planned without a per-group config", tc.name)
+					if g := groupPlan(cfg); g.Pair != cfg.Pair {
+						t.Fatalf("%s: grouped plan pair %v, per-group plan %v", tc.name, cfg.Pair, g.Pair)
 					}
 					if want := int64(cfg.Z()-1) * int64(tc.p.DWShape().Elems()) * 4; cfg.WorkspaceBytes() != want {
 						t.Errorf("%s width=%d z=%d: WorkspaceBytes %d, want (Z−1)·|∇W|·4 = %d",
@@ -82,6 +83,44 @@ func TestGroupedMatchesDirect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A grouped plan is the plan of one group's channel slice: Configure on
+// the slice with the same options yields the grouped plan's Ẑ and
+// segments, FP32 and FP16, so Algorithm 1 reads the channel counts of one
+// group.
+func TestGroupedPlanIsOneGroupsPlan(t *testing.T) {
+	check := func(name string, p conv.Params, z int) {
+		for _, half := range []bool{false, true} {
+			opts := []Option{}
+			if z > 0 {
+				opts = append(opts, WithSegments(z))
+			}
+			if half {
+				opts = append(opts, WithFP16())
+			}
+			cfg, err := Configure(p, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			g, err := Configure(oneGroup(p), opts...)
+			if err != nil {
+				t.Fatalf("%s one group: %v", name, err)
+			}
+			if cfg.ZTarget != g.ZTarget || !reflect.DeepEqual(cfg.Segments, g.Segments) {
+				t.Errorf("%s z=%d fp16=%v: plan Ẑ %d, segments %v; one group's Ẑ %d, segments %v",
+					name, z, half, cfg.ZTarget, cfg.Segments, g.ZTarget, g.Segments)
+			}
+		}
+	}
+	for _, tc := range groupedSweepCases {
+		for _, z := range tc.segs {
+			check(tc.name, tc.p, z)
+		}
+	}
+	// Algorithm 1 gives every sweep layer Ẑ = 1 whatever its channel
+	// counts; this one gets 4 for one group and 8 for the whole layer.
+	check("56x56_G2_wide", conv.Params{N: 4, IH: 56, IW: 56, FH: 3, FW: 3, IC: 256, OC: 256, PH: 1, PW: 1, Groups: 2}, 0)
 }
 
 // Grouped FP16 BFC against the grouped oracle on the quantized inputs,
@@ -175,11 +214,7 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := cfg.GroupConfig()
-	if g == nil {
-		t.Fatal("depthwise plan has no per-group config")
-	}
-	if g.Pair.Fast.N <= 1 {
+	if g := groupPlan(cfg); g.Pair.Fast.N <= 1 {
 		t.Errorf("depthwise runs fallback kernel %v, want a planned fast kernel (n > 1)", g.Pair.Fast)
 	}
 	pu := p

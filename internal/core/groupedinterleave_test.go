@@ -10,12 +10,27 @@ import (
 	"winrs/internal/tensor"
 )
 
+// groupPlan returns the per-group plan of grouped plan cfg: one group's
+// channel slice (I_C/G inputs, O_C/G outputs) configured with cfg's
+// precision and segment target, which yields cfg's pair, Ẑ and segments.
+func groupPlan(cfg *Config) *Config {
+	opts := []Option{WithSegments(cfg.ZTarget)}
+	if cfg.FP16 {
+		opts = append(opts, WithFP16())
+	}
+	g, err := Configure(oneGroup(cfg.Params), opts...)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // perGroupRef is the sequential per-group reference: slice each group's
 // channels and run the per-group plan as an ordinary ungrouped execution,
 // one group after another (FP16 when half; binary16 rounding is
 // element-wise, so slicing before it changes no bits).
 func perGroupRef(cfg *Config, x, dy *tensor.Float32, half bool) *tensor.Float32 {
-	p, gcfg := cfg.Params, cfg.GroupConfig()
+	p, gcfg := cfg.Params, groupPlan(cfg)
 	pg := gcfg.Params
 	xg, dyg := tensor.NewFloat32(pg.XShape()), tensor.NewFloat32(pg.DYShape())
 	dst := tensor.NewFloat32(p.DWShape())

@@ -167,7 +167,7 @@ func TestGroupedExecuteRecordsStages(t *testing.T) {
 	}
 	x, dy := poolLayer(t, 53, p)
 	g := uint64(p.G())
-	units := uint64(cfg.GroupConfig().unitOff[len(cfg.GroupConfig().unitOff)-1])
+	units := uint64(groupPlan(cfg).Units())
 	obs.EnableTrace(true)
 	defer obs.EnableTrace(false)
 	defer obs.ResetTrace()

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"winrs/internal/bf16"
-	"winrs/internal/conv"
 	"winrs/internal/fp8"
 	"winrs/internal/tensor"
 )
@@ -92,13 +91,4 @@ func ExecuteQuantizedIn(cfg *Config, ws *Workspace, x, dy *tensor.Float32, q Qua
 	}
 	out, _ := execute(cfg, ws, ops, quantStorage(q), nil, nil)
 	return out
-}
-
-// BackwardFilterQuantized is the one-call quantized path.
-func BackwardFilterQuantized(p conv.Params, x, dy *tensor.Float32, q Quantizer, opts ...Option) (*tensor.Float32, error) {
-	cfg, err := Configure(p, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteQuantized(cfg, x, dy, q), nil
 }

@@ -67,10 +67,11 @@ func TestQuantizedGrouped(t *testing.T) {
 					t.Fatal(err)
 				}
 				equalBits(t, "grouped identity", ExecuteQuantized(cfg, x, dy, ident).Data, Execute(cfg, x, dy).Data)
-				got, err := BackwardFilterQuantized(p, x, dy, QuantBF16)
+				cfg, err = Configure(p)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := ExecuteQuantized(cfg, x, dy, QuantBF16)
 				if m := tensor.MARE(got, want); m > 5e-2 {
 					t.Errorf("%v width=%d: grouped BF16 MARE %v > 5e-2", p, width, m)
 				}
@@ -161,10 +162,11 @@ func TestBF16SurvivesFP16OverflowRange(t *testing.T) {
 		dy64.Data[i] = rng.Float64() * 1e-6
 	}
 	want := conv.BackwardFilterDirect64(p, x64, dy64)
-	got, err := BackwardFilterQuantized(p, x64.ToFloat32(), dy64.ToFloat32(), QuantBF16)
+	cfg, err := Configure(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := ExecuteQuantized(cfg, x64.ToFloat32(), dy64.ToFloat32(), QuantBF16)
 	if m := tensor.MARE(got, want); m > 5e-2 {
 		t.Errorf("BF16 MARE %v on large-range inputs", m)
 	}
@@ -190,10 +192,11 @@ func TestQuantizedPanicsWithoutRound(t *testing.T) {
 func TestQuantizedFP8LargeAlpha(t *testing.T) {
 	p := conv.Params{N: 1, IH: 24, IW: 24, FH: 9, FW: 9, IC: 2, OC: 2, PH: 4, PW: 4}
 	x, dy, want := quantOperands(t, p, 5)
-	got, err := BackwardFilterQuantized(p, x, dy, QuantFP8E4M3)
+	cfg, err := Configure(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := ExecuteQuantized(cfg, x, dy, QuantFP8E4M3)
 	for i, v := range got.Data {
 		if v != v {
 			t.Fatalf("NaN at %d", i)
@@ -333,10 +336,10 @@ func executeQuantizedRef(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tenso
 		}
 		return reduceRef(cfg, buckets, dst)
 	}
-	gcfg := cfg.GroupConfig()
-	if gcfg == nil {
+	if cfg.Params.G() == 1 {
 		return pass(cfg, x, dy, nil)
 	}
+	gcfg := groupPlan(cfg)
 	p, pg := cfg.Params, gcfg.Params
 	xg, dyg := tensor.NewFloat32(pg.XShape()), tensor.NewFloat32(pg.DYShape())
 	dst := tensor.NewFloat32(p.DWShape())

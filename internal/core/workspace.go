@@ -10,7 +10,7 @@ import (
 	"winrs/internal/tensor"
 )
 
-// Workspace is the reusable scratch arena of one plan: the ∇W-sized FP32
+// Workspace is the reusable scratch arena of a plan: the ∇W-sized FP32
 // buckets of the paper's partitioning phase plus the Ŵ cache — the
 // gathered, filter-transformed ∇Y panels that every fused unit reads (one
 // α·O_C panel per (segment row, width tile, batch image), filled once per
@@ -21,10 +21,12 @@ import (
 // the whole layer: each bucket holds the G per-group ∇W slabs.
 // Executions through ExecuteIn reuse it across steps, so a steady-state
 // caller (the serving runtime's workspace pool, a training loop) pays the
-// allocations once instead of per gradient.
+// allocations once instead of per gradient. It holds no schedule: every
+// execution reads its plan's tables, so one workspace serves any plan it
+// Fits.
 //
-// A Workspace is NOT safe for concurrent use; the Config it was built for
-// is read-only and may be shared freely.
+// A Workspace is NOT safe for concurrent use; the Config it serves is
+// read-only and may be shared freely.
 type Workspace struct {
 	z, elems int
 
@@ -34,16 +36,6 @@ type Workspace struct {
 	// before it returns, so a pooled workspace never keeps a caller's
 	// result reachable.
 	buckets [][]float32
-
-	// Schedule tables of the bound config: global unit, Ŵ-cache element
-	// and global segment-row prefixes per segment, and the O_C block of its
-	// dense units. Rebuilt only when the workspace is used with a different
-	// *Config (rebind).
-	cfg     *Config
-	unitOff []int
-	whatOff []int
-	rowOff  []int
-	ob      int
 
 	// Ŵ cache arena, grown lazily and shared by every storage policy (one
 	// workspace may serve ExecuteIn and ExecuteHalfIn alike): rounded
@@ -64,44 +56,18 @@ type Workspace struct {
 	job execJob
 }
 
-// NewWorkspace allocates the bucket arena for cfg — buckets 1…Buckets−1 —
-// and binds its schedule tables.
+// NewWorkspace allocates the bucket arena for cfg: buckets 1…Buckets−1.
 func NewWorkspace(cfg *Config) *Workspace {
 	z, elems := cfg.Buckets(), cfg.Params.DWShape().Elems()
 	ws := &Workspace{z: z, elems: elems, buckets: make([][]float32, z)}
 	for i := 1; i < z; i++ {
 		ws.buckets[i] = make([]float32, elems)
 	}
-	ws.rebind(cfg)
 	return ws
 }
 
-// rebind (re)derives the schedule tables for cfg. A no-op when the
-// workspace already serves this exact config — the steady-state path.
-func (ws *Workspace) rebind(cfg *Config) {
-	if ws.cfg == cfg {
-		return
-	}
-	ws.cfg = cfg
-	ws.unitOff, ws.ob = schedule(cfg)
-	nseg := len(cfg.Segments)
-	if cap(ws.whatOff) < nseg+1 {
-		ws.whatOff = make([]int, nseg+1)
-		ws.rowOff = make([]int, nseg+1)
-	}
-	ws.whatOff = ws.whatOff[:nseg+1]
-	ws.rowOff = ws.rowOff[:nseg+1]
-	for i, seg := range cfg.Segments {
-		tiles := seg.Cols() / seg.K.R
-		ws.whatOff[i+1] = ws.whatOff[i] +
-			seg.Rows()*tiles*cfg.Params.N*seg.K.Alpha*cfg.Params.OC
-		ws.rowOff[i+1] = ws.rowOff[i] + seg.Rows()
-	}
-}
-
 // Fits reports whether the workspace matches cfg's bucket geometry: the
-// same bucket count and gradient size. Schedule tables rebind
-// automatically.
+// same bucket count and gradient size.
 func (ws *Workspace) Fits(cfg *Config) bool {
 	return ws != nil && ws.z == cfg.Buckets() && ws.elems == cfg.Params.DWShape().Elems()
 }
@@ -116,13 +82,12 @@ func (ws *Workspace) Bytes() int64 {
 		int64(cap(ws.what32)+cap(ws.xMirror)+cap(ws.dyMirror))*4
 }
 
-// ensureWorkspace returns a workspace for cfg: the caller's if it fits
-// (rebinding its schedule tables when cfg changed), a fresh one when ws is
-// nil. Bucket contents are never cleared: every execution's units store
-// each bucket element exactly once (see writeOutput) — segment 0 straight
-// into the destination — before phase 3 or a merged plan's residual fold
-// reads it, so whatever a previous, possibly cancelled, run left there is
-// overwritten.
+// ensureWorkspace returns a workspace for cfg: the caller's if it fits, a
+// fresh one when ws is nil. Bucket contents are never cleared: every
+// execution's units store each bucket element exactly once (see
+// writeOutput) — segment 0 straight into the destination — before phase 3
+// or a merged plan's residual fold reads it, so whatever a previous,
+// possibly cancelled, run left there is overwritten.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
 		return NewWorkspace(cfg)
@@ -130,7 +95,6 @@ func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if !ws.Fits(cfg) {
 		panic("core: workspace does not fit configuration")
 	}
-	ws.rebind(cfg)
 	return ws
 }
 
@@ -207,15 +171,15 @@ func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.F
 	pool := execPool()
 	if cfg.dwBlock > 0 {
 		ws.job.phase = phaseChannels
-		pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
+		pool.RunBatch(cfg.Units(), 0, &ws.job, cancel)
 	} else {
-		growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
+		growF32(&ws.what32, cfg.whatOff[len(cfg.whatOff)-1])
 		ws.job.x = ops.x.resident(&ws.xMirror, p.IC, st.round)
 		ws.job.dy = ops.dy.resident(&ws.dyMirror, p.OC, st.round)
 		ws.job.phase = phaseFill
-		ws.runPhase(pool, ws.rowOff[len(ws.rowOff)-1], 0, obs.StageWHat, cancel)
+		ws.runPhase(pool, cfg.rowOff[len(cfg.rowOff)-1], 0, obs.StageWHat, cancel)
 		ws.job.phase = phaseUnits
-		pool.RunBatch(ws.unitOff[len(ws.unitOff)-1], 0, &ws.job, cancel)
+		pool.RunBatch(cfg.Units(), 0, &ws.job, cancel)
 	}
 	if cancel.Cancelled() {
 		return nil, false

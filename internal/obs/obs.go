@@ -4,12 +4,14 @@
 // It has two halves:
 //
 //   - A per-stage trace recorder (trace.go): lock-free atomic counters plus
-//     striped duration histograms for the four pipeline stages of one
-//     gradient computation — the fused segment-tile unit, the Winograd
-//     transforms, the element-wise multiplication (EWM), and the Kahan
-//     bucket reduction. Recording is gated by a package-level switch so the
-//     disabled path costs one atomic load per execution and zero
-//     allocations; internal/core hooks it into ExecuteIn/ExecuteHalfIn.
+//     striped duration histograms for the six pipeline stages of one
+//     gradient computation — the fused segment-tile unit, and nested in it
+//     the Winograd transforms, the element-wise multiplication (EWM) and
+//     the output-transform epilogue; the Ŵ-cache fill (what_transform);
+//     and the Kahan bucket reduction. Recording is gated by a package-level
+//     switch so the disabled path costs one atomic load per execution and
+//     zero allocations; internal/core hooks it into execute, the one
+//     execution path behind every BFC entry point.
 //
 //   - A metrics registry (registry.go): process- or server-scoped counters,
 //     gauges and histograms with p50/p90/p99 quantiles, exported in

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Task is a batch of units indexed [0, total) whose sub-ranges can run
@@ -52,9 +53,16 @@ func (f funcTask) Run(lo, hi int) { f(lo, hi) }
 // is cooperative and chunk-granular — chunks already claimed finish, every
 // later claim is skipped (but still accounted, so RunBatch returns through
 // the normal completion protocol and the caller may immediately reuse or
-// recycle the task's state). A cancelled run's partial results are
+// recycle the task's state). Tasks may check Cancelled between their own
+// items to stop sooner. A cancelled run's partial results are
 // unspecified; callers discard them.
 type Batch struct {
+	// Deadline, when not zero, cancels the batch once the clock passes it,
+	// with no Cancel call: a timer or watcher that would call Cancel needs
+	// a free processor, and every one may be running the batch's chunks.
+	// Set it before the batch is shared.
+	Deadline time.Time
+
 	cancelled atomic.Bool
 }
 
@@ -62,9 +70,18 @@ type Batch struct {
 // safe from any goroutine.
 func (b *Batch) Cancel() { b.cancelled.Store(true) }
 
-// Cancelled reports whether Cancel has been called. A nil handle is never
-// cancelled, so unconditional checks need no guard.
-func (b *Batch) Cancelled() bool { return b != nil && b.cancelled.Load() }
+// Cancelled reports whether Cancel has been called or the clock has passed
+// Deadline. A nil handle is never cancelled, so unconditional checks need
+// no guard.
+func (b *Batch) Cancelled() bool {
+	return b != nil && (b.cancelled.Load() || b.expired())
+}
+
+// expired reports whether the clock has passed a set Deadline; kept out of
+// Cancelled so the nil and Cancel checks inline.
+func (b *Batch) expired() bool {
+	return !b.Deadline.IsZero() && time.Now().After(b.Deadline)
+}
 
 // batch is one submitted run. Participants claim chunks off next until it
 // passes total; whoever completes the final unit signals done. refs

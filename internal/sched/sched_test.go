@@ -168,6 +168,28 @@ func TestRunBatchCancelledUpfront(t *testing.T) {
 	}
 }
 
+// A batch whose deadline has passed is cancelled with no Cancel call, and
+// RunBatch runs none of it; a deadline still ahead cancels nothing.
+func TestRunBatchDeadlinePassed(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		p := NewPool(width)
+		task := &countTask{}
+		c := Batch{Deadline: time.Now().Add(time.Hour)}
+		if c.Cancelled() {
+			t.Fatal("Cancelled() true an hour before the deadline")
+		}
+		c.Deadline = time.Now().Add(-time.Millisecond)
+		if !c.Cancelled() {
+			t.Fatal("Cancelled() false after the deadline")
+		}
+		p.RunBatch(1000, 7, task, &c)
+		if got := task.n.Load(); got != 0 {
+			t.Errorf("width %d: expired batch ran %d units", width, got)
+		}
+		p.Close()
+	}
+}
+
 // cancelTask cancels its own batch during the trip-th executed chunk, so
 // cancellation lands mid-run, and counts the chunks that start after the
 // cancel is visible.

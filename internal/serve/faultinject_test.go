@@ -126,8 +126,8 @@ func TestFaultPanicThenHundredRequests(t *testing.T) {
 // Acceptance criterion: a deadline expiring mid-compute aborts the request
 // promptly with 503 and frees the worker for the next request. The hook
 // stands in for a slow compute that honors cooperative cancellation — it
-// blocks until ctx is done, as a long execution would block until its next
-// chunk claim observes the cancel.
+// blocks until ctx is done, as a long execution would run until the check
+// before its next unit observes the cancel.
 func TestFaultSlowComputeDeadline(t *testing.T) {
 	const deadline = 250 * time.Millisecond
 	s, ts := newFaultServer(t, serve.Config{Workers: 1, QueueDepth: 1, Deadline: deadline})

@@ -73,7 +73,7 @@ func (rt *Runtime) Borrowed() int64 { return rt.borrowed.Load() }
 // with the plan entry and the cache-hit flag, and the tensor is recycled
 // as soon as use returns — so use must serialize or copy it, not retain
 // it. This is the daemon's allocation-free hot path. A ctx deadline or
-// cancel aborts the execution at the next chunk claim (core.ExecuteInCtx)
+// cancel aborts the execution before its next unit (core.ExecuteInCtx)
 // and returns ctx.Err(); the partial result is discarded and the arenas
 // are recycled.
 func (rt *Runtime) BackwardFilterPooledCtx(ctx context.Context, key PlanKey, x, dy *tensor.Float32,

@@ -122,8 +122,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) Runtime() *Runtime { return s.rt }
 
 // Close drains the worker pool. In-flight computes are cancelled
-// cooperatively (they abort at the next chunk claim and their requests
-// answer 503), so the drain is bounded by one chunk's work rather than by
+// cooperatively (they abort before their next unit and their requests
+// answer 503), so the drain is bounded by one unit's work rather than by
 // the slowest request; new submissions get 503.
 func (s *Server) Close() {
 	s.cancelClose()
@@ -231,8 +231,8 @@ func (s *Server) serveOp(op Op, w http.ResponseWriter, r *http.Request) {
 	// The job runs on a dispatcher worker; Do blocks until it finishes (or
 	// it is abandoned while still queued, in which case it never runs), so
 	// writing the response from the job is race-free. ctx reaches the
-	// compute through the dispatcher, aborting it at the next chunk claim
-	// on deadline expiry, client disconnect or server shutdown.
+	// compute through the dispatcher, aborting it before its next unit on
+	// deadline expiry, client disconnect or server shutdown.
 	rw := &commitTracker{ResponseWriter: w}
 	var jobErr error
 	err = s.disp.Do(ctx, func(jctx context.Context) {
@@ -382,7 +382,7 @@ func getOperand[T any](pool *sync.Pool, shape tensor.Shape) *[]T {
 // compute decodes the operands, executes the pass and, on success, writes
 // the response. It never writes before it has a result, so serveOp can
 // still set an error status on every pre-write failure. The backward-
-// filter paths poll ctx between chunk claims and abort with ctx.Err();
+// filter paths check ctx before each unit and abort with ctx.Err();
 // forward and backward-data check it at the boundaries only (their
 // computes are not yet cancellation-aware).
 func (s *Server) compute(ctx context.Context, op Op, key PlanKey, dt DType, aBytes, bBytes []byte, w http.ResponseWriter) error {
