@@ -118,8 +118,10 @@ grouped-smoke:
 # AVX2 output kernel against its Go loop at every row count it takes, the
 # epilogue against its per-element oracle, the in-place Kahan reduce
 # (bucket 0 is the destination of every plan) against the
-# out-of-place one, poisoned (NaN) workspaces against fresh ones (every
-# bucket element is stored once per run; nothing zeroes them),
+# out-of-place one, poisoned (NaN) buckets and results against fresh
+# ones on every plan kind in FP32, FP16 and BF16, workload-sized plans
+# too (every bucket and result element is stored once per run; nothing
+# zeroes them, and results and buckets are allocated uncleared),
 # pool-vs-inline and shared-pool concurrency,
 # mid-run cancellation, the FP16, quantized and 3-D reference executors
 # (a merged 3-D plan too),

@@ -87,10 +87,9 @@ func Execute3D(cfg *Config3D, x, dy *tensor.Float325) *tensor.Float325 {
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
 		panic("core: Execute3D operand shape mismatch")
 	}
-	dw := tensor.NewFloat325(p.DWShape())
 	ops := operands{rows: rows3D(p), x: operand{f32: x.Data}, dy: operand{f32: dy.Data}}
-	execute(cfg.Config, nil, ops, fp32Storage, &tensor.Float32{Shape: cfg.Config.Params.DWShape(), Data: dw.Data}, nil)
-	return dw
+	dw, _ := execute(cfg.Config, nil, ops, fp32Storage, nil, nil)
+	return &tensor.Float325{Shape: p.DWShape(), Data: dw.Data}
 }
 
 // BackwardFilter3D is the one-call volumetric API.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -140,67 +141,183 @@ func TestWriteOutputMatchesRef(t *testing.T) {
 	}
 }
 
-// poisonedCases are the write-once shapes: two whose f_h = 0 and f_h = 2
-// units clip every row (their epilogue must still store zeros), on the Go
-// panel and at an I_C the AVX2 chunk kernel takes, a forced Z ≥ 3
-// segmentation, and a grouped plan with more groups than pool workers.
-var poisonedCases = []struct {
-	name string
-	p    conv.Params
-	z    int
-}{
-	{"all_rows_clipped", conv.Params{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 3, OC: 4, PH: 1, PW: 1}, 0},
-	{"all_rows_clipped_ic16", conv.Params{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 16, OC: 8, PH: 1, PW: 1}, 0},
-	{"z4", conv.Params{N: 2, IH: 12, IW: 12, FH: 3, FW: 3, IC: 3, OC: 5, PH: 1, PW: 1}, 4},
-	{"grouped_g6", conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 12, OC: 12, PH: 1, PW: 1, Groups: 6}, 0},
+// poisonedCase is a 2-D plan of the write-once check, at a forced segment
+// count z when positive. merge, when nonzero, is the merge force its plan
+// is configured under (forceMerge); merged asserts that the plan runs its
+// residual units inside its fast units.
+type poisonedCase struct {
+	name   string
+	p      conv.Params
+	z      int
+	merge  int
+	merged bool
 }
 
-// A reused workspace whose every bucket and the destination hold NaN
-// must produce the fresh-workspace result bit for bit: each execution
-// stores every bucket element once before phase 3 reads it, and phase 3
-// writes every ∇W element. FP32 and FP16, inline and through a width-4
-// pool.
+// poisoned3DCase is a 3-D plan of the write-once check, configured under
+// the merge force merge (forceMerge).
+type poisoned3DCase struct {
+	name  string
+	p     conv.Params3D
+	merge int
+}
+
+// poisonedCases are the write-once shapes, one or more of every plan
+// kind: two whose f_h = 0 and f_h = 2 units clip every row (their
+// epilogue must still store zeros), on the Go panel and at an I_C the
+// AVX2 chunk kernel takes; forced Z = 4 and Z = 6 segmentations; grouped
+// plans with more groups than pool workers and with ragged O_C blocks;
+// depthwise plans on the channel-wide grid, one at a forced Z ≥ 3; a
+// multiplier plan; a plan whose fast units run its residual units by
+// force; a 2×2 filter, a 7×7 one, and an O_W of 7 that no registry pair
+// tiles (Ω8(3,6) beside a direct residual unit).
+var poisonedCases = []poisonedCase{
+	{name: "all_rows_clipped", p: conv.Params{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 3, OC: 4, PH: 1, PW: 1}},
+	{name: "all_rows_clipped_ic16", p: conv.Params{N: 1, IH: 1, IW: 8, FH: 3, FW: 3, IC: 16, OC: 8, PH: 1, PW: 1}},
+	{name: "z4", p: conv.Params{N: 2, IH: 12, IW: 12, FH: 3, FW: 3, IC: 3, OC: 5, PH: 1, PW: 1}, z: 4},
+	{name: "grouped_g6", p: conv.Params{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 12, OC: 12, PH: 1, PW: 1, Groups: 6}},
+	{name: "depthwise_20x20x16", p: conv.Params{N: 1, IH: 20, IW: 20, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16}},
+	{name: "depthwise_z3", p: conv.Params{N: 1, IH: 20, IW: 20, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16}, z: 3},
+	{name: "multiplier_g8", p: conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 16, PH: 1, PW: 1, Groups: 8}},
+	{name: "merged_forced", p: conv.Params{N: 1, IH: 13, IW: 17, FH: 3, FW: 3, IC: 5, OC: 7, PH: 1, PW: 1}, merge: 1, merged: true},
+	{name: "f2x2_9x7", p: conv.Params{N: 1, IH: 9, IW: 7, FH: 2, FW: 2, IC: 3, OC: 4}},
+	{name: "untileable_9x9", p: conv.Params{N: 1, IH: 9, IW: 9, FH: 3, FW: 3, IC: 3, OC: 4}},
+	{name: "z6", p: conv.Params{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1}, z: 6},
+	{name: "7x7_filter", p: conv.Params{N: 1, IH: 16, IW: 18, FH: 7, FW: 7, IC: 2, OC: 2}},
+	{name: "grouped_ragged_g3", p: conv.Params{N: 1, IH: 10, IW: 10, FH: 3, FW: 3, IC: 6, OC: 9, PH: 1, PW: 1, Groups: 3}},
+}
+
+// poisoned3DCases are a small 3-D layer with its residual units inside
+// its fast units and, configured with the merge off, with its own
+// residual bucket.
+var poisoned3DCases = []poisoned3DCase{
+	{"3d_merged", conv.Params3D{N: 1, ID: 3, IH: 7, IW: 7, FD: 2, FH: 3, FW: 3, IC: 5, OC: 7, PD: 1, PH: 1, PW: 1}, 1},
+	{"3d_separate", conv.Params3D{N: 1, ID: 3, IH: 7, IW: 7, FD: 2, FH: 3, FW: 3, IC: 5, OC: 7, PD: 1, PH: 1, PW: 1}, -1},
+}
+
+// poisonedLayers and poisoned3DLayers are workload-sized plans of the
+// write-once check: dw1 of the MobileNet trunk, the benchmark's VGG16
+// conv4_2 (7²×512→512), whose fast units run its residual units by the
+// rule, and two depth slices of it, merged and with the merge off. The
+// forced-plan reruns of the bitwise suites leave them out: at a forced
+// O_C block of 1 the 7²×512→512 plans run 1,536 units each, 17 s under
+// the race detector.
+var (
+	poisonedLayers = []poisonedCase{
+		{name: "depthwise_dw1", p: conv.Params{N: 1, IH: 112, IW: 112, FH: 3, FW: 3, IC: 32, OC: 32, PH: 1, PW: 1, Groups: 32}},
+		{name: "merged_7x7x512", p: vgg16Params(7, 512, 512), merged: true},
+	}
+	poisoned3DLayers = []poisoned3DCase{
+		{"3d_merged_7x7x512", conv.Params3D{N: 1, ID: 2, IH: 7, IW: 7, FD: 1, FH: 3, FW: 3, IC: 512, OC: 512, PH: 1, PW: 1}, 1},
+		{"3d_separate_7x7x512", conv.Params3D{N: 1, ID: 2, IH: 7, IW: 7, FD: 1, FH: 3, FW: 3, IC: 512, OC: 512, PH: 1, PW: 1}, -1},
+	}
+)
+
+// checkFreshPoisoned fails unless got, a run into NaN-filled memory,
+// matches want, the fresh run, bit for bit, and want holds no NaN: the
+// operands are finite, so a NaN in the fresh result is an element no unit
+// stored, read from recycled memory.
+func checkFreshPoisoned(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	for i, v := range want {
+		if v != v {
+			t.Fatalf("%s: fresh result element %d is NaN", name, i)
+		}
+	}
+	sameBits(t, name, got, want)
+}
+
+// Results and buckets are allocated uncleared, so every plan kind must
+// store every element of both. A reused workspace whose every bucket and
+// the destination hold NaN must produce the fresh run's result bit for
+// bit: each execution stores every bucket element once before phase 3 or
+// a merged plan's fold reads it, and every ∇W element has a writer. FP32,
+// FP16 and BF16 quantized storage, and 3-D plans through execute's dst,
+// inline and through a width-4 pool.
 func TestExecuteInPoisonedWorkspaceMatchesFresh(t *testing.T) {
+	checkPoisoned(t, poisonedCases, poisoned3DCases)
+}
+
+// The write-once check on the workload-sized plans.
+func TestExecuteInPoisonedWorkspaceMatchesFreshLayers(t *testing.T) {
+	checkPoisoned(t, poisonedLayers, poisoned3DLayers)
+}
+
+// checkPoisoned runs the write-once check on cases and cases3D, inline
+// and through a width-4 pool, one subtest per case and width.
+func checkPoisoned(t *testing.T, cases []poisonedCase, cases3D []poisoned3DCase) {
 	nan := float32(math.NaN())
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
-			for _, tc := range poisonedCases {
-				x, dy := poolLayer(t, 97, tc.p)
-				xh, dyh := x.ToHalf(), dy.ToHalf()
-				for _, half := range []bool{false, true} {
-					var opts []Option
-					if tc.z > 0 {
-						opts = append(opts, WithSegments(tc.z))
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("%s_width%d", tc.name, width), func(t *testing.T) {
+					if tc.merge != 0 {
+						forceMerge(t, tc.merge)
 					}
-					if half {
-						opts = append(opts, WithFP16())
-					}
-					cfg, err := Configure(tc.p, opts...)
-					if err != nil {
-						t.Fatalf("%s half=%v: %v", tc.name, half, err)
-					}
-					if tc.z > 0 && cfg.Z() < 3 {
-						t.Fatalf("%s: realized Z = %d, want ≥ 3", tc.name, cfg.Z())
-					}
-					run := func(ws *Workspace, dst *tensor.Float32) *tensor.Float32 {
-						if half {
-							return ExecuteHalfIn(cfg, ws, xh, dyh, dst)
+					x, dy := poolLayer(t, 97, tc.p)
+					xh, dyh := x.ToHalf(), dy.ToHalf()
+					for _, prec := range []string{"fp32", "fp16", "bf16"} {
+						var opts []Option
+						if tc.z > 0 {
+							opts = append(opts, WithSegments(tc.z))
 						}
-						return ExecuteIn(cfg, ws, x, dy, dst)
+						if prec == "fp16" {
+							opts = append(opts, WithFP16())
+						}
+						cfg, err := Configure(tc.p, opts...)
+						if err != nil {
+							t.Fatalf("%s: %v", prec, err)
+						}
+						if tc.z > 0 && cfg.Z() < 3 {
+							t.Fatalf("%s: realized Z = %d, want ≥ 3", prec, cfg.Z())
+						}
+						if tc.merged && !cfg.residMerged {
+							t.Fatalf("%s: plan does not run its residual units inside its fast units", prec)
+						}
+						run := func(ws *Workspace, dst *tensor.Float32) *tensor.Float32 {
+							switch prec {
+							case "fp16":
+								return ExecuteHalfIn(cfg, ws, xh, dyh, dst)
+							case "bf16":
+								ops := planar(cfg.Params, x.Shape, dy.Shape, operand{f32: x.Data}, operand{f32: dy.Data}, "ExecuteQuantized")
+								out, _ := execute(cfg, ws, ops, quantStorage(QuantBF16), dst, nil)
+								return out
+							}
+							return ExecuteIn(cfg, ws, x, dy, dst)
+						}
+						want := run(nil, nil)
+						ws := NewWorkspace(cfg)
+						run(ws, nil)
+						fillBuckets(ws.buckets, nan)
+						dst := tensor.NewFloat32(want.Shape)
+						fillBuckets([][]float32{dst.Data}, nan)
+						checkFreshPoisoned(t, prec, run(ws, dst).Data, want.Data)
 					}
-					want := run(nil, nil)
-					ws := NewWorkspace(cfg)
-					run(ws, nil)
+				})
+			}
+			for _, tc := range cases3D {
+				t.Run(fmt.Sprintf("%s_width%d", tc.name, width), func(t *testing.T) {
+					forceMerge(t, tc.merge)
+					cfg, err := Configure3D(tc.p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cfg.residMerged != (tc.merge > 0) {
+						t.Fatalf("merged %v", cfg.residMerged)
+					}
+					rng := rand.New(rand.NewSource(98))
+					x, dy := tensor.NewFloat325(tc.p.XShape()), tensor.NewFloat325(tc.p.DYShape())
+					x.FillUniform(rng, 0, 1)
+					dy.FillUniform(rng, 0, 1)
+					want := Execute3D(cfg, x, dy)
+					ops := operands{rows: rows3D(tc.p), x: operand{f32: x.Data}, dy: operand{f32: dy.Data}}
+					ws := NewWorkspace(cfg.Config)
+					execute(cfg.Config, ws, ops, fp32Storage, nil, nil)
 					fillBuckets(ws.buckets, nan)
-					dst := tensor.NewFloat32(want.Shape)
+					dst := tensor.NewFloat32(cfg.Config.Params.DWShape())
 					fillBuckets([][]float32{dst.Data}, nan)
-					got := run(ws, dst)
-					name := tc.name
-					if half {
-						name += "/fp16"
-					}
-					sameBits(t, name, got.Data, want.Data)
-				}
+					got, _ := execute(cfg.Config, ws, ops, fp32Storage, dst, nil)
+					checkFreshPoisoned(t, "fp32", got.Data, want.Data)
+				})
 			}
 		})
 	}

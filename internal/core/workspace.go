@@ -56,12 +56,14 @@ type Workspace struct {
 	job execJob
 }
 
-// NewWorkspace allocates the bucket arena for cfg: buckets 1…Buckets−1.
+// NewWorkspace allocates the bucket arena for cfg: buckets 1…Buckets−1,
+// uncleared (tensor.NewFloat32Uncleared), since every execution stores
+// each bucket element before anything reads it (see ensureWorkspace).
 func NewWorkspace(cfg *Config) *Workspace {
-	z, elems := cfg.Buckets(), cfg.Params.DWShape().Elems()
-	ws := &Workspace{z: z, elems: elems, buckets: make([][]float32, z)}
+	z, shape := cfg.Buckets(), cfg.Params.DWShape()
+	ws := &Workspace{z: z, elems: shape.Elems(), buckets: make([][]float32, z)}
 	for i := 1; i < z; i++ {
-		ws.buckets[i] = make([]float32, elems)
+		ws.buckets[i] = tensor.NewFloat32Uncleared(shape).Data
 	}
 	return ws
 }
@@ -83,11 +85,12 @@ func (ws *Workspace) Bytes() int64 {
 }
 
 // ensureWorkspace returns a workspace for cfg: the caller's if it fits, a
-// fresh one when ws is nil. Bucket contents are never cleared: every
-// execution's units store each bucket element exactly once (see
-// writeOutput) — segment 0 straight into the destination — before phase 3
-// or a merged plan's residual fold reads it, so whatever a previous,
-// possibly cancelled, run left there is overwritten.
+// fresh one when ws is nil. Bucket contents are never cleared, neither
+// when allocated nor between executions: every execution's units store
+// each bucket element exactly once (see writeOutput) — segment 0 straight
+// into the destination — before phase 3 or a merged plan's residual fold
+// reads it, so whatever the allocator or a previous, possibly cancelled,
+// run left there is overwritten.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
 		return NewWorkspace(cfg)
@@ -144,7 +147,8 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // execute is the one execution path behind every BFC entry point — FP32, FP16,
 // quantized, grouped and 3-D: bring the operands into float32 form, fill
 // the Ŵ cache, run the dense unit grid, Kahan-reduce the buckets into dst
-// (allocated when nil). Depthwise plans run the channel-wide unit grid of
+// (allocated uncleared when nil: segment 0 stores every element before
+// anything reads it). Depthwise plans run the channel-wide unit grid of
 // depthwise.go instead of the fill and the dense grid. Every plan binds
 // dst as bucket 0 for the call: segment 0's units store into it, phase 3
 // reduces buckets 1…Z−1 into it in place — each element reads every
@@ -155,11 +159,12 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 // cancel may be nil (never cancelled). It reports ok=false when
 // cancellation stopped the run; the workspace is then quiescent — no pool
 // participant still touches it — but its buckets and dst may hold partial
-// results, and no result is produced.
+// results, and no result is produced, so a fresh dst that a cancelled run
+// left partly unwritten never reaches a caller.
 func execute(cfg *Config, ws *Workspace, ops operands, st storage, dst *tensor.Float32, cancel *sched.Batch) (*tensor.Float32, bool) {
 	p := cfg.Params
 	if dst == nil {
-		dst = tensor.NewFloat32(p.DWShape())
+		dst = tensor.NewFloat32Uncleared(p.DWShape())
 	} else if dst.Shape != p.DWShape() {
 		panic("core: reduce destination shape mismatch")
 	}

@@ -114,7 +114,8 @@ type Entry struct {
 func newEntry(key PlanKey, cfg *core.Config) *Entry {
 	e := &Entry{Key: key, Cfg: cfg, Backend: backendWinRS}
 	e.ws.New = func() any { return core.NewWorkspace(cfg) }
-	e.out.New = func() any { return tensor.NewFloat32(cfg.Params.DWShape()) }
+	// Uncleared: every WinRS execution stores each element of its result.
+	e.out.New = func() any { return tensor.NewFloat32Uncleared(cfg.Params.DWShape()) }
 	return e
 }
 

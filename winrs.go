@@ -175,10 +175,11 @@ func (pl *Plan) KernelPair() string { return pl.cfg.Pair.String() }
 
 // Execute computes ∇W in FP32. x must have shape N×I_H×I_W×I_C and dy
 // N×O_H×O_W×O_C; the result is a freshly-allocated O_C×F_H×F_W×I_C tensor
-// owned by the caller. The bucket workspace is the one the plan keeps, so
-// steady-state calls do not re-allocate it, garbage collections between
-// them included; concurrent calls are safe and each borrow their own
-// arena.
+// owned by the caller. The runtime does not clear it first: the execution
+// stores every element, so the call pays no |∇W| clear on top of its
+// work. The bucket workspace is the one the plan keeps, so steady-state
+// calls do not re-allocate it, garbage collections between them
+// included; concurrent calls are safe and each borrow their own arena.
 func (pl *Plan) Execute(x, dy *Tensor) *Tensor {
 	ws := pl.acquire()
 	defer pl.release(ws)
